@@ -167,15 +167,27 @@ func routesEqual(a, b *Route) bool {
 	if a == nil || b == nil {
 		return a == b
 	}
-	return a.Prefix == b.Prefix &&
-		a.Path.Equal(b.Path) &&
-		a.LocalPref == b.LocalPref &&
-		a.MED == b.MED &&
-		a.Origin == b.Origin &&
+	return RenderEqual(a, b) &&
 		a.FromIBGP == b.FromIBGP &&
 		a.IGPMetric == b.IGPMetric &&
 		a.RouterID == b.RouterID &&
 		len(a.Communities) == len(b.Communities)
+}
+
+// RenderEqual reports whether a and b are the same route as far as
+// Route.String shows: prefix, AS path, local preference, MED and origin,
+// with a nil route equal only to nil. It is the equivalence a what-if
+// report counts changed best routes under — coarser than routesEqual
+// (next hop, communities and the tie-break attributes are not rendered).
+func RenderEqual(a, b *Route) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.Prefix == b.Prefix &&
+		a.Path.Equal(b.Path) &&
+		a.LocalPref == b.LocalPref &&
+		a.MED == b.MED &&
+		a.Origin == b.Origin
 }
 
 // InstallConverged replaces prefix's entry wholesale with pre-selected

@@ -236,3 +236,41 @@ func TestRouteAccessors(t *testing.T) {
 		t.Fatal("String must be non-empty")
 	}
 }
+
+// TestRenderEqualIsStringEquality: RenderEqual holds exactly when the
+// two routes render to the same Route.String — the rendered attributes
+// separate routes, the unrendered ones do not, and nil equals only nil.
+func TestRenderEqualIsStringEquality(t *testing.T) {
+	base := ribRoute("10.0.0.0/8", "701 9 100", 90)
+	variants := []*Route{base.Clone()}
+	edit := func(f func(*Route)) {
+		r := base.Clone()
+		f(r)
+		variants = append(variants, r)
+	}
+	edit(func(r *Route) { r.Prefix = netx.MustParsePrefix("10.0.0.0/9") })
+	edit(func(r *Route) { r.Path = Path{701, 100} })
+	edit(func(r *Route) { r.Path = Path{701, 9, 101} })
+	edit(func(r *Route) { r.Path = nil })
+	edit(func(r *Route) { r.LocalPref = 91 })
+	edit(func(r *Route) { r.MED = 5 })
+	edit(func(r *Route) { r.Origin = OriginIncomplete })
+	edit(func(r *Route) { r.NextHop = 0x0a000001 })
+	edit(func(r *Route) { r.Communities = Communities{MakeCommunity(701, 80)} })
+	edit(func(r *Route) { r.FromIBGP = true })
+	edit(func(r *Route) { r.IGPMetric = 7 })
+	edit(func(r *Route) { r.RouterID = 3 })
+	for i, a := range variants {
+		for j, b := range variants {
+			if got, want := RenderEqual(a, b), a.String() == b.String(); got != want {
+				t.Errorf("variants %d, %d: RenderEqual %v, strings equal %v (%v / %v)", i, j, got, want, a, b)
+			}
+		}
+		if RenderEqual(a, nil) || RenderEqual(nil, a) {
+			t.Errorf("variant %d equals nil", i)
+		}
+	}
+	if !RenderEqual(nil, nil) {
+		t.Error("nil does not equal nil")
+	}
+}

@@ -173,6 +173,11 @@ type tableSlot struct {
 	rib *bgp.RIB
 	// shared marks the RIB as visible from a copy-on-write clone.
 	shared bool
+	// preBest is non-nil only while an Engine.Apply runs: the best route
+	// each prefix had in this table before the batch's first write to
+	// its entry (nil for an absent entry). Apply derives
+	// Delta.PeerBestChanged from it; see writableFor.
+	preBest map[netx.Prefix]*bgp.Route
 }
 
 // writable returns the slot's RIB, un-sharing it first. The retired RIB
@@ -832,7 +837,7 @@ func (e *engine) captureVantage(st *workerState, i int32, prefix netx.Prefix) {
 	}
 	slot := e.tables[int(i)]
 	slot.mu.Lock()
-	rib := slot.writable()
+	rib := e.writableFor(int(i), slot, prefix)
 	if len(st.capNbrs) == 0 {
 		rib.DropPrefix(prefix)
 	} else {

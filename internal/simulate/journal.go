@@ -28,14 +28,10 @@ type journalRow struct {
 	shared bool
 }
 
-type journalEntryKey struct {
+type journalEntry struct {
 	vi     int
 	prefix netx.Prefix
-}
-
-type journalEntry struct {
-	key  journalEntryKey
-	snap bgp.EntrySnapshot
+	snap   bgp.EntrySnapshot
 }
 
 type applyJournal struct {
@@ -54,7 +50,6 @@ type applyJournal struct {
 	reach     map[int]int64
 	unconvWas map[netx.Prefix]bool
 	entries   []journalEntry
-	entrySeen map[journalEntryKey]bool
 }
 
 // Checkpoint arms pre-image journaling for the next Apply, so Rollback
@@ -67,7 +62,6 @@ func (en *Engine) Checkpoint() {
 		rows:      make(map[int]journalRow),
 		reach:     make(map[int]int64),
 		unconvWas: make(map[netx.Prefix]bool),
-		entrySeen: make(map[journalEntryKey]bool),
 	}
 }
 
@@ -131,9 +125,9 @@ func (en *Engine) Rollback() bool {
 
 	// Restore vantage-table entries.
 	for _, je := range j.entries {
-		slot := e.tables[je.key.vi]
+		slot := e.tables[je.vi]
 		slot.mu.Lock()
-		slot.writable().RestoreEntry(je.key.prefix, je.snap)
+		slot.writable().RestoreEntry(je.prefix, je.snap)
 		slot.mu.Unlock()
 	}
 	return true
@@ -211,37 +205,62 @@ func (j *applyJournal) unconvPre(p netx.Prefix, was bool) {
 	j.mu.Unlock()
 }
 
-// entryPreTaken journals an already-captured entry snapshot (the caller
-// holds the slot lock and must snapshot before overwriting).
-func (j *applyJournal) entryPreTaken(vi int, prefix netx.Prefix, snap bgp.EntrySnapshot) {
+// entryPre journals a vantage table entry's pre-image. writableFor
+// calls it on the batch's first write to the entry, holding the slot
+// lock.
+func (j *applyJournal) entryPre(vi int, prefix netx.Prefix, rib *bgp.RIB) {
 	if j == nil || !j.supported {
 		return
 	}
+	snap := rib.SnapshotEntry(prefix)
 	j.mu.Lock()
-	key := journalEntryKey{vi: vi, prefix: prefix}
-	if !j.entrySeen[key] {
-		j.entrySeen[key] = true
-		j.entries = append(j.entries, journalEntry{key: key, snap: snap})
-	}
+	j.entries = append(j.entries, journalEntry{vi: vi, prefix: prefix, snap: snap})
 	j.mu.Unlock()
 }
 
-// entryPre records a vantage table entry before its first overwrite.
-// snap must be taken under the slot lock by the caller.
-func (j *applyJournal) entryPre(vi int, prefix netx.Prefix, snap func() bgp.EntrySnapshot) {
-	if j == nil || !j.supported {
-		return
+// writableFor returns slot's RIB for a write to prefix's entry; every
+// write an Apply makes to a vantage table goes through it, with
+// slot.mu held. On the batch's first write to (vantage, prefix) it
+// records the entry's pre-batch best route — always, whether or not a
+// checkpoint is armed — and hands the full pre-image to the journal.
+// Installed routes are immutable, so the pointer is the pre-image.
+// Outside Apply (cold convergence) there is no batch to compare against
+// and preBest is nil.
+func (e *engine) writableFor(vi int, slot *tableSlot, prefix netx.Prefix) *bgp.RIB {
+	if slot.preBest != nil {
+		if _, seen := slot.preBest[prefix]; !seen {
+			slot.preBest[prefix] = slot.rib.Best(prefix)
+			e.journal.entryPre(vi, prefix, slot.rib)
+		}
 	}
-	j.mu.Lock()
-	key := journalEntryKey{vi: vi, prefix: prefix}
-	if j.entrySeen[key] {
-		j.mu.Unlock()
-		return
+	return slot.writable()
+}
+
+// beginBestChanges arms every vantage table's pre-batch best record for
+// one Apply.
+func (e *engine) beginBestChanges() {
+	for _, slot := range e.tables {
+		slot.preBest = make(map[netx.Prefix]*bgp.Route)
 	}
-	j.entrySeen[key] = true
-	j.mu.Unlock()
-	s := snap()
-	j.mu.Lock()
-	j.entries = append(j.entries, journalEntry{key: key, snap: s})
-	j.mu.Unlock()
+}
+
+// endBestChanges disarms the records and returns, per vantage AS, how
+// many prefixes' best route the batch changed under bgp.RenderEqual —
+// net over the whole batch: an entry rewritten back to what it held, or
+// announced and withdrawn again, counts nothing — together with the
+// number of entries the batch wrote. Every vantage AS has a key.
+func (e *engine) endBestChanges() (changed map[bgp.ASN]int, written int) {
+	changed = make(map[bgp.ASN]int, len(e.tables))
+	for vi, slot := range e.tables {
+		n := 0
+		for prefix, was := range slot.preBest {
+			if !bgp.RenderEqual(was, slot.rib.Best(prefix)) {
+				n++
+			}
+		}
+		changed[e.asns[vi]] = n
+		written += len(slot.preBest)
+		slot.preBest = nil
+	}
+	return changed, written
 }

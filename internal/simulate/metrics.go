@@ -42,6 +42,12 @@ var (
 		"Scenario batches applied (incremental reconvergence).")
 	mApplySeconds = obs.NewHistogram("policyscope_scenario_apply_seconds",
 		"Wall time of one scenario Apply.", nil)
+	mApplyDisturbed = obs.NewHistogram("policyscope_scenario_disturbed_prefixes",
+		"Prefixes one scenario Apply submitted to re-convergence: the disturb set of a link-failure batch, every prefix of a mixed batch, plus newly announced ones.",
+		applyCountBuckets)
+	mApplyEntriesRewritten = obs.NewHistogram("policyscope_scenario_vantage_entries_rewritten",
+		"Vantage table entries (vantage AS, prefix) one scenario Apply wrote at least once.",
+		applyCountBuckets)
 	mCheckpoints = obs.NewCounter("policyscope_journal_checkpoints_total",
 		"Checkpoints armed on any engine.")
 	mRollbacks = obs.NewCounter("policyscope_journal_rollbacks_total",
@@ -49,6 +55,10 @@ var (
 	mRollbackRefused = obs.NewCounter("policyscope_journal_rollbacks_unsupported_total",
 		"Rollbacks refused because the applied batch was not journalable.")
 )
+
+// applyCountBuckets spans the per-Apply work counts from a stub's
+// single prefix to every entry of a large table set, in powers of four.
+var applyCountBuckets = []float64{0, 1, 4, 16, 64, 256, 1024, 4096, 16384, 65536, 262144}
 
 // observeApplyEnd closes the Apply timing started under obs.Enabled. A
 // plain deferred func (not a closure) so the defer record stays

@@ -284,6 +284,13 @@ type Delta struct {
 	// ReachDeltas lists prefixes whose reach count changed, biggest
 	// absolute change first.
 	ReachDeltas []ReachDelta
+	// PeerBestChanged counts, per vantage AS (every one has a key),
+	// the prefixes whose best route in that AS's table differs after
+	// the batch from before it, compared as Route.String renders a
+	// route (bgp.RenderEqual). The counts are net over the batch and
+	// per Apply, not cumulative. Not serialized: policyscope's
+	// WhatIfReport carries them on the wire.
+	PeerBestChanged map[bgp.ASN]int `json:"-"`
 }
 
 // ShiftedASes sums Shifted over all shifts.
@@ -377,6 +384,7 @@ func (en *Engine) Apply(sc Scenario) (*Delta, error) {
 	// (a journaled Rollback restores the pre-Apply staleness).
 	e.journal.beginApply(sc.Events, e.atomsStale)
 	e.atomsStale = true
+	e.beginBestChanges()
 
 	rc := &recon{
 		e:       e,
@@ -533,8 +541,12 @@ func (en *Engine) Apply(sc Scenario) (*Delta, error) {
 	for _, p := range added {
 		skip[p] = true
 	}
-	en.runIncremental(sc.Events, rc, skip, delta)
+	disturbed := len(added) + en.runIncremental(sc.Events, rc, skip, delta)
 
+	var written int
+	delta.PeerBestChanged, written = e.endBestChanges()
+	mApplyDisturbed.Observe(float64(disturbed))
+	mApplyEntriesRewritten.Observe(float64(written))
 	delta.TotalPrefixes = len(e.prefixes)
 	sort.Slice(delta.Shifts, func(i, j int) bool {
 		if delta.Shifts[i].Shifted != delta.Shifts[j].Shifted {
@@ -649,10 +661,10 @@ func (en *Engine) validate(sc Scenario) error {
 // and the best forest, compacting the engine's prefix indexing.
 func (en *Engine) removePrefixState(prefix netx.Prefix) {
 	e := en.e
-	for _, slot := range e.tables {
+	for vi, slot := range e.tables {
 		slot.mu.Lock()
 		if slot.rib.Has(prefix) {
-			slot.writable().DropPrefix(prefix)
+			e.writableFor(vi, slot, prefix).DropPrefix(prefix)
 		}
 		slot.mu.Unlock()
 	}
@@ -988,8 +1000,8 @@ func (pr *prefixRecon) sessionReseed(st *workerState, u, v int32) {
 // whose forest actually crosses a failed link can change any best
 // route), every other prefix needs at most a constant-time candidate
 // removal in the vantage tables. Mixed batches scan every prefix as
-// before.
-func (en *Engine) runIncremental(events []Event, rc *recon, skip map[netx.Prefix]bool, delta *Delta) {
+// before. It returns how many prefixes it submitted to re-convergence.
+func (en *Engine) runIncremental(events []Event, rc *recon, skip map[netx.Prefix]bool, delta *Delta) int {
 	e := en.e
 	prefixes := make([]netx.Prefix, 0, len(e.prefixes))
 	if allLinkFailures(events) && len(skip) == 0 {
@@ -1027,6 +1039,7 @@ func (en *Engine) runIncremental(events []Event, rc *recon, skip map[netx.Prefix
 			delete(en.unconv, p)
 		}
 	})
+	return len(prefixes)
 }
 
 func allLinkFailures(events []Event) bool {
@@ -1084,10 +1097,7 @@ func (en *Engine) linkFailDisturbSet(events []Event, delta *Delta) []netx.Prefix
 				slot := e.tables[int(v)]
 				slot.mu.Lock()
 				if slot.rib.CandidateFrom(p, e.asns[u]) != nil {
-					if e.journal != nil {
-						e.journal.entryPreTaken(int(v), p, slot.rib.SnapshotEntry(p))
-					}
-					if slot.writable().Withdraw(e.asns[u], p) {
+					if e.writableFor(int(v), slot, p).Withdraw(e.asns[u], p) {
 						// The removed candidate was selected: the forest
 						// said otherwise, so fall back to a full
 						// re-convergence (captures rebuild the entry).
@@ -1246,14 +1256,6 @@ func (en *Engine) captureIncremental(st *workerState, prefix netx.Prefix) (Prefi
 		row[i] = newFrom
 		if !e.vantage[int(i)] {
 			continue
-		}
-		if j := e.journal; j != nil {
-			j.entryPre(int(i), prefix, func() bgp.EntrySnapshot {
-				slot := e.tables[int(i)]
-				slot.mu.Lock()
-				defer slot.mu.Unlock()
-				return slot.rib.SnapshotEntry(prefix)
-			})
 		}
 		e.captureVantage(st, i, prefix)
 	}

@@ -6,11 +6,13 @@ import (
 	"testing"
 )
 
-func smallStudy(t *testing.T) *Study {
+func smallStudy(t *testing.T) *Study { return smallStudySeeded(t, 7) }
+
+func smallStudySeeded(t *testing.T, seed int64) *Study {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.NumASes = 250
-	cfg.Seed = 7
+	cfg.Seed = seed
 	cfg.CollectorPeers = 14
 	cfg.LookingGlassASes = 8
 	s, err := NewStudy(cfg)

@@ -19,6 +19,11 @@ func TestMetricsEndpoint(t *testing.T) {
 	if status, body := post(t, ts.URL+"/run/table5", ""); status != http.StatusOK {
 		t.Fatalf("priming run: status %d: %s", status, body)
 	}
+	// One scenario apply (the registry's failover what-if), so the
+	// per-Apply histograms have a sample.
+	if status, body := post(t, ts.URL+"/run/whatif", ""); status != http.StatusOK {
+		t.Fatalf("priming what-if: status %d: %s", status, body)
+	}
 	status, body := get(t, ts.URL+"/metrics")
 	if status != http.StatusOK {
 		t.Fatalf("status %d: %s", status, body)
@@ -38,6 +43,15 @@ func TestMetricsEndpoint(t *testing.T) {
 	} {
 		if _, ok := obs.Find(samples, want, ""); !ok {
 			t.Errorf("no %s sample in /metrics", want)
+		}
+	}
+	// What a slow apply is made of: one observation per Engine.Apply.
+	for _, want := range []string{
+		"policyscope_scenario_disturbed_prefixes_count",
+		"policyscope_scenario_vantage_entries_rewritten_count",
+	} {
+		if v, ok := obs.Find(samples, want, ""); !ok || v < 1 {
+			t.Errorf("%s missing or zero after a what-if (%v, %v)", want, v, ok)
 		}
 	}
 	// The run endpoint's counter must have advanced with the right label.

@@ -374,11 +374,9 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("reading body: %w", err))
 		return
 	}
-	var sc simulate.Scenario
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sc); err != nil {
-		writeError(w, http.StatusUnprocessableEntity, fmt.Errorf("bad scenario: %w", err))
+	sc, err := simulate.LoadScenario(bytes.NewReader(body))
+	if err != nil {
+		writeError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
 	if len(sc.Events) == 0 {

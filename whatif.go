@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"github.com/policyscope/policyscope/internal/bgp"
-	"github.com/policyscope/policyscope/internal/netx"
 	"github.com/policyscope/policyscope/internal/reports"
 	"github.com/policyscope/policyscope/internal/simulate"
 )
@@ -25,7 +24,8 @@ type WhatIfReport struct {
 	// Delta is the raw routing change the engine observed.
 	Delta *simulate.Delta
 	// PeerBestChanged counts, per collector peer, prefixes whose best
-	// route at that peer changed.
+	// route at that peer changed (the engine's Delta.PeerBestChanged;
+	// every peer has a key).
 	PeerBestChanged map[bgp.ASN]int
 	// LostReach / GainedReach total the (prefix, AS) reachability pairs
 	// removed and created by the scenario.
@@ -60,7 +60,6 @@ func (s *Study) WhatIf(sc simulate.Scenario) (*WhatIfReport, error) {
 }
 
 func (s *Study) whatIfOn(eng *simulate.Engine, sc simulate.Scenario) (*WhatIfReport, error) {
-	beforeBest := peerBestSnapshot(eng, s.Peers)
 	delta, err := eng.Apply(sc)
 	if err != nil {
 		return nil, err
@@ -70,9 +69,10 @@ func (s *Study) whatIfOn(eng *simulate.Engine, sc simulate.Scenario) (*WhatIfRep
 		Delta:           delta,
 		PeerBestChanged: make(map[bgp.ASN]int, len(s.Peers)),
 	}
-	after := peerBestSnapshot(eng, s.Peers)
+	// Keyed by the study's peers: one the engine holds no table for
+	// still gets its zero.
 	for _, peer := range s.Peers {
-		rep.PeerBestChanged[peer] = diffBestViews(beforeBest[peer], after[peer])
+		rep.PeerBestChanged[peer] = delta.PeerBestChanged[peer]
 	}
 	for _, rd := range delta.ReachDeltas {
 		if rd.After < rd.Before {
@@ -82,40 +82,6 @@ func (s *Study) whatIfOn(eng *simulate.Engine, sc simulate.Scenario) (*WhatIfRep
 		}
 	}
 	return rep, nil
-}
-
-// peerBestSnapshot captures each peer's best-route view as rendered
-// strings (path + preference), cheap to diff.
-func peerBestSnapshot(eng *simulate.Engine, peers []bgp.ASN) map[bgp.ASN]map[netx.Prefix]string {
-	res := eng.Result()
-	out := make(map[bgp.ASN]map[netx.Prefix]string, len(peers))
-	for _, peer := range peers {
-		rib := res.Tables[peer]
-		if rib == nil {
-			continue
-		}
-		view := make(map[netx.Prefix]string, rib.Len())
-		rib.EachBest(func(p netx.Prefix, r *bgp.Route) {
-			view[p] = r.String()
-		})
-		out[peer] = view
-	}
-	return out
-}
-
-func diffBestViews(before, after map[netx.Prefix]string) int {
-	n := 0
-	for p, b := range before {
-		if a, ok := after[p]; !ok || a != b {
-			n++
-		}
-	}
-	for p := range after {
-		if _, ok := before[p]; !ok {
-			n++
-		}
-	}
-	return n
 }
 
 // FailoverScenario is the canonical what-if: fail the link between a
