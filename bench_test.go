@@ -4,7 +4,7 @@ package policyscope
 // paper (regenerating the experiment from a shared converged study), the
 // decision-process/propagation ablations, and the scenario-engine
 // benchmarks comparing incremental re-convergence against full
-// resimulation (snapshot them with scripts/bench_scenario.sh). Run with:
+// resimulation (the recorded trajectory lives in bench/). Run with:
 //
 //	go test -bench=. -benchmem .
 
@@ -331,9 +331,9 @@ func BenchmarkSweepSerialEngine(b *testing.B) {
 const serialSampleStride = 997
 
 // benchmarkSweepExecutor runs the full all-single-link-failures sweep
-// per op and additionally reports the per-scenario cost, the number the
-// bench script compares across worker counts and against the serial
-// baseline (scripts/bench_sweep.sh → BENCH_sweep.json). utilization is
+// per op and additionally reports the per-scenario cost, the number to
+// compare across worker counts and against the serial baseline.
+// utilization is
 // sum(per-worker busy time) / (workers × wall): ~1.0 means the shards
 // computed the whole time, lower means workers idled — the diagnostic
 // that tells contention apart from "machine has fewer cores than -j".
@@ -370,8 +370,7 @@ func BenchmarkSweepExecutorJ8(b *testing.B) { benchmarkSweepExecutor(b, 8) }
 // one shared Session — the policyscoped serving pattern. Each op is one
 // registry query, rotating through cheap table scans, path-index-heavy
 // verification analyses and what-if scenarios answered on copy-on-write
-// engine clones; ops run from parallel goroutines. Snapshot with
-// scripts/bench_query.sh → BENCH_query.json.
+// engine clones; ops run from parallel goroutines.
 func BenchmarkSessionConcurrentQueries(b *testing.B) {
 	s := sharedStudy(b)
 	se := NewSessionFromStudy(s)
@@ -554,7 +553,7 @@ func BenchmarkEndToEndStudy(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := s.RunAll(io.Discard, RunAllOptions{
+		if err := NewSessionFromStudy(s).RunAll(context.Background(), io.Discard, RunAllOptions{
 			TierOneProviders: 3, Table6Rows: 8, Table6MinPrefixes: 2,
 			DailyEpochs: 0, HourlyEpochs: 0, Routers: 6, DriftRouters: 1, Figure9ASes: 2,
 		}); err != nil {

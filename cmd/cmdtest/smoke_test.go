@@ -680,7 +680,7 @@ func TestGracefulShutdownSmoke(t *testing.T) {
 }
 
 // TestDistributedSweepSmoke drives the fleet path through real
-// binaries: two sweepd workers and a cmd/sweep coordinator, compared
+// binaries: two policyscoped workers and a cmd/sweep coordinator, compared
 // byte for byte against the same sweep run locally, then resumed from
 // its checkpoint.
 func TestDistributedSweepSmoke(t *testing.T) {
@@ -690,7 +690,7 @@ func TestDistributedSweepSmoke(t *testing.T) {
 	dir := t.TempDir()
 	root := repoRoot(t)
 	bins := map[string]string{}
-	for _, name := range []string{"sweep", "sweepd"} {
+	for _, name := range []string{"sweep", "policyscoped"} {
 		bin := filepath.Join(dir, name)
 		build := exec.Command("go", "build", "-o", bin, "./cmd/"+name)
 		build.Dir = root
@@ -709,7 +709,7 @@ func TestDistributedSweepSmoke(t *testing.T) {
 		}
 		addr := ln.Addr().String()
 		ln.Close()
-		w := exec.Command(bins["sweepd"], "-addr", addr,
+		w := exec.Command(bins["policyscoped"], "-addr", addr,
 			"-ases", "60", "-seed", "3", "-peers", "5", "-lg", "3")
 		var wLog bytes.Buffer
 		w.Stdout = &wLog
@@ -729,7 +729,7 @@ func TestDistributedSweepSmoke(t *testing.T) {
 				break
 			}
 			if time.Now().After(deadline) {
-				t.Fatalf("sweepd %s never became healthy: %v\n%s", addr, err, wLog.String())
+				t.Fatalf("policyscoped %s never became healthy: %v\n%s", addr, err, wLog.String())
 			}
 			time.Sleep(50 * time.Millisecond)
 		}
@@ -780,7 +780,7 @@ func TestDistributedSweepSmoke(t *testing.T) {
 
 // TestFleetSweepSmoke drives dynamic fleet membership through real
 // binaries: a cmd/sweep coordinator starts with -fleet-addr and no
-// static workers at all; a sweepd started afterwards self-registers via
+// static workers at all; a policyscoped started afterwards self-registers via
 // -coordinator heartbeats, runs every shard, and the records still match
 // the local run byte for byte.
 func TestFleetSweepSmoke(t *testing.T) {
@@ -790,7 +790,7 @@ func TestFleetSweepSmoke(t *testing.T) {
 	dir := t.TempDir()
 	root := repoRoot(t)
 	bins := map[string]string{}
-	for _, name := range []string{"sweep", "sweepd"} {
+	for _, name := range []string{"sweep", "policyscoped"} {
 		bin := filepath.Join(dir, name)
 		build := exec.Command("go", "build", "-o", bin, "./cmd/"+name)
 		build.Dir = root
@@ -834,7 +834,7 @@ func TestFleetSweepSmoke(t *testing.T) {
 	})
 
 	workerAddr := freeAddr()
-	w := exec.Command(bins["sweepd"], "-addr", workerAddr,
+	w := exec.Command(bins["policyscoped"], "-addr", workerAddr,
 		"-ases", "60", "-seed", "3", "-peers", "5", "-lg", "3",
 		"-coordinator", "http://"+fleetAddr,
 		"-advertise", "http://"+workerAddr,

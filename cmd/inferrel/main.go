@@ -59,11 +59,12 @@ func main() {
 		os.Exit(2)
 	}
 	// Reject a bad algorithm or parameter before touching the input.
-	a, ok := infer.Default.Get(*algo)
-	if !ok {
-		fail(&infer.NotFoundError{Name: *algo})
+	a, err := infer.Default.Lookup(*algo)
+	if err != nil {
+		fail(err)
 	}
-	if _, err := infer.Default.DecodeKV(*algo, params); err != nil {
+	decoded, err := infer.Default.DecodeKV(*algo, params)
+	if err != nil {
 		fail(err)
 	}
 	if *posterior && !a.Probabilistic {
@@ -81,8 +82,8 @@ func main() {
 		fail(err)
 	}
 
-	res, err := infer.Default.RunKV(context.Background(),
-		infer.Input{Paths: snap.AllPaths(), VantagePoints: snap.Peers}, *algo, params)
+	res, err := a.Run(context.Background(),
+		infer.Input{Paths: snap.AllPaths(), VantagePoints: snap.Peers}, decoded)
 	if err != nil {
 		fail(err)
 	}

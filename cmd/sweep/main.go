@@ -23,7 +23,7 @@
 //
 // With -workers the command becomes a distributed coordinator instead
 // of running scenarios itself: the scenario index space is partitioned
-// into contiguous shards (-shard-size) dispatched to the listed sweepd
+// into contiguous shards (-shard-size) dispatched to the listed policyscoped
 // fleet, with per-shard lease timeouts (-lease), bounded retry
 // (-retries), reassignment of failed workers' shards, and an optional
 // resumable checkpoint:
@@ -79,7 +79,7 @@ func main() {
 		seed       = flag.Int64("seed", 42, "random seed")
 		peers      = flag.Int("peers", 24, "collector peers (the sweep's vantage points)")
 		jobs       = flag.Int("j", 0, "sweep worker count; with -workers, the executor parallelism on each remote worker (0 = GOMAXPROCS)")
-		workerList = flag.String("workers", "", "comma-separated sweepd worker addresses (host:port); run as a distributed coordinator (with -fleet-addr, the static seed list)")
+		workerList = flag.String("workers", "", "comma-separated policyscoped worker addresses (host:port); run as a distributed coordinator (with -fleet-addr, the static seed list)")
 		fleetAddr  = flag.String("fleet-addr", "", "listen address for worker self-registration (POST /fleet/register); enables dynamic fleet membership")
 		fleetTTL   = flag.Duration("fleet-ttl", dsweep.DefaultFleetTTL, "heartbeat liveness window in -fleet-addr mode; missed heartbeats past it evict the worker")
 		grace      = flag.Duration("grace", 30*time.Second, "how long a -fleet-addr run tolerates zero live workers before failing")

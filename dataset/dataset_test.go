@@ -82,7 +82,7 @@ func TestMRTRoundTripExperiments(t *testing.T) {
 
 	ctx := context.Background()
 	ranFree := 0
-	for _, info := range truth.Experiments() {
+	for _, info := range policyscope.Experiments() {
 		if info.NeedsGroundTruth {
 			_, err := snapSess.Run(ctx, info.Name, nil)
 			if !errors.Is(err, policyscope.ErrNeedsGroundTruth) {

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -16,27 +17,19 @@ func main() {
 	cfg.NumASes = 400
 	cfg.Seed = 2003 // the paper's vintage; any seed reproduces exactly
 
-	study, err := policyscope.NewStudy(cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "quickstart: %v\n", err)
-		os.Exit(1)
-	}
-
-	// Import policies: do local preferences follow AS relationships?
-	if _, err := policyscope.RenderTable2(study.Table2TypicalLocalPref()).WriteTo(os.Stdout); err != nil {
-		fmt.Fprintf(os.Stderr, "quickstart: %v\n", err)
-		os.Exit(1)
-	}
-
-	// Export policies: which prefixes reach providers only through
-	// "curving" peer routes?
-	if _, err := policyscope.RenderTable5(study.Table5SAPrefixes()).WriteTo(os.Stdout); err != nil {
-		fmt.Fprintf(os.Stderr, "quickstart: %v\n", err)
-		os.Exit(1)
-	}
-
-	if err := study.RenderSummary(os.Stdout); err != nil {
-		fmt.Fprintf(os.Stderr, "quickstart: %v\n", err)
-		os.Exit(1)
+	// The session builds the study on the first query and shares it
+	// with the rest. table2 — import policies: do local preferences
+	// follow AS relationships? table5 — export policies: which prefixes
+	// reach providers only through "curving" peer routes?
+	sess := policyscope.NewSession(cfg)
+	for _, name := range []string{"table2", "table5", "summary"} {
+		res, err := sess.Run(context.Background(), name, nil)
+		if err == nil {
+			err = res.Render(os.Stdout)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "quickstart: %v\n", err)
+			os.Exit(1)
+		}
 	}
 }

@@ -2,9 +2,12 @@
 // analyses. Each experiment registers under a stable name with a typed
 // parameter struct (decodable from JSON or key=value flags) and a typed
 // result that both marshals to deterministic JSON and renders itself as
-// text. The registry is generic over the context the experiments run
-// against (policyscope instantiates it with *Session), so the catalog
-// machinery carries no dependency on any particular study shape.
+// text. The registry is generic over the context the entries run
+// against and the type they return, so the catalog machinery carries no
+// dependency on any particular study shape: policyscope instantiates it
+// with (*Session, Result) for the paper's experiments, and package infer
+// with (infer.Input, *infer.Output) for the relationship-inference
+// algorithms.
 //
 // The design follows the query-catalog pattern of related inference
 // services (CAIDA's AS-relationship pipeline, catchment-query servers):
@@ -33,9 +36,34 @@ type Result interface {
 	Render(w io.Writer) error
 }
 
+// Kind names what a registry catalogs. It shapes only error text, which
+// clients match on: "experiment: unknown experiment", "infer: unknown
+// algorithm". The zero Kind is the experiment catalog's.
+type Kind struct {
+	// Pkg prefixes every error ("experiment", "infer").
+	Pkg string
+	// Noun is one entry ("experiment", "algorithm").
+	Noun string
+}
+
+func (k Kind) pkg() string {
+	if k.Pkg == "" {
+		return "experiment"
+	}
+	return k.Pkg
+}
+
+func (k Kind) noun() string {
+	if k.Noun == "" {
+		return "experiment"
+	}
+	return k.Noun
+}
+
 // Experiment describes one catalog entry. S is the query context
-// (a session holding the shared precomputed artifacts).
-type Experiment[S any] struct {
+// (a session holding the shared precomputed artifacts), R what a run
+// returns.
+type Experiment[S, R any] struct {
 	// Name is the stable registry key ("table5", "whatif", ...).
 	Name string
 	// Title is the human-readable headline.
@@ -50,6 +78,9 @@ type Experiment[S any] struct {
 	// MRT table dump. Catalog consumers use it to filter; runners are
 	// expected to return a typed error rather than panic.
 	NeedsGroundTruth bool
+	// Probabilistic marks inference algorithms whose output carries a
+	// per-edge posterior.
+	Probabilistic bool
 	// NewParams returns a pointer to a freshly allocated parameter
 	// struct carrying the experiment's defaults, or nil when the
 	// experiment takes no parameters.
@@ -59,60 +90,71 @@ type Experiment[S any] struct {
 	// long-running experiments are expected to honor it. params is
 	// either nil (use defaults) or a pointer of the type NewParams
 	// returns.
-	Run func(ctx context.Context, s S, params any) (Result, error)
+	Run func(ctx context.Context, s S, params any) (R, error)
 }
 
 // Info is the serializable catalog row (what a server lists).
 type Info struct {
 	Name             string `json:"name"`
 	Title            string `json:"title"`
-	Group            string `json:"group"`
+	Group            string `json:"group,omitempty"`
 	NeedsGroundTruth bool   `json:"needs_ground_truth,omitempty"`
+	Probabilistic    bool   `json:"probabilistic,omitempty"`
 	Params           any    `json:"params,omitempty"` // default parameter values
 }
 
 // Registry holds the catalog. The zero value is not usable; call
 // NewRegistry.
-type Registry[S any] struct {
+type Registry[S, R any] struct {
+	kind   Kind
 	mu     sync.RWMutex
-	byName map[string]*Experiment[S]
+	byName map[string]*Experiment[S, R]
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry[S any]() *Registry[S] {
-	return &Registry[S]{byName: make(map[string]*Experiment[S])}
+// NewRegistry returns an empty registry of the given kind.
+func NewRegistry[S, R any](kind Kind) *Registry[S, R] {
+	return &Registry[S, R]{kind: kind, byName: make(map[string]*Experiment[S, R])}
 }
 
 // MustRegister adds an experiment, panicking on an empty name, a
 // duplicate, or a missing Run function — registration happens at init
 // time, where a panic is a build error.
-func (r *Registry[S]) MustRegister(e Experiment[S]) {
+func (r *Registry[S, R]) MustRegister(e Experiment[S, R]) {
 	if e.Name == "" {
-		panic("experiment: registering with empty name")
+		panic(r.kind.pkg() + ": registering with empty name")
 	}
 	if e.Run == nil {
-		panic("experiment: " + e.Name + " has no Run function")
+		panic(r.kind.pkg() + ": " + e.Name + " has no Run function")
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, dup := r.byName[e.Name]; dup {
-		panic("experiment: duplicate registration of " + e.Name)
+		panic(r.kind.pkg() + ": duplicate registration of " + e.Name)
 	}
 	r.byName[e.Name] = &e
 }
 
 // Get returns the experiment registered under name.
-func (r *Registry[S]) Get(name string) (*Experiment[S], bool) {
+func (r *Registry[S, R]) Get(name string) (*Experiment[S, R], bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	e, ok := r.byName[name]
 	return e, ok
 }
 
+// Lookup is Get with the miss reported as a *NotFoundError.
+func (r *Registry[S, R]) Lookup(name string) (*Experiment[S, R], error) {
+	e, ok := r.Get(name)
+	if !ok {
+		return nil, &NotFoundError{Kind: r.kind, Name: name}
+	}
+	return e, nil
+}
+
 // All returns every experiment ordered by (Order, Name).
-func (r *Registry[S]) All() []*Experiment[S] {
+func (r *Registry[S, R]) All() []*Experiment[S, R] {
 	r.mu.RLock()
-	out := make([]*Experiment[S], 0, len(r.byName))
+	out := make([]*Experiment[S, R], 0, len(r.byName))
 	for _, e := range r.byName {
 		out = append(out, e)
 	}
@@ -127,7 +169,7 @@ func (r *Registry[S]) All() []*Experiment[S] {
 }
 
 // Names returns every registered name in catalog order.
-func (r *Registry[S]) Names() []string {
+func (r *Registry[S, R]) Names() []string {
 	all := r.All()
 	out := make([]string, len(all))
 	for i, e := range all {
@@ -137,11 +179,12 @@ func (r *Registry[S]) Names() []string {
 }
 
 // Infos returns the serializable catalog with default parameters.
-func (r *Registry[S]) Infos() []Info {
+func (r *Registry[S, R]) Infos() []Info {
 	all := r.All()
 	out := make([]Info, len(all))
 	for i, e := range all {
-		out[i] = Info{Name: e.Name, Title: e.Title, Group: e.Group, NeedsGroundTruth: e.NeedsGroundTruth}
+		out[i] = Info{Name: e.Name, Title: e.Title, Group: e.Group,
+			NeedsGroundTruth: e.NeedsGroundTruth, Probabilistic: e.Probabilistic}
 		if e.NewParams != nil {
 			out[i].Params = e.NewParams()
 		}
@@ -150,121 +193,117 @@ func (r *Registry[S]) Infos() []Info {
 }
 
 // NotFoundError reports a name with no registration.
-type NotFoundError struct{ Name string }
+type NotFoundError struct {
+	Kind Kind
+	Name string
+}
 
 func (e *NotFoundError) Error() string {
-	return fmt.Sprintf("experiment: unknown experiment %q", e.Name)
+	return fmt.Sprintf("%s: unknown %s %q", e.Kind.pkg(), e.Kind.noun(), e.Name)
 }
 
 // ParamError reports unusable parameters (bad JSON, unknown field...).
 type ParamError struct {
+	Kind Kind
 	Name string
 	Err  error
 }
 
 func (e *ParamError) Error() string {
-	return fmt.Sprintf("experiment %s: bad params: %v", e.Name, e.Err)
+	return fmt.Sprintf("%s %s: bad params: %v", e.Kind.pkg(), e.Name, e.Err)
 }
 
 func (e *ParamError) Unwrap() error { return e.Err }
 
-// RunJSON runs the named experiment with parameters decoded strictly
-// from raw (empty raw, "null" or "{}" keep the defaults).
-func (r *Registry[S]) RunJSON(ctx context.Context, s S, name string, raw []byte) (Result, error) {
-	e, ok := r.Get(name)
-	if !ok {
-		return nil, &NotFoundError{Name: name}
-	}
-	params, err := e.decodeJSON(raw)
+// Run runs the named experiment with an already-decoded params value:
+// nil for the defaults, or a pointer of the type NewParams returns.
+func (r *Registry[S, R]) Run(ctx context.Context, s S, name string, params any) (res R, err error) {
+	e, err := r.Lookup(name)
 	if err != nil {
-		return nil, err
+		return res, err
+	}
+	if params == nil && e.NewParams != nil {
+		params = e.NewParams()
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return res, err
 	}
 	return e.Run(ctx, s, params)
 }
 
-// DecodeJSONParams resolves the named experiment and decodes raw JSON
-// parameters (strict; empty raw, "null" or "{}" keep the defaults)
-// without running anything — the JSON twin of DecodeKV, letting
-// callers funnel every wire form through one Run entry point.
-func (r *Registry[S]) DecodeJSONParams(name string, raw []byte) (any, error) {
-	e, ok := r.Get(name)
-	if !ok {
-		return nil, &NotFoundError{Name: name}
+// RunJSON runs the named experiment with parameters decoded strictly
+// from raw (empty raw, "null" or "{}" keep the defaults).
+func (r *Registry[S, R]) RunJSON(ctx context.Context, s S, name string, raw []byte) (res R, err error) {
+	params, err := r.DecodeJSONParams(name, raw)
+	if err != nil {
+		return res, err
 	}
-	return e.decodeJSON(raw)
-}
-
-// decodeJSON materializes the default parameters and applies a strict
-// JSON decode over them.
-func (e *Experiment[S]) decodeJSON(raw []byte) (any, error) {
-	var params any
-	if e.NewParams != nil {
-		params = e.NewParams()
-		if len(bytes.TrimSpace(raw)) > 0 {
-			if err := DecodeJSON(params, raw); err != nil {
-				return nil, &ParamError{Name: e.Name, Err: err}
-			}
-		}
-	} else if len(bytes.TrimSpace(raw)) > 0 && !bytes.Equal(bytes.TrimSpace(raw), []byte("null")) &&
-		!bytes.Equal(bytes.TrimSpace(raw), []byte("{}")) {
-		return nil, &ParamError{Name: e.Name, Err: fmt.Errorf("experiment takes no parameters")}
-	}
-	return params, nil
+	return r.Run(ctx, s, name, params)
 }
 
 // RunKV runs the named experiment with key=value parameter overrides
 // (the CLI flag form).
-func (r *Registry[S]) RunKV(ctx context.Context, s S, name string, kv []string) (Result, error) {
-	e, ok := r.Get(name)
-	if !ok {
-		return nil, &NotFoundError{Name: name}
+func (r *Registry[S, R]) RunKV(ctx context.Context, s S, name string, kv []string) (res R, err error) {
+	params, err := r.DecodeKV(name, kv)
+	if err != nil {
+		return res, err
 	}
-	params, err := e.decodeKV(kv)
+	return r.Run(ctx, s, name, params)
+}
+
+// DecodeJSONParams resolves the named experiment and decodes raw JSON
+// parameters over its defaults (strict; empty raw, "null" or "{}" keep
+// the defaults) without running anything — the fail-fast validation a
+// server performs before paying for its dataset.
+func (r *Registry[S, R]) DecodeJSONParams(name string, raw []byte) (any, error) {
+	e, err := r.Lookup(name)
 	if err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return e.Run(ctx, s, params)
-}
-
-// DecodeKV resolves the named experiment and decodes key=value
-// overrides into its parameter struct without running anything — the
-// fail-fast validation a CLI performs before paying for its dataset.
-func (r *Registry[S]) DecodeKV(name string, kv []string) (any, error) {
-	e, ok := r.Get(name)
-	if !ok {
-		return nil, &NotFoundError{Name: name}
-	}
-	return e.decodeKV(kv)
-}
-
-// decodeKV materializes the default parameters and applies key=value
-// overrides.
-func (e *Experiment[S]) decodeKV(kv []string) (any, error) {
-	var params any
-	if e.NewParams != nil {
-		params = e.NewParams()
-	}
-	if len(kv) > 0 {
-		if params == nil {
-			return nil, &ParamError{Name: e.Name, Err: fmt.Errorf("experiment takes no parameters")}
+	raw = bytes.TrimSpace(raw)
+	if e.NewParams == nil {
+		if s := string(raw); s != "" && s != "null" && s != "{}" {
+			return nil, r.paramError(name, fmt.Errorf("%s takes no parameters", r.kind.noun()))
 		}
-		for _, pair := range kv {
-			key, value, found := strings.Cut(pair, "=")
-			if !found {
-				return nil, &ParamError{Name: e.Name, Err: fmt.Errorf("want key=value, got %q", pair)}
-			}
-			if err := Set(params, key, value); err != nil {
-				return nil, &ParamError{Name: e.Name, Err: err}
-			}
+		return nil, nil
+	}
+	params := e.NewParams()
+	if len(raw) > 0 {
+		if err := DecodeJSON(params, raw); err != nil {
+			return nil, r.paramError(name, err)
 		}
 	}
 	return params, nil
+}
+
+// DecodeKV is DecodeJSONParams for key=value overrides (the CLI flag
+// form).
+func (r *Registry[S, R]) DecodeKV(name string, kv []string) (any, error) {
+	e, err := r.Lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	if e.NewParams == nil {
+		if len(kv) > 0 {
+			return nil, r.paramError(name, fmt.Errorf("%s takes no parameters", r.kind.noun()))
+		}
+		return nil, nil
+	}
+	params := e.NewParams()
+	for _, pair := range kv {
+		key, value, found := strings.Cut(pair, "=")
+		if !found {
+			return nil, r.paramError(name, fmt.Errorf("want key=value, got %q", pair))
+		}
+		if err := Set(params, key, value); err != nil {
+			return nil, r.paramError(name, err)
+		}
+	}
+	return params, nil
+}
+
+func (r *Registry[S, R]) paramError(name string, err error) error {
+	return &ParamError{Kind: r.kind, Name: name, Err: err}
 }
 
 // DecodeJSON decodes raw strictly (unknown fields rejected) into the

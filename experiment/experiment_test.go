@@ -28,9 +28,9 @@ func (r echoResult) Render(w io.Writer) error {
 	return err
 }
 
-func testRegistry() *Registry[*fakeSession] {
-	r := NewRegistry[*fakeSession]()
-	r.MustRegister(Experiment[*fakeSession]{
+func testRegistry() *Registry[*fakeSession, Result] {
+	r := NewRegistry[*fakeSession, Result](Kind{})
+	r.MustRegister(Experiment[*fakeSession, Result]{
 		Name:  "echo",
 		Title: "echoes its params",
 		Group: "test",
@@ -43,7 +43,7 @@ func testRegistry() *Registry[*fakeSession] {
 			return echoResult{Params: *params.(*echoParams)}, nil
 		},
 	})
-	r.MustRegister(Experiment[*fakeSession]{
+	r.MustRegister(Experiment[*fakeSession, Result]{
 		Name:  "bare",
 		Title: "takes no params",
 		Group: "test",
@@ -73,7 +73,7 @@ func TestRegistryOrderAndLookup(t *testing.T) {
 }
 
 func TestMustRegisterPanics(t *testing.T) {
-	for _, e := range []Experiment[*fakeSession]{
+	for _, e := range []Experiment[*fakeSession, Result]{
 		{Name: "", Run: func(context.Context, *fakeSession, any) (Result, error) { return nil, nil }},
 		{Name: "norun"},
 		{Name: "echo", Run: func(context.Context, *fakeSession, any) (Result, error) { return nil, nil }},

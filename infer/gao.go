@@ -34,7 +34,7 @@ func runGao(_ context.Context, in Input, params any) (*Output, error) {
 }
 
 func init() {
-	Default.MustRegister(Algorithm[Input]{
+	Default.MustRegister(Algorithm{
 		Name:      "gao",
 		Title:     "Gao degree/transit inference (ToN 2001) — the paper's choice",
 		NewParams: func() any { return defaultGaoParams() },

@@ -8,18 +8,14 @@
 // for probabilistic algorithms — a per-edge posterior over the four
 // relationship classes.
 //
-// The registry is generic over the input type (policyscope
-// instantiates it with Input: observed AS paths plus the collector's
-// vantage points), mirroring experiment.Registry's shape so every
-// serving surface (HTTP, CLI, experiments) drives algorithms the same
-// way it drives queries.
+// The catalog (Default) is an experiment.Registry over Input — observed
+// AS paths plus the collector's vantage points — so every serving
+// surface (HTTP, CLI, experiments) drives algorithms the same way it
+// drives queries.
 package infer
 
 import (
-	"context"
-	"fmt"
 	"sort"
-	"sync"
 
 	"github.com/policyscope/policyscope/experiment"
 	"github.com/policyscope/policyscope/internal/asgraph"
@@ -52,258 +48,23 @@ type Output struct {
 	Posterior []EdgePosterior
 }
 
-// Algorithm is one catalog entry, generic over the input type I.
-type Algorithm[I any] struct {
-	// Name is the stable registry key ("gao", "rank", "pari").
-	Name string
-	// Title is the human-readable headline (paper lineage).
-	Title string
-	// Probabilistic marks algorithms whose Output carries a Posterior.
-	Probabilistic bool
-	// NewParams returns a pointer to a freshly allocated parameter
-	// struct carrying the algorithm's defaults, or nil when the
-	// algorithm takes no parameters.
-	NewParams func() any
-	// Run executes the inference. params is either nil (defaults) or a
-	// pointer of the type NewParams returns.
-	Run func(ctx context.Context, in I, params any) (*Output, error)
-}
+// Algorithm is one catalog entry: an experiment.Experiment that runs
+// against an Input and returns an Output. Probabilistic marks algorithms
+// whose Output carries a Posterior.
+type Algorithm = experiment.Experiment[Input, *Output]
 
-// Info is the serializable catalog row.
-type Info struct {
-	Name          string `json:"name"`
-	Title         string `json:"title"`
-	Probabilistic bool   `json:"probabilistic,omitempty"`
-	Params        any    `json:"params,omitempty"` // default parameter values
-}
-
-// Registry holds the algorithm catalog. The zero value is not usable;
-// call NewRegistry.
-type Registry[I any] struct {
-	mu     sync.RWMutex
-	byName map[string]*Algorithm[I]
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry[I any]() *Registry[I] {
-	return &Registry[I]{byName: make(map[string]*Algorithm[I])}
-}
-
-// MustRegister adds an algorithm, panicking on an empty name, a
-// duplicate, or a missing Run function — registration happens at init
-// time, where a panic is a build error.
-func (r *Registry[I]) MustRegister(a Algorithm[I]) {
-	if a.Name == "" {
-		panic("infer: registering with empty name")
-	}
-	if a.Run == nil {
-		panic("infer: " + a.Name + " has no Run function")
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.byName[a.Name]; dup {
-		panic("infer: duplicate registration of " + a.Name)
-	}
-	r.byName[a.Name] = &a
-}
-
-// Get returns the algorithm registered under name.
-func (r *Registry[I]) Get(name string) (*Algorithm[I], bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	a, ok := r.byName[name]
-	return a, ok
-}
-
-// All returns every algorithm in name order.
-func (r *Registry[I]) All() []*Algorithm[I] {
-	r.mu.RLock()
-	out := make([]*Algorithm[I], 0, len(r.byName))
-	for _, a := range r.byName {
-		out = append(out, a)
-	}
-	r.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// Names returns every registered name in catalog order.
-func (r *Registry[I]) Names() []string {
-	all := r.All()
-	out := make([]string, len(all))
-	for i, a := range all {
-		out[i] = a.Name
-	}
-	return out
-}
-
-// Infos returns the serializable catalog with default parameters.
-func (r *Registry[I]) Infos() []Info {
-	all := r.All()
-	out := make([]Info, len(all))
-	for i, a := range all {
-		out[i] = Info{Name: a.Name, Title: a.Title, Probabilistic: a.Probabilistic}
-		if a.NewParams != nil {
-			out[i].Params = a.NewParams()
-		}
-	}
-	return out
-}
-
-// NotFoundError reports a name with no registration.
-type NotFoundError struct{ Name string }
-
-func (e *NotFoundError) Error() string {
-	return fmt.Sprintf("infer: unknown algorithm %q", e.Name)
-}
-
-// ParamError reports unusable parameters (bad JSON, unknown field...).
-type ParamError struct {
-	Name string
-	Err  error
-}
-
-func (e *ParamError) Error() string {
-	return fmt.Sprintf("infer %s: bad params: %v", e.Name, e.Err)
-}
-
-func (e *ParamError) Unwrap() error { return e.Err }
-
-// DecodeJSON resolves the named algorithm and decodes raw strictly into
-// its parameter struct without running anything — the fail-fast
-// validation servers perform before paying for a dataset, and the
-// canonical-params hook Session memoization keys on. Empty raw keeps
-// the defaults.
-func (r *Registry[I]) DecodeJSON(name string, raw []byte) (any, error) {
-	a, ok := r.Get(name)
-	if !ok {
-		return nil, &NotFoundError{Name: name}
-	}
-	return a.decodeJSON(raw)
-}
-
-// DecodeKV is DecodeJSON for key=value overrides (the CLI flag form).
-func (r *Registry[I]) DecodeKV(name string, kv []string) (any, error) {
-	a, ok := r.Get(name)
-	if !ok {
-		return nil, &NotFoundError{Name: name}
-	}
-	return a.decodeKV(kv)
-}
-
-func (a *Algorithm[I]) decodeJSON(raw []byte) (any, error) {
-	var params any
-	if a.NewParams != nil {
-		params = a.NewParams()
-		if len(trimJSON(raw)) > 0 {
-			if err := experiment.DecodeJSON(params, raw); err != nil {
-				return nil, &ParamError{Name: a.Name, Err: err}
-			}
-		}
-	} else if s := string(trimJSON(raw)); s != "" && s != "null" && s != "{}" {
-		return nil, &ParamError{Name: a.Name, Err: fmt.Errorf("algorithm takes no parameters")}
-	}
-	return params, nil
-}
-
-func (a *Algorithm[I]) decodeKV(kv []string) (any, error) {
-	var params any
-	if a.NewParams != nil {
-		params = a.NewParams()
-	}
-	if len(kv) > 0 {
-		if params == nil {
-			return nil, &ParamError{Name: a.Name, Err: fmt.Errorf("algorithm takes no parameters")}
-		}
-		for _, pair := range kv {
-			key, value, found := cutKV(pair)
-			if !found {
-				return nil, &ParamError{Name: a.Name, Err: fmt.Errorf("want key=value, got %q", pair)}
-			}
-			if err := experiment.Set(params, key, value); err != nil {
-				return nil, &ParamError{Name: a.Name, Err: err}
-			}
-		}
-	}
-	return params, nil
-}
-
-// RunJSON runs the named algorithm with parameters decoded strictly
-// from raw (empty raw keeps the defaults).
-func (r *Registry[I]) RunJSON(ctx context.Context, in I, name string, raw []byte) (*Output, error) {
-	a, ok := r.Get(name)
-	if !ok {
-		return nil, &NotFoundError{Name: name}
-	}
-	params, err := a.decodeJSON(raw)
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return a.Run(ctx, in, params)
-}
-
-// RunKV runs the named algorithm with key=value parameter overrides.
-func (r *Registry[I]) RunKV(ctx context.Context, in I, name string, kv []string) (*Output, error) {
-	a, ok := r.Get(name)
-	if !ok {
-		return nil, &NotFoundError{Name: name}
-	}
-	params, err := a.decodeKV(kv)
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return a.Run(ctx, in, params)
-}
-
-// Run runs the named algorithm with an already-decoded params value
-// (nil for defaults) — the path Session memoization uses after
-// canonicalizing params through DecodeJSON.
-func (r *Registry[I]) Run(ctx context.Context, in I, name string, params any) (*Output, error) {
-	a, ok := r.Get(name)
-	if !ok {
-		return nil, &NotFoundError{Name: name}
-	}
-	if params == nil && a.NewParams != nil {
-		params = a.NewParams()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return a.Run(ctx, in, params)
-}
-
-func trimJSON(raw []byte) []byte {
-	start, end := 0, len(raw)
-	for start < end && isSpace(raw[start]) {
-		start++
-	}
-	for end > start && isSpace(raw[end-1]) {
-		end--
-	}
-	return raw[start:end]
-}
-
-func isSpace(b byte) bool { return b == ' ' || b == '\t' || b == '\n' || b == '\r' }
-
-func cutKV(pair string) (key, value string, found bool) {
-	for i := 0; i < len(pair); i++ {
-		if pair[i] == '=' {
-			return pair[:i], pair[i+1:], true
-		}
-	}
-	return pair, "", false
-}
+// NotFoundError and ParamError are the registry's shared error types;
+// Default's read "infer: unknown algorithm ..." and "infer <name>: bad
+// params: ...".
+type (
+	NotFoundError = experiment.NotFoundError
+	ParamError    = experiment.ParamError
+)
 
 // Default is the process-wide catalog the built-in algorithms register
 // into; policyscope's Session, the HTTP server, and cmd/inferrel all
 // resolve names against it.
-var Default = NewRegistry[Input]()
+var Default = experiment.NewRegistry[Input, *Output](experiment.Kind{Pkg: "infer", Noun: "algorithm"})
 
 // shared path preprocessing --------------------------------------------
 

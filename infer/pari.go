@@ -252,7 +252,7 @@ func SampleEnsemble(posterior []EdgePosterior, seed int64, k int) []*asgraph.Gra
 }
 
 func init() {
-	Default.MustRegister(Algorithm[Input]{
+	Default.MustRegister(Algorithm{
 		Name:          "pari",
 		Title:         "Probabilistic per-edge posterior (PARI, Feng et al.)",
 		Probabilistic: true,

@@ -158,7 +158,7 @@ func mustAdd(err error) {
 }
 
 func init() {
-	Default.MustRegister(Algorithm[Input]{
+	Default.MustRegister(Algorithm{
 		Name:      "rank",
 		Title:     "Transit-degree ranking with peering refinement (Dimitropoulos et al.)",
 		NewParams: func() any { return defaultRankParams() },

@@ -29,24 +29,19 @@ import (
 // collector snapshot, so it is byte-identical between a synthetic
 // study and an MRT import of its snapshot like every other
 // snapshot-capable experiment.
-func runInferBakeoff(ctx context.Context, se *Session, p InferBakeoffParams) (experiment.Result, error) {
+func runInferBakeoff(ctx context.Context, se *Session, s *Study, p InferBakeoffParams) (experiment.Result, error) {
 	algos := p.Algos
 	if len(algos) == 0 {
 		algos = infer.Default.Names()
 	}
-	// Validate every name before any study work.
-	entries := make(map[string]*infer.Algorithm[infer.Input], len(algos))
+	// Validate every name before any inference.
+	entries := make(map[string]*infer.Algorithm, len(algos))
 	for _, name := range algos {
-		a, ok := infer.Default.Get(name)
-		if !ok {
-			return nil, &experiment.ParamError{Name: "inferbakeoff",
-				Err: &infer.NotFoundError{Name: name}}
+		a, err := infer.Default.Lookup(name)
+		if err != nil {
+			return nil, &experiment.ParamError{Name: "inferbakeoff", Err: err}
 		}
 		entries[name] = a
-	}
-	s, err := se.Study()
-	if err != nil {
-		return nil, err
 	}
 	if p.Score && !s.HasGroundTruth() {
 		return nil, &NeedsGroundTruthError{Op: "inferbakeoff scoring"}
@@ -121,7 +116,7 @@ func overlayRelationships(g, sampled *asgraph.Graph) (int, error) {
 }
 
 // runInferEnsemble executes the posterior-ensemble experiment.
-func runInferEnsemble(ctx context.Context, se *Session, p InferEnsembleParams) (experiment.Result, error) {
+func runInferEnsemble(ctx context.Context, se *Session, s *Study, p InferEnsembleParams) (experiment.Result, error) {
 	if p.Algo == "" {
 		p.Algo = "pari"
 	}
@@ -131,18 +126,13 @@ func runInferEnsemble(ctx context.Context, se *Session, p InferEnsembleParams) (
 	if p.Samples > 64 {
 		p.Samples = 64
 	}
-	a, ok := infer.Default.Get(p.Algo)
-	if !ok {
-		return nil, &experiment.ParamError{Name: "inferensemble",
-			Err: &infer.NotFoundError{Name: p.Algo}}
+	a, err := infer.Default.Lookup(p.Algo)
+	if err != nil {
+		return nil, &experiment.ParamError{Name: "inferensemble", Err: err}
 	}
 	if !a.Probabilistic {
 		return nil, &experiment.ParamError{Name: "inferensemble",
 			Err: fmt.Errorf("algorithm %q has no posterior to sample", p.Algo)}
-	}
-	s, err := se.Study()
-	if err != nil {
-		return nil, err
 	}
 	out, err := se.Infer(ctx, p.Algo, nil)
 	if err != nil {

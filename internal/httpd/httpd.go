@@ -1,5 +1,5 @@
-// Package httpd is the hardened HTTP lifecycle both daemons
-// (cmd/policyscoped, cmd/sweepd) run on: an http.Server with real
+// Package httpd is the hardened HTTP lifecycle the daemon
+// (cmd/policyscoped) runs on: an http.Server with real
 // read/write/idle timeouts instead of a bare http.ListenAndServe, and a
 // graceful SIGTERM/SIGINT shutdown that stops accepting connections,
 // lets in-flight requests drain (bounded by DrainTimeout), and only
@@ -7,9 +7,8 @@
 // serving layer can flip /healthz into a draining state — load
 // balancers stop sending work while the listener is still answering.
 //
-// The flag surface is shared too: Flags.Register installs the same
-// -read-timeout/-write-timeout/-idle-timeout/-drain-timeout knobs on
-// every daemon, so fleet units are configured identically.
+// Flags.Register installs the lifecycle's
+// -read-timeout/-write-timeout/-idle-timeout/-drain-timeout knobs.
 package httpd
 
 import (

@@ -1,19 +1,18 @@
 package simulate
 
-// The cold-convergence gate benchmarks (scripts/bench_converge.sh →
-// BENCH_converge.json). The subject is the paper preset's topology
-// (600 ASes, the scale policyscope.DefaultConfig simulates) with 24
-// vantage points:
+// The cold-convergence benchmarks. The subject is the paper preset's
+// topology (600 ASes, the scale policyscope.DefaultConfig simulates)
+// with 24 vantage points:
 //
-//   - BenchmarkConvergeCold / BenchmarkConvergeColdLegacy gate the
-//     ≥3x end-to-end speedup of the atom-sharded, allocation-lean
-//     engine over the pre-refactor reference (engine_equivalence_test
-//     proves the results byte-identical);
+//   - BenchmarkConvergeCold is the atom-sharded, allocation-lean engine
+//     end to end (engine_equivalence_test proves its results
+//     byte-identical to the legacyRun reference);
 //   - BenchmarkConvergeColdNoDedup isolates the zero-alloc core's share
-//     of the win (atom dedup disabled);
-//   - BenchmarkConvergeAllocs / BenchmarkConvergeAllocsLegacy gate the
-//     ≥5x allocs/op reduction of the propagation loop (run with
-//     -benchmem; single-threaded so allocs/op is stable).
+//     (atom dedup disabled);
+//   - BenchmarkConvergeAllocs runs single-threaded so allocs/op is
+//     stable (run with -benchmem).
+//
+// The gated trajectory lives in bench/ (simulate.converge_ms).
 
 import (
 	"sync"
@@ -67,21 +66,8 @@ func BenchmarkConvergeColdNoDedup(b *testing.B) {
 	}
 }
 
-func BenchmarkConvergeColdLegacy(b *testing.B) {
-	topo, vantage := convergeBenchSetup(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, _ := legacyRun(topo, Options{VantagePoints: vantage})
-		if len(res.Tables) == 0 {
-			b.Fatal("empty result")
-		}
-	}
-}
-
-// BenchmarkConvergeAllocs runs the optimized loop single-threaded so
-// allocs/op is deterministic; the allocation gate divides the legacy
-// variant's allocs/op by this one's.
+// BenchmarkConvergeAllocs runs the loop single-threaded so allocs/op is
+// deterministic.
 func BenchmarkConvergeAllocs(b *testing.B) {
 	topo, vantage := convergeBenchSetup(b)
 	b.ReportAllocs()
@@ -90,18 +76,6 @@ func BenchmarkConvergeAllocs(b *testing.B) {
 		res, err := Run(topo, Options{VantagePoints: vantage, Parallelism: 1})
 		if err != nil || len(res.Tables) == 0 {
 			b.Fatalf("err %v", err)
-		}
-	}
-}
-
-func BenchmarkConvergeAllocsLegacy(b *testing.B) {
-	topo, vantage := convergeBenchSetup(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, _ := legacyRun(topo, Options{VantagePoints: vantage, Parallelism: 1})
-		if len(res.Tables) == 0 {
-			b.Fatal("empty result")
 		}
 	}
 }

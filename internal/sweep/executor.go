@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/policyscope/policyscope/internal/asgraph"
 	"github.com/policyscope/policyscope/internal/simulate"
 )
 
@@ -86,9 +85,10 @@ func (o Options) topShifts() int {
 // returns the streamed aggregate. Each worker clones the base engine
 // once (copy-on-write: the heavy best forest and vantage tables stay
 // shared until written), pulls scenarios from a shared queue, applies
-// each one incrementally, and rolls the clone back by applying the
-// inverse events — falling back to a fresh clone when a scenario is
-// not invertible (policy edits) or a rollback cannot be proven clean.
+// each one incrementally, and restores the clone from the engine's
+// rollback journal — falling back to a fresh clone for the batches the
+// journal refuses (prefix and policy events) or when a rollback cannot
+// be proven clean.
 //
 // Records are deterministic and identically ordered regardless of
 // Workers: every scenario observes the pristine base state, and
@@ -141,48 +141,31 @@ func Run(ctx context.Context, base *simulate.Engine, scenarios []simulate.Scenar
 					// each incremental apply.
 					eng.SetParallelism(1)
 				}
-				var imp *Impact
-				if linkEventsOnly(sc) {
+				journaled := linkEventsOnly(sc)
+				if journaled {
 					// Link scenarios (the dominant sweep families) roll
 					// back through the engine's pre-image journal: undo
-					// costs what the apply touched instead of a second
-					// incremental pass over the inverse events.
+					// costs what the apply touched.
 					eng.Checkpoint()
-					var err error
-					imp, _, err = Apply(eng, sc, topShifts)
-					if err != nil {
-						imp = &Impact{Name: sc.Name, Events: len(sc.Events), Error: err.Error()}
-					}
-					if !eng.Rollback() || eng.UnconvergedCount() != baseUnconv {
-						eng = nil // rollback not provably clean: re-clone
-						ws.Reclones++
-						mRestoreReclone.Inc()
-					} else {
-						mRestoreJournal.Inc()
-					}
-				} else {
-					inv, invertible := invertScenario(eng, sc)
-					var err error
-					imp, _, err = Apply(eng, sc, topShifts)
-					switch {
-					case err != nil:
-						// Validation failures leave the engine untouched
-						// (Apply validates before mutating), so no
-						// restore mode is counted.
-						imp = &Impact{Name: sc.Name, Events: len(sc.Events), Error: err.Error()}
-					case invertible:
-						if _, rbErr := eng.Apply(inv); rbErr != nil || eng.UnconvergedCount() != baseUnconv {
-							eng = nil // rollback not provably clean: re-clone
-							ws.Reclones++
-							mRestoreReclone.Inc()
-						} else {
-							mRestoreInverse.Inc()
-						}
-					default:
-						eng = nil // policy edits have no inverse event: re-clone
-						ws.Reclones++
-						mRestoreReclone.Inc()
-					}
+				}
+				imp, _, err := Apply(eng, sc, topShifts)
+				if err != nil {
+					imp = &Impact{Name: sc.Name, Events: len(sc.Events), Error: err.Error()}
+				}
+				switch {
+				case journaled && eng.Rollback() && eng.UnconvergedCount() == baseUnconv:
+					mRestoreJournal.Inc()
+				case !journaled && err != nil:
+					// Validation failures leave the engine untouched (Apply
+					// validates before mutating): nothing to restore, and
+					// no restore mode is counted.
+				default:
+					// The journal refuses prefix and policy events, and a
+					// rollback that is not provably clean is not trusted:
+					// the next scenario starts from a fresh clone.
+					eng = nil
+					ws.Reclones++
+					mRestoreReclone.Inc()
 				}
 				el := time.Since(start)
 				ws.Busy += el
@@ -252,42 +235,4 @@ func linkEventsOnly(sc simulate.Scenario) bool {
 		}
 	}
 	return true
-}
-
-// invertScenario builds the event batch that returns the engine to its
-// pre-scenario state, reading the pre-apply topology for the link
-// relationships the inverse needs. ok is false when any event has no
-// faithful inverse: policy edits (the old policy value is not
-// expressible as an event) and withdrawals — RemovePrefix erases the
-// origin's per-prefix selective-announcement and no-upstream export
-// policy, which a re-announce cannot restore, so a withdraw (and hence
-// a hijack) rolls back by re-cloning. The mixed-family determinism
-// property test guards exactly this.
-func invertScenario(eng *simulate.Engine, sc simulate.Scenario) (simulate.Scenario, bool) {
-	topo := eng.Topology()
-	inv := make([]simulate.Event, 0, len(sc.Events))
-	for _, ev := range sc.Events {
-		switch ev.Kind {
-		case simulate.EventLinkFail:
-			rel := topo.Graph.Rel(ev.A, ev.B)
-			if rel == asgraph.RelNone {
-				return simulate.Scenario{}, false
-			}
-			inv = append(inv, simulate.RestoreLink(ev.A, ev.B, rel))
-		case simulate.EventLinkRestore:
-			inv = append(inv, simulate.FailLink(ev.A, ev.B))
-		case simulate.EventAnnounce:
-			// A freshly announced prefix has no export-policy state, so
-			// withdrawing it is a clean inverse.
-			inv = append(inv, simulate.WithdrawPrefix(ev.Prefix))
-		default:
-			return simulate.Scenario{}, false
-		}
-	}
-	// Undo in reverse order so multi-event batches (e.g. a hijack's
-	// withdraw + announce) unwind correctly.
-	for l, r := 0, len(inv)-1; l < r; l, r = l+1, r-1 {
-		inv[l], inv[r] = inv[r], inv[l]
-	}
-	return simulate.Scenario{Name: "rollback:" + sc.Name, Events: inv}, true
 }

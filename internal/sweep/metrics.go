@@ -3,7 +3,7 @@ package sweep
 import "github.com/policyscope/policyscope/obs"
 
 // Sweep executor metrics. The restore-mode counters expose how often
-// the fleet pays which undo cost (journal ≪ inverse ≪ re-clone), and
+// the fleet pays which undo cost (journal ≪ re-clone), and
 // the per-worker busy histogram makes parallel efficiency measurable:
 // utilization = sum(busy) / (workers × wall), the number the j8_vs_j1
 // baseline was missing.
@@ -15,10 +15,9 @@ var (
 	mScenarioSeconds = obs.NewHistogram("policyscope_sweep_scenario_seconds",
 		"Per-scenario wall time on a worker (apply + restore).", nil)
 	mRestores = obs.NewCounterVec("policyscope_sweep_restore_total",
-		"Scenario state restorations by mode: journal pre-image undo, inverse-event apply, or engine re-clone.",
+		"Scenario state restorations by mode: journal pre-image undo or engine re-clone.",
 		"mode")
 	mRestoreJournal    = mRestores.With("journal")
-	mRestoreInverse    = mRestores.With("inverse")
 	mRestoreReclone    = mRestores.With("reclone")
 	mWorkerBusySeconds = obs.NewHistogram("policyscope_sweep_worker_busy_seconds",
 		"Total busy time of one worker over one sweep run (one observation per worker per run).",

@@ -155,10 +155,10 @@ func TestSingleLinkFailureSweepDeterminism(t *testing.T) {
 	}
 }
 
-// TestMixedFamilySweepDeterminism drives the rollback machinery across
-// heterogeneous scenario kinds — invertible link/prefix events,
-// multi-event hijacks, and non-invertible policy flips that force a
-// re-clone — and demands bit-identical records across worker counts.
+// TestMixedFamilySweepDeterminism drives the restore machinery across
+// heterogeneous scenario kinds — journaled link events, and the prefix
+// events, multi-event hijacks and policy flips that force a re-clone —
+// and demands bit-identical records across worker counts.
 func TestMixedFamilySweepDeterminism(t *testing.T) {
 	topo, opts := buildTestTopo(t, 60, 7)
 	base := newBase(t, topo, opts)

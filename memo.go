@@ -1,0 +1,92 @@
+package policyscope
+
+import (
+	"sync"
+
+	"github.com/policyscope/policyscope/obs"
+)
+
+// memo is the session's keyed once-memo: concurrent callers of one key
+// share a single computation and later callers reuse its value. Errors
+// are never retained — a failed computation's entry is dropped, so the
+// next caller recomputes — and never inherited: a caller that waited on
+// another caller's failed computation (say, one whose context was
+// canceled) recomputes under its own.
+type memo[K comparable, V any] struct {
+	hit, miss *obs.Counter
+	// max bounds the entry count, evicting first-in first-out; zero is
+	// unbounded.
+	max int
+
+	mu      sync.Mutex
+	entries map[K]*memoEntry[V]
+	fifo    []K
+}
+
+type memoEntry[V any] struct {
+	once sync.Once
+	val  V
+	err  error
+}
+
+// newMemo returns a memo counted under policyscope_session_memo_total's
+// cache label.
+func newMemo[K comparable, V any](cache string, max int) *memo[K, V] {
+	return &memo[K, V]{
+		hit: mMemo.With(cache, "hit"), miss: mMemo.With(cache, "miss"),
+		max: max, entries: make(map[K]*memoEntry[V]),
+	}
+}
+
+// get returns the value memoized under k, computing it on a miss.
+func (m *memo[K, V]) get(k K, compute func() (V, error)) (V, error) {
+	for {
+		m.mu.Lock()
+		entry, ok := m.entries[k]
+		if !ok {
+			entry = &memoEntry[V]{}
+			if m.max > 0 && len(m.fifo) >= m.max {
+				delete(m.entries, m.fifo[0])
+				m.fifo = m.fifo[1:]
+			}
+			m.entries[k] = entry
+			if m.max > 0 {
+				m.fifo = append(m.fifo, k)
+			}
+		}
+		m.mu.Unlock()
+		if ok {
+			m.hit.Inc()
+		} else {
+			m.miss.Inc()
+		}
+		ran := false
+		entry.once.Do(func() {
+			ran = true
+			entry.val, entry.err = compute()
+		})
+		if entry.err == nil {
+			return entry.val, nil
+		}
+		m.drop(k, entry)
+		if ran {
+			return entry.val, entry.err
+		}
+	}
+}
+
+// drop forgets a failed entry, unless k was evicted and refilled since.
+func (m *memo[K, V]) drop(k K, entry *memoEntry[V]) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.entries[k] != entry {
+		return
+	}
+	delete(m.entries, k)
+	for i, q := range m.fifo {
+		if q == k {
+			m.fifo = append(m.fifo[:i], m.fifo[i+1:]...)
+			break
+		}
+	}
+}

@@ -3,8 +3,7 @@ package policyscope
 import "github.com/policyscope/policyscope/obs"
 
 // Session-level metrics: experiment throughput and the hit rates of
-// the two per-session memo layers (persistence series, inference
-// runs). Per-experiment breakdown deliberately stays out of the label
+// the per-session memos (memo.go). Per-experiment breakdown deliberately stays out of the label
 // space — ?trace=1 spans name the experiment per request, and the
 // registry has enough entries that per-name counters would dominate
 // the exposition.
@@ -19,10 +18,4 @@ var (
 	mMemo = obs.NewCounterVec("policyscope_session_memo_total",
 		"Session memo lookups by cache (persist = persistence series, infer = inference runs, sweep_expand = sweep scenario expansions) and result.",
 		"cache", "result")
-	mMemoPersistHit  = mMemo.With("persist", "hit")
-	mMemoPersistMiss = mMemo.With("persist", "miss")
-	mMemoInferHit    = mMemo.With("infer", "hit")
-	mMemoInferMiss   = mMemo.With("infer", "miss")
-	mMemoSweepHit    = mMemo.With("sweep_expand", "hit")
-	mMemoSweepMiss   = mMemo.With("sweep_expand", "miss")
 )

@@ -2,6 +2,7 @@ package policyscope
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -216,7 +217,7 @@ func TestRunAllRendersEverything(t *testing.T) {
 	opts.HourlyEpochs = 0
 	opts.Routers = 6
 	opts.DriftRouters = 1
-	if err := s.RunAll(&buf, opts); err != nil {
+	if err := NewSessionFromStudy(s).RunAll(context.Background(), &buf, opts); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -231,7 +232,7 @@ func TestRunAllRendersEverything(t *testing.T) {
 		}
 	}
 	var sum bytes.Buffer
-	if err := s.RenderSummary(&sum); err != nil {
+	if err := s.Summary().Render(&sum); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sum.String(), "paper") {
@@ -243,10 +244,10 @@ func TestStudyDeterminism(t *testing.T) {
 	a := smallStudy(t)
 	b := smallStudy(t)
 	var wa, wb bytes.Buffer
-	if err := a.RenderSummary(&wa); err != nil {
+	if err := a.Summary().Render(&wa); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.RenderSummary(&wb); err != nil {
+	if err := b.Summary().Render(&wb); err != nil {
 		t.Fatal(err)
 	}
 	if wa.String() != wb.String() {

@@ -18,7 +18,7 @@ import (
 )
 
 // catalog is the process-wide experiment registry, populated at init.
-var catalog = experiment.NewRegistry[*Session]()
+var catalog = experiment.NewRegistry[*Session, experiment.Result](experiment.Kind{})
 
 // runAllPlans maps an experiment name to the parameter sets RunAll uses
 // for it (nil entry or absent: one run with defaults; empty slice:
@@ -42,6 +42,8 @@ var snapshotCapable = map[string]bool{
 }
 
 // register wires one experiment into the catalog with typed parameters.
+// run receives the session's Study already built (and, unless the
+// experiment is snapshotCapable, already checked for ground truth).
 // defaults == nil marks a parameter-less experiment. The defaults value
 // must not contain pointers to shared mutable state — every NewParams
 // copy aliases them, and a JSON decode writes through a non-nil pointer
@@ -49,8 +51,8 @@ var snapshotCapable = map[string]bool{
 // nil pointers with resolve-on-read defaults instead (see
 // PersistenceParams.normalized).
 func register[P any](name, title, group string, order int, defaults *P,
-	run func(context.Context, *Session, P) (experiment.Result, error), plan func(RunAllOptions) []any) {
-	e := experiment.Experiment[*Session]{Name: name, Title: title, Group: group, Order: order,
+	run func(context.Context, *Session, *Study, P) (experiment.Result, error), plan func(RunAllOptions) []any) {
+	e := experiment.Experiment[*Session, experiment.Result]{Name: name, Title: title, Group: group, Order: order,
 		NeedsGroundTruth: !snapshotCapable[name]}
 	if defaults != nil {
 		d := *defaults
@@ -70,16 +72,14 @@ func register[P any](name, title, group string, order int, defaults *P,
 			}
 			p = *tp
 		}
-		if needsGT {
-			s, err := se.Study()
-			if err != nil {
-				return nil, err
-			}
-			if !s.HasGroundTruth() {
-				return nil, &NeedsGroundTruthError{Op: "experiment " + name}
-			}
+		s, err := se.Study()
+		if err != nil {
+			return nil, err
 		}
-		return run(ctx, se, p)
+		if needsGT && !s.HasGroundTruth() {
+			return nil, &NeedsGroundTruthError{Op: "experiment " + name}
+		}
+		return run(ctx, se, s, p)
 	}
 	catalog.MustRegister(e)
 	if plan != nil {
@@ -230,11 +230,7 @@ func (k persistKey) xlabel() string {
 func init() {
 	register("overview", "Study overview: dimensions, inference accuracy, SA ground truth",
 		"summary", 0, (*NoParams)(nil),
-		func(_ context.Context, se *Session, _ NoParams) (experiment.Result, error) {
-			s, err := se.Study()
-			if err != nil {
-				return nil, err
-			}
+		func(_ context.Context, _ *Session, s *Study, _ NoParams) (experiment.Result, error) {
 			acc := s.RelationshipAccuracy()
 			tp, fp := s.SAGroundTruthScore()
 			return OverviewResult{
@@ -251,41 +247,25 @@ func init() {
 		}, nil)
 
 	register("table1", "Table 1: vantage ASes", "table", 10, (*NoParams)(nil),
-		func(_ context.Context, se *Session, _ NoParams) (experiment.Result, error) {
-			s, err := se.Study()
-			if err != nil {
-				return nil, err
-			}
+		func(_ context.Context, _ *Session, s *Study, _ NoParams) (experiment.Result, error) {
 			return Table1Result{Rows: s.Table1Dataset()}, nil
 		}, nil)
 
 	register("table2", "Table 2: typical local preference assignment", "table", 20, (*NoParams)(nil),
-		func(_ context.Context, se *Session, _ NoParams) (experiment.Result, error) {
-			s, err := se.Study()
-			if err != nil {
-				return nil, err
-			}
+		func(_ context.Context, _ *Session, s *Study, _ NoParams) (experiment.Result, error) {
 			return Table2Result{Rows: s.Table2TypicalLocalPref()}, nil
 		}, nil)
 
 	register("table3", "Table 3: typical local preference from IRR", "table", 30,
 		&Table3Params{MinDate: 20020101, MinNeighbors: 4},
-		func(_ context.Context, se *Session, p Table3Params) (experiment.Result, error) {
-			s, err := se.Study()
-			if err != nil {
-				return nil, err
-			}
+		func(_ context.Context, _ *Session, s *Study, p Table3Params) (experiment.Result, error) {
 			return Table3Result{Rows: s.Table3IRR(Table3Options{
 				MinDate: p.MinDate, MinNeighbors: p.MinNeighbors,
 			})}, nil
 		}, nil)
 
 	register("figure2a", "Figure 2(a): localpref consistency with next-hop AS", "figure", 40, (*NoParams)(nil),
-		func(_ context.Context, se *Session, _ NoParams) (experiment.Result, error) {
-			s, err := se.Study()
-			if err != nil {
-				return nil, err
-			}
+		func(_ context.Context, _ *Session, s *Study, _ NoParams) (experiment.Result, error) {
 			return Figure2Result{
 				Title: "Figure 2(a): localpref consistency with next-hop AS",
 				Rows:  s.Figure2aConsistency(),
@@ -294,11 +274,7 @@ func init() {
 
 	register("figure2b", "Figure 2(b): per-router localpref consistency", "figure", 50,
 		&Figure2bParams{Routers: 30, DriftRouters: 4},
-		func(_ context.Context, se *Session, p Figure2bParams) (experiment.Result, error) {
-			s, err := se.Study()
-			if err != nil {
-				return nil, err
-			}
+		func(_ context.Context, _ *Session, s *Study, p Figure2bParams) (experiment.Result, error) {
 			rows, err := s.Figure2bRouterConsistency(p.Routers, p.DriftRouters)
 			if err != nil {
 				return nil, err
@@ -317,30 +293,18 @@ func init() {
 
 	register("table4", "Table 4: AS relationships verified via BGP communities", "table", 60,
 		&Table4Params{MaxASes: 9},
-		func(_ context.Context, se *Session, p Table4Params) (experiment.Result, error) {
-			s, err := se.Study()
-			if err != nil {
-				return nil, err
-			}
+		func(_ context.Context, _ *Session, s *Study, p Table4Params) (experiment.Result, error) {
 			return Table4Result{Rows: s.Table4Verification(p.MaxASes)}, nil
 		}, nil)
 
 	register("table5", "Table 5: selectively announced prefixes per vantage", "table", 70, (*NoParams)(nil),
-		func(_ context.Context, se *Session, _ NoParams) (experiment.Result, error) {
-			s, err := se.Study()
-			if err != nil {
-				return nil, err
-			}
+		func(_ context.Context, _ *Session, s *Study, _ NoParams) (experiment.Result, error) {
 			return Table5Result{Rows: s.Table5SAPrefixes()}, nil
 		}, nil)
 
 	register("table6", "Table 6: SA prefixes per customer of the top Tier-1 providers", "table", 80,
 		&Table6Params{Providers: 3, MaxRows: 8, MinPrefixes: 2},
-		func(_ context.Context, se *Session, p Table6Params) (experiment.Result, error) {
-			s, err := se.Study()
-			if err != nil {
-				return nil, err
-			}
+		func(_ context.Context, _ *Session, s *Study, p Table6Params) (experiment.Result, error) {
 			return Table6Result{Rows: s.Table6CustomerView(p.Providers, p.MaxRows, p.MinPrefixes)}, nil
 		},
 		func(opts RunAllOptions) []any {
@@ -352,99 +316,59 @@ func init() {
 
 	register("table7", "Table 7: SA prefixes verified via active customer paths", "table", 90,
 		&ProvidersParams{Providers: 3},
-		func(_ context.Context, se *Session, p ProvidersParams) (experiment.Result, error) {
-			s, err := se.Study()
-			if err != nil {
-				return nil, err
-			}
+		func(_ context.Context, _ *Session, s *Study, p ProvidersParams) (experiment.Result, error) {
 			return Table7Result{Rows: s.Table7Verification(p.Providers)}, nil
 		}, planProviders)
 
 	register("table8", "Table 8: multihomed vs single-homed SA origins", "table", 100,
 		&ProvidersParams{Providers: 3},
-		func(_ context.Context, se *Session, p ProvidersParams) (experiment.Result, error) {
-			s, err := se.Study()
-			if err != nil {
-				return nil, err
-			}
+		func(_ context.Context, _ *Session, s *Study, p ProvidersParams) (experiment.Result, error) {
 			return Table8Result{Rows: s.Table8Multihoming(p.Providers)}, nil
 		}, planProviders)
 
 	register("table9", "Table 9: prefix splitting and aggregation among SA prefixes", "table", 110,
 		&ProvidersParams{Providers: 3},
-		func(_ context.Context, se *Session, p ProvidersParams) (experiment.Result, error) {
-			s, err := se.Study()
-			if err != nil {
-				return nil, err
-			}
+		func(_ context.Context, _ *Session, s *Study, p ProvidersParams) (experiment.Result, error) {
 			return Table9Result{Rows: s.Table9SplitAggregate(p.Providers)}, nil
 		}, planProviders)
 
 	register("case3", "Case 3: how SA origins export to vantage-side providers", "table", 120,
 		&ProvidersParams{Providers: 3},
-		func(_ context.Context, se *Session, p ProvidersParams) (experiment.Result, error) {
-			s, err := se.Study()
-			if err != nil {
-				return nil, err
-			}
+		func(_ context.Context, _ *Session, s *Study, p ProvidersParams) (experiment.Result, error) {
 			return Case3Result{Rows: s.Case3Selective(p.Providers)}, nil
 		}, planProviders)
 
 	register("table10", "Table 10: peers announcing all their prefixes directly", "table", 130,
 		&ProvidersParams{Providers: 3},
-		func(_ context.Context, se *Session, p ProvidersParams) (experiment.Result, error) {
-			s, err := se.Study()
-			if err != nil {
-				return nil, err
-			}
+		func(_ context.Context, _ *Session, s *Study, p ProvidersParams) (experiment.Result, error) {
 			return Table10Result{Rows: s.Table10PeerExport(p.Providers)}, nil
 		}, planProviders)
 
 	register("atoms", "Policy atoms: decomposition and SA attribution (extension)", "extension", 140, (*NoParams)(nil),
-		func(_ context.Context, se *Session, _ NoParams) (experiment.Result, error) {
-			s, err := se.Study()
-			if err != nil {
-				return nil, err
-			}
+		func(_ context.Context, _ *Session, s *Study, _ NoParams) (experiment.Result, error) {
 			return s.PolicyAtoms(), nil
 		}, nil)
 
 	register("decision", "Deciding step for contested prefixes (extension)", "extension", 150, (*NoParams)(nil),
-		func(_ context.Context, se *Session, _ NoParams) (experiment.Result, error) {
-			s, err := se.Study()
-			if err != nil {
-				return nil, err
-			}
+		func(_ context.Context, _ *Session, s *Study, _ NoParams) (experiment.Result, error) {
 			return DecisionResult{Rows: s.DecisionCharacterization()}, nil
 		}, nil)
 
 	register("multisite", "Multi-site confounder (extension)", "extension", 160,
 		&ProvidersParams{Providers: 3},
-		func(_ context.Context, se *Session, p ProvidersParams) (experiment.Result, error) {
-			s, err := se.Study()
-			if err != nil {
-				return nil, err
-			}
+		func(_ context.Context, _ *Session, s *Study, p ProvidersParams) (experiment.Result, error) {
 			return s.MultiSiteConfounder(p.Providers), nil
 		}, planProviders)
 
 	register("table11", "Table 11: published tagging communities", "table", 170, (*NoParams)(nil),
-		func(_ context.Context, se *Session, _ NoParams) (experiment.Result, error) {
-			s, err := se.Study()
-			if err != nil {
-				return nil, err
-			}
+		func(_ context.Context, _ *Session, s *Study, _ NoParams) (experiment.Result, error) {
 			asn, scheme, ok := s.Table11Scheme()
 			return Table11Result{AS: asn, Scheme: scheme, Found: ok}, nil
 		}, nil)
 
 	register("figure9", "Figure 9: prefixes announced by next-hop ASes", "figure", 180,
 		&Figure9Params{ASes: 3, MaxRanks: 20},
-		func(_ context.Context, se *Session, p Figure9Params) (experiment.Result, error) {
-			s, err := se.Study()
-			if err != nil {
-				return nil, err
-			}
+		func(_ context.Context, _ *Session, s *Study, p Figure9Params) (experiment.Result, error) {
 			res := Figure9Result{}
 			for _, asn := range s.Peers {
 				if len(res.Series) >= p.ASes {
@@ -467,7 +391,7 @@ func init() {
 
 	register("figure6", "Figure 6: persistence of SA prefixes", "figure", 190,
 		&PersistenceParams{Epochs: 31, EpochSeconds: 86400},
-		func(_ context.Context, se *Session, p PersistenceParams) (experiment.Result, error) {
+		func(_ context.Context, se *Session, _ *Study, p PersistenceParams) (experiment.Result, error) {
 			k := p.normalized()
 			res, err := se.persistence(k)
 			if err != nil {
@@ -478,7 +402,7 @@ func init() {
 
 	register("figure7", "Figure 7: SA uptime histogram", "figure", 200,
 		&PersistenceParams{Epochs: 31, EpochSeconds: 86400},
-		func(_ context.Context, se *Session, p PersistenceParams) (experiment.Result, error) {
+		func(_ context.Context, se *Session, _ *Study, p PersistenceParams) (experiment.Result, error) {
 			k := p.normalized()
 			res, err := se.persistence(k)
 			if err != nil {
@@ -489,11 +413,7 @@ func init() {
 
 	register("whatif", "What-if: scenario applied to the converged study", "whatif", 210,
 		&WhatIfParams{MaxRows: 10},
-		func(ctx context.Context, se *Session, p WhatIfParams) (experiment.Result, error) {
-			s, err := se.Study()
-			if err != nil {
-				return nil, err
-			}
+		func(ctx context.Context, se *Session, s *Study, p WhatIfParams) (experiment.Result, error) {
 			sc := p.Scenario
 			if len(sc.Events) == 0 {
 				var ok bool
@@ -516,7 +436,7 @@ func init() {
 
 	register("sweep", "Sweep: batch what-if over scenario families, aggregated", "sweep", 215,
 		&SweepParams{MaxRecords: 20},
-		func(ctx context.Context, se *Session, p SweepParams) (experiment.Result, error) {
+		func(ctx context.Context, se *Session, _ *Study, p SweepParams) (experiment.Result, error) {
 			spec := p.Spec
 			if len(spec.Generators) == 0 {
 				spec = sweep.Spec{
@@ -559,11 +479,7 @@ func init() {
 		func(RunAllOptions) []any { return []any{} })
 
 	register("summary", "Summary: paper vs measured", "summary", 220, (*NoParams)(nil),
-		func(_ context.Context, se *Session, _ NoParams) (experiment.Result, error) {
-			s, err := se.Study()
-			if err != nil {
-				return nil, err
-			}
+		func(_ context.Context, _ *Session, s *Study, _ NoParams) (experiment.Result, error) {
 			return s.Summary(), nil
 		}, nil)
 }

@@ -1,14 +1,12 @@
 package policyscope
 
 import (
-	"context"
 	"fmt"
-	"io"
 
 	"github.com/policyscope/policyscope/internal/reports"
 )
 
-// RunAllOptions sizes the full experiment sweep. RunAll itself is a
+// RunAllOptions sizes the full experiment sweep. Session.RunAll is a
 // plain iteration over the experiment registry (registry.go): these
 // options only parameterize the per-experiment plans.
 type RunAllOptions struct {
@@ -41,13 +39,6 @@ func DefaultRunAllOptions() RunAllOptions {
 		DriftRouters:      4,
 		Figure9ASes:       3,
 	}
-}
-
-// RunAll executes every experiment of the paper in registry order and
-// renders the results to w. It returns the first error encountered.
-// (Study-first compatibility wrapper; see Session.RunAll.)
-func (s *Study) RunAll(w io.Writer, opts RunAllOptions) error {
-	return NewSessionFromStudy(s).RunAll(context.Background(), w, opts)
 }
 
 // Summary computes the study's headline paper-vs-measured comparisons.
@@ -130,9 +121,4 @@ func (s *Study) Summary() SummaryResult {
 	acc := s.RelationshipAccuracy()
 	add("relationship inference accuracy", "94.1-99.55% (Table 4)", reports.Pct(100*acc.Fraction())+"%")
 	return res
-}
-
-// RenderSummary prints the study's headline comparisons in one table.
-func (s *Study) RenderSummary(w io.Writer) error {
-	return s.Summary().Render(w)
 }

@@ -72,7 +72,7 @@ type Server struct {
 	// load balancers stop routing here while in-flight requests finish.
 	draining atomic.Bool
 	// inflightShards counts /sweep/shard requests currently streaming —
-	// the load figure sweepd reports in its fleet heartbeats.
+	// the load figure policyscoped reports in its fleet heartbeats.
 	inflightShards atomic.Int64
 }
 
@@ -184,11 +184,11 @@ func (s *Server) handle(pattern, name string, class endpointClass, h http.Handle
 // SetDraining flips the server into its draining state: /healthz
 // answers 503 with draining=true so load balancers pull this replica
 // while in-flight requests complete. Wired as the httpd.Config.Draining
-// hook by both daemons. It is one-way — a draining process is exiting.
+// hook by cmd/policyscoped. It is one-way — a draining process is exiting.
 func (s *Server) SetDraining() { s.draining.Store(true) }
 
 // InflightShards reports how many /sweep/shard requests are currently
-// streaming; sweepd carries it in fleet heartbeats so the coordinator
+// streaming; policyscoped carries it in fleet heartbeats so the coordinator
 // sees per-worker load.
 func (s *Server) InflightShards() int { return int(s.inflightShards.Load()) }
 
@@ -267,10 +267,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		var nf *experiment.NotFoundError
 		var pe *experiment.ParamError
 		switch {
-		case errors.As(err, &nf):
-			writeError(w, http.StatusNotFound, err)
+		// ParamError first: an inference experiment wraps an unknown
+		// algorithm's NotFoundError in one, and that is a bad parameter
+		// (422), not a missing route (404).
 		case errors.As(err, &pe):
 			writeError(w, http.StatusUnprocessableEntity, err)
+		case errors.As(err, &nf):
+			writeError(w, http.StatusNotFound, err)
 		case errors.Is(err, policyscope.ErrNeedsGroundTruth):
 			// The experiment exists but the selected dataset cannot
 			// answer it: the request, not the server, is at fault.
@@ -326,8 +329,8 @@ func (s *Server) handleInferList(w http.ResponseWriter, r *http.Request) {
 // body is read or any dataset build starts.
 func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	algo := r.PathValue("algo")
-	if _, ok := infer.Default.Get(algo); !ok {
-		writeError(w, http.StatusUnprocessableEntity, &infer.NotFoundError{Name: algo})
+	if _, err := infer.Default.Lookup(algo); err != nil {
+		writeError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
@@ -341,7 +344,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	}
 	out, err := sess.Infer(r.Context(), algo, body)
 	if err != nil {
-		var pe *infer.ParamError
+		var pe *experiment.ParamError
 		if errors.As(err, &pe) {
 			writeError(w, http.StatusUnprocessableEntity, err)
 		} else {

@@ -97,21 +97,33 @@ func TestWhatIfGoldenDigests(t *testing.T) {
 		if status != http.StatusOK {
 			t.Fatalf("%s: status %d: %s", sc.Name, status, body)
 		}
-		sum := sha256.Sum256(body)
-		got[sc.Name] = hex.EncodeToString(sum[:])
+		got[sc.Name] = bodyDigest(body)
 	}
 
-	if *updateWhatIfGolden {
+	checkGoldenDigests(t, whatIfGoldenPath, got, *updateWhatIfGolden)
+}
+
+func bodyDigest(body []byte) string {
+	sum := sha256.Sum256(body)
+	return hex.EncodeToString(sum[:])
+}
+
+// checkGoldenDigests compares got (name -> SHA-256 of a response body)
+// with the committed golden file, or rewrites the file when update is
+// set.
+func checkGoldenDigests(t *testing.T, path string, got map[string]string, update bool) {
+	t.Helper()
+	if update {
 		out, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(whatIfGoldenPath, append(out, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	raw, err := os.ReadFile(whatIfGoldenPath)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +132,7 @@ func TestWhatIfGoldenDigests(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(got) != len(want) {
-		t.Errorf("%d scenarios, golden has %d", len(got), len(want))
+		t.Errorf("%d responses, golden has %d", len(got), len(want))
 	}
 	for name, digest := range got {
 		if want[name] != digest {

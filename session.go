@@ -53,29 +53,19 @@ type Session struct {
 	// persist memoizes persistence series per normalized parameter set:
 	// the series is by far the most expensive query (epochs ×
 	// incremental re-simulation), and figure6/figure7 share one series.
-	persistMu sync.Mutex
-	persist   map[persistKey]*persistEntry
+	persist *memo[persistKey, core.PersistenceResult]
 
 	// inferRuns memoizes relationship-inference outputs per
 	// (algorithm, canonical params): the bakeoff, the ensemble and the
 	// /infer endpoint all share one run of each parameterization, the
 	// same way the lazy Gao gate shares one legacy inference.
-	inferMu   sync.Mutex
-	inferRuns map[inferKey]*inferEntry
+	inferRuns *memo[inferKey, *infer.Output]
 
 	// sweepExpand memoizes sweep spec expansions per canonical spec
-	// JSON, bounded FIFO: a distributed coordinator sends every shard of
-	// one sweep to this worker with the same spec, so only the first
-	// shard pays for generator enumeration.
-	sweepMu         sync.Mutex
-	sweepExpand     map[string]*sweepExpandEntry
-	sweepExpandFIFO []string
-}
-
-type persistEntry struct {
-	once sync.Once
-	res  core.PersistenceResult
-	err  error
+	// JSON: a distributed coordinator sends every shard of one sweep to
+	// this worker with the same spec, so only the first shard pays for
+	// generator enumeration.
+	sweepExpand *memo[string, []simulate.Scenario]
 }
 
 // inferKey identifies one memoized inference: the algorithm name plus
@@ -85,18 +75,6 @@ type persistEntry struct {
 type inferKey struct {
 	algo   string
 	params string
-}
-
-type inferEntry struct {
-	once sync.Once
-	out  *infer.Output
-	err  error
-}
-
-type sweepExpandEntry struct {
-	once sync.Once
-	scs  []simulate.Scenario
-	err  error
 }
 
 // maxSweepExpandMemo bounds the expansion memo: distinct concurrent
@@ -109,15 +87,14 @@ const maxSweepExpandMemo = 4
 func NewSession(cfg Config) *Session {
 	return &Session{
 		cfg:         cfg,
-		persist:     make(map[persistKey]*persistEntry),
-		inferRuns:   make(map[inferKey]*inferEntry),
-		sweepExpand: make(map[string]*sweepExpandEntry),
+		persist:     newMemo[persistKey, core.PersistenceResult]("persist", 0),
+		inferRuns:   newMemo[inferKey, *infer.Output]("infer", 0),
+		sweepExpand: newMemo[string, []simulate.Scenario]("sweep_expand", maxSweepExpandMemo),
 	}
 }
 
-// NewSessionFromStudy wraps an already-built Study (the Study-first
-// migration path: existing code that constructed a Study keeps it and
-// gains the query API on top).
+// NewSessionFromStudy wraps an already-built Study (one assembled by
+// NewStudyFromInputs or loaded from a dataset cache) in the query API.
 func NewSessionFromStudy(s *Study) *Session {
 	se := NewSession(s.Config)
 	se.study = s
@@ -172,10 +149,10 @@ func (se *Session) Warm() error {
 // WhatIf answers one scenario against the session's base state. Each
 // call runs on a fresh copy-on-write clone of the memoized base engine,
 // so concurrent what-ifs are independent and the base state is never
-// mutated. Compare Study.WhatIf, which re-simulates a brand-new engine
-// per call. ctx gates the call (an already-canceled context returns
-// immediately); a single incremental apply is too fast to interrupt
-// mid-flight.
+// mutated. For chained event sequences build one Study.WhatIfEngine and
+// Apply repeatedly instead. ctx gates the call (an already-canceled
+// context returns immediately); a single incremental apply is too fast
+// to interrupt mid-flight.
 func (se *Session) WhatIf(ctx context.Context, sc simulate.Scenario) (*WhatIfReport, error) {
 	s, err := se.Study()
 	if err != nil {
@@ -218,45 +195,9 @@ func (se *Session) SweepScenariosCached(ctx context.Context, spec sweep.Spec) ([
 	if err != nil {
 		return se.SweepScenarios(ctx, spec)
 	}
-	key := string(canon)
-	se.sweepMu.Lock()
-	entry, ok := se.sweepExpand[key]
-	if !ok {
-		entry = &sweepExpandEntry{}
-		if len(se.sweepExpandFIFO) >= maxSweepExpandMemo {
-			oldest := se.sweepExpandFIFO[0]
-			se.sweepExpandFIFO = se.sweepExpandFIFO[1:]
-			delete(se.sweepExpand, oldest)
-		}
-		se.sweepExpand[key] = entry
-		se.sweepExpandFIFO = append(se.sweepExpandFIFO, key)
-	}
-	se.sweepMu.Unlock()
-	if ok {
-		mMemoSweepHit.Inc()
-	} else {
-		mMemoSweepMiss.Inc()
-	}
-	entry.once.Do(func() {
-		entry.scs, entry.err = se.SweepScenarios(ctx, spec)
+	return se.sweepExpand.get(string(canon), func() ([]simulate.Scenario, error) {
+		return se.SweepScenarios(ctx, spec)
 	})
-	if entry.err != nil {
-		// Drop the failed entry so the next caller retries instead of
-		// inheriting, say, this caller's context cancellation.
-		se.sweepMu.Lock()
-		if se.sweepExpand[key] == entry {
-			delete(se.sweepExpand, key)
-			for i, k := range se.sweepExpandFIFO {
-				if k == key {
-					se.sweepExpandFIFO = append(se.sweepExpandFIFO[:i], se.sweepExpandFIFO[i+1:]...)
-					break
-				}
-			}
-		}
-		se.sweepMu.Unlock()
-		return nil, entry.err
-	}
-	return entry.scs, nil
 }
 
 // Sweep runs a batch of scenarios against the session's base state on
@@ -307,23 +248,10 @@ func (se *Session) LookingGlass() (*lookingglass.Server, error) {
 // persistence returns the memoized persistence series for one
 // normalized parameter set, computing it at most once per session.
 func (se *Session) persistence(k persistKey) (core.PersistenceResult, error) {
-	se.persistMu.Lock()
-	entry, ok := se.persist[k]
-	if !ok {
-		entry = &persistEntry{}
-		se.persist[k] = entry
-	}
-	se.persistMu.Unlock()
-	if ok {
-		mMemoPersistHit.Inc()
-	} else {
-		mMemoPersistMiss.Inc()
-	}
-	entry.once.Do(func() {
+	return se.persist.get(k, func() (core.PersistenceResult, error) {
 		s, err := se.Study()
 		if err != nil {
-			entry.err = err
-			return
+			return core.PersistenceResult{}, err
 		}
 		churn := k.churn
 		if churn == 0 {
@@ -332,13 +260,12 @@ func (se *Session) persistence(k persistKey) (core.PersistenceResult, error) {
 			// negative disable value instead.
 			churn = -1
 		}
-		entry.res, entry.err = s.Figure6and7Persistence(PersistenceOptions{
+		return s.Figure6and7Persistence(PersistenceOptions{
 			Epochs:        k.epochs,
 			ChurnFraction: churn,
 			EpochSeconds:  k.epochSeconds,
 		})
 	})
-	return entry.res, entry.err
 }
 
 // Infer runs the named relationship-inference algorithm over the
@@ -347,10 +274,10 @@ func (se *Session) persistence(k persistKey) (core.PersistenceResult, error) {
 // per (algorithm, canonical params), so the bakeoff experiment, the
 // ensemble and repeated /infer calls share one run. Name and parameter
 // validation happens before any study work: an unknown algorithm
-// returns *infer.NotFoundError and bad parameters *infer.ParamError
-// without paying for dataset construction.
+// returns *experiment.NotFoundError and bad parameters
+// *experiment.ParamError without paying for dataset construction.
 func (se *Session) Infer(ctx context.Context, algo string, raw json.RawMessage) (*infer.Output, error) {
-	params, err := infer.Default.DecodeJSON(algo, raw)
+	params, err := infer.Default.DecodeJSONParams(algo, raw)
 	if err != nil {
 		return nil, err
 	}
@@ -358,31 +285,16 @@ func (se *Session) Infer(ctx context.Context, algo string, raw json.RawMessage) 
 	if err != nil {
 		return nil, err
 	}
-	k := inferKey{algo: algo, params: string(canon)}
-	se.inferMu.Lock()
-	entry, ok := se.inferRuns[k]
-	if !ok {
-		entry = &inferEntry{}
-		se.inferRuns[k] = entry
-	}
-	se.inferMu.Unlock()
-	if ok {
-		mMemoInferHit.Inc()
-	} else {
-		mMemoInferMiss.Inc()
-	}
 	_, span := obs.StartSpan(ctx, "infer:"+algo)
 	defer span.End()
-	entry.once.Do(func() {
+	return se.inferRuns.get(inferKey{algo: algo, params: string(canon)}, func() (*infer.Output, error) {
 		s, err := se.Study()
 		if err != nil {
-			entry.err = err
-			return
+			return nil, err
 		}
 		in := infer.Input{Paths: s.SnapshotPaths(), VantagePoints: s.Peers}
-		entry.out, entry.err = infer.Default.Run(ctx, in, algo, params)
+		return infer.Default.Run(ctx, in, algo, params)
 	})
-	return entry.out, entry.err
 }
 
 // InferKV is Infer with key=value parameter overrides (the CLI form).
@@ -400,7 +312,7 @@ func (se *Session) InferKV(ctx context.Context, algo string, kv []string) (*infe
 
 // InferAlgorithms returns the serializable inference-algorithm catalog.
 // Like Experiments, it is process-wide.
-func InferAlgorithms() []infer.Info { return infer.Default.Infos() }
+func InferAlgorithms() []experiment.Info { return infer.Default.Infos() }
 
 // Experiments returns the serializable experiment catalog in run order.
 // The catalog is process-wide: it does not depend on any session's
@@ -417,18 +329,15 @@ func ValidateKV(name string, kv []string) error {
 	return err
 }
 
-// Experiments returns the serializable experiment catalog in run order.
-func (se *Session) Experiments() []experiment.Info { return Experiments() }
-
 // Run executes the named experiment. ctx cancels an in-flight run (a
 // sweep stops between scenarios; a disconnected HTTP client aborts its
 // request). params is nil for defaults or a pointer of the experiment's
 // parameter type (see Experiments for the catalog). For wire-shaped
 // inputs use RunJSON / RunKV.
 func (se *Session) Run(ctx context.Context, name string, params any) (experiment.Result, error) {
-	e, ok := catalog.Get(name)
-	if !ok {
-		return nil, &experiment.NotFoundError{Name: name}
+	e, err := catalog.Lookup(name)
+	if err != nil {
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -24,7 +24,7 @@ func smallSession(t *testing.T) *Session {
 
 func TestSessionCatalogCompleteness(t *testing.T) {
 	names := make(map[string]bool)
-	for _, info := range NewSession(DefaultConfig()).Experiments() {
+	for _, info := range Experiments() {
 		names[info.Name] = true
 	}
 	// Every paper table/figure plus the extensions must be runnable by
@@ -176,8 +176,8 @@ func TestSessionPersistenceZeroChurn(t *testing.T) {
 }
 
 // TestSessionWhatIfMatchesStudyWhatIf proves the copy-on-write fast
-// path answers scenarios identically to Study.WhatIf's
-// fresh-engine-per-call baseline.
+// path answers scenarios identically to a fresh engine built for the
+// one call.
 func TestSessionWhatIfMatchesStudyWhatIf(t *testing.T) {
 	se := smallSession(t)
 	s, err := se.Study()
@@ -188,7 +188,11 @@ func TestSessionWhatIfMatchesStudyWhatIf(t *testing.T) {
 	if !ok {
 		t.Skip("no failover subject")
 	}
-	slow, err := s.WhatIf(sc)
+	eng, err := s.WhatIfEngine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow, err := s.whatIfOn(eng, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +309,7 @@ func TestRunAllJSONDeterminism(t *testing.T) {
 }
 
 // TestSessionRunAllMatchesStudyRunAll: the registry-driven sweep renders
-// through the same text path whether entered via Study or Session.
+// the same text whether the session built its study or wraps one.
 func TestSessionRunAllMatchesStudyRunAll(t *testing.T) {
 	se := smallSession(t)
 	s, err := se.Study()
@@ -320,11 +324,11 @@ func TestSessionRunAllMatchesStudyRunAll(t *testing.T) {
 	if err := se.RunAll(context.Background(), &a, opts); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.RunAll(&b, opts); err != nil {
+	if err := NewSessionFromStudy(s).RunAll(context.Background(), &b, opts); err != nil {
 		t.Fatal(err)
 	}
 	if a.String() != b.String() {
-		t.Fatal("Session.RunAll and Study.RunAll diverge")
+		t.Fatal("RunAll diverges between NewSession and NewSessionFromStudy")
 	}
 }
 

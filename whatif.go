@@ -14,8 +14,8 @@ import (
 // scenario engine asks which routes they *would* use after a change —
 // the catchment and failover questions the related what-if literature
 // (Sermpezis & Kotronis's catchment inference, Karlin et al.'s
-// nation-state routing) studies. Study.WhatIf applies a scenario to the
-// study's converged Internet and reports the catchment shift and
+// nation-state routing) studies. Session.WhatIf applies a scenario to
+// the study's converged Internet and reports the catchment shift and
 // reachability delta, re-converging incrementally.
 
 // WhatIfReport is the outcome of one scenario application.
@@ -47,18 +47,8 @@ func (s *Study) WhatIfEngine() (*simulate.Engine, error) {
 	})
 }
 
-// WhatIf answers one scenario from the study's base state: it builds a
-// fresh engine, applies the scenario incrementally, and summarizes the
-// shift. For chained event sequences build one WhatIfEngine and Apply
-// repeatedly instead.
-func (s *Study) WhatIf(sc simulate.Scenario) (*WhatIfReport, error) {
-	eng, err := s.WhatIfEngine()
-	if err != nil {
-		return nil, err
-	}
-	return s.whatIfOn(eng, sc)
-}
-
+// whatIfOn applies sc to eng — a clone of the session's base engine —
+// and summarizes the shift.
 func (s *Study) whatIfOn(eng *simulate.Engine, sc simulate.Scenario) (*WhatIfReport, error) {
 	delta, err := eng.Apply(sc)
 	if err != nil {

@@ -2,6 +2,7 @@ package policyscope
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -17,7 +18,7 @@ func TestStudyWhatIfFailover(t *testing.T) {
 	if stub == 0 || provider == 0 {
 		t.Fatalf("bad endpoints %v %v", stub, provider)
 	}
-	rep, err := s.WhatIf(sc)
+	rep, err := NewSessionFromStudy(s).WhatIf(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
 	}
