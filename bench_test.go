@@ -11,6 +11,7 @@ package policyscope
 import (
 	"context"
 	"io"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -339,6 +340,10 @@ const serialSampleStride = 997
 // that tells contention apart from "machine has fewer cores than -j".
 func benchmarkSweepExecutor(b *testing.B, workers int) {
 	base, scenarios := sharedSweep(b)
+	runSweepExecutor(b, base, scenarios, workers)
+}
+
+func runSweepExecutor(b *testing.B, base *simulate.Engine, scenarios []simulate.Scenario, workers int) {
 	var busy atomic.Int64
 	opts := sweep.Options{Workers: workers, OnWorkerDone: func(ws sweep.WorkerStats) {
 		busy.Add(int64(ws.Busy))
@@ -363,6 +368,49 @@ func benchmarkSweepExecutor(b *testing.B, workers int) {
 func BenchmarkSweepExecutorJ1(b *testing.B) { benchmarkSweepExecutor(b, 1) }
 
 func BenchmarkSweepExecutorJ8(b *testing.B) { benchmarkSweepExecutor(b, 8) }
+
+// BenchmarkSweepExecutorPolicyJ1 is the executor on the families the
+// rollback journal refuses — hijacks, local-pref flips, prefix
+// withdrawals, no-upstream flips — so every scenario pays a fresh clone.
+// One op is a 64-scenario batch, sixteen per family strided across the
+// family like the bench/ harness's sweep_policy workload; -benchmem shows
+// what a clone + apply un-shares.
+func BenchmarkSweepExecutorPolicyJ1(b *testing.B) {
+	base, _ := sharedSweep(b)
+	topo := base.Topology()
+	byDegree := append([]bgp.ASN(nil), topo.Order...)
+	sort.SliceStable(byDegree, func(i, j int) bool {
+		return topo.Graph.Degree(byDegree[i]) > topo.Graph.Degree(byDegree[j])
+	})
+	var flips []sweep.Generator
+	for _, as := range byDegree[:8] {
+		flips = append(flips, sweep.Generator{Kind: sweep.KindLocalPrefFlips, AS: as, Values: []uint32{50, 200}})
+	}
+	attackers := make([]bgp.ASN, 16)
+	for i := range attackers {
+		attackers[i] = topo.Order[i*len(topo.Order)/len(attackers)]
+	}
+	const perFamily = 16
+	var batch []simulate.Scenario
+	for _, gens := range [][]sweep.Generator{
+		{{Kind: sweep.KindHijacks, Attackers: attackers}},
+		flips,
+		{{Kind: sweep.KindPrefixWithdrawals}},
+		{{Kind: sweep.KindNoUpstreamFlips}},
+	} {
+		family, err := sweep.Expand(context.Background(), topo, sweep.Spec{Generators: gens})
+		if err != nil {
+			b.Fatalf("expand %s: %v", gens[0].Kind, err)
+		}
+		if len(family) < perFamily {
+			b.Fatalf("family %s has %d scenarios, need %d", gens[0].Kind, len(family), perFamily)
+		}
+		for j := 0; j < perFamily; j++ {
+			batch = append(batch, family[j*(len(family)/perFamily)])
+		}
+	}
+	runSweepExecutor(b, base, batch, 1)
+}
 
 // ---- session serving ------------------------------------------------------
 

@@ -1,6 +1,10 @@
 package bgp
 
 import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"sync"
 	"testing"
 
 	"github.com/policyscope/policyscope/internal/netx"
@@ -72,5 +76,167 @@ func TestCloneCOWIsolation(t *testing.T) {
 	c.Upsert(7, cowRoute(p1, 1))
 	if got := len(a2.Candidates(p1)); got != 1 || a2.Best(p1).LocalPref != 999 {
 		t.Fatalf("sibling clone polluted: %d candidates, best %+v", got, a2.Best(p1))
+	}
+}
+
+// ribView renders everything the readers of t return — Len, NumRoutes,
+// Prefixes, the Each* walks, and Has / Best / Candidates / CandidateFrom
+// / SnapshotEntry for every prefix and neighbor of the model's universe
+// — with routes by pointer identity, so two tables render equal exactly
+// when no reader can tell them apart.
+func ribView(t *RIB, prefixes []netx.Prefix, nbrs []ASN) string {
+	var b strings.Builder
+	ptrs := func(rs []*Route) string {
+		out := make([]string, len(rs))
+		for i, r := range rs {
+			out[i] = fmt.Sprintf("%p", r)
+		}
+		return fmt.Sprint(out)
+	}
+	fmt.Fprintf(&b, "len=%d routes=%d prefixes=%v\n", t.Len(), t.NumRoutes(), t.Prefixes())
+	t.EachEntry(func(p netx.Prefix, ns []ASN, rs []*Route, best *Route) {
+		fmt.Fprintf(&b, "entry %v %v %s %p\n", p, ns, ptrs(rs), best)
+	})
+	t.EachCandidate(func(p netx.Prefix, from ASN, r *Route) { fmt.Fprintf(&b, "cand %v %d %p\n", p, from, r) })
+	t.EachBest(func(p netx.Prefix, r *Route) { fmt.Fprintf(&b, "best %v %p\n", p, r) })
+	fmt.Fprintf(&b, "bestroutes %s\n", ptrs(t.BestRoutes()))
+	for _, p := range prefixes {
+		snap := t.SnapshotEntry(p)
+		fmt.Fprintf(&b, "%v has=%v best=%p cands=%s snap=%v %v %s %p from=", p, t.Has(p), t.Best(p),
+			ptrs(t.Candidates(p)), snap.Present, snap.Neighbors, ptrs(snap.Routes), snap.Best)
+		for _, n := range nbrs {
+			fmt.Fprintf(&b, "%p ", t.CandidateFrom(p, n))
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// TestCloneCOWModel is the model check of the layered table: a seeded
+// random sequence of every mutator, applied to t.CloneCOW() and to the
+// deep t.Clone(), must leave every reader equal between the two and t
+// itself unchanged — and the same again one clone level deeper, where
+// the copy starts from a flattened parent layer. Goroutines read t and
+// the first-level copy's source throughout (run with -race): a parent
+// layer is only ever read.
+func TestCloneCOWModel(t *testing.T) {
+	var prefixes []netx.Prefix
+	for i := 0; i < 24; i++ {
+		prefixes = append(prefixes, cowPrefix(t, fmt.Sprintf("10.0.%d.0/24", i)))
+	}
+	nbrs := []ASN{1, 2, 3, 5, 8}
+	for seed := int64(1); seed <= 3; seed++ {
+		cloneCOWModel(t, seed, prefixes, nbrs)
+	}
+}
+
+func cloneCOWModel(t *testing.T, seed int64, prefixes []netx.Prefix, nbrs []ASN) {
+	rng := rand.New(rand.NewSource(seed))
+	base := NewRIB(64512)
+	for _, p := range prefixes[:16] {
+		for _, n := range nbrs {
+			if rng.Intn(2) == 0 {
+				base.Upsert(n, cowRoute(p, uint32(rng.Intn(300))))
+			}
+		}
+	}
+	baseView := ribView(base, prefixes, nbrs)
+
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	defer readers.Wait()
+	defer close(stop)
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if got := ribView(base, prefixes, nbrs); got != baseView {
+					t.Error("a concurrent reader saw the parent table change")
+					return
+				}
+			}
+		}()
+	}
+
+	var snaps []EntrySnapshot
+	var snapOf []netx.Prefix
+	// mutate applies one random operation to both tables and holds
+	// their return values and views against each other.
+	mutate := func(step int, cow, deep *RIB) {
+		p := prefixes[rng.Intn(len(prefixes))]
+		n := nbrs[rng.Intn(len(nbrs))]
+		var op string
+		var a, b bool
+		switch k := rng.Intn(6); k {
+		case 0, 1:
+			r := cowRoute(p, uint32(rng.Intn(300)))
+			op, a, b = "Upsert", cow.Upsert(n, r), deep.Upsert(n, r)
+		case 2:
+			op, a, b = "Withdraw", cow.Withdraw(n, p), deep.Withdraw(n, p)
+		case 3:
+			op, a, b = "DropPrefix", cow.DropPrefix(p), deep.DropPrefix(p)
+		case 4:
+			var ns []ASN
+			var rs []*Route
+			for _, n := range nbrs { // ascending; sometimes empty: a drop
+				if rng.Intn(3) == 0 {
+					ns, rs = append(ns, n), append(rs, cowRoute(p, uint32(rng.Intn(300))))
+				}
+			}
+			var best *Route
+			if len(rs) > 0 {
+				best = rs[rng.Intn(len(rs))]
+			}
+			op = "InstallConverged"
+			cow.InstallConverged(p, ns, rs, best)
+			deep.InstallConverged(p, ns, rs, best)
+		case 5:
+			if len(snaps) == 0 || rng.Intn(2) == 0 {
+				op = "SnapshotEntry"
+				snaps, snapOf = append(snaps, deep.SnapshotEntry(p)), append(snapOf, p)
+				break
+			}
+			i := rng.Intn(len(snaps))
+			op = "RestoreEntry"
+			cow.RestoreEntry(snapOf[i], snaps[i])
+			deep.RestoreEntry(snapOf[i], snaps[i])
+		}
+		if a != b {
+			t.Fatalf("seed %d step %d: %s(%v, %d) returned %v on the COW copy, %v on the deep copy", seed, step, op, p, n, a, b)
+		}
+		if got, want := ribView(cow, prefixes, nbrs), ribView(deep, prefixes, nbrs); got != want {
+			t.Fatalf("seed %d step %d: after %s(%v, %d) readers disagree\n COW: %s\ndeep: %s", seed, step, op, p, n, got, want)
+		}
+	}
+
+	cow, deep := base.CloneCOW(), base.Clone()
+	for step := 0; step < 100; step++ {
+		mutate(step, cow, deep)
+	}
+	// One level deeper: cow is retired (only read from here on).
+	cowView := ribView(cow, prefixes, nbrs)
+	cow2, deep2 := cow.CloneCOW(), deep.Clone()
+	if cow2.parent == nil || len(cow2.entries) != 0 {
+		t.Fatalf("seed %d: second-level copy is not one flattened layer (parent %v, %d own entries)", seed, cow2.parent != nil, len(cow2.entries))
+	}
+	for p, e := range cow2.parent {
+		if e == nil {
+			t.Fatalf("seed %d: flattened layer carries a drop marker for %v", seed, p)
+		}
+	}
+	for step := 100; step < 200; step++ {
+		mutate(step, cow2, deep2)
+	}
+	if got := ribView(cow, prefixes, nbrs); got != cowView {
+		t.Errorf("seed %d: writes to the second-level copy reached the first", seed)
+	}
+	if got := ribView(base, prefixes, nbrs); got != baseView {
+		t.Errorf("seed %d: writes to a copy reached the source table", seed)
 	}
 }

@@ -18,7 +18,13 @@ type RIB struct {
 	// Owner is the AS whose table this is.
 	Owner ASN
 
+	// entries holds the table's own entries; they are the only ones it
+	// mutates. A CloneCOW table reads through to parent, the source's
+	// immutable entry map, for every prefix it has not written; a nil
+	// entry marks a parent prefix this table dropped. parent is nil for a
+	// table built from scratch.
 	entries map[netx.Prefix]*ribEntry
+	parent  map[netx.Prefix]*ribEntry
 	// sorted caches Prefixes() output. Mutations that change the prefix
 	// set store nil (invalidate); readers rebuild lazily. It is atomic
 	// because analyses read one table from many goroutines — concurrent
@@ -29,11 +35,6 @@ type RIB struct {
 	// maxStep lets ablations truncate the decision process; zero means
 	// the full seven steps.
 	maxStep DecisionStep
-	// cow marks a CloneCOW table: entries are shared with the source
-	// and copied on first mutation; owned tracks the prefixes whose
-	// entries this table already owns.
-	cow   bool
-	owned map[netx.Prefix]bool
 }
 
 // ribEntry holds one prefix's candidates as two aligned slices sorted by
@@ -84,27 +85,63 @@ func (t *RIB) depth() DecisionStep {
 	return t.maxStep
 }
 
-// writableEntry returns the entry for prefix, creating it on first use
-// and — on a CloneCOW table — copying a still-shared entry before its
-// first mutation.
-func (t *RIB) writableEntry(prefix netx.Prefix) *ribEntry {
-	e := t.entries[prefix]
-	if e == nil {
-		e = &ribEntry{}
-		t.entries[prefix] = e
-		t.sorted.Store(nil)
-		if t.cow {
-			t.owned[prefix] = true
-		}
+// entry returns prefix's entry in the merged view (nil when absent):
+// the table's own entry or drop marker first, the parent layer's
+// otherwise. Treat the result as read-only; see writableEntry.
+func (t *RIB) entry(prefix netx.Prefix) *ribEntry {
+	if e, own := t.entries[prefix]; own {
 		return e
 	}
-	if t.cow && !t.owned[prefix] {
-		ce := e.clone()
-		t.entries[prefix] = ce
-		t.owned[prefix] = true
-		e = ce
+	return t.parent[prefix]
+}
+
+// each visits every entry of the merged view, in no particular order.
+func (t *RIB) each(fn func(netx.Prefix, *ribEntry)) {
+	for p, e := range t.entries {
+		if e != nil {
+			fn(p, e)
+		}
 	}
+	for p, e := range t.parent {
+		if _, own := t.entries[p]; !own {
+			fn(p, e)
+		}
+	}
+}
+
+// writableEntry returns the table's own entry for prefix, creating it on
+// first use — as a copy of the parent layer's entry when there is one.
+func (t *RIB) writableEntry(prefix netx.Prefix) *ribEntry {
+	if e := t.entries[prefix]; e != nil {
+		return e
+	}
+	var e *ribEntry
+	if shared := t.entry(prefix); shared != nil {
+		e = shared.clone()
+	} else {
+		e = &ribEntry{}
+		t.sorted.Store(nil)
+	}
+	t.entries[prefix] = e
 	return e
+}
+
+// install makes e the table's own entry for prefix; drop removes the
+// prefix, leaving a marker when the parent layer still holds it.
+func (t *RIB) install(prefix netx.Prefix, e *ribEntry) {
+	if t.entry(prefix) == nil {
+		t.sorted.Store(nil)
+	}
+	t.entries[prefix] = e
+}
+
+func (t *RIB) drop(prefix netx.Prefix) {
+	if _, below := t.parent[prefix]; below {
+		t.entries[prefix] = nil
+	} else {
+		delete(t.entries, prefix)
+	}
+	t.sorted.Store(nil)
 }
 
 // Upsert installs route (learned from the given neighbor; use the owner
@@ -130,7 +167,7 @@ func (t *RIB) Upsert(neighbor ASN, route *Route) bool {
 // Withdraw removes the route for prefix learned from neighbor. It returns
 // true when the best route changed (including disappearing).
 func (t *RIB) Withdraw(neighbor ASN, prefix netx.Prefix) bool {
-	e := t.entries[prefix]
+	e := t.entry(prefix)
 	if e == nil {
 		return false
 	}
@@ -142,8 +179,7 @@ func (t *RIB) Withdraw(neighbor ASN, prefix netx.Prefix) bool {
 	e.nbrs = append(e.nbrs[:i], e.nbrs[i+1:]...)
 	e.routes = append(e.routes[:i], e.routes[i+1:]...)
 	if len(e.nbrs) == 0 {
-		delete(t.entries, prefix)
-		t.sorted.Store(nil)
+		t.drop(prefix)
 		return e.best != nil
 	}
 	return t.reselect(e)
@@ -201,18 +237,11 @@ func (t *RIB) InstallConverged(prefix netx.Prefix, neighbors []ASN, routes []*Ro
 		t.DropPrefix(prefix)
 		return
 	}
-	e := &ribEntry{
+	t.install(prefix, &ribEntry{
 		nbrs:   append([]ASN(nil), neighbors...),
 		routes: append([]*Route(nil), routes...),
 		best:   best,
-	}
-	if _, present := t.entries[prefix]; !present {
-		t.sorted.Store(nil)
-	}
-	t.entries[prefix] = e
-	if t.cow {
-		t.owned[prefix] = true
-	}
+	})
 }
 
 // InstallOwned is InstallConverged without the defensive copies: the
@@ -226,13 +255,7 @@ func (t *RIB) InstallOwned(prefix netx.Prefix, neighbors []ASN, routes []*Route,
 		t.DropPrefix(prefix)
 		return
 	}
-	if _, present := t.entries[prefix]; !present {
-		t.sorted.Store(nil)
-	}
-	t.entries[prefix] = &ribEntry{nbrs: neighbors, routes: routes, best: best}
-	if t.cow {
-		t.owned[prefix] = true
-	}
+	t.install(prefix, &ribEntry{nbrs: neighbors, routes: routes, best: best})
 }
 
 // EachEntry calls fn for every prefix with its full entry — aligned
@@ -242,7 +265,7 @@ func (t *RIB) InstallOwned(prefix netx.Prefix, neighbors []ASN, routes []*Route,
 // read-only.
 func (t *RIB) EachEntry(fn func(prefix netx.Prefix, neighbors []ASN, routes []*Route, best *Route)) {
 	for _, prefix := range t.Prefixes() {
-		e := t.entries[prefix]
+		e := t.entry(prefix)
 		fn(prefix, e.nbrs, e.routes, e.best)
 	}
 }
@@ -260,7 +283,7 @@ type EntrySnapshot struct {
 // SnapshotEntry copies prefix's current entry (Present=false when the
 // table has no candidates for it).
 func (t *RIB) SnapshotEntry(prefix netx.Prefix) EntrySnapshot {
-	e := t.entries[prefix]
+	e := t.entry(prefix)
 	if e == nil {
 		return EntrySnapshot{}
 	}
@@ -287,30 +310,29 @@ func (t *RIB) RestoreEntry(prefix netx.Prefix, snap EntrySnapshot) {
 // the clone leave the original untouched.
 func (t *RIB) Clone() *RIB {
 	c := &RIB{Owner: t.Owner, maxStep: t.maxStep,
-		entries: make(map[netx.Prefix]*ribEntry, len(t.entries))}
+		entries: make(map[netx.Prefix]*ribEntry, len(t.parent)+len(t.entries))}
 	c.sorted.Store(t.sorted.Load())
-	for p, e := range t.entries {
-		c.entries[p] = e.clone()
-	}
+	t.each(func(p netx.Prefix, e *ribEntry) { c.entries[p] = e.clone() })
 	return c
 }
 
-// CloneCOW returns a copy-on-write copy: only the prefix → entry map is
-// copied up front; the per-prefix entries stay shared and are copied
-// lazily on their first mutation through the clone, so cloning a large
-// table to rewrite a handful of prefixes costs O(prefixes) pointers
-// instead of a full candidate deep copy. The receiver MUST NOT be
-// mutated after CloneCOW (it still references the shared entries); the
-// scenario engine enforces this by retiring the source table once any
-// clone exists.
+// CloneCOW returns a copy-on-write copy in O(1): the receiver's entry map
+// becomes the copy's immutable parent layer, and the copy records only
+// the entries it writes or drops on top of it — so cloning a large table
+// to rewrite a handful of prefixes costs those prefixes, and every reader
+// sees the merged view. Layers never stack: the copy of a table that
+// itself has a parent layer starts from the two flattened into one map.
+// The receiver MUST NOT be mutated after CloneCOW (the copy reads its
+// map); the scenario engine enforces this by retiring the source table
+// once any clone exists.
 func (t *RIB) CloneCOW() *RIB {
 	c := &RIB{Owner: t.Owner, maxStep: t.maxStep,
-		entries: make(map[netx.Prefix]*ribEntry, len(t.entries)),
-		cow:     true, owned: make(map[netx.Prefix]bool)}
-	c.sorted.Store(t.sorted.Load())
-	for p, e := range t.entries {
-		c.entries[p] = e
+		entries: make(map[netx.Prefix]*ribEntry), parent: t.entries}
+	if t.parent != nil {
+		c.parent = make(map[netx.Prefix]*ribEntry, len(t.parent)+len(t.entries))
+		t.each(func(p netx.Prefix, e *ribEntry) { c.parent[p] = e })
 	}
+	c.sorted.Store(t.sorted.Load())
 	return c
 }
 
@@ -318,11 +340,10 @@ func (t *RIB) CloneCOW() *RIB {
 // prefix was present. Used when a simulation epoch recomputes a prefix
 // from scratch.
 func (t *RIB) DropPrefix(prefix netx.Prefix) bool {
-	if _, ok := t.entries[prefix]; !ok {
+	if t.entry(prefix) == nil {
 		return false
 	}
-	delete(t.entries, prefix)
-	t.sorted.Store(nil)
+	t.drop(prefix)
 	return true
 }
 
@@ -332,7 +353,7 @@ func (t *RIB) DropPrefix(prefix netx.Prefix) bool {
 // walk: NewRIB + Upsert over the emitted triples reconstructs the table.
 func (t *RIB) EachCandidate(fn func(prefix netx.Prefix, from ASN, r *Route)) {
 	for _, prefix := range t.Prefixes() {
-		e := t.entries[prefix]
+		e := t.entry(prefix)
 		for i, n := range e.nbrs {
 			fn(prefix, n, e.routes[i])
 		}
@@ -341,13 +362,12 @@ func (t *RIB) EachCandidate(fn func(prefix netx.Prefix, from ASN, r *Route)) {
 
 // Has reports whether the table holds any candidate for prefix.
 func (t *RIB) Has(prefix netx.Prefix) bool {
-	_, ok := t.entries[prefix]
-	return ok
+	return t.entry(prefix) != nil
 }
 
 // Best returns the selected route for prefix, or nil.
 func (t *RIB) Best(prefix netx.Prefix) *Route {
-	if e := t.entries[prefix]; e != nil {
+	if e := t.entry(prefix); e != nil {
 		return e.best
 	}
 	return nil
@@ -357,7 +377,7 @@ func (t *RIB) Best(prefix netx.Prefix) *Route {
 // neighbor order (the order IOS would list paths deterministically). The
 // returned slice is a copy and safe to hold across mutations.
 func (t *RIB) Candidates(prefix netx.Prefix) []*Route {
-	e := t.entries[prefix]
+	e := t.entry(prefix)
 	if e == nil {
 		return nil
 	}
@@ -366,7 +386,7 @@ func (t *RIB) Candidates(prefix netx.Prefix) []*Route {
 
 // CandidateFrom returns the candidate learned from the given neighbor.
 func (t *RIB) CandidateFrom(prefix netx.Prefix, neighbor ASN) *Route {
-	if e := t.entries[prefix]; e != nil {
+	if e := t.entry(prefix); e != nil {
 		if i, ok := e.find(neighbor); ok {
 			return e.routes[i]
 		}
@@ -384,31 +404,32 @@ func (t *RIB) Prefixes() []netx.Prefix {
 	if cached := t.sorted.Load(); cached != nil {
 		return *cached
 	}
-	out := make([]netx.Prefix, 0, len(t.entries))
-	for p := range t.entries {
-		out = append(out, p)
-	}
+	out := make([]netx.Prefix, 0, len(t.parent)+len(t.entries))
+	t.each(func(p netx.Prefix, _ *ribEntry) { out = append(out, p) })
 	netx.SortPrefixes(out)
 	t.sorted.Store(&out)
 	return out
 }
 
 // Len returns the number of prefixes in the table.
-func (t *RIB) Len() int { return len(t.entries) }
+func (t *RIB) Len() int {
+	if t.parent == nil {
+		return len(t.entries)
+	}
+	return len(t.Prefixes())
+}
 
 // NumRoutes returns the total number of candidate routes across prefixes.
 func (t *RIB) NumRoutes() int {
 	n := 0
-	for _, e := range t.entries {
-		n += len(e.routes)
-	}
+	t.each(func(_ netx.Prefix, e *ribEntry) { n += len(e.routes) })
 	return n
 }
 
 // EachBest calls fn for every (prefix, best route) pair in Compare order.
 func (t *RIB) EachBest(fn func(netx.Prefix, *Route)) {
 	for _, p := range t.Prefixes() {
-		if b := t.entries[p].best; b != nil {
+		if b := t.entry(p).best; b != nil {
 			fn(p, b)
 		}
 	}
@@ -418,7 +439,7 @@ func (t *RIB) EachBest(fn func(netx.Prefix, *Route)) {
 // that best routes suffice for SA-prefix inference; this accessor is what
 // the RouteViews-style collector exports.
 func (t *RIB) BestRoutes() []*Route {
-	out := make([]*Route, 0, len(t.entries))
+	out := make([]*Route, 0, t.Len())
 	t.EachBest(func(_ netx.Prefix, r *Route) { out = append(out, r) })
 	return out
 }

@@ -1,17 +1,22 @@
 package simulate
 
 import (
+	"maps"
+
 	"github.com/policyscope/policyscope/internal/asgraph"
+	"github.com/policyscope/policyscope/internal/bgp"
 	"github.com/policyscope/policyscope/internal/netx"
 	"github.com/policyscope/policyscope/internal/topogen"
 )
 
 // Clone returns an independent engine over the same converged state,
-// sharing the expensive artifacts copy-on-write. The heavy per-prefix
-// best forest (4 bytes per (prefix, AS) pair) and the vantage RIBs stay
-// shared until one side's Apply actually rewrites a row or table; only
-// the topology, the index structures and the reach counters are copied
-// eagerly. This makes a clone orders of magnitude cheaper than
+// sharing everything an Apply might rewrite copy-on-write: the per-prefix
+// best forest (4 bytes per (prefix, AS) pair), the vantage RIBs, the
+// topology's graph, policies, AS descriptions and prefix ownership, and
+// the prefix index all stay shared until one side's Apply edits them (see
+// unshare and DESIGN.md "What a clone costs"). Only slice headers, the
+// reach counters and the unconverged set are copied eagerly — O(ASes +
+// prefixes) words — which makes a clone orders of magnitude cheaper than
 // NewEngine, which re-simulates the world.
 //
 // Clone must not overlap with Apply on the receiver (the usual Engine
@@ -24,8 +29,9 @@ func (en *Engine) Clone() *Engine {
 	defer en.cloneMu.Unlock()
 	e := en.e
 
-	// Mark the parent's rows and tables shared so a later Apply on the
-	// parent copies before writing instead of corrupting live clones.
+	// Mark the parent's rows, tables and topology shared so a later Apply
+	// on the parent copies before writing instead of corrupting live
+	// clones.
 	if e.trackShared == nil {
 		e.trackShared = make([]bool, len(e.track))
 	}
@@ -37,10 +43,13 @@ func (en *Engine) Clone() *Engine {
 		slot.shared = true
 		slot.mu.Unlock()
 	}
+	en.shared = topoShare{graph: true, prefixes: true, policies: true}
 
-	topo := en.topo.Clone()
+	// A private Topology value whose component pointers alias the
+	// parent's until unshare replaces them.
+	topo := *en.topo
 	ce := &engine{
-		topo: topo,
+		topo: &topo,
 		opts: e.opts,
 		// Immutable after construction: share.
 		idx:     e.idx,
@@ -67,31 +76,93 @@ func (en *Engine) Clone() *Engine {
 		adjVersion:  e.adjVersion,
 		nbrs:        append([][]int32(nil), e.nbrs...),
 		rels:        append([][]asgraph.Relationship(nil), e.rels...),
-		pols:        make([]*topogen.Policy, len(e.asns)),
+		pols:        append([]*topogen.Policy(nil), e.pols...),
 		prefixes:    append([]netx.Prefix(nil), e.prefixes...),
 		reachCounts: append([]int64(nil), e.reachCounts...),
-		prefixIdx:   make(map[netx.Prefix]int, len(e.prefixIdx)),
+		prefixIdx:   e.prefixIdx,
 		track:       append([][]int32(nil), e.track...),
-		trackShared: make([]bool, len(e.track)),
+		trackShared: append([]bool(nil), e.trackShared...),
 		tables:      make(map[int]*tableSlot, len(e.tables)),
-	}
-	for i, asn := range e.asns {
-		ce.pols[i] = topo.Policies[asn]
-	}
-	for p, i := range e.prefixIdx {
-		ce.prefixIdx[p] = i
-	}
-	for i := range ce.trackShared {
-		ce.trackShared[i] = true
 	}
 	for i, slot := range e.tables {
 		ce.tables[i] = &tableSlot{rib: slot.rib, shared: true}
 	}
+	return &Engine{e: ce, topo: &topo, opts: en.opts, unconv: maps.Clone(en.unconv), shared: en.shared}
+}
 
-	c := &Engine{e: ce, topo: topo, opts: en.opts,
-		unconv: make(map[netx.Prefix]bool, len(en.unconv))}
-	for p := range en.unconv {
-		c.unconv[p] = true
+// topoShare records which topology components an engine still shares
+// with its clone family. The zero value shares nothing (NewEngine owns a
+// deep copy); Clone sets every flag on both sides.
+type topoShare struct {
+	graph bool
+	// prefixes covers Topology.PrefixOrigin, the Topology.ASes map and
+	// the engine's prefix index; policies covers the Topology.Policies
+	// map. Once a map is private, ownAS / ownPol list the ASes whose
+	// description / policy value has been copied too (nil: all owned).
+	prefixes, policies bool
+	ownAS, ownPol      map[bgp.ASN]bool
+}
+
+// unshare copies, just before ev edits it, the one shared component ev
+// edits — the graph for link events, the owner's Policy for policy
+// events, prefix ownership, the origin's description and Policy and the
+// prefix index for prefix events — so an Apply costs what it writes and
+// the rest of the world stays shared with the clone family.
+func (en *Engine) unshare(ev Event) {
+	switch ev.Kind {
+	case EventLinkFail, EventLinkRestore:
+		en.ownGraph()
+	case EventWithdraw:
+		en.ownPrefixState(en.topo.PrefixOrigin[ev.Prefix])
+	case EventAnnounce:
+		en.ownPrefixState(ev.Origin)
+	default:
+		if owner, ok := en.policyOwner(ev); ok {
+			en.ownPolicy(owner)
+		}
 	}
-	return c
+}
+
+func (en *Engine) ownGraph() {
+	if en.shared.graph {
+		en.topo.Graph = en.topo.Graph.Clone()
+		en.shared.graph = false
+		mCowTopology.Inc()
+	}
+}
+
+func (en *Engine) ownPolicy(asn bgp.ASN) {
+	sh := &en.shared
+	if sh.policies {
+		en.topo.Policies = maps.Clone(en.topo.Policies)
+		sh.policies, sh.ownPol = false, make(map[bgp.ASN]bool)
+		mCowTopology.Inc()
+	}
+	if sh.ownPol == nil || sh.ownPol[asn] {
+		return
+	}
+	sh.ownPol[asn] = true
+	if pol := en.topo.Policies[asn]; pol != nil {
+		pol = pol.CloneDeep()
+		en.topo.Policies[asn] = pol
+		en.e.pols[en.e.idx[asn]] = pol
+		mCowTopology.Inc()
+	}
+}
+
+func (en *Engine) ownPrefixState(origin bgp.ASN) {
+	sh := &en.shared
+	if sh.prefixes {
+		en.topo.PrefixOrigin = maps.Clone(en.topo.PrefixOrigin)
+		en.topo.ASes = maps.Clone(en.topo.ASes)
+		en.e.prefixIdx = maps.Clone(en.e.prefixIdx)
+		sh.prefixes, sh.ownAS = false, make(map[bgp.ASN]bool)
+		mCowTopology.Inc()
+	}
+	if info := en.topo.ASes[origin]; info != nil && sh.ownAS != nil && !sh.ownAS[origin] {
+		sh.ownAS[origin] = true
+		en.topo.ASes[origin] = info.Clone()
+		mCowTopology.Inc()
+	}
+	en.ownPolicy(origin)
 }

@@ -182,12 +182,13 @@ type tableSlot struct {
 
 // writable returns the slot's RIB, un-sharing it first. The retired RIB
 // is never written again (every sharer copies-on-write through its own
-// slot), so the cheap entry-level CloneCOW is safe here. Callers must
+// slot), so the O(1) layered CloneCOW is safe here. Callers must
 // hold slot.mu.
 func (s *tableSlot) writable() *bgp.RIB {
 	if s.shared {
 		s.rib = s.rib.CloneCOW()
 		s.shared = false
+		mCowTable.Inc()
 	}
 	return s.rib
 }
@@ -774,11 +775,12 @@ func (e *engine) capture(st *workerState, prefix netx.Prefix) {
 		// A row shared with an engine clone (or another atom member) is
 		// replaced, not rewritten in place: capture overwrites every cell
 		// anyway.
-		if row == nil || (e.trackShared != nil && e.trackShared[pi]) {
+		if shared := e.trackShared != nil && e.trackShared[pi]; row == nil || shared {
 			row = make([]int32, len(e.asns))
 			e.track[pi] = row
-			if e.trackShared != nil {
+			if shared {
 				e.trackShared[pi] = false
+				mCowForestRow.Inc()
 			}
 		}
 		for i := range row {

@@ -85,7 +85,11 @@ func (en *Engine) Rollback() bool {
 	mRollbacks.Inc()
 	e.atomsStale = j.atomsStaleWas
 
-	// Undo the graph mutations and refresh adjacency.
+	// Undo the graph mutations and refresh adjacency. The Apply un-shared
+	// the graph, but a Clone taken since shares it again.
+	if len(j.removed)+len(j.added) > 0 {
+		en.ownGraph()
+	}
 	endpoints := make(map[int32]bool)
 	for pair, rel := range j.removed {
 		// rel is what pair[1] is to pair[0] (recon orientation).

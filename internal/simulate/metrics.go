@@ -43,12 +43,20 @@ var (
 	mApplySeconds = obs.NewHistogram("policyscope_scenario_apply_seconds",
 		"Wall time of one scenario Apply.", nil)
 	mApplyDisturbed = obs.NewHistogram("policyscope_scenario_disturbed_prefixes",
-		"Prefixes one scenario Apply submitted to re-convergence: the disturb set of a link-failure batch, every prefix of a mixed batch, plus newly announced ones.",
+		"Prefixes one scenario Apply submitted to re-convergence: the forest-crossing disturb set of a link-failure-only batch, otherwise the pre-existing prefixes the events name (all of them for a link event or a neighbor-wide local_pref, one for sa_toggle / no_upstream / per-prefix local_pref, none for withdraw / announce), plus newly announced ones.",
 		applyCountBuckets)
 	mApplyEntriesRewritten = obs.NewHistogram("policyscope_scenario_vantage_entries_rewritten",
 		"Vantage table entries (vantage AS, prefix) one scenario Apply wrote at least once.",
 		applyCountBuckets)
-	mCheckpoints = obs.NewCounter("policyscope_journal_checkpoints_total",
+	// One child per thing an engine can un-share from its clone family,
+	// resolved here so the write paths touch a bare atomic.
+	mCowCopies = obs.NewCounterVec("policyscope_engine_cow_copies_total",
+		"Shared structures an engine un-shared before writing them: best-forest rows (copied), vantage tables (layered over the shared one; entries copy as they are written), topology components (graph, policy map, one policy, prefix maps, one AS description).",
+		"kind")
+	mCowForestRow = mCowCopies.With("forest_row")
+	mCowTable     = mCowCopies.With("table")
+	mCowTopology  = mCowCopies.With("topology")
+	mCheckpoints  = obs.NewCounter("policyscope_journal_checkpoints_total",
 		"Checkpoints armed on any engine.")
 	mRollbacks = obs.NewCounter("policyscope_journal_rollbacks_total",
 		"Rollbacks that restored the checkpointed state.")

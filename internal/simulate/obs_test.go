@@ -149,6 +149,23 @@ func TestEngineMetricsAdvance(t *testing.T) {
 		t.Errorf("rollbacks %d -> %d, want +1", rbs0, got)
 	}
 
+	// A batch that is not link failures only submits the pre-existing
+	// prefixes its events name: a no_upstream tag its one prefix, a
+	// withdrawal none (the withdrawn prefix is dropped, not re-converged).
+	stub, providers, prefix := multihomedStub(t, topo)
+	for _, tc := range []struct {
+		ev   Event
+		want float64
+	}{{TagNoUpstream(prefix, providers[0]), 1}, {WithdrawPrefix(prefix), 0}} {
+		sum0 := mApplyDisturbed.Sum()
+		if _, err := en.Clone().Apply(Scenario{Events: []Event{tc.ev}}); err != nil {
+			t.Fatal(err)
+		}
+		if got := mApplyDisturbed.Sum() - sum0; got != tc.want {
+			t.Errorf("%s on AS %v's %v observed %v disturbed prefixes, want %v", tc.ev.Kind, stub, prefix, got, tc.want)
+		}
+	}
+
 	stats := en.Atoms()
 	if stats.Prefixes > 0 {
 		if mAtomPrefixes.Value() <= 0 || mAtomClasses.Value() <= 0 {

@@ -314,6 +314,10 @@ type Engine struct {
 	opts    Options
 	unconv  map[netx.Prefix]bool
 	cloneMu sync.Mutex
+	// shared says which topology components are still shared with the
+	// engine's clone family and must be copied before an edit; see
+	// unshare in clone.go.
+	shared topoShare
 }
 
 // NewEngine runs a full simulation of topo and retains the per-prefix
@@ -396,13 +400,8 @@ func (en *Engine) Apply(sc Scenario) (*Delta, error) {
 
 	// Snapshot the pre-event policies reconstruction will need.
 	for _, ev := range sc.Events {
-		var owner bgp.ASN
-		switch ev.Kind {
-		case EventLocalPref:
-			owner = ev.AS
-		case EventSAToggle, EventNoUpstream:
-			owner = en.topo.PrefixOrigin[ev.Prefix]
-		default:
+		owner, ok := en.policyOwner(ev)
+		if !ok {
 			continue
 		}
 		oi := int32(e.idx[owner])
@@ -423,6 +422,7 @@ func (en *Engine) Apply(sc Scenario) (*Delta, error) {
 	linkEvents := false
 	addedSet := make(map[netx.Prefix]bool)
 	for _, ev := range sc.Events {
+		en.unshare(ev)
 		switch ev.Kind {
 		case EventWithdraw:
 			if addedSet[ev.Prefix] {
@@ -480,6 +480,11 @@ func (en *Engine) Apply(sc Scenario) (*Delta, error) {
 			if err != nil {
 				return nil, err
 			}
+			if owner, ok := en.policyOwner(ev); ok {
+				// The edit was in place unless the owner had no Policy
+				// yet: re-resolve the pointer.
+				e.pols[e.idx[owner]] = en.topo.Policies[owner]
+			}
 			ai, bi := int32(e.idx[ev.A]), int32(e.idx[ev.B])
 			switch ev.Kind {
 			case EventLinkFail:
@@ -499,11 +504,6 @@ func (en *Engine) Apply(sc Scenario) (*Delta, error) {
 		e.rebuildCSR()
 	}
 	e.journal.recordLinks(rc)
-	// Policy edits mutate Policy values in place, but refresh the
-	// engine's pointers anyway in case a policy object was created.
-	for i, asn := range e.asns {
-		e.pols[i] = en.topo.Policies[asn]
-	}
 
 	// Newly originated prefixes converge from scratch.
 	if len(added) > 0 {
@@ -563,6 +563,17 @@ func (en *Engine) Apply(sc Scenario) (*Delta, error) {
 		return delta.ReachDeltas[i].Prefix.Compare(delta.ReachDeltas[j].Prefix) < 0
 	})
 	return delta, nil
+}
+
+// policyOwner returns the AS whose Policy a policy event edits.
+func (en *Engine) policyOwner(ev Event) (bgp.ASN, bool) {
+	switch ev.Kind {
+	case EventLocalPref:
+		return ev.AS, true
+	case EventSAToggle, EventNoUpstream:
+		return en.topo.PrefixOrigin[ev.Prefix], true
+	}
+	return 0, false
 }
 
 func abs(x int) int {
@@ -995,23 +1006,20 @@ func (pr *prefixRecon) sessionReseed(st *workerState, u, v int32) {
 }
 
 // runIncremental runs the incremental re-convergence pass over the
-// pre-existing prefixes. Link-failure-only batches take the atom-aware
-// fast path: the disturb set is read off the best forest (only prefixes
-// whose forest actually crosses a failed link can change any best
-// route), every other prefix needs at most a constant-time candidate
-// removal in the vantage tables. Mixed batches scan every prefix as
-// before. It returns how many prefixes it submitted to re-convergence.
+// pre-existing prefixes the batch can disturb. Link-failure-only batches
+// take the atom-aware fast path: the disturb set is read off the best
+// forest (only prefixes whose forest actually crosses a failed link can
+// change any best route), every other prefix needs at most a
+// constant-time candidate removal in the vantage tables. Any other batch
+// visits the union of the prefixes its events name (see namedPrefixes).
+// It returns how many prefixes it submitted to re-convergence.
 func (en *Engine) runIncremental(events []Event, rc *recon, skip map[netx.Prefix]bool, delta *Delta) int {
 	e := en.e
-	prefixes := make([]netx.Prefix, 0, len(e.prefixes))
-	if allLinkFailures(events) && len(skip) == 0 {
+	var prefixes []netx.Prefix
+	if allLinkFailures(events) {
 		prefixes = en.linkFailDisturbSet(events, delta)
 	} else {
-		for _, p := range e.prefixes {
-			if !skip[p] {
-				prefixes = append(prefixes, p)
-			}
-		}
+		prefixes = en.namedPrefixes(events, skip)
 	}
 	var mu sync.Mutex
 	e.forEachPrefix(prefixes, func(st *workerState, p netx.Prefix) {
@@ -1040,6 +1048,53 @@ func (en *Engine) runIncremental(events []Event, rc *recon, skip map[netx.Prefix
 		}
 	})
 	return len(prefixes)
+}
+
+// namedPrefixes returns the pre-existing prefixes the events of a mixed
+// batch name, minus skip (the ones the batch announced, already converged
+// from scratch). A link event or a neighbor-wide local_pref changes a
+// session every prefix may cross, so it names them all — a link failure
+// too: linkFailDisturbSet withdraws non-best candidates in place, which
+// is only sound when nothing else in the batch re-evaluates the session.
+// sa_toggle, no_upstream and a per-prefix local_pref re-evaluate sessions
+// for their one prefix only. withdraw and announce name nothing: Apply
+// already dropped or converged their prefix, and no other prefix's
+// routes depend on it.
+func (en *Engine) namedPrefixes(events []Event, skip map[netx.Prefix]bool) []netx.Prefix {
+	e := en.e
+	named := make(map[netx.Prefix]bool)
+	for _, ev := range events {
+		switch ev.Kind {
+		case EventWithdraw, EventAnnounce:
+		case EventSAToggle, EventNoUpstream:
+			named[ev.Prefix] = true
+		case EventLocalPref:
+			if ev.PerPrefix {
+				named[ev.Prefix] = true
+				continue
+			}
+			fallthrough
+		default:
+			all := make([]netx.Prefix, 0, len(e.prefixes))
+			for _, p := range e.prefixes {
+				if !skip[p] {
+					all = append(all, p)
+				}
+			}
+			return all
+		}
+	}
+	out := make([]netx.Prefix, 0, len(named))
+	for p := range named {
+		// A named prefix may have been withdrawn later in the batch, or
+		// never have existed (a per-prefix local_pref is not validated
+		// against the prefix set).
+		if _, ok := e.prefixIdx[p]; ok && !skip[p] {
+			out = append(out, p)
+		}
+	}
+	netx.SortPrefixes(out)
+	return out
 }
 
 func allLinkFailures(events []Event) bool {
@@ -1208,6 +1263,12 @@ func (en *Engine) reconverge(st *workerState, prefix netx.Prefix, events []Event
 	}
 
 	st.statActivations += activations
+	if len(st.touched) == 0 {
+		// No session the events name changed anything here: the forest
+		// row, the reach count and every vantage entry stay as they are —
+		// and stay shared with the clone family.
+		return PrefixShift{}, ReachDelta{}, 0, converged
+	}
 	shift, reach := en.captureIncremental(st, prefix)
 	return shift, reach, len(st.touched), converged
 }
@@ -1226,6 +1287,7 @@ func (en *Engine) captureIncremental(st *workerState, prefix netx.Prefix) (Prefi
 		row = append([]int32(nil), row...)
 		e.track[pi] = row
 		e.trackShared[pi] = false
+		mCowForestRow.Inc()
 	}
 	shift := PrefixShift{Prefix: prefix, Origin: e.topo.PrefixOrigin[prefix]}
 	reachDelta := 0

@@ -2,6 +2,8 @@ package simulate
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -328,6 +330,161 @@ func TestScenarioJSONRoundTrip(t *testing.T) {
 	for i := range sc.Events {
 		if got.Events[i] != sc.Events[i] {
 			t.Errorf("event %d: %+v != %+v", i, got.Events[i], sc.Events[i])
+		}
+	}
+}
+
+// randomBatch draws 1–4 events over all seven kinds, each valid against
+// the topology as the batch's earlier events left it (work is mutated
+// along). Restorations re-raise a link this batch failed, or open a new
+// peering; local-pref edits stay inside Gao & Rexford's safe orderings
+// (a customer is only promoted, a peer or provider only demoted) so the
+// mutated network keeps one stable state to compare against.
+func randomBatch(t *testing.T, rng *rand.Rand, work *topogen.Topology, fresh *int) []Event {
+	t.Helper()
+	pick := func(asns []bgp.ASN) bgp.ASN { return asns[rng.Intn(len(asns))] }
+	somePrefix := func() (netx.Prefix, bool) {
+		ps := make([]netx.Prefix, 0, len(work.PrefixOrigin))
+		for p := range work.PrefixOrigin {
+			ps = append(ps, p)
+		}
+		if len(ps) == 0 {
+			return netx.Prefix{}, false
+		}
+		netx.SortPrefixes(ps)
+		return ps[rng.Intn(len(ps))], true
+	}
+	type downLink struct {
+		a, b bgp.ASN
+		rel  asgraph.Relationship
+	}
+	var down []downLink
+	var withdrawn []netx.Prefix
+	var batch []Event
+	for n := 1 + rng.Intn(4); len(batch) < n; {
+		var ev Event
+		switch allEventKinds[rng.Intn(len(allEventKinds))] {
+		case EventLinkFail:
+			edges := work.Graph.Edges()
+			e := edges[rng.Intn(len(edges))]
+			ev = FailLink(e.A, e.B)
+			down = append(down, downLink{e.A, e.B, work.Graph.Rel(e.A, e.B)})
+		case EventLinkRestore:
+			if len(down) > 0 && rng.Intn(2) == 0 {
+				i := rng.Intn(len(down))
+				ev = RestoreLink(down[i].a, down[i].b, down[i].rel)
+				down = append(down[:i], down[i+1:]...)
+			} else if a, b := pick(work.Order), pick(work.Order); a != b && work.Graph.Rel(a, b) == asgraph.RelNone {
+				ev = RestoreLink(a, b, asgraph.RelPeer)
+			} else {
+				continue
+			}
+		case EventWithdraw:
+			p, ok := somePrefix()
+			if !ok {
+				continue
+			}
+			ev = WithdrawPrefix(p)
+			withdrawn = append(withdrawn, p)
+		case EventAnnounce:
+			if len(withdrawn) > 0 && rng.Intn(2) == 0 {
+				// A hijack: the withdrawn prefix comes back elsewhere.
+				ev = AnnouncePrefix(withdrawn[len(withdrawn)-1], pick(work.Order))
+				withdrawn = withdrawn[:len(withdrawn)-1]
+			} else {
+				*fresh++
+				ev = AnnouncePrefix(netx.MustParsePrefix(fmt.Sprintf("203.0.%d.0/24", *fresh)), pick(work.Order))
+			}
+		case EventLocalPref:
+			as := pick(work.Order)
+			nbs := work.Graph.Neighbors(as)
+			if len(nbs) == 0 {
+				continue
+			}
+			nb := nbs[rng.Intn(len(nbs))]
+			value := uint32(40 + 10*rng.Intn(4))
+			if work.Graph.Rel(as, nb) == asgraph.RelCustomer {
+				value = uint32(200 + 10*rng.Intn(4))
+			}
+			if p, ok := somePrefix(); ok && rng.Intn(2) == 0 {
+				ev = SetPrefixLocalPref(as, nb, p, value)
+			} else {
+				ev = SetLocalPref(as, nb, value)
+			}
+		case EventSAToggle, EventNoUpstream:
+			p, ok := somePrefix()
+			if !ok {
+				continue
+			}
+			provs := work.Graph.Providers(work.PrefixOrigin[p])
+			if len(provs) == 0 {
+				continue
+			}
+			if rng.Intn(2) == 0 {
+				ev = ToggleProviderAnnouncement(p, pick(provs), rng.Intn(3) == 0)
+			} else {
+				ev = TagNoUpstream(p, append(provs, 0)[rng.Intn(len(provs)+1)])
+			}
+		}
+		if _, err := applyEventToTopology(work, ev); err != nil {
+			t.Fatalf("generated event %+v does not apply: %v", ev, err)
+		}
+		batch = append(batch, ev)
+	}
+	return batch
+}
+
+var allEventKinds = []EventKind{EventLinkFail, EventLinkRestore, EventWithdraw, EventAnnounce,
+	EventLocalPref, EventSAToggle, EventNoUpstream}
+
+// TestRandomMixedBatchesMatchFullResim is the differential guard for the
+// event-scoped disturb set: whatever mix of kinds a batch holds, visiting
+// only the prefixes its events name must leave a clone bit-identical to
+// simulating the mutated topology from scratch, with the base engine it
+// was cloned from untouched. TestScenarioMatchesFullResim covers each
+// kind alone; the union rule only shows on mixes.
+func TestRandomMixedBatchesMatchFullResim(t *testing.T) {
+	seen := make(map[EventKind]int)
+	for _, seed := range []int64{1, 2, 3} {
+		topo, opts := buildTestTopo(t, 120, seed)
+		base, err := NewEngine(topo, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		baseline, err := Run(topo, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		fresh := 0
+		for trial := 0; trial < 16; trial++ {
+			work := topo.Clone()
+			sc := Scenario{Name: fmt.Sprintf("seed%d/trial%d", seed, trial), Events: randomBatch(t, rng, work, &fresh)}
+			for _, ev := range sc.Events {
+				seen[ev.Kind]++
+			}
+			clone := base.Clone()
+			if _, err := clone.Apply(sc); err != nil {
+				t.Fatalf("%s %+v: %v", sc.Name, sc.Events, err)
+			}
+			want, err := Run(work, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want.Unconverged) > 0 {
+				t.Fatalf("%s %+v: the mutated topology does not converge; the generator left the safe orderings", sc.Name, sc.Events)
+			}
+			if diffs := DiffResults(clone.Result(), want); len(diffs) > 0 {
+				t.Fatalf("%s %+v: incremental differs from full resimulation: %v", sc.Name, sc.Events, diffs[:min(3, len(diffs))])
+			}
+		}
+		if diffs := DiffResults(base.Result(), baseline); len(diffs) > 0 {
+			t.Fatalf("seed %d: base engine changed under its clones: %v", seed, diffs[:min(3, len(diffs))])
+		}
+	}
+	for _, k := range allEventKinds {
+		if seen[k] == 0 {
+			t.Errorf("no batch drew a %s event", k)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package topogen
 
 import (
+	"maps"
+
 	"github.com/policyscope/policyscope/internal/bgp"
 	"github.com/policyscope/policyscope/internal/netx"
 )
@@ -24,13 +26,7 @@ func (t *Topology) Clone() *Topology {
 		Policies:     make(map[bgp.ASN]*Policy, len(t.Policies)),
 	}
 	for asn, info := range t.ASes {
-		ci := *info
-		ci.Prefixes = append([]netx.Prefix(nil), info.Prefixes...)
-		ci.AllocatedFrom = make(map[netx.Prefix]bgp.ASN, len(info.AllocatedFrom))
-		for p, from := range info.AllocatedFrom {
-			ci.AllocatedFrom[p] = from
-		}
-		c.ASes[asn] = &ci
+		c.ASes[asn] = info.Clone()
 	}
 	for p, origin := range t.PrefixOrigin {
 		c.PrefixOrigin[p] = origin
@@ -39,6 +35,15 @@ func (t *Topology) Clone() *Topology {
 		c.Policies[asn] = pol.CloneDeep()
 	}
 	return c
+}
+
+// Clone returns an independent copy of the AS description (prefix events
+// edit Prefixes in place).
+func (a *ASInfo) Clone() *ASInfo {
+	c := *a
+	c.Prefixes = append([]netx.Prefix(nil), a.Prefixes...)
+	c.AllocatedFrom = maps.Clone(a.AllocatedFrom)
+	return &c
 }
 
 // CloneDeep copies every policy structure scenario events can mutate:
