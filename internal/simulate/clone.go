@@ -63,8 +63,9 @@ func (en *Engine) Clone() *Engine {
 		atomsStale: e.atomsStale,
 		// Outer slices copied; inner neighbor/relationship slices are
 		// shared because rebuildAdjacency replaces them wholesale, and
-		// the CSR offset table is shared because rebuildCSR publishes a
-		// fresh slice instead of rewriting. The state pool and intern
+		// the CSR offset table is shared because publishLayout publishes
+		// a fresh slice instead of rewriting (relink does the same for
+		// the reverse-index rows it recomputes). The state pool and intern
 		// table are shared across the whole engine family: worker
 		// states warmed on the parent serve the clones directly (the
 		// clone inherits the parent's adjVersion, so warm states match

@@ -39,6 +39,7 @@ package simulate
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -161,6 +162,15 @@ type engine struct {
 	// NOT share rows between class members — members diverge whenever a
 	// deviation flips a best choice, so every prefix owns its row.)
 	trackShared []bool
+	// rowFree holds forest-row buffers a Rollback handed back: the copies
+	// the rolled-back Apply made, which nothing references any more. The
+	// next Apply's copies come from here first, so a sweep worker that
+	// applies and rolls back thousands of scenarios allocates one
+	// scenario's worth of rows, not one per scenario — and never grows
+	// toward a private copy of the whole forest, which keeping the rows
+	// owned would. Private to the engine: a Clone starts with none.
+	rowMu   sync.Mutex
+	rowFree [][]int32
 }
 
 // tableSlot holds one vantage table behind its lock. The slot pointer
@@ -279,20 +289,39 @@ func (e *engine) atomsApplicable() bool {
 // because both counted to the same value independently.
 var adjVersions atomic.Uint64
 
-// rebuildCSR refreshes the CSR offsets and the reverse index from the
-// per-AS adjacency lists and re-stamps the adjacency version so pooled
-// worker states re-size. The offset table is always a freshly
-// allocated slice — never rewritten in place — because worker states
-// from the family-shared pool alias the slice of whatever engine they
-// last synced against; replacing wholesale keeps every published
-// layout immutable, so an in-flight state on a sibling clone can keep
-// reading its (version-matched) layout while this engine rebuilds.
+// rebuildCSR derives the whole CSR layout — offsets and the reverse index
+// of every AS — from the per-AS adjacency lists. Construction only: a
+// link event moves the slots of its endpoints and their neighbors and
+// nobody else's, see relink.
 func (e *engine) rebuildCSR() {
+	e.back = make([][]int32, len(e.asns))
+	for u := range e.nbrs {
+		e.rebuildBack(int32(u))
+	}
+	e.publishLayout()
+}
+
+// rebuildBack recomputes back[u] into a fresh slice (clones alias the
+// old one until they rebuild).
+func (e *engine) rebuildBack(u int32) {
+	back := make([]int32, len(e.nbrs[u]))
+	for j, v := range e.nbrs[u] {
+		back[j] = int32(slotOf(e.nbrs[v], u))
+	}
+	e.back[u] = back
+}
+
+// publishLayout refreshes the CSR offsets from the adjacency lists and
+// re-stamps the adjacency version so pooled worker states re-size. The
+// offset table is always a freshly allocated slice — never rewritten in
+// place — because worker states from the family-shared pool alias the
+// slice of whatever engine they last synced against; replacing
+// wholesale keeps every published layout immutable, so an in-flight
+// state on a sibling clone can keep reading its (version-matched)
+// layout while this engine rebuilds.
+func (e *engine) publishLayout() {
 	n := len(e.asns)
 	csrOff := make([]int32, n+1)
-	if e.back == nil {
-		e.back = make([][]int32, n)
-	}
 	off := int32(0)
 	for i := 0; i < n; i++ {
 		csrOff[i] = off
@@ -300,14 +329,44 @@ func (e *engine) rebuildCSR() {
 	}
 	csrOff[n] = off
 	e.csrOff = csrOff
-	for u := range e.nbrs {
-		// Fresh slices: clones share the outer array until they rebuild.
-		e.back[u] = make([]int32, len(e.nbrs[u]))
-		for j, v := range e.nbrs[u] {
-			e.back[u][j] = int32(slotOf(e.nbrs[v], int32(u)))
-		}
-	}
 	e.adjVersion = adjVersions.Add(1)
+}
+
+// relink brings the adjacency arrays and the CSR layout up to date with
+// the graph after link events at the given endpoints (sorted ascending,
+// no duplicates). An endpoint's neighbor list changed, which moves the
+// slot every one of its current neighbors occupies in it: the reverse
+// index is recomputed for the endpoints and those neighbors, and stays
+// as it is for the rest of the graph.
+func (e *engine) relink(endpoints []int32) {
+	for _, i := range endpoints {
+		e.rebuildAdjacency(i)
+	}
+	stale := append([]int32(nil), endpoints...)
+	for _, i := range endpoints {
+		stale = append(stale, e.nbrs[i]...)
+	}
+	slices.Sort(stale)
+	for _, u := range slices.Compact(stale) {
+		e.rebuildBack(u)
+	}
+	e.publishLayout()
+}
+
+// copyRow returns a copy of a forest row in a buffer Rollback handed back,
+// or a newly allocated one when the free list is empty.
+func (e *engine) copyRow(row []int32) []int32 {
+	var buf []int32
+	e.rowMu.Lock()
+	if n := len(e.rowFree); n > 0 {
+		buf, e.rowFree = e.rowFree[n-1], e.rowFree[:n-1]
+	}
+	e.rowMu.Unlock()
+	if buf == nil {
+		buf = make([]int32, len(row))
+	}
+	copy(buf, row)
+	return buf
 }
 
 // Run simulates the whole topology.

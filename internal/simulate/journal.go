@@ -17,15 +17,30 @@ import (
 // graph mutations record their inverses. Rollback then restores the
 // exact pre-Apply state in time proportional to what the Apply touched.
 //
+// A forest row is never copied for the journal: the row as it stood
+// becomes the pre-image and the Apply writes a copy (captureIncremental),
+// in a buffer from the engine's free list. Rollback puts the pre-image
+// back and hands the copy to the free list — the copy and nothing else:
+// not the pre-image, and not a copy a Clone taken since the Apply still
+// shares. The next scenario's copies reuse those buffers.
+//
 // Journaling supports link-event batches (failures and restorations) —
 // the scenario families that dominate sweeps. Batches with prefix or
 // policy events mark the journal unsupported and Rollback reports false,
 // telling the caller to fall back to its own strategy (the executor
 // re-clones).
 
+// journalRow is prefix pi's forest row and reach count before the Apply.
 type journalRow struct {
+	pi     int
 	row    []int32
 	shared bool
+	reach  int64
+}
+
+type journalUnconv struct {
+	prefix netx.Prefix
+	was    bool
 }
 
 type journalEntry struct {
@@ -43,12 +58,18 @@ type applyJournal struct {
 	// checkpoint as it was before).
 	atomsStaleWas bool
 
-	removed map[[2]int32]asgraph.Relationship // failed links to re-add (oriented like recon)
-	added   [][2]int32                        // restored links to remove again
+	removed   map[[2]int32]asgraph.Relationship // failed links to re-add (oriented like recon)
+	added     [][2]int32                        // restored links to remove again
+	endpoints []int32                           // their ends, ascending
 
-	rows      map[int]journalRow
-	reach     map[int]int64
-	unconvWas map[netx.Prefix]bool
+	// rows and unconvWas are append-only: a journalable batch visits each
+	// prefix once, so each pays for one entry, not for a map. rowSeen (a
+	// bitset over the checkpointed prefix indices, which a journalable
+	// batch cannot change) holds rows to that: a second pre-image of one
+	// prefix is refused, the first stands.
+	rows      []journalRow
+	rowSeen   []uint64
+	unconvWas []journalUnconv
 	entries   []journalEntry
 }
 
@@ -57,12 +78,7 @@ type applyJournal struct {
 // live at a time; arming again replaces the previous one.
 func (en *Engine) Checkpoint() {
 	mCheckpoints.Inc()
-	en.e.journal = &applyJournal{
-		supported: true,
-		rows:      make(map[int]journalRow),
-		reach:     make(map[int]int64),
-		unconvWas: make(map[netx.Prefix]bool),
-	}
+	en.e.journal = &applyJournal{supported: true, rowSeen: make([]uint64, (len(en.e.prefixes)+63)/64)}
 }
 
 // Rollback undoes the Apply performed since the last Checkpoint and
@@ -87,43 +103,36 @@ func (en *Engine) Rollback() bool {
 
 	// Undo the graph mutations and refresh adjacency. The Apply un-shared
 	// the graph, but a Clone taken since shares it again.
-	if len(j.removed)+len(j.added) > 0 {
+	if len(j.endpoints) > 0 {
 		en.ownGraph()
-	}
-	endpoints := make(map[int32]bool)
-	for pair, rel := range j.removed {
-		// rel is what pair[1] is to pair[0] (recon orientation).
-		_ = e.topo.Graph.AddEdge(e.asns[pair[0]], e.asns[pair[1]], rel)
-		endpoints[pair[0]] = true
-		endpoints[pair[1]] = true
-	}
-	for _, pair := range j.added {
-		e.topo.Graph.RemoveEdge(e.asns[pair[0]], e.asns[pair[1]])
-		endpoints[pair[0]] = true
-		endpoints[pair[1]] = true
-	}
-	if len(endpoints) > 0 {
-		for i := range endpoints {
-			e.rebuildAdjacency(i)
+		for pair, rel := range j.removed {
+			// rel is what pair[1] is to pair[0] (recon orientation).
+			_ = e.topo.Graph.AddEdge(e.asns[pair[0]], e.asns[pair[1]], rel)
 		}
-		e.rebuildCSR()
+		for _, pair := range j.added {
+			e.topo.Graph.RemoveEdge(e.asns[pair[0]], e.asns[pair[1]])
+		}
+		e.relink(j.endpoints)
 	}
 
-	// Restore forest rows, reach counters and unconverged marks.
-	for pi, jr := range j.rows {
-		e.track[pi] = jr.row
-		if e.trackShared != nil {
-			e.trackShared[pi] = jr.shared
+	// Restore forest rows and reach counters. What sits in e.track is the
+	// copy the Apply wrote: it goes back to the free list unless a Clone
+	// taken since marked it shared.
+	for _, jr := range j.rows {
+		if e.trackShared == nil || !e.trackShared[jr.pi] {
+			e.rowFree = append(e.rowFree, e.track[jr.pi])
 		}
+		e.track[jr.pi] = jr.row
+		if e.trackShared != nil {
+			e.trackShared[jr.pi] = jr.shared
+		}
+		e.reachCounts[jr.pi] = jr.reach
 	}
-	for pi, v := range j.reach {
-		e.reachCounts[pi] = v
-	}
-	for p, was := range j.unconvWas {
-		if was {
-			en.unconv[p] = true
+	for _, ju := range j.unconvWas {
+		if ju.was {
+			en.unconv[ju.prefix] = true
 		} else {
-			delete(en.unconv, p)
+			delete(en.unconv, ju.prefix)
 		}
 	}
 
@@ -173,40 +182,44 @@ func (j *applyJournal) recordLinks(rc *recon) {
 	for k := range rc.added {
 		j.added = append(j.added, k)
 	}
+	j.endpoints = rc.endpoints
 }
 
-// rowPre records prefix pi's forest row and reach count before their
-// first overwrite. Callers pass the current (pre-write) values; a shared
-// row is referenced (its array is owned by a parent engine and never
-// rewritten in place), an owned row is copied.
-func (j *applyJournal) rowPre(pi int, row []int32, shared bool, reach int64) {
+// rowPre makes prefix pi's forest row, as it stands before its first
+// overwrite, the journal's pre-image, together with its reach count. It
+// reports whether it did: the caller must then leave that array alone
+// and write a copy. False means there is no armed journal, or pi already
+// has a pre-image (the first one stands and the caller's row is already
+// the copy).
+func (j *applyJournal) rowPre(pi int, row []int32, shared bool, reach int64) bool {
 	if j == nil || !j.supported {
-		return
+		return false
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if _, done := j.rows[pi]; done {
-		return
+	w, bit := pi>>6, uint64(1)<<(pi&63)
+	if j.rowSeen[w]&bit != 0 {
+		return false
 	}
-	saved := row
-	if !shared && row != nil {
-		saved = append([]int32(nil), row...)
-	}
-	j.rows[pi] = journalRow{row: saved, shared: shared}
-	j.reach[pi] = reach
+	j.rowSeen[w] |= bit
+	j.rows = append(j.rows, journalRow{pi: pi, row: row, shared: shared, reach: reach})
+	return true
 }
 
-// unconvPre records a prefix's pre-Apply unconverged membership. The
-// caller serializes access to the unconverged set.
+// unconvPre records a prefix's unconverged membership before Apply
+// changes it. Apply calls it only for prefixes whose membership does
+// change, from one goroutine; a prefix already recorded keeps its first
+// pre-image.
 func (j *applyJournal) unconvPre(p netx.Prefix, was bool) {
 	if j == nil || !j.supported {
 		return
 	}
-	j.mu.Lock()
-	if _, done := j.unconvWas[p]; !done {
-		j.unconvWas[p] = was
+	for _, ju := range j.unconvWas {
+		if ju.prefix == p {
+			return
+		}
 	}
-	j.mu.Unlock()
+	j.unconvWas = append(j.unconvWas, journalUnconv{prefix: p, was: was})
 }
 
 // entryPre journals a vantage table entry's pre-image. writableFor

@@ -27,6 +27,32 @@ func resultSnapshot(en *Engine) *Result {
 	return cp
 }
 
+// requireRolledBack holds en, just rolled back, to "never applied":
+// tables and reach counts equal the snapshot's, the forest equals the
+// untouched engine's row by row, and no buffer on the free list is still
+// a live row.
+func requireRolledBack(t *testing.T, name string, en, untouched *Engine, pristine *Result) {
+	t.Helper()
+	if diffs := DiffResults(pristine, en.Result()); len(diffs) > 0 {
+		t.Fatalf("%s: state not restored: %s", name, diffs[0])
+	}
+	if diffs := forestDiff(en, untouched); len(diffs) > 0 {
+		t.Fatalf("%s: forest not restored: %s", name, diffs[0])
+	}
+	free := make(map[*int32]bool, len(en.e.rowFree))
+	for _, buf := range en.e.rowFree {
+		if free[&buf[0]] {
+			t.Fatalf("%s: one buffer is on the free list twice", name)
+		}
+		free[&buf[0]] = true
+	}
+	for pi, row := range en.e.track {
+		if free[&row[0]] {
+			t.Fatalf("%s: forest row %d is a buffer Rollback recycled", name, pi)
+		}
+	}
+}
+
 // TestCheckpointRollbackRestoresState: Checkpoint → Apply(link events) →
 // Rollback restores tables, reach counts, the best forest and the
 // unconverged set bit for bit, and the engine remains usable (a second
@@ -37,11 +63,11 @@ func TestCheckpointRollbackRestoresState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pristine := resultSnapshot(en)
-	rows := make([][]int32, len(en.e.prefixes))
-	for pi, row := range en.e.track {
-		rows[pi] = append([]int32(nil), row...)
+	untouched, err := NewEngine(topo, Options{VantagePoints: vantage, Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
+	pristine := resultSnapshot(en)
 
 	edges := topo.Graph.Edges()
 	if len(edges) < 20 {
@@ -59,17 +85,7 @@ func TestCheckpointRollbackRestoresState(t *testing.T) {
 		if !en.Rollback() {
 			t.Fatalf("rollback %v failed", sc.Name)
 		}
-		if diffs := DiffResults(pristine, en.Result()); len(diffs) > 0 {
-			t.Fatalf("trial %d: state not restored: %s", trial, diffs[0])
-		}
-		for pi := range rows {
-			got := en.e.track[pi]
-			for i := range rows[pi] {
-				if rows[pi][i] != got[i] {
-					t.Fatalf("trial %d: forest row %d differs at AS %d", trial, pi, i)
-				}
-			}
-		}
+		requireRolledBack(t, sc.Name, en, untouched, pristine)
 		// The restored link must be back in the graph.
 		if topoRel := en.Topology().Graph.Rel(ev.A, ev.B); topoRel == asgraph.RelNone {
 			t.Fatalf("trial %d: link %v-%v not restored", trial, ev.A, ev.B)
@@ -92,6 +108,129 @@ func TestCheckpointRollbackRestoresState(t *testing.T) {
 	}
 	if diffs := DiffResults(fresh.Result(), en.Result()); len(diffs) > 0 {
 		t.Fatalf("post-rollback apply differs: %s", diffs[0])
+	}
+	if diffs := forestDiff(fresh, en); len(diffs) > 0 {
+		t.Fatalf("post-rollback apply differs: %s", diffs[0])
+	}
+}
+
+// TestRollbackRecyclesForestRows: a worker clone that applies and rolls
+// back one link failure after another — the sweep executor's loop —
+// obtains from the allocator no more forest-row buffers than its largest
+// single scenario wrote, however many scenarios it runs; every rollback
+// is "never applied" row by row; and a buffer a Clone taken between Apply
+// and Rollback still reads is not recycled under it.
+func TestRollbackRecyclesForestRows(t *testing.T) {
+	topo, vantage := equivalenceTopo(t, 200, 11)
+	opts := Options{VantagePoints: vantage, Parallelism: 1}
+	base, err := NewEngine(topo, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pristine := resultSnapshot(base)
+	worker := base.Clone()
+	edges := topo.Graph.Edges()
+	largest := 0
+	for trial := 0; trial < 24; trial++ {
+		ev := edges[(trial*53)%len(edges)]
+		name := fmt.Sprintf("fail-%d", trial)
+		worker.Checkpoint()
+		if _, err := worker.Apply(Scenario{Name: name, Events: []Event{FailLink(ev.A, ev.B)}}); err != nil {
+			t.Fatal(err)
+		}
+		wrote := len(worker.e.journal.rows)
+		largest = max(largest, wrote)
+		inUse := 0
+		for pi := range worker.e.track {
+			if !worker.e.trackShared[pi] {
+				inUse++
+			}
+		}
+		if inUse != wrote {
+			t.Fatalf("%s: %d private rows after an Apply that journaled %d", name, inUse, wrote)
+		}
+		if !worker.Rollback() {
+			t.Fatalf("%s: rollback refused", name)
+		}
+		requireRolledBack(t, name, worker, base, pristine)
+		// Every buffer the worker ever allocated is back on the free
+		// list now, so its length is the allocation count.
+		if got := len(worker.e.rowFree); got > largest {
+			t.Fatalf("%s: %d row buffers allocated so far, the largest scenario wrote %d", name, got, largest)
+		}
+	}
+	if largest == 0 {
+		t.Fatal("no sampled link failure rewrote a forest row")
+	}
+
+	// Apply, Clone, Rollback: the clone holds the post-Apply rows.
+	ev := edges[53%len(edges)]
+	sc := Scenario{Name: "held", Events: []Event{FailLink(ev.A, ev.B)}}
+	worker.Checkpoint()
+	if _, err := worker.Apply(sc); err != nil {
+		t.Fatal(err)
+	}
+	held := worker.Clone()
+	if !worker.Rollback() {
+		t.Fatal("rollback refused")
+	}
+	requireRolledBack(t, "rolled back under a clone", worker, base, pristine)
+	// Churn the worker so any wrongly recycled buffer gets overwritten.
+	for trial := 0; trial < 4; trial++ {
+		e2 := edges[(trial*31+7)%len(edges)]
+		worker.Checkpoint()
+		if _, err := worker.Apply(Scenario{Events: []Event{FailLink(e2.A, e2.B)}}); err != nil {
+			t.Fatal(err)
+		}
+		if !worker.Rollback() {
+			t.Fatal("rollback refused")
+		}
+	}
+	mutated := topo.Clone()
+	if err := sc.ApplyToTopology(mutated); err != nil {
+		t.Fatal(err)
+	}
+	requireSameForest(t, "clone taken before the rollback", held, mutated, opts)
+}
+
+// TestJournalEntriesAreUnique: the journal's slices stand in for maps on
+// the strength of "each prefix is recorded once". The guard that holds
+// them to it is always on: a second pre-image of one prefix is refused
+// and the first stands, for rows and for unconverged marks alike.
+func TestJournalEntriesAreUnique(t *testing.T) {
+	topo, vantage := equivalenceTopo(t, 120, 5)
+	en, err := NewEngine(topo, Options{VantagePoints: vantage, Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	en.Checkpoint()
+	j := en.e.journal
+	first, second := []int32{1}, []int32{2}
+	last := len(en.e.prefixes) - 1
+	if !j.rowPre(last, first, true, 7) || !j.rowPre(0, first, false, 3) {
+		t.Fatal("first pre-image of a prefix refused")
+	}
+	if j.rowPre(last, second, false, 9) {
+		t.Fatal("second pre-image of one prefix accepted")
+	}
+	if len(j.rows) != 2 || &j.rows[0].row[0] != &first[0] || !j.rows[0].shared || j.rows[0].reach != 7 {
+		t.Fatalf("journal rows after a refused duplicate: %+v", j.rows)
+	}
+	p := en.e.prefixes[0]
+	j.unconvPre(p, true)
+	j.unconvPre(p, false)
+	if len(j.unconvWas) != 1 || !j.unconvWas[0].was {
+		t.Fatalf("unconverged marks after a duplicate: %+v", j.unconvWas)
+	}
+	// No armed journal, or one a batch made unsupported: nothing is
+	// recorded and nobody is told to copy.
+	var none *applyJournal
+	if none.rowPre(0, first, true, 1) {
+		t.Fatal("nil journal claimed a pre-image")
+	}
+	j.supported = false
+	if j.rowPre(1, first, true, 1) {
+		t.Fatal("unsupported journal claimed a pre-image")
 	}
 }
 

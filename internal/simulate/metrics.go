@@ -45,6 +45,9 @@ var (
 	mApplyDisturbed = obs.NewHistogram("policyscope_scenario_disturbed_prefixes",
 		"Prefixes one scenario Apply submitted to re-convergence: the forest-crossing disturb set of a link-failure-only batch, otherwise the pre-existing prefixes the events name (all of them for a link event or a neighbor-wide local_pref, one for sa_toggle / no_upstream / per-prefix local_pref, none for withdraw / announce), plus newly announced ones.",
 		applyCountBuckets)
+	mApplyMaterialized = obs.NewHistogram("policyscope_scenario_materialized_ases",
+		"ASes whose candidate set one scenario Apply's incremental re-convergences rebuilt, summed over its disturbed prefixes: divided by policyscope_scenario_disturbed_prefixes it says whether a slow Apply visited many prefixes or went deep in each. An AS whose changed candidate cannot displace its best is not materialized and not counted.",
+		applyCountBuckets)
 	mApplyEntriesRewritten = obs.NewHistogram("policyscope_scenario_vantage_entries_rewritten",
 		"Vantage table entries (vantage AS, prefix) one scenario Apply wrote at least once.",
 		applyCountBuckets)

@@ -129,12 +129,22 @@ func TestEngineMetricsAdvance(t *testing.T) {
 	rbs0 := counterValue(t, "policyscope_journal_rollbacks_total")
 	edges := topo.Graph.Edges()
 	disturbed0, written0 := mApplyDisturbed.Count(), mApplyEntriesRewritten.Count()
+	materialized0, materializedSum0 := mApplyMaterialized.Count(), mApplyMaterialized.Sum()
 	en.Checkpoint()
-	if _, err := en.Apply(Scenario{Events: []Event{FailLink(edges[0].A, edges[0].B)}}); err != nil {
+	delta, err := en.Apply(Scenario{Events: []Event{FailLink(edges[0].A, edges[0].B)}})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if !en.Rollback() {
 		t.Fatal("rollback failed")
+	}
+	if got := mApplyMaterialized.Count(); got != materialized0+1 {
+		t.Errorf("materialized-ASes observations %d -> %d, want +1 per Apply", materialized0, got)
+	}
+	// Every AS whose best moved was materialized (the converse is what
+	// the histogram is for).
+	if got := mApplyMaterialized.Sum() - materializedSum0; delta.ShiftedASes() == 0 || got < float64(delta.ShiftedASes()) {
+		t.Errorf("Apply shifted %d ASes and observed %v materialized", delta.ShiftedASes(), got)
 	}
 	if got := mApplyDisturbed.Count(); got != disturbed0+1 {
 		t.Errorf("disturbed-prefixes observations %d -> %d, want +1 per Apply", disturbed0, got)

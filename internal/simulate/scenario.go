@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -419,7 +420,6 @@ func (en *Engine) Apply(sc Scenario) (*Delta, error) {
 	// Mutate the topology, recording link deltas for reconstruction, and
 	// handle prefix removal/addition bookkeeping.
 	var added []netx.Prefix
-	linkEvents := false
 	addedSet := make(map[netx.Prefix]bool)
 	for _, ev := range sc.Events {
 		en.unshare(ev)
@@ -489,19 +489,17 @@ func (en *Engine) Apply(sc Scenario) (*Delta, error) {
 			switch ev.Kind {
 			case EventLinkFail:
 				rc.removed[edgePair(ai, bi)] = orient(rel, ai, bi)
-				e.rebuildAdjacency(ai)
-				e.rebuildAdjacency(bi)
-				linkEvents = true
+				rc.endpoints = append(rc.endpoints, ai, bi)
 			case EventLinkRestore:
 				rc.added[edgePair(ai, bi)] = true
-				e.rebuildAdjacency(ai)
-				e.rebuildAdjacency(bi)
-				linkEvents = true
+				rc.endpoints = append(rc.endpoints, ai, bi)
 			}
 		}
 	}
-	if linkEvents {
-		e.rebuildCSR()
+	if len(rc.endpoints) > 0 {
+		slices.Sort(rc.endpoints)
+		rc.endpoints = slices.Compact(rc.endpoints)
+		e.relink(rc.endpoints)
 	}
 	e.journal.recordLinks(rc)
 
@@ -541,11 +539,12 @@ func (en *Engine) Apply(sc Scenario) (*Delta, error) {
 	for _, p := range added {
 		skip[p] = true
 	}
-	disturbed := len(added) + en.runIncremental(sc.Events, rc, skip, delta)
+	disturbed, materialized := en.runIncremental(sc.Events, rc, skip, delta)
 
 	var written int
 	delta.PeerBestChanged, written = e.endBestChanges()
-	mApplyDisturbed.Observe(float64(disturbed))
+	mApplyDisturbed.Observe(float64(len(added) + disturbed))
+	mApplyMaterialized.Observe(float64(materialized))
 	mApplyEntriesRewritten.Observe(float64(written))
 	delta.TotalPrefixes = len(e.prefixes)
 	sort.Slice(delta.Shifts, func(i, j int) bool {
@@ -715,8 +714,8 @@ func (en *Engine) addPrefixState(prefix netx.Prefix) {
 }
 
 // rebuildAdjacency refreshes one AS's neighbor arrays from the (mutated)
-// graph. Callers must refresh the CSR layout (rebuildCSR) once all
-// endpoints of a batch are rebuilt.
+// graph; relink calls it for every endpoint of a batch and then brings
+// the CSR layout up to date.
 func (e *engine) rebuildAdjacency(i int32) {
 	asn := e.asns[i]
 	nbs := e.topo.Graph.Neighbors(asn)
@@ -747,12 +746,17 @@ func orient(rel asgraph.Relationship, a, b int32) asgraph.Relationship {
 
 // recon is the Apply-scoped context for reconstructing pre-event state:
 // which edges this batch removed or added (with the removed edges'
-// relationships) and the pre-event policies of edited ASes.
+// relationships), the ASes those edges end at, and the pre-event
+// policies of edited ASes.
 type recon struct {
 	e       *engine
 	removed map[[2]int32]asgraph.Relationship // value: what pair[1] is to pair[0]
 	added   map[[2]int32]bool
-	oldPols map[int32]*topogen.Policy
+	// endpoints lists the ASes a link event of the batch ends at, sorted
+	// ascending: a session between two ASes that are not both in it kept
+	// its relationship, which spares the hot paths the map probes.
+	endpoints []int32
+	oldPols   map[int32]*topogen.Policy
 }
 
 // curRel reads the current relationship of v to u off the engine's
@@ -765,21 +769,36 @@ func (e *engine) curRel(u, v int32) asgraph.Relationship {
 	return asgraph.RelNone
 }
 
-// relOld returns what v was to u before this batch's link events.
-func (rc *recon) relOld(u, v int32) asgraph.Relationship {
-	if len(rc.removed) > 0 || len(rc.added) > 0 {
-		key := edgePair(u, v)
-		if rel, ok := rc.removed[key]; ok {
-			if key[0] == u {
-				return rel
-			}
-			return rel.Invert()
-		}
-		if rc.added[key] {
-			return asgraph.RelNone
+// linkChanged reports whether this batch may have removed or added the
+// u–v edge: both must be endpoints of one of its link events.
+func (rc *recon) linkChanged(u, v int32) bool {
+	seen := 0
+	for _, x := range rc.endpoints {
+		if x == u || x == v {
+			seen++
 		}
 	}
-	return rc.e.curRel(u, v)
+	return seen == 2
+}
+
+// relOld returns what v was to u before this batch's link events, given
+// what it is now (cur — the caller usually has the adjacency slot in
+// hand; RelNone for a session that is no longer there).
+func (rc *recon) relOld(u, v int32, cur asgraph.Relationship) asgraph.Relationship {
+	if !rc.linkChanged(u, v) {
+		return cur
+	}
+	key := edgePair(u, v)
+	if rel, ok := rc.removed[key]; ok {
+		if key[0] == u {
+			return rel
+		}
+		return rel.Invert()
+	}
+	if rc.added[key] {
+		return asgraph.RelNone
+	}
+	return cur
 }
 
 // relAny returns the current relationship, falling back to the removed-
@@ -789,14 +808,7 @@ func (rc *recon) relAny(u, v int32) asgraph.Relationship {
 	if rel := rc.e.curRel(u, v); rel != asgraph.RelNone {
 		return rel
 	}
-	key := edgePair(u, v)
-	if rel, ok := rc.removed[key]; ok {
-		if key[0] == u {
-			return rel
-		}
-		return rel.Invert()
-	}
-	return asgraph.RelNone
+	return rc.relOld(u, v, asgraph.RelNone)
 }
 
 // polOld returns AS i's pre-event policy.
@@ -817,13 +829,17 @@ type prefixRecon struct {
 	prefix    netx.Prefix
 	originIdx int32
 	row       []int32
+	// eager turns deferred materialization off: the prefix is in the
+	// unconverged set, so its forest row is a mid-oscillation capture
+	// that says nothing reliable about anyone's best.
+	eager bool
 }
 
 // newPrefixRecon binds the reconstruction to st: rebuilt routes come
 // from st's arenas and the memo lives in its version-stamped arrays, so
 // scanning a prefix allocates nothing. st must already be reset for
 // this prefix.
-func newPrefixRecon(rc *recon, st *workerState, prefix netx.Prefix) *prefixRecon {
+func newPrefixRecon(rc *recon, st *workerState, prefix netx.Prefix, eager bool) *prefixRecon {
 	e := rc.e
 	return &prefixRecon{
 		rc:        rc,
@@ -831,6 +847,7 @@ func newPrefixRecon(rc *recon, st *workerState, prefix netx.Prefix) *prefixRecon
 		prefix:    prefix,
 		originIdx: int32(e.idx[e.topo.PrefixOrigin[prefix]]),
 		row:       e.track[e.prefixIdx[prefix]],
+		eager:     eager,
 	}
 }
 
@@ -865,7 +882,7 @@ func (pr *prefixRecon) bestOldDepth(u int32, depth int) *bgp.Route {
 			return nil
 		}
 		e := pr.rc.e
-		r = e.buildAnnouncement(e.asns[f], e.asns[u], pr.rc.relOld(f, u), parentBest,
+		r = e.buildAnnouncement(e.asns[f], e.asns[u], pr.rc.relOld(f, u, e.curRel(f, u)), parentBest,
 			pr.prefix, pr.rc.polOld(f), pr.rc.polOld(u), pr.st)
 	}
 	pr.st.memoSeen[u] = pr.st.version
@@ -874,9 +891,10 @@ func (pr *prefixRecon) bestOldDepth(u int32, depth int) *bgp.Route {
 }
 
 // candOld rebuilds the candidate AS v held from neighbor u pre-event
-// (nil when the session carried nothing).
-func (pr *prefixRecon) candOld(v, u int32) *bgp.Route {
-	relVtoU := pr.rc.relOld(u, v) // what v is to u
+// (nil when the session carried nothing). cur is what v is to u now:
+// the callers walk an adjacency list and read it off the slot in hand.
+func (pr *prefixRecon) candOld(v, u int32, cur asgraph.Relationship) *bgp.Route {
+	relVtoU := pr.rc.relOld(u, v, cur)
 	if relVtoU == asgraph.RelNone {
 		return nil
 	}
@@ -895,9 +913,8 @@ func (pr *prefixRecon) candOld(v, u int32) *bgp.Route {
 		return nil
 	}
 	var ingress asgraph.Relationship
-	if !best.IsLocal() {
-		nh, _ := best.NextHopAS()
-		ingress = pr.rc.relOld(u, int32(e.idx[nh]))
+	if f := pr.row[u]; f != u {
+		ingress = pr.rc.relOld(u, f, e.curRel(u, f))
 	}
 	if !exportAllowed(e.asns[u], vASN, relVtoU, ingress, best, pr.prefix, pr.rc.polOld(u)) {
 		return nil
@@ -907,18 +924,21 @@ func (pr *prefixRecon) candOld(v, u int32) *bgp.Route {
 
 // candNew computes the candidate v would hold from u right now: u's
 // current best (pre-event unless u was already re-seeded) pushed through
-// the post-event session policies.
+// the post-event session policies. Nothing crosses a link that is down.
 func (pr *prefixRecon) candNew(st *workerState, v, u int32) *bgp.Route {
 	e := pr.rc.e
 	relVtoU := e.curRel(u, v)
 	if relVtoU == asgraph.RelNone {
 		return nil
 	}
-	var best *bgp.Route
+	var (
+		best *bgp.Route
+		from int32 // where u's best came from: the next hop whose class gates the export
+	)
 	if st.seen[u] == st.version {
-		best = st.best[u]
+		best, from = st.best[u], st.bestFrom[u]
 	} else {
-		best = pr.bestOld(u)
+		best, from = pr.bestOld(u), pr.row[u]
 	}
 	if best == nil {
 		return nil
@@ -929,8 +949,7 @@ func (pr *prefixRecon) candNew(st *workerState, v, u int32) *bgp.Route {
 	}
 	var ingress asgraph.Relationship
 	if !best.IsLocal() {
-		nh, _ := best.NextHopAS()
-		ingress = pr.rc.relAny(u, int32(e.idx[nh]))
+		ingress = pr.rc.relAny(u, from)
 	}
 	if !exportAllowed(e.asns[u], vASN, relVtoU, ingress, best, pr.prefix, e.pols[u]) {
 		return nil
@@ -939,16 +958,22 @@ func (pr *prefixRecon) candNew(st *workerState, v, u int32) *bgp.Route {
 }
 
 // materialize seeds v's per-prefix scratch state with its reconstructed
-// pre-event candidates and best route.
+// pre-event candidates and best route, then brings the sessions update
+// deferred for v up to date: each is re-derived through candNew from
+// what its neighbor holds now, so v selects among what it would really
+// hear — including nothing at all over a link the batch took down,
+// whose pre-event candidate the reconstruction has just installed.
 func (pr *prefixRecon) materialize(st *workerState, v int32) {
 	if st.seen[v] == st.version {
 		return
 	}
 	st.touch(v)
 	e := pr.rc.e
-	for _, u := range e.nbrs[v] {
-		if c := pr.candOld(v, u); c != nil {
-			st.cs.set(e.nbrs[v], v, u, c)
+	nbrs := e.nbrs[v]
+	for j, u := range nbrs {
+		// rels[v][j] is what u is to v; candOld wants v's side of it.
+		if c := pr.candOld(v, u, e.rels[v][j].Invert()); c != nil {
+			st.cs.setAt(v, int32(j), c)
 		}
 	}
 	// Sessions over just-failed links are gone from the adjacency but
@@ -964,8 +989,8 @@ func (pr *prefixRecon) materialize(st *workerState, v int32) {
 		default:
 			continue
 		}
-		if c := pr.candOld(v, u); c != nil {
-			st.cs.set(e.nbrs[v], v, u, c)
+		if c := pr.candOld(v, u, asgraph.RelNone); c != nil {
+			st.cs.set(nbrs, v, u, c)
 		}
 	}
 	f := pr.row[v]
@@ -976,26 +1001,59 @@ func (pr *prefixRecon) materialize(st *workerState, v int32) {
 	case f == v:
 		st.best[v] = localRoute(&st.routes, pr.prefix, e.asns[v])
 	default:
-		st.best[v] = st.cs.get(e.nbrs[v], v, f)
+		st.best[v] = st.cs.get(nbrs, v, f)
+	}
+	if st.deferSeen[v] != st.version {
+		return
+	}
+	for i := st.deferHead[v]; i >= 0; i = st.deferred[i].next {
+		u := st.deferred[i].u
+		if c := pr.candNew(st, v, u); c != nil {
+			st.cs.set(nbrs, v, u, c)
+		} else {
+			st.cs.del(nbrs, v, u)
+		}
 	}
 }
 
-// sessionReseed re-evaluates the u→v session after the events: if the
-// candidate v holds from u changed, v is materialized, updated and
-// re-selected. Unchanged sessions cost two route reconstructions and no
-// state.
-func (pr *prefixRecon) sessionReseed(st *workerState, u, v int32) {
+// keepsBest reports whether unmaterialized v certainly keeps its best
+// route when the candidate it holds from u becomes rNew. The import
+// rule is a total order over v's candidates — reselect scans them in
+// ascending neighbor order and keeps the first that bgp.Compare does not
+// rank below another — so as long as the candidate from the parent the
+// forest records is untouched, a changed candidate from anyone else
+// moves v only by beating that best in exactly that order. Vantage ASes
+// are excluded (their tables hold every candidate, best or not), and so
+// is every AS of an unconverged prefix (pr.eager).
+func (pr *prefixRecon) keepsBest(v, u int32, rNew *bgp.Route) bool {
 	e := pr.rc.e
-	var rOld *bgp.Route
-	if st.seen[v] == st.version {
-		rOld = st.cs.get(e.nbrs[v], v, u)
-	} else {
-		rOld = pr.candOld(v, u)
+	f := pr.row[v]
+	if pr.eager || u == f || e.vantage[int(v)] {
+		return false
 	}
-	rNew := pr.candNew(st, v, u)
-	if routesEquivalent(rOld, rNew) {
+	if rNew == nil {
+		return true
+	}
+	best := pr.bestOld(v)
+	if best == nil {
+		return false
+	}
+	c := bgp.Compare(rNew, best, e.depth)
+	return c > 0 || (c == 0 && u > f)
+}
+
+// update installs rNew as the candidate v holds from u, the caller
+// having found it differs from the one v held. An unmaterialized v that
+// keeps its best regardless (keepsBest) stays unmaterialized: the
+// session is only remembered on st, to be replayed should anything
+// materialize v later in this prefix. Otherwise v is materialized,
+// updated and re-selected.
+func (pr *prefixRecon) update(st *workerState, v, u int32, rNew *bgp.Route) {
+	if st.seen[v] != st.version && pr.keepsBest(v, u, rNew) {
+		st.deferSession(v, u)
 		return
 	}
+	e := pr.rc.e
 	pr.materialize(st, v)
 	if rNew == nil {
 		st.cs.del(e.nbrs[v], v, u)
@@ -1005,6 +1063,22 @@ func (pr *prefixRecon) sessionReseed(st *workerState, u, v int32) {
 	e.reselect(st, v)
 }
 
+// sessionReseed re-evaluates the u→v session after the events and
+// updates v when the candidate it holds from u changed. Unchanged
+// sessions cost two route reconstructions and no state.
+func (pr *prefixRecon) sessionReseed(st *workerState, u, v int32) {
+	e := pr.rc.e
+	var rOld *bgp.Route
+	if st.seen[v] == st.version {
+		rOld = st.cs.get(e.nbrs[v], v, u)
+	} else {
+		rOld = pr.candOld(v, u, e.curRel(u, v))
+	}
+	if rNew := pr.candNew(st, v, u); !routesEquivalent(rOld, rNew) {
+		pr.update(st, v, u, rNew)
+	}
+}
+
 // runIncremental runs the incremental re-convergence pass over the
 // pre-existing prefixes the batch can disturb. Link-failure-only batches
 // take the atom-aware fast path: the disturb set is read off the best
@@ -1012,8 +1086,9 @@ func (pr *prefixRecon) sessionReseed(st *workerState, u, v int32) {
 // change any best route), every other prefix needs at most a
 // constant-time candidate removal in the vantage tables. Any other batch
 // visits the union of the prefixes its events name (see namedPrefixes).
-// It returns how many prefixes it submitted to re-convergence.
-func (en *Engine) runIncremental(events []Event, rc *recon, skip map[netx.Prefix]bool, delta *Delta) int {
+// It returns how many prefixes it submitted to re-convergence and how
+// many ASes those re-convergences materialized.
+func (en *Engine) runIncremental(events []Event, rc *recon, skip map[netx.Prefix]bool, delta *Delta) (disturbed, materialized int) {
 	e := en.e
 	var prefixes []netx.Prefix
 	if allLinkFailures(events) {
@@ -1021,15 +1096,22 @@ func (en *Engine) runIncremental(events []Event, rc *recon, skip map[netx.Prefix
 	} else {
 		prefixes = en.namedPrefixes(events, skip)
 	}
-	var mu sync.Mutex
+	// The unconverged set is only read while the workers run (reconverge
+	// consults it); membership changes are collected and applied after.
+	var (
+		mu      sync.Mutex
+		flipped []netx.Prefix
+	)
 	e.forEachPrefix(prefixes, func(st *workerState, p netx.Prefix) {
-		shift, reach, touched, converged := en.reconverge(st, p, events, rc)
-		if touched == 0 && converged {
+		was := en.unconv[p]
+		shift, reach, touched, changed, converged := en.reconverge(st, p, was, events, rc)
+		if !changed && converged {
 			return
 		}
 		mu.Lock()
 		defer mu.Unlock()
-		if touched > 0 {
+		materialized += touched
+		if changed {
 			delta.Recomputed++
 		}
 		if shift.Shifted > 0 {
@@ -1038,16 +1120,23 @@ func (en *Engine) runIncremental(events []Event, rc *recon, skip map[netx.Prefix
 		if reach.Before != reach.After {
 			delta.ReachDeltas = append(delta.ReachDeltas, reach)
 		}
-		e.journal.unconvPre(p, en.unconv[p])
-		if !converged {
-			en.unconv[p] = true
-		} else if touched > 0 {
-			// A previously budget-exhausted prefix that now re-converged
-			// is no longer unconverged.
-			delete(en.unconv, p)
+		// A prefix that exhausted its budget joins the set; one that was
+		// in it and re-converged now (it changed, or we returned above)
+		// leaves.
+		if was == converged {
+			flipped = append(flipped, p)
 		}
 	})
-	return len(prefixes)
+	for _, p := range flipped {
+		was := en.unconv[p]
+		e.journal.unconvPre(p, was)
+		if was {
+			delete(en.unconv, p)
+		} else {
+			en.unconv[p] = true
+		}
+	}
+	return len(prefixes), materialized
 }
 
 // namedPrefixes returns the pre-existing prefixes the events of a mixed
@@ -1176,12 +1265,16 @@ func (en *Engine) linkFailDisturbSet(events []Event, delta *Delta) []netx.Prefix
 
 // reconverge applies the events' session changes to one prefix and runs
 // the activation loop from the reconstructed pre-event state. It returns
-// the catchment shift, the reach change, the number of ASes whose state
-// was rewritten, and whether the prefix converged within budget.
-func (en *Engine) reconverge(st *workerState, prefix netx.Prefix, events []Event, rc *recon) (PrefixShift, ReachDelta, int, bool) {
+// the catchment shift, the reach change, the number of ASes it
+// materialized (whose state was rewritten), whether any re-evaluated
+// session's candidate changed at all — an AS was materialized or a
+// session was deferred — and whether the prefix converged within
+// budget. unconverged says the prefix is in the unconverged set: its
+// forest row cannot be trusted, so nothing is deferred.
+func (en *Engine) reconverge(st *workerState, prefix netx.Prefix, unconverged bool, events []Event, rc *recon) (PrefixShift, ReachDelta, int, bool, bool) {
 	e := en.e
 	st.reset()
-	pr := newPrefixRecon(rc, st, prefix)
+	pr := newPrefixRecon(rc, st, prefix, unconverged)
 	st.curPrefix = prefix
 	st.originIdx = pr.originIdx
 
@@ -1210,7 +1303,7 @@ func (en *Engine) reconverge(st *workerState, prefix netx.Prefix, events []Event
 	}
 
 	// Drain: standard event-driven propagation, materializing state only
-	// where updates actually change something.
+	// where an update can change a best route.
 	budget := e.budget * (len(e.asns) + e.topo.Graph.NumEdges())
 	activations := 0
 	converged := true
@@ -1226,51 +1319,43 @@ func (en *Engine) reconverge(st *workerState, prefix netx.Prefix, events []Event
 		}
 		st.inQueue[u] = false
 		best := st.best[u]
+		uASN := e.asns[u]
+		// The ingress class of u's best, once per activation. Every link
+		// event was seeded above, so a queued AS's best never crosses a
+		// link that is down and the current adjacency classifies it.
+		var ingress asgraph.Relationship
+		if best != nil && !best.IsLocal() {
+			ingress = e.curRel(u, st.bestFrom[u])
+		}
 		for j, v := range e.nbrs[u] {
 			relVtoU := e.rels[u][j]
 			var rNew *bgp.Route
-			if best != nil && e.shouldExport(u, v, relVtoU, best, prefix) {
-				vASN := e.asns[v]
-				if !best.Path.Contains(vASN) && v != pr.originIdx {
-					rNew = e.buildAnnouncement(e.asns[u], vASN, relVtoU, best, prefix, e.pols[u], e.pols[v], st)
-				}
+			if vASN := e.asns[v]; best != nil && !best.Path.Contains(vASN) && v != pr.originIdx &&
+				exportAllowed(uASN, vASN, relVtoU, ingress, best, prefix, e.pols[u]) {
+				rNew = e.buildAnnouncement(uASN, vASN, relVtoU, best, prefix, e.pols[u], e.pols[v], st)
 			}
+			var rOld *bgp.Route
 			if st.seen[v] == st.version {
-				prev := st.cs.get(e.nbrs[v], v, u)
-				switch {
-				case rNew == nil && prev == nil:
-				case rNew == nil:
-					st.cs.del(e.nbrs[v], v, u)
-					e.reselect(st, v)
-				case prev != nil && sameRoute(prev, rNew):
-				default:
-					st.cs.set(e.nbrs[v], v, u, rNew)
-					e.reselect(st, v)
-				}
-				continue
-			}
-			if routesEquivalent(pr.candOld(v, u), rNew) {
-				continue
-			}
-			pr.materialize(st, v)
-			if rNew == nil {
-				st.cs.del(e.nbrs[v], v, u)
+				rOld = st.cs.at(v, e.back[u][j])
 			} else {
-				st.cs.set(e.nbrs[v], v, u, rNew)
+				rOld = pr.candOld(v, u, relVtoU)
 			}
-			e.reselect(st, v)
+			if !routesEquivalent(rOld, rNew) {
+				pr.update(st, v, u, rNew)
+			}
 		}
 	}
 
 	st.statActivations += activations
+	changed := len(st.touched) > 0 || len(st.deferred) > 0
 	if len(st.touched) == 0 {
-		// No session the events name changed anything here: the forest
+		// No session the events name moved anyone's best here: the forest
 		// row, the reach count and every vantage entry stay as they are —
 		// and stay shared with the clone family.
-		return PrefixShift{}, ReachDelta{}, 0, converged
+		return PrefixShift{}, ReachDelta{}, 0, changed, converged
 	}
 	shift, reach := en.captureIncremental(st, prefix)
-	return shift, reach, len(st.touched), converged
+	return shift, reach, len(st.touched), changed, converged
 }
 
 // captureIncremental writes the touched slice of the re-converged state
@@ -1280,14 +1365,19 @@ func (en *Engine) captureIncremental(st *workerState, prefix netx.Prefix) (Prefi
 	e := en.e
 	pi := e.prefixIdx[prefix]
 	row := e.track[pi]
-	e.journal.rowPre(pi, row, e.trackShared != nil && e.trackShared[pi], e.reachCounts[pi])
-	if e.trackShared != nil && e.trackShared[pi] {
-		// The row is visible from an engine clone: copy before the
-		// in-place rewrite below (only this worker owns prefix pi).
-		row = append([]int32(nil), row...)
+	shared := e.trackShared != nil && e.trackShared[pi]
+	if journaled := e.journal.rowPre(pi, row, shared, e.reachCounts[pi]); shared || journaled {
+		// The row is visible from an engine clone, or has just become the
+		// journal's pre-image: the rewrite below goes to a copy (only this
+		// worker owns prefix pi). This is the one place a forest row is
+		// copied; the buffer is one a Rollback handed back when there is
+		// one.
+		row = e.copyRow(row)
 		e.track[pi] = row
-		e.trackShared[pi] = false
-		mCowForestRow.Inc()
+		if shared {
+			e.trackShared[pi] = false
+			mCowForestRow.Inc()
+		}
 	}
 	shift := PrefixShift{Prefix: prefix, Origin: e.topo.PrefixOrigin[prefix]}
 	reachDelta := 0

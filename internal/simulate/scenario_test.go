@@ -58,8 +58,8 @@ func somePeerEdge(t testing.TB, topo *topogen.Topology) (bgp.ASN, bgp.ASN) {
 }
 
 // checkScenario applies sc incrementally on a fresh engine and compares
-// the result bit-for-bit against a from-scratch simulation of the
-// mutated topology.
+// the result bit-for-bit — vantage tables, reach counts and the best
+// forest — against a from-scratch simulation of the mutated topology.
 func checkScenario(t *testing.T, topo *topogen.Topology, opts Options, sc Scenario) *Delta {
 	t.Helper()
 	eng, err := NewEngine(topo, opts)
@@ -74,11 +74,8 @@ func checkScenario(t *testing.T, topo *topogen.Topology, opts Options, sc Scenar
 	if err := sc.ApplyToTopology(mutated); err != nil {
 		t.Fatalf("mutate %s: %v", sc.Name, err)
 	}
-	want, err := Run(mutated, opts)
-	if err != nil {
-		t.Fatalf("full run %s: %v", sc.Name, err)
-	}
-	if diffs := DiffResults(eng.Result(), want); len(diffs) > 0 {
+	want := requireSameForest(t, sc.Name, eng, mutated, opts)
+	if diffs := DiffResults(eng.Result(), want.Result()); len(diffs) > 0 {
 		for _, d := range diffs {
 			t.Errorf("%s: %s", sc.Name, d)
 		}
@@ -339,7 +336,10 @@ func TestScenarioJSONRoundTrip(t *testing.T) {
 // along). Restorations re-raise a link this batch failed, or open a new
 // peering; local-pref edits stay inside Gao & Rexford's safe orderings
 // (a customer is only promoted, a peer or provider only demoted) so the
-// mutated network keeps one stable state to compare against.
+// mutated network keeps one stable state to compare against. One batch
+// in eight opens with two local-pref edits at one AS: the first may
+// leave the AS unmaterialized, the second may not, and the selection it
+// forces has to see both.
 func randomBatch(t *testing.T, rng *rand.Rand, work *topogen.Topology, fresh *int) []Event {
 	t.Helper()
 	pick := func(asns []bgp.ASN) bgp.ASN { return asns[rng.Intn(len(asns))] }
@@ -361,7 +361,26 @@ func randomBatch(t *testing.T, rng *rand.Rand, work *topogen.Topology, fresh *in
 	var down []downLink
 	var withdrawn []netx.Prefix
 	var batch []Event
-	for n := 1 + rng.Intn(4); len(batch) < n; {
+	safePref := func(as, nb bgp.ASN) uint32 {
+		if work.Graph.Rel(as, nb) == asgraph.RelCustomer {
+			return uint32(200 + 10*rng.Intn(4))
+		}
+		return uint32(40 + 10*rng.Intn(4))
+	}
+	if rng.Intn(8) == 0 {
+		as := pick(work.Order)
+		if nbs := work.Graph.Neighbors(as); len(nbs) >= 2 {
+			i := rng.Intn(len(nbs))
+			for _, nb := range []bgp.ASN{nbs[i], nbs[(i+1+rng.Intn(len(nbs)-1))%len(nbs)]} {
+				ev := SetLocalPref(as, nb, safePref(as, nb))
+				if _, err := applyEventToTopology(work, ev); err != nil {
+					t.Fatalf("generated event %+v does not apply: %v", ev, err)
+				}
+				batch = append(batch, ev)
+			}
+		}
+	}
+	for n := len(batch) + 1 + rng.Intn(4); len(batch) < n; {
 		var ev Event
 		switch allEventKinds[rng.Intn(len(allEventKinds))] {
 		case EventLinkFail:
@@ -402,10 +421,7 @@ func randomBatch(t *testing.T, rng *rand.Rand, work *topogen.Topology, fresh *in
 				continue
 			}
 			nb := nbs[rng.Intn(len(nbs))]
-			value := uint32(40 + 10*rng.Intn(4))
-			if work.Graph.Rel(as, nb) == asgraph.RelCustomer {
-				value = uint32(200 + 10*rng.Intn(4))
-			}
+			value := safePref(as, nb)
 			if p, ok := somePrefix(); ok && rng.Intn(2) == 0 {
 				ev = SetPrefixLocalPref(as, nb, p, value)
 			} else {
@@ -439,9 +455,10 @@ var allEventKinds = []EventKind{EventLinkFail, EventLinkRestore, EventWithdraw, 
 
 // TestRandomMixedBatchesMatchFullResim is the differential guard for the
 // event-scoped disturb set: whatever mix of kinds a batch holds, visiting
-// only the prefixes its events name must leave a clone bit-identical to
-// simulating the mutated topology from scratch, with the base engine it
-// was cloned from untouched. TestScenarioMatchesFullResim covers each
+// only the prefixes its events name must leave a clone bit-identical —
+// tables, reach counts and forest rows — to simulating the mutated
+// topology from scratch, with the base engine it was cloned from
+// untouched. TestScenarioMatchesFullResim covers each
 // kind alone; the union rule only shows on mixes.
 func TestRandomMixedBatchesMatchFullResim(t *testing.T) {
 	seen := make(map[EventKind]int)
@@ -451,13 +468,14 @@ func TestRandomMixedBatchesMatchFullResim(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		baseline, err := Run(topo, opts)
+		pristine, err := NewEngine(topo, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
+		baseline := pristine.Result()
 		rng := rand.New(rand.NewSource(seed))
 		fresh := 0
-		for trial := 0; trial < 16; trial++ {
+		for trial := 0; trial < 48; trial++ {
 			work := topo.Clone()
 			sc := Scenario{Name: fmt.Sprintf("seed%d/trial%d", seed, trial), Events: randomBatch(t, rng, work, &fresh)}
 			for _, ev := range sc.Events {
@@ -467,19 +485,26 @@ func TestRandomMixedBatchesMatchFullResim(t *testing.T) {
 			if _, err := clone.Apply(sc); err != nil {
 				t.Fatalf("%s %+v: %v", sc.Name, sc.Events, err)
 			}
-			want, err := Run(work, opts)
+			full, err := NewEngine(work, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
+			want := full.Result()
 			if len(want.Unconverged) > 0 {
 				t.Fatalf("%s %+v: the mutated topology does not converge; the generator left the safe orderings", sc.Name, sc.Events)
 			}
 			if diffs := DiffResults(clone.Result(), want); len(diffs) > 0 {
 				t.Fatalf("%s %+v: incremental differs from full resimulation: %v", sc.Name, sc.Events, diffs[:min(3, len(diffs))])
 			}
+			if diffs := forestDiff(clone, full); len(diffs) > 0 {
+				t.Fatalf("%s %+v: forest differs from full resimulation: %v", sc.Name, sc.Events, diffs[:min(3, len(diffs))])
+			}
 		}
 		if diffs := DiffResults(base.Result(), baseline); len(diffs) > 0 {
 			t.Fatalf("seed %d: base engine changed under its clones: %v", seed, diffs[:min(3, len(diffs))])
+		}
+		if diffs := forestDiff(base, pristine); len(diffs) > 0 {
+			t.Fatalf("seed %d: base forest changed under its clones: %v", seed, diffs[:min(3, len(diffs))])
 		}
 	}
 	for _, k := range allEventKinds {

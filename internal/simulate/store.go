@@ -280,6 +280,15 @@ type workerState struct {
 	memoRoute []*bgp.Route
 	memoSeen  []uint32
 
+	// deferred lists the sessions whose changed candidate left an
+	// unmaterialized AS's best alone (see prefixRecon.update), chained per
+	// AS: deferHead[v] — valid when deferSeen[v] carries the current
+	// version — indexes v's most recent entry, next the one before it. A
+	// late materialization of v replays its chain.
+	deferred  []deferredSession
+	deferHead []int32
+	deferSeen []uint32
+
 	// capture scratch: neighbor/route accumulation for InstallConverged.
 	capNbrs   []bgp.ASN
 	capRoutes []*bgp.Route
@@ -302,6 +311,24 @@ type workerState struct {
 	// was pulled from the pool — a plain int so the activation loops
 	// never touch an atomic; putState flushes it to the process counter.
 	statActivations int
+}
+
+// deferredSession is one remembered (v, u) session: the candidate v holds
+// from u changed while v stayed unmaterialized.
+type deferredSession struct {
+	u    int32
+	next int32 // previous entry of the same v, -1 at the end of its chain
+}
+
+// deferSession remembers that the candidate v holds from u changed.
+func (st *workerState) deferSession(v, u int32) {
+	next := int32(-1)
+	if st.deferSeen[v] == st.version {
+		next = st.deferHead[v]
+	}
+	st.deferSeen[v] = st.version
+	st.deferHead[v] = int32(len(st.deferred))
+	st.deferred = append(st.deferred, deferredSession{u: u, next: next})
 }
 
 // addCommunity returns cs+c, memoized through st's intern cache when a
@@ -358,6 +385,8 @@ func newWorkerState(e *engine) *workerState {
 		inQueue:    make([]bool, n),
 		memoRoute:  make([]*bgp.Route, n),
 		memoSeen:   make([]uint32, n),
+		deferHead:  make([]int32, n),
+		deferSeen:  make([]uint32, n),
 	}
 	st.cs.init(e.csrOff, n)
 	return st
@@ -379,12 +408,14 @@ func (st *workerState) reset() {
 		for i := range st.seen {
 			st.seen[i] = 0
 			st.memoSeen[i] = 0
+			st.deferSeen[i] = 0
 		}
 		st.version = 1
 	}
 	st.queue = st.queue[:0]
 	st.qhead = 0
 	st.touched = st.touched[:0]
+	st.deferred = st.deferred[:0]
 	st.routes.reset()
 	st.paths.reset()
 }
