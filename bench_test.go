@@ -1,7 +1,7 @@
 package policyscope
 
-// The benchmark harness: one benchmark per table and figure of the
-// paper (regenerating the experiment from a shared converged study), the
+// The benchmark harness: one benchmark per catalog experiment
+// (regenerating the experiment from a shared converged study), the
 // decision-process/propagation ablations, and the scenario-engine
 // benchmarks comparing incremental re-convergence against full
 // resimulation (the recorded trajectory lives in bench/). Run with:
@@ -51,165 +51,25 @@ func sharedStudy(b *testing.B) *Study {
 	return benchStudy
 }
 
-func BenchmarkTable1Dataset(b *testing.B) {
+// BenchmarkExperiment measures every catalog experiment with its default
+// parameters, by name through Session.Run — registering an experiment is
+// what benchmarks it. Each iteration wraps the shared converged study in
+// a fresh session, so an op is the experiment's whole analysis (for the
+// what-if family including the base engine), never a memo hit.
+func BenchmarkExperiment(b *testing.B) {
 	s := sharedStudy(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if rows := s.Table1Dataset(); len(rows) == 0 {
-			b.Fatal("empty dataset")
-		}
-	}
-}
-
-func BenchmarkTable2TypicalLocalPref(b *testing.B) {
-	s := sharedStudy(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if rows := s.Table2TypicalLocalPref(); len(rows) == 0 {
-			b.Fatal("empty result")
-		}
-	}
-}
-
-func BenchmarkTable3IRRLocalPref(b *testing.B) {
-	s := sharedStudy(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if rows := s.Table3IRR(Table3Options{}); len(rows) == 0 {
-			b.Fatal("empty result")
-		}
-	}
-}
-
-func BenchmarkTable4RelVerification(b *testing.B) {
-	s := sharedStudy(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if rows := s.Table4Verification(9); len(rows) == 0 {
-			b.Fatal("empty result")
-		}
-	}
-}
-
-func BenchmarkTable5SAPrefixes(b *testing.B) {
-	s := sharedStudy(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if rows := s.Table5SAPrefixes(); len(rows) == 0 {
-			b.Fatal("empty result")
-		}
-	}
-}
-
-func BenchmarkTable6CustomerSA(b *testing.B) {
-	s := sharedStudy(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Table6CustomerView(3, 8, 2)
-	}
-}
-
-func BenchmarkTable7SAVerification(b *testing.B) {
-	s := sharedStudy(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if rows := s.Table7Verification(3); len(rows) == 0 {
-			b.Fatal("empty result")
-		}
-	}
-}
-
-func BenchmarkTable8Multihoming(b *testing.B) {
-	s := sharedStudy(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if rows := s.Table8Multihoming(3); len(rows) == 0 {
-			b.Fatal("empty result")
-		}
-	}
-}
-
-func BenchmarkTable9SplitAggregate(b *testing.B) {
-	s := sharedStudy(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if rows := s.Table9SplitAggregate(3); len(rows) == 0 {
-			b.Fatal("empty result")
-		}
-	}
-}
-
-func BenchmarkTable10PeerExport(b *testing.B) {
-	s := sharedStudy(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if rows := s.Table10PeerExport(3); len(rows) == 0 {
-			b.Fatal("empty result")
-		}
-	}
-}
-
-func BenchmarkTable11CommunityScheme(b *testing.B) {
-	s := sharedStudy(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Table11Scheme()
-	}
-}
-
-func BenchmarkFig2aNextHopConsistency(b *testing.B) {
-	s := sharedStudy(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if rows := s.Figure2aConsistency(); len(rows) == 0 {
-			b.Fatal("empty result")
-		}
-	}
-}
-
-func BenchmarkFig2bRouterConsistency(b *testing.B) {
-	s := sharedStudy(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, err := s.Figure2bRouterConsistency(30, 4)
-		if err != nil || len(rows) != 30 {
-			b.Fatalf("rows %d err %v", len(rows), err)
-		}
-	}
-}
-
-func BenchmarkFig6Persistence(b *testing.B) {
-	s := sharedStudy(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := s.Figure6and7Persistence(PersistenceOptions{Epochs: 5, ChurnFraction: 0.03})
-		if err != nil || len(res.Points) != 5 {
-			b.Fatalf("points %d err %v", len(res.Points), err)
-		}
-	}
-}
-
-func BenchmarkFig7Uptime(b *testing.B) {
-	s := sharedStudy(b)
-	res, err := s.Figure6and7Persistence(PersistenceOptions{Epochs: 5, ChurnFraction: 0.03})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if hist := res.UptimeHistogram(); len(hist) == 0 {
-			b.Fatal("empty histogram")
-		}
-	}
-}
-
-func BenchmarkFig9NeighborRank(b *testing.B) {
-	s := sharedStudy(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if ranks := s.Figure9NeighborRanks(3); len(ranks) == 0 {
-			b.Fatal("empty ranks")
-		}
+	for _, info := range Experiments() {
+		b.Run(info.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				res, err := NewSessionFromStudy(s).Run(context.Background(), info.Name, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := res.Render(io.Discard); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

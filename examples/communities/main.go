@@ -5,10 +5,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
+	"sort"
 
 	policyscope "github.com/policyscope/policyscope"
+	"github.com/policyscope/policyscope/experiment"
+	"github.com/policyscope/policyscope/internal/bgp"
 	"github.com/policyscope/policyscope/internal/core"
 )
 
@@ -17,26 +21,26 @@ func main() {
 	cfg.NumASes = 500
 	cfg.Seed = 21
 	cfg.Tuning = &policyscope.TopologyTuning{TaggingProb: policyscope.Prob(0.6)}
-	study, err := policyscope.NewStudy(cfg)
+	sess := policyscope.NewSession(cfg)
+	study, err := sess.Study()
 	if err != nil {
 		fail(err)
 	}
 
 	// Find a tagging vantage with a published scheme (the AS12859 role).
-	asn, scheme, ok := study.Table11Scheme()
-	if !ok {
+	table11 := run(sess, "table11").(policyscope.Table11Result)
+	if !table11.Found {
 		fail(fmt.Errorf("no vantage published a scheme at this seed"))
 	}
-	if _, err := policyscope.RenderTable11(asn, scheme).WriteTo(os.Stdout); err != nil {
-		fail(err)
-	}
+	asn := table11.AS
 
 	// Figure 9 for the same AS: the count structure the inference reads.
 	ranks := core.RankNeighbors(study.Result.Tables[asn])
 	if len(ranks) > 15 {
 		ranks = ranks[:15]
 	}
-	if _, err := policyscope.RenderFigure9(asn, ranks).WriteTo(os.Stdout); err != nil {
+	figure9 := policyscope.Figure9Result{Series: []policyscope.Figure9Series{{AS: asn, Ranks: ranks}}}
+	if err := figure9.Render(os.Stdout); err != nil {
 		fail(err)
 	}
 
@@ -45,7 +49,13 @@ func main() {
 	tagging := study.Topo.Policies[asn].Tagging
 	fmt.Printf("count-based semantics inference for %v:\n", asn)
 	agreements, total := 0, 0
-	for c, inferred := range sem.ClassOf {
+	communities := make([]bgp.Community, 0, len(sem.ClassOf))
+	for c := range sem.ClassOf {
+		communities = append(communities, c)
+	}
+	sort.Slice(communities, func(i, j int) bool { return communities[i] < communities[j] })
+	for _, c := range communities {
+		inferred := sem.ClassOf[c]
 		truth, _ := tagging.ClassOf(c)
 		total++
 		mark := "✗"
@@ -60,9 +70,19 @@ func main() {
 	}
 
 	// Table 4 across all tagging vantages.
-	if _, err := policyscope.RenderTable4(study.Table4Verification(9)).WriteTo(os.Stdout); err != nil {
+	run(sess, "table4")
+}
+
+// run answers one experiment with its default parameters and prints it.
+func run(sess *policyscope.Session, name string) experiment.Result {
+	res, err := sess.Run(context.Background(), name, nil)
+	if err == nil {
+		err = res.Render(os.Stdout)
+	}
+	if err != nil {
 		fail(err)
 	}
+	return res
 }
 
 func fail(err error) {

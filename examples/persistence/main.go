@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -16,41 +17,34 @@ func main() {
 	cfg := policyscope.DefaultConfig()
 	cfg.NumASes = 350
 	cfg.Seed = 31
-	study, err := policyscope.NewStudy(cfg)
-	if err != nil {
-		fail(err)
-	}
+	sess := policyscope.NewSession(cfg)
 
-	// A month of daily snapshots with measurable policy churn.
-	daily, err := study.Figure6and7Persistence(policyscope.PersistenceOptions{
-		Epochs:        31,
-		ChurnFraction: 0.03,
-		EpochSeconds:  86400,
-	})
-	if err != nil {
-		fail(err)
+	// A month of daily snapshots with measurable policy churn. figure6
+	// and figure7 chart one series: the session computes it once.
+	daily := &policyscope.PersistenceParams{
+		Epochs: 31, ChurnFraction: policyscope.Prob(0.03), EpochSeconds: 86400,
 	}
-	if _, err := policyscope.RenderFigure6(daily, "day").WriteTo(os.Stdout); err != nil {
-		fail(err)
-	}
-	if _, err := policyscope.RenderFigure7(daily, "uptime (days)").WriteTo(os.Stdout); err != nil {
-		fail(err)
-	}
-	fmt.Printf("monthly shifting share: %.2f (paper: ~1/6)\n\n", daily.ShiftingShare())
+	fig6 := run(sess, "figure6", daily)
+	run(sess, "figure7", daily)
+	fmt.Printf("monthly shifting share: %.2f (paper: ~1/6)\n\n", fig6.Series.ShiftingShare())
 
 	// A day of hourly snapshots with much less churn.
-	hourly, err := study.Figure6and7Persistence(policyscope.PersistenceOptions{
-		Epochs:        12,
-		ChurnFraction: 0.005,
-		EpochSeconds:  3600,
+	hourly := run(sess, "figure6", &policyscope.PersistenceParams{
+		Epochs: 12, ChurnFraction: policyscope.Prob(0.005), EpochSeconds: 3600,
 	})
+	fmt.Printf("hourly shifting share: %.2f (paper: most stable within a day)\n", hourly.Series.ShiftingShare())
+}
+
+// run prints one persistence figure and returns its typed result.
+func run(sess *policyscope.Session, name string, p *policyscope.PersistenceParams) policyscope.PersistenceChartResult {
+	res, err := sess.Run(context.Background(), name, p)
+	if err == nil {
+		err = res.Render(os.Stdout)
+	}
 	if err != nil {
 		fail(err)
 	}
-	if _, err := policyscope.RenderFigure6(hourly, "hour").WriteTo(os.Stdout); err != nil {
-		fail(err)
-	}
-	fmt.Printf("hourly shifting share: %.2f (paper: most stable within a day)\n", hourly.ShiftingShare())
+	return res.(policyscope.PersistenceChartResult)
 }
 
 func fail(err error) {

@@ -7,10 +7,13 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
 	policyscope "github.com/policyscope/policyscope"
+	"github.com/policyscope/policyscope/experiment"
+	"github.com/policyscope/policyscope/internal/core"
 )
 
 func main() {
@@ -22,7 +25,8 @@ func main() {
 		// announced: aggressive inbound traffic engineering.
 		SelectiveAnnounceProb: policyscope.Prob(0.5),
 	}
-	study, err := policyscope.NewStudy(cfg)
+	sess := policyscope.NewSession(cfg)
+	study, err := sess.Study()
 	if err != nil {
 		fail(err)
 	}
@@ -37,7 +41,7 @@ func main() {
 	fmt.Printf("Provider under study: %v (%s, degree %d)\n\n",
 		provider, study.Topo.ASes[provider].Name, study.Topo.Graph.Degree(provider))
 
-	for _, res := range study.Table5SAPrefixes() {
+	for _, res := range run(sess, "table5").(policyscope.RowsResult[core.SAResult]).Rows {
 		if res.Vantage != provider {
 			continue
 		}
@@ -60,14 +64,22 @@ func main() {
 	}
 
 	// The aggregate customer view (Table 6) and who does this (Table 8).
-	if _, err := policyscope.RenderTable6(study.Table6CustomerView(3, 8, 2)).WriteTo(os.Stdout); err != nil {
-		fail(err)
-	}
-	if _, err := policyscope.RenderTable8(study.Table8Multihoming(3)).WriteTo(os.Stdout); err != nil {
-		fail(err)
+	for _, name := range []string{"table6", "table8"} {
+		if err := run(sess, name).Render(os.Stdout); err != nil {
+			fail(err)
+		}
 	}
 	fmt.Println("The paper's caution: every selectively announced prefix above is one the")
 	fmt.Println("provider can only reach through a peer — connectivity without reachability.")
+}
+
+// run answers one experiment with its default parameters.
+func run(sess *policyscope.Session, name string) experiment.Result {
+	res, err := sess.Run(context.Background(), name, nil)
+	if err != nil {
+		fail(err)
+	}
+	return res
 }
 
 func fail(err error) {

@@ -85,6 +85,13 @@ type Experiment[S, R any] struct {
 	// struct carrying the experiment's defaults, or nil when the
 	// experiment takes no parameters.
 	NewParams func() any
+	// Plan gives the parameter sets a battery — a run of every entry in
+	// catalog order, such as policyscope's RunAll — runs this entry
+	// with, each nil or a pointer of the type NewParams returns. A nil
+	// Plan is one run with the defaults; an empty result leaves the
+	// entry out of the battery (it still runs by name). opts is the
+	// battery owner's option value.
+	Plan func(opts any) []any
 	// Run executes the experiment. ctx carries cancellation from the
 	// caller (a disconnected HTTP client, an interrupted CLI);
 	// long-running experiments are expected to honor it. params is

@@ -6,14 +6,37 @@ package policyscope
 // multi-site confounder the paper defers to future work.
 
 import (
+	"context"
 	"fmt"
+	"io"
 
+	"github.com/policyscope/policyscope/experiment"
 	"github.com/policyscope/policyscope/internal/atoms"
 	"github.com/policyscope/policyscope/internal/bgp"
 	"github.com/policyscope/policyscope/internal/core"
 	"github.com/policyscope/policyscope/internal/netx"
 	"github.com/policyscope/policyscope/internal/reports"
 )
+
+func init() {
+	register(def[NoParams]{
+		name: "atoms", title: "Policy atoms: decomposition and SA attribution (extension)", group: "extension", order: 140,
+		run: func(_ context.Context, _ *Session, s *Study, _ NoParams) (experiment.Result, error) {
+			return policyAtoms(s), nil
+		},
+	})
+	register(def[NoParams]{
+		name: "decision", title: "Deciding step for contested prefixes (extension)", group: "extension", order: 150,
+		run: table(decisionCharacterization, renderDecisionCharacterization),
+	})
+	register(def[ProvidersParams]{
+		name: "multisite", title: "Multi-site confounder (extension)", group: "extension", order: 160,
+		defaults: &providersDefault, plan: planProviders,
+		run: func(_ context.Context, _ *Session, s *Study, p ProvidersParams) (experiment.Result, error) {
+			return multiSiteConfounder(s, p.Providers), nil
+		},
+	})
+}
 
 // PolicyAtomsResult bundles the atom decomposition with its attribution
 // to selective announcement.
@@ -24,10 +47,10 @@ type PolicyAtomsResult struct {
 	Attribution atoms.Attribution
 }
 
-// PolicyAtoms decomposes the collector view into policy atoms and tests
+// policyAtoms decomposes the collector view into policy atoms and tests
 // the paper's closing claim: "Policies for exporting to providers are
 // the major cause" of atom splitting.
-func (s *Study) PolicyAtoms() PolicyAtomsResult {
+func policyAtoms(s *Study) PolicyAtomsResult {
 	decomp := atoms.Compute(s.Snapshot.Table, s.Peers)
 	analyzer := &core.ExportAnalyzer{Graph: s.Graph}
 	selective := make(map[netx.Prefix]bool)
@@ -51,8 +74,8 @@ func (s *Study) PolicyAtoms() PolicyAtomsResult {
 	}
 }
 
-// RenderPolicyAtoms renders the decomposition summary.
-func RenderPolicyAtoms(r PolicyAtomsResult) *reports.Table {
+// Render implements experiment.Result.
+func (r PolicyAtomsResult) Render(w io.Writer) error {
 	t := &reports.Table{
 		Title:   "Policy atoms (extension; Afek et al. IMW'02 connection from Section 5.1.5)",
 		Columns: []string{"quantity", "value"},
@@ -66,12 +89,12 @@ func RenderPolicyAtoms(r PolicyAtomsResult) *reports.Table {
 	t.AddRow("origins split into >1 atom", fmt.Sprintf("%d", r.Attribution.MultiAtomOrigins))
 	t.AddRow("splits explained by selective announcement",
 		fmt.Sprintf("%d (%s%%)", r.Attribution.ExplainedBySelective, reports.Pct(r.Attribution.ExplainedPct())))
-	return t
+	return writeAll(w, t)
 }
 
-// DecisionCharacterization computes, per Looking Glass vantage, which
+// decisionCharacterization computes, per Looking Glass vantage, which
 // decision step actually picked the best route for contested prefixes.
-func (s *Study) DecisionCharacterization() []core.DecisionStats {
+func decisionCharacterization(s *Study, _ NoParams) []core.DecisionStats {
 	out := make([]core.DecisionStats, 0, len(s.LookingGlass))
 	for _, asn := range s.LookingGlass {
 		out = append(out, core.AnalyzeDecisions(s.Result.Tables[asn]))
@@ -79,8 +102,7 @@ func (s *Study) DecisionCharacterization() []core.DecisionStats {
 	return out
 }
 
-// RenderDecisionCharacterization renders the step distribution.
-func RenderDecisionCharacterization(rows []core.DecisionStats) *reports.Table {
+func renderDecisionCharacterization(rows []core.DecisionStats) *reports.Table {
 	t := &reports.Table{
 		Title:   "Deciding step for contested prefixes (extension; Section 4.1's claim quantified)",
 		Columns: []string{"AS", "contested", "% localpref", "% path length", "% later steps"},
@@ -119,8 +141,8 @@ func (m MultiSiteImpact) Pct() float64 {
 	return 100 * float64(m.FromMultiSite) / float64(m.SAPrefixes)
 }
 
-// MultiSiteConfounder quantifies the artifact at the top Tier-1s.
-func (s *Study) MultiSiteConfounder(providers int) MultiSiteImpact {
+// multiSiteConfounder quantifies the artifact at the top Tier-1s.
+func multiSiteConfounder(s *Study, providers int) MultiSiteImpact {
 	analyzer := &core.ExportAnalyzer{Graph: s.Graph}
 	impact := MultiSiteImpact{}
 	seen := make(map[netx.Prefix]bool)
@@ -144,8 +166,8 @@ func (s *Study) MultiSiteConfounder(providers int) MultiSiteImpact {
 	return impact
 }
 
-// RenderMultiSite renders the confounder measurement.
-func RenderMultiSite(m MultiSiteImpact) *reports.Table {
+// Render implements experiment.Result.
+func (m MultiSiteImpact) Render(w io.Writer) error {
 	t := &reports.Table{
 		Title:   "Multi-site confounder (extension; the paper's AOL/AS1668 future-work case)",
 		Columns: []string{"quantity", "value"},
@@ -154,5 +176,5 @@ func RenderMultiSite(m MultiSiteImpact) *reports.Table {
 	t.AddRow("multi-site origins in topology", fmt.Sprintf("%d", m.MultiSiteOrigins))
 	t.AddRow("distinct SA prefixes at Tier-1 vantages", fmt.Sprintf("%d", m.SAPrefixes))
 	t.AddRow("of which from multi-site origins", fmt.Sprintf("%d (%s%%)", m.FromMultiSite, reports.Pct(m.Pct())))
-	return t
+	return writeAll(w, t)
 }

@@ -1,16 +1,29 @@
 package policyscope
 
 import (
-	"bytes"
+	"context"
 	"strings"
 	"testing"
 
+	"github.com/policyscope/policyscope/experiment"
 	"github.com/policyscope/policyscope/internal/bgp"
+	"github.com/policyscope/policyscope/internal/core"
 )
 
+// requireRenders fails unless res renders text containing want.
+func requireRenders(t *testing.T, res experiment.Result, want string) {
+	t.Helper()
+	if !strings.Contains(renderText(t, res), want) {
+		t.Fatalf("render missing %q", want)
+	}
+}
+
 func TestPolicyAtoms(t *testing.T) {
-	s := smallStudy(t)
-	res := s.PolicyAtoms()
+	out, err := NewSessionFromStudy(smallStudy(t)).Run(context.Background(), "atoms", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := out.(PolicyAtomsResult)
 	if res.Stats.Atoms == 0 || res.Stats.Prefixes == 0 {
 		t.Fatalf("empty decomposition: %+v", res.Stats)
 	}
@@ -24,18 +37,15 @@ func TestPolicyAtoms(t *testing.T) {
 	if got := res.Attribution.ExplainedPct(); got < 50 {
 		t.Errorf("only %.1f%% of atom splits explained by selective announcement", got)
 	}
-	var buf bytes.Buffer
-	if _, err := RenderPolicyAtoms(res).WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "atoms") {
-		t.Fatal("render missing content")
-	}
+	requireRenders(t, res, "atoms")
 }
 
 func TestDecisionCharacterization(t *testing.T) {
-	s := smallStudy(t)
-	rows := s.DecisionCharacterization()
+	out, err := NewSessionFromStudy(smallStudy(t)).Run(context.Background(), "decision", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := out.(RowsResult[core.DecisionStats]).Rows
 	if len(rows) == 0 {
 		t.Fatal("no rows")
 	}
@@ -55,13 +65,7 @@ func TestDecisionCharacterization(t *testing.T) {
 	if share := float64(totalLocalPref) / float64(totalContested); share < 0.25 {
 		t.Errorf("localpref decided only %.2f of %d contested prefixes overall", share, totalContested)
 	}
-	var buf bytes.Buffer
-	if _, err := RenderDecisionCharacterization(rows).WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "localpref") {
-		t.Fatal("render missing content")
-	}
+	requireRenders(t, out, "localpref")
 }
 
 func TestMultiSiteConfounder(t *testing.T) {
@@ -69,11 +73,11 @@ func TestMultiSiteConfounder(t *testing.T) {
 	cfg.NumASes = 300
 	cfg.Seed = 13
 	cfg.CollectorPeers = 14
-	s, err := NewStudy(cfg)
+	out, err := NewSession(cfg).Run(context.Background(), "multisite", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	impact := s.MultiSiteConfounder(3)
+	impact := out.(MultiSiteImpact)
 	if impact.MultiSiteOrigins == 0 {
 		t.Skip("no multi-site origins drawn at this seed")
 	}
@@ -85,13 +89,7 @@ func TestMultiSiteConfounder(t *testing.T) {
 	if impact.SAPrefixes > 0 && impact.Pct() > 50 {
 		t.Errorf("multi-site artifacts dominate SA: %+v", impact)
 	}
-	var buf bytes.Buffer
-	if _, err := RenderMultiSite(impact).WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "multi-site") {
-		t.Fatal("render missing content")
-	}
+	requireRenders(t, impact, "multi-site")
 }
 
 // TestMultiSiteOriginsAreDetectedAsSA pins the confounder mechanism:

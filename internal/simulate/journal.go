@@ -49,6 +49,14 @@ type journalEntry struct {
 	snap   bgp.EntrySnapshot
 }
 
+// linkDelta is one link event as Apply carried it out: the pair in
+// edgePair order and, for a failure, what pair[1] was to pair[0].
+type linkDelta struct {
+	pair     [2]int32
+	rel      asgraph.Relationship
+	restored bool
+}
+
 type applyJournal struct {
 	mu        sync.Mutex
 	applied   bool
@@ -58,9 +66,8 @@ type applyJournal struct {
 	// checkpoint as it was before).
 	atomsStaleWas bool
 
-	removed   map[[2]int32]asgraph.Relationship // failed links to re-add (oriented like recon)
-	added     [][2]int32                        // restored links to remove again
-	endpoints []int32                           // their ends, ascending
+	links     []linkDelta // the batch's link events, in the order it applied them
+	endpoints []int32     // their ends, ascending
 
 	// rows and unconvWas are append-only: a journalable batch visits each
 	// prefix once, so each pays for one entry, not for a map. rowSeen (a
@@ -105,12 +112,19 @@ func (en *Engine) Rollback() bool {
 	// the graph, but a Clone taken since shares it again.
 	if len(j.endpoints) > 0 {
 		en.ownGraph()
-		for pair, rel := range j.removed {
-			// rel is what pair[1] is to pair[0] (recon orientation).
-			_ = e.topo.Graph.AddEdge(e.asns[pair[0]], e.asns[pair[1]], rel)
-		}
-		for _, pair := range j.added {
-			e.topo.Graph.RemoveEdge(e.asns[pair[0]], e.asns[pair[1]])
+		// Last event first: a batch may fail and restore one pair, in
+		// either order, and only the reverse walk ends at the state the
+		// first event found.
+		for i := len(j.links) - 1; i >= 0; i-- {
+			l := j.links[i]
+			a, b := e.asns[l.pair[0]], e.asns[l.pair[1]]
+			if l.restored {
+				e.topo.Graph.RemoveEdge(a, b)
+			} else {
+				// The edge was there before the event removed it, so
+				// adding it back cannot be refused.
+				_ = e.topo.Graph.AddEdge(a, b, l.rel)
+			}
 		}
 		e.relink(j.endpoints)
 	}
@@ -169,19 +183,13 @@ func (j *applyJournal) beginApply(events []Event, atomsStaleWas bool) {
 	}
 }
 
-// recordLinks copies the recon link deltas (already oriented) into the
-// journal.
+// recordLinks hands the batch's link deltas to the journal (rc does not
+// outlive the Apply, so the slices are the journal's from here on).
 func (j *applyJournal) recordLinks(rc *recon) {
 	if j == nil || !j.supported {
 		return
 	}
-	j.removed = make(map[[2]int32]asgraph.Relationship, len(rc.removed))
-	for k, v := range rc.removed {
-		j.removed[k] = v
-	}
-	for k := range rc.added {
-		j.added = append(j.added, k)
-	}
+	j.links = rc.links
 	j.endpoints = rc.endpoints
 }
 

@@ -2,11 +2,13 @@ package simulate
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/policyscope/policyscope/internal/asgraph"
 	"github.com/policyscope/policyscope/internal/bgp"
 	"github.com/policyscope/policyscope/internal/netx"
+	"github.com/policyscope/policyscope/internal/topogen"
 )
 
 // resultSnapshot deep-copies the observable engine state so later
@@ -231,6 +233,57 @@ func TestJournalEntriesAreUnique(t *testing.T) {
 	j.supported = false
 	if j.rowPre(1, first, true, 1) {
 		t.Fatal("unsupported journal claimed a pre-image")
+	}
+}
+
+// linkCancelShapes returns the two journalable batches whose link events
+// cancel out on one pair: an existing link failed and restored with its
+// own relationship, and a new peering opened and failed again.
+func linkCancelShapes(t *testing.T, topo *topogen.Topology) []Scenario {
+	t.Helper()
+	e := topo.Graph.Edges()[7]
+	x, y := topo.Order[0], topo.Order[len(topo.Order)/2]
+	for _, x = range topo.Order {
+		if x != y && topo.Graph.Rel(x, y) == asgraph.RelNone {
+			break
+		}
+	}
+	if x == y || topo.Graph.Rel(x, y) != asgraph.RelNone {
+		t.Fatal("no unlinked pair")
+	}
+	return []Scenario{
+		{Name: "fail,restore", Events: []Event{FailLink(e.A, e.B), RestoreLink(e.A, e.B, e.Rel)}},
+		{Name: "restore,fail", Events: []Event{RestoreLink(x, y, asgraph.RelPeer), FailLink(x, y)}},
+	}
+}
+
+// TestRollbackUndoesLinkEventsInReverse: a journaled batch may fail and
+// restore the same pair, in either order; Rollback has to undo the graph
+// mutations last-first, or the pair ends up in the state its first event
+// left rather than the one the checkpoint saw.
+func TestRollbackUndoesLinkEventsInReverse(t *testing.T) {
+	topo, vantage := equivalenceTopo(t, 200, 11)
+	opts := Options{VantagePoints: vantage, Parallelism: 1}
+	untouched, err := NewEngine(topo, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sc := range linkCancelShapes(t, topo) {
+		t.Run(sc.Name, func(t *testing.T) {
+			en := untouched.Clone()
+			pristine := resultSnapshot(en)
+			en.Checkpoint()
+			if _, err := en.Apply(sc); err != nil {
+				t.Fatal(err)
+			}
+			if !en.Rollback() {
+				t.Fatal("rollback refused a link-only batch")
+			}
+			if got, want := en.Topology().Graph.Edges(), topo.Graph.Edges(); !slices.Equal(got, want) {
+				t.Fatalf("graph not restored: %d edges, want %d", len(got), len(want))
+			}
+			requireRolledBack(t, sc.Name, en, untouched, pristine)
+		})
 	}
 }
 

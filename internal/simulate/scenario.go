@@ -486,12 +486,16 @@ func (en *Engine) Apply(sc Scenario) (*Delta, error) {
 				e.pols[e.idx[owner]] = en.topo.Policies[owner]
 			}
 			ai, bi := int32(e.idx[ev.A]), int32(e.idx[ev.B])
+			pair := edgePair(ai, bi)
 			switch ev.Kind {
 			case EventLinkFail:
-				rc.removed[edgePair(ai, bi)] = orient(rel, ai, bi)
+				was := orient(rel, ai, bi)
+				rc.removed[pair] = was
+				rc.links = append(rc.links, linkDelta{pair: pair, rel: was})
 				rc.endpoints = append(rc.endpoints, ai, bi)
 			case EventLinkRestore:
-				rc.added[edgePair(ai, bi)] = true
+				rc.added[pair] = true
+				rc.links = append(rc.links, linkDelta{pair: pair, restored: true})
 				rc.endpoints = append(rc.endpoints, ai, bi)
 			}
 		}
@@ -752,6 +756,10 @@ type recon struct {
 	e       *engine
 	removed map[[2]int32]asgraph.Relationship // value: what pair[1] is to pair[0]
 	added   map[[2]int32]bool
+	// links is every link event in the order the batch applied it — what
+	// a journaled Rollback undoes in reverse (removed and added, keyed by
+	// pair, cannot say which of two events on one pair came first).
+	links []linkDelta
 	// endpoints lists the ASes a link event of the batch ends at, sorted
 	// ascending: a session between two ASes that are not both in it kept
 	// its relationship, which spares the hot paths the map probes.

@@ -5,7 +5,20 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"github.com/policyscope/policyscope/experiment"
+	"github.com/policyscope/policyscope/internal/core"
 )
+
+// runRows runs a rows experiment on se and returns its typed rows.
+func runRows[T any](t *testing.T, se *Session, name string, params any) []T {
+	t.Helper()
+	res, err := se.Run(context.Background(), name, params)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return res.(RowsResult[T]).Rows
+}
 
 func smallStudy(t *testing.T) *Study { return smallStudySeeded(t, 7) }
 
@@ -63,7 +76,7 @@ func TestStudyWithInferredRelationships(t *testing.T) {
 		t.Fatal("inferred graph not selected")
 	}
 	// The analyses still run and produce plausible output.
-	sa := s.Table5SAPrefixes()
+	sa := runRows[core.SAResult](t, NewSessionFromStudy(s), "table5", nil)
 	if len(sa) != len(s.Peers) {
 		t.Fatalf("SA rows: %d", len(sa))
 	}
@@ -71,8 +84,9 @@ func TestStudyWithInferredRelationships(t *testing.T) {
 
 func TestExperimentsProducePaperShapes(t *testing.T) {
 	s := smallStudy(t)
+	se := NewSessionFromStudy(s)
 
-	rows1 := s.Table1Dataset()
+	rows1 := runRows[Table1Row](t, se, "table1", nil)
 	if len(rows1) != len(s.Peers) {
 		t.Fatalf("table 1 rows: %d", len(rows1))
 	}
@@ -82,14 +96,14 @@ func TestExperimentsProducePaperShapes(t *testing.T) {
 		}
 	}
 
-	rows2 := s.Table2TypicalLocalPref()
+	rows2 := runRows[core.TypicalityResult](t, se, "table2", nil)
 	for _, r := range rows2 {
 		if r.Comparable >= 20 && r.TypicalPct() < 88 {
 			t.Errorf("table 2: %v at %.1f%%", r.AS, r.TypicalPct())
 		}
 	}
 
-	rows3 := s.Table3IRR(Table3Options{})
+	rows3 := runRows[core.IRRTypicalityResult](t, se, "table3", nil)
 	if len(rows3) == 0 {
 		t.Fatal("table 3 empty")
 	}
@@ -99,7 +113,7 @@ func TestExperimentsProducePaperShapes(t *testing.T) {
 		}
 	}
 
-	rows4 := s.Table4Verification(9)
+	rows4 := runRows[Table4Row](t, se, "table4", nil)
 	if len(rows4) == 0 {
 		t.Fatal("table 4 empty")
 	}
@@ -115,7 +129,7 @@ func TestExperimentsProducePaperShapes(t *testing.T) {
 	}
 	_ = sawPublished // probabilistic; presence not guaranteed at small scale
 
-	rows5 := s.Table5SAPrefixes()
+	rows5 := runRows[core.SAResult](t, se, "table5", nil)
 	anySA := false
 	for _, r := range rows5 {
 		if len(r.SA) > 0 {
@@ -126,13 +140,14 @@ func TestExperimentsProducePaperShapes(t *testing.T) {
 		t.Fatal("table 5 found no SA prefixes")
 	}
 
-	if rows6 := s.Table6CustomerView(3, 8, 1); len(rows6) == 0 {
+	rows6 := runRows[core.CustomerSARow](t, se, "table6", &Table6Params{Providers: 3, MaxRows: 8, MinPrefixes: 1})
+	if len(rows6) == 0 {
 		t.Fatal("table 6 empty")
 	}
-	if rows7 := s.Table7Verification(3); len(rows7) == 0 {
+	if rows7 := runRows[core.SAVerification](t, se, "table7", nil); len(rows7) == 0 {
 		t.Fatal("table 7 empty")
 	}
-	rows8 := s.Table8Multihoming(3)
+	rows8 := runRows[core.MultihomingResult](t, se, "table8", nil)
 	m, sh := 0, 0
 	for _, r := range rows8 {
 		m += r.Multihomed
@@ -141,12 +156,12 @@ func TestExperimentsProducePaperShapes(t *testing.T) {
 	if m+sh > 0 && float64(m)/float64(m+sh) < 0.5 {
 		t.Errorf("table 8: multihomed share %.2f", float64(m)/float64(m+sh))
 	}
-	for _, r := range s.Table9SplitAggregate(3) {
+	for _, r := range runRows[core.SplitAggregateResult](t, se, "table9", nil) {
 		if r.Splitting+r.Aggregating > r.SACount {
 			t.Errorf("table 9 inconsistent: %+v", r)
 		}
 	}
-	for _, r := range s.Table10PeerExport(3) {
+	for _, r := range runRows[core.PeerExportResult](t, se, "table10", nil) {
 		// Percentages over a couple of peers are noise; the paper's
 		// vantages have 35-43 peers each.
 		if len(r.Rows) >= 5 && r.AnnouncingPct() < 60 {
@@ -154,16 +169,20 @@ func TestExperimentsProducePaperShapes(t *testing.T) {
 		}
 	}
 
-	cons := s.Figure2aConsistency()
-	for _, r := range cons {
+	cons, err := se.Run(context.Background(), "figure2a", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range cons.(Figure2Result).Rows {
 		if r.Prefixes >= 50 && r.Pct() < 88 {
 			t.Errorf("figure 2a: %v at %.1f%%", r.AS, r.Pct())
 		}
 	}
-	routers, err := s.Figure2bRouterConsistency(10, 2)
+	res2b, err := se.Run(context.Background(), "figure2b", &Figure2bParams{Routers: 10, DriftRouters: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	routers := res2b.(Figure2Result).Rows
 	if len(routers) != 10 {
 		t.Fatalf("figure 2b rows: %d", len(routers))
 	}
@@ -178,12 +197,19 @@ func TestExperimentsProducePaperShapes(t *testing.T) {
 		t.Errorf("clean routers too inconsistent: %.1f%%", bestClean)
 	}
 
-	ranks := s.Figure9NeighborRanks(3)
-	if len(ranks) != 3 {
-		t.Fatalf("figure 9 series: %d", len(ranks))
+	ranks, err := se.Run(context.Background(), "figure9", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(ranks.(Figure9Result).Series); n != 3 {
+		t.Fatalf("figure 9 series: %d", n)
 	}
 
-	tp, fp := s.SAGroundTruthScore()
+	overview, err := se.Run(context.Background(), "overview", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp, fp := overview.(OverviewResult).SATruePositives, overview.(OverviewResult).SAFalsePositives
 	if tp == 0 {
 		t.Fatal("no true positives against ground truth")
 	}
@@ -195,12 +221,13 @@ func TestExperimentsProducePaperShapes(t *testing.T) {
 func TestPersistenceExperiment(t *testing.T) {
 	s := smallStudy(t)
 	before := s.Topo.Policies[s.Peers[0]].Export.OriginProviders
-	res, err := s.Figure6and7Persistence(PersistenceOptions{Epochs: 4, ChurnFraction: 0.05})
+	res, err := NewSessionFromStudy(s).Run(context.Background(), "figure6",
+		&PersistenceParams{Epochs: 4, ChurnFraction: Prob(0.05)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Points) != 4 {
-		t.Fatalf("points: %d", len(res.Points))
+	if points := res.(PersistenceChartResult).Series.Points; len(points) != 4 {
+		t.Fatalf("points: %d", len(points))
 	}
 	// Policies restored afterwards.
 	after := s.Topo.Policies[s.Peers[0]].Export.OriginProviders
@@ -217,7 +244,8 @@ func TestRunAllRendersEverything(t *testing.T) {
 	opts.HourlyEpochs = 0
 	opts.Routers = 6
 	opts.DriftRouters = 1
-	if err := NewSessionFromStudy(s).RunAll(context.Background(), &buf, opts); err != nil {
+	se := NewSessionFromStudy(s)
+	if err := se.RunAll(context.Background(), &buf, opts); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -231,26 +259,34 @@ func TestRunAllRendersEverything(t *testing.T) {
 			t.Errorf("RunAll output missing %q", want)
 		}
 	}
-	var sum bytes.Buffer
-	if err := s.Summary().Render(&sum); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sum.String(), "paper") {
+	if sum := renderSummary(t, se); !strings.Contains(sum, "paper") {
 		t.Fatal("summary missing comparison column")
 	}
 }
 
 func TestStudyDeterminism(t *testing.T) {
-	a := smallStudy(t)
-	b := smallStudy(t)
-	var wa, wb bytes.Buffer
-	if err := a.Summary().Render(&wa); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Summary().Render(&wb); err != nil {
-		t.Fatal(err)
-	}
-	if wa.String() != wb.String() {
+	a := renderSummary(t, NewSessionFromStudy(smallStudy(t)))
+	b := renderSummary(t, NewSessionFromStudy(smallStudy(t)))
+	if a != b {
 		t.Fatal("summaries differ across identical configs")
 	}
+}
+
+func renderSummary(t *testing.T, se *Session) string {
+	t.Helper()
+	res, err := se.Run(context.Background(), "summary", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return renderText(t, res)
+}
+
+// renderText is res as Render writes it.
+func renderText(t *testing.T, res experiment.Result) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := res.Render(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
 }

@@ -1,14 +1,16 @@
 package policyscope
 
 import (
+	"context"
 	"fmt"
+	"io"
 
-	"github.com/policyscope/policyscope/internal/reports"
+	"github.com/policyscope/policyscope/experiment"
 )
 
 // RunAllOptions sizes the full experiment sweep. Session.RunAll is a
-// plain iteration over the experiment registry (registry.go): these
-// options only parameterize the per-experiment plans.
+// plain iteration over the experiment catalog: these options only
+// parameterize the plans the experiments registered.
 type RunAllOptions struct {
 	// TierOneProviders is how many Tier-1 vantages the provider-side
 	// tables use (the paper uses 3: AS1, AS3549, AS7018).
@@ -41,84 +43,77 @@ func DefaultRunAllOptions() RunAllOptions {
 	}
 }
 
-// Summary computes the study's headline paper-vs-measured comparisons.
-func (s *Study) Summary() SummaryResult {
-	var res SummaryResult
-	add := func(quantity, paper, measured string) {
-		res.Rows = append(res.Rows, SummaryRow{Quantity: quantity, Paper: paper, Measured: measured})
-	}
+// RunAll executes every catalog experiment in order with the
+// RunAllOptions-derived parameter plans and renders each result to w —
+// the paper's tables and figures end to end. Because it is a plain
+// iteration over the registry, a newly registered experiment appears
+// here automatically and the ordering can never drift from the catalog.
+func (se *Session) RunAll(ctx context.Context, w io.Writer, opts RunAllOptions) error {
+	return se.runAll(ctx, opts, func(out ExperimentOutput) error { return out.Result.Render(w) })
+}
 
-	typ := s.Table2TypicalLocalPref()
-	lo, hi := 100.0, 0.0
-	for _, r := range typ {
-		if r.Comparable == 0 {
+// RunAllDocument is the JSON form of a full sweep: one entry per
+// experiment invocation, in catalog order. Marshaling it at a fixed
+// seed is byte-stable across runs.
+type RunAllDocument struct {
+	Config      Config             `json:"config"`
+	Experiments []ExperimentOutput `json:"experiments"`
+}
+
+// ExperimentOutput is one experiment invocation's name, parameters and
+// typed result.
+type ExperimentOutput struct {
+	Name   string            `json:"name"`
+	Title  string            `json:"title"`
+	Params any               `json:"params,omitempty"`
+	Result experiment.Result `json:"result"`
+}
+
+// RunAllJSON executes the same sweep as RunAll and returns the
+// structured document instead of rendering text.
+func (se *Session) RunAllJSON(ctx context.Context, opts RunAllOptions) (*RunAllDocument, error) {
+	doc := &RunAllDocument{Config: se.cfg}
+	err := se.runAll(ctx, opts, func(out ExperimentOutput) error {
+		doc.Experiments = append(doc.Experiments, out)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return doc, nil
+}
+
+// runAll is the battery: every catalog experiment in order, once per
+// parameter set of its plan (one default run without a plan), each
+// outcome handed to emit. On a snapshot-only dataset the
+// ground-truth-dependent experiments are unanswerable by construction,
+// so the battery passes over them instead of aborting at the first typed
+// error; running one *by name* still returns ErrNeedsGroundTruth.
+func (se *Session) runAll(ctx context.Context, opts RunAllOptions, emit func(ExperimentOutput) error) error {
+	if opts.TierOneProviders <= 0 {
+		opts.TierOneProviders = providersDefault.Providers
+	}
+	s, err := se.Study()
+	if err != nil {
+		return err
+	}
+	for _, e := range catalog.All() {
+		if e.NeedsGroundTruth && !s.HasGroundTruth() {
 			continue
 		}
-		p := r.TypicalPct()
-		if p < lo {
-			lo = p
+		paramSets := []any{nil}
+		if e.Plan != nil {
+			paramSets = e.Plan(opts)
 		}
-		if p > hi {
-			hi = p
-		}
-	}
-	add("typical localpref range", "94.3-100%", fmt.Sprintf("%s-%s%%", reports.Pct(lo), reports.Pct(hi)))
-
-	cons := s.Figure2aConsistency()
-	sum, n := 0.0, 0
-	for _, r := range cons {
-		if r.Prefixes > 0 {
-			sum += r.Pct()
-			n++
+		for _, params := range paramSets {
+			res, err := se.Run(ctx, e.Name, params)
+			if err != nil {
+				return fmt.Errorf("policyscope: %s: %w", e.Name, err)
+			}
+			if err := emit(ExperimentOutput{Name: e.Name, Title: e.Title, Params: params, Result: res}); err != nil {
+				return err
+			}
 		}
 	}
-	if n > 0 {
-		add("next-hop-keyed localpref (mean)", "~98%", reports.Pct(sum/float64(n))+"%")
-	}
-
-	sa := s.Table5SAPrefixes()
-	saLo, saHi := 100.0, 0.0
-	for _, r := range sa {
-		if r.ConePrefixes < 10 {
-			continue
-		}
-		p := r.SAPct()
-		if p < saLo {
-			saLo = p
-		}
-		if p > saHi {
-			saHi = p
-		}
-	}
-	add("SA prefix share range", "0-48.6%", fmt.Sprintf("%s-%s%%", reports.Pct(saLo), reports.Pct(saHi)))
-
-	mh := s.Table8Multihoming(3)
-	mhm, mhs := 0, 0
-	for _, r := range mh {
-		mhm += r.Multihomed
-		mhs += r.SingleHomed
-	}
-	if mhm+mhs > 0 {
-		add("multihomed SA origins", "~75%", reports.Pct(100*float64(mhm)/float64(mhm+mhs))+"%")
-	}
-
-	pe := s.Table10PeerExport(3)
-	peLo, peHi := 100.0, 0.0
-	for _, r := range pe {
-		if len(r.Rows) == 0 {
-			continue
-		}
-		p := r.AnnouncingPct()
-		if p < peLo {
-			peLo = p
-		}
-		if p > peHi {
-			peHi = p
-		}
-	}
-	add("peers exporting all prefixes", "86-100%", fmt.Sprintf("%s-%s%%", reports.Pct(peLo), reports.Pct(peHi)))
-
-	acc := s.RelationshipAccuracy()
-	add("relationship inference accuracy", "94.1-99.55% (Table 4)", reports.Pct(100*acc.Fraction())+"%")
-	return res
+	return nil
 }

@@ -3,8 +3,6 @@ package policyscope
 import (
 	"context"
 	"encoding/json"
-	"fmt"
-	"io"
 	"runtime"
 	"sync"
 	"time"
@@ -50,9 +48,8 @@ type Session struct {
 	lg     *lookingglass.Server
 	lgErr  error
 
-	// persist memoizes persistence series per normalized parameter set:
-	// the series is by far the most expensive query (epochs ×
-	// incremental re-simulation), and figure6/figure7 share one series.
+	// persist memoizes persistence series per normalized parameter set
+	// (epochs × incremental re-simulation; figure6/figure7 share one).
 	persist *memo[persistKey, core.PersistenceResult]
 
 	// inferRuns memoizes relationship-inference outputs per
@@ -245,29 +242,6 @@ func (se *Session) LookingGlass() (*lookingglass.Server, error) {
 	return se.lg, se.lgErr
 }
 
-// persistence returns the memoized persistence series for one
-// normalized parameter set, computing it at most once per session.
-func (se *Session) persistence(k persistKey) (core.PersistenceResult, error) {
-	return se.persist.get(k, func() (core.PersistenceResult, error) {
-		s, err := se.Study()
-		if err != nil {
-			return core.PersistenceResult{}, err
-		}
-		churn := k.churn
-		if churn == 0 {
-			// An explicit zero means a no-churn control series; the
-			// Study-level option treats 0 as "default", so pass the
-			// negative disable value instead.
-			churn = -1
-		}
-		return s.Figure6and7Persistence(PersistenceOptions{
-			Epochs:        k.epochs,
-			ChurnFraction: churn,
-			EpochSeconds:  k.epochSeconds,
-		})
-	})
-}
-
 // Infer runs the named relationship-inference algorithm over the
 // session's observed paths, with parameters decoded strictly from raw
 // JSON (empty keeps the algorithm's defaults). Outputs are memoized
@@ -379,119 +353,4 @@ func (se *Session) RunKV(ctx context.Context, name string, kv []string) (experim
 		return nil, err
 	}
 	return se.Run(ctx, name, params)
-}
-
-// RunAll executes every catalog experiment in order with the
-// RunAllOptions-derived parameter plans and renders each result to w —
-// the paper's tables and figures end to end. Because it is a plain
-// iteration over the registry, a newly registered experiment appears
-// here automatically and the ordering can never drift from the catalog.
-func (se *Session) RunAll(ctx context.Context, w io.Writer, opts RunAllOptions) error {
-	if opts.TierOneProviders <= 0 {
-		opts.TierOneProviders = 3
-	}
-	for _, out := range se.runAllSequence(opts) {
-		if skip, err := se.skipInRunAll(out.name); err != nil {
-			return err
-		} else if skip {
-			continue
-		}
-		res, err := se.Run(ctx, out.name, out.params)
-		if err != nil {
-			return fmt.Errorf("policyscope: %s: %w", out.name, err)
-		}
-		if res == nil {
-			continue
-		}
-		if err := res.Render(w); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// skipInRunAll reports whether a full sweep should pass over the named
-// experiment: on a snapshot-only dataset the ground-truth-dependent
-// experiments are unanswerable by construction, so the sweep runs the
-// snapshot-capable ones instead of aborting at the first typed error.
-// Running such an experiment *by name* still returns
-// ErrNeedsGroundTruth — only the battery filters.
-func (se *Session) skipInRunAll(name string) (bool, error) {
-	e, ok := catalog.Get(name)
-	if !ok || !e.NeedsGroundTruth {
-		return false, nil
-	}
-	s, err := se.Study()
-	if err != nil {
-		return false, err
-	}
-	return !s.HasGroundTruth(), nil
-}
-
-// RunAllDocument is the JSON form of a full sweep: one entry per
-// experiment invocation, in catalog order. Marshaling it at a fixed
-// seed is byte-stable across runs.
-type RunAllDocument struct {
-	Config      Config             `json:"config"`
-	Experiments []ExperimentOutput `json:"experiments"`
-}
-
-// ExperimentOutput is one experiment invocation's name, parameters and
-// typed result.
-type ExperimentOutput struct {
-	Name   string            `json:"name"`
-	Title  string            `json:"title"`
-	Params any               `json:"params,omitempty"`
-	Result experiment.Result `json:"result"`
-}
-
-// RunAllJSON executes the same sweep as RunAll and returns the
-// structured document instead of rendering text.
-func (se *Session) RunAllJSON(ctx context.Context, opts RunAllOptions) (*RunAllDocument, error) {
-	if opts.TierOneProviders <= 0 {
-		opts.TierOneProviders = 3
-	}
-	doc := &RunAllDocument{Config: se.cfg}
-	for _, out := range se.runAllSequence(opts) {
-		if skip, err := se.skipInRunAll(out.name); err != nil {
-			return nil, err
-		} else if skip {
-			continue
-		}
-		res, err := se.Run(ctx, out.name, out.params)
-		if err != nil {
-			return nil, fmt.Errorf("policyscope: %s: %w", out.name, err)
-		}
-		if res == nil {
-			continue
-		}
-		e, _ := catalog.Get(out.name)
-		doc.Experiments = append(doc.Experiments, ExperimentOutput{
-			Name: out.name, Title: e.Title, Params: out.params, Result: res,
-		})
-	}
-	return doc, nil
-}
-
-// plannedRun is one experiment invocation of a RunAll sweep.
-type plannedRun struct {
-	name   string
-	params any
-}
-
-// runAllSequence expands the catalog into the invocation list for one
-// sweep: every experiment in order, with parameter sets derived from
-// opts (one default run unless the experiment registered a plan).
-func (se *Session) runAllSequence(opts RunAllOptions) []plannedRun {
-	var out []plannedRun
-	for _, e := range catalog.All() {
-		paramSets := []any{nil}
-		if plan, ok := runAllPlans[e.Name]; ok {
-			paramSets = plan(opts)
-		}
-		for _, p := range paramSets {
-			out = append(out, plannedRun{name: e.Name, params: p})
-		}
-	}
-	return out
 }

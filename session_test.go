@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/policyscope/policyscope/internal/core"
 	"github.com/policyscope/policyscope/internal/topogen"
 )
 
@@ -47,7 +48,7 @@ func TestSessionRunByName(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := res.(Table5Result).Rows
+	rows := res.(RowsResult[core.SAResult]).Rows
 	s, err := se.Study()
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +61,7 @@ func TestSessionRunByName(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows := res.(Table6Result).Rows; len(rows) > 4 {
+	if rows := res.(RowsResult[core.CustomerSARow]).Rows; len(rows) > 4 {
 		t.Fatalf("max_rows ignored: %d rows", len(rows))
 	}
 	// Parameters from key=value flags.
@@ -305,30 +306,6 @@ func TestRunAllJSONDeterminism(t *testing.T) {
 		if !seen[want] {
 			t.Errorf("RunAllJSON missing %s", want)
 		}
-	}
-}
-
-// TestSessionRunAllMatchesStudyRunAll: the registry-driven sweep renders
-// the same text whether the session built its study or wraps one.
-func TestSessionRunAllMatchesStudyRunAll(t *testing.T) {
-	se := smallSession(t)
-	s, err := se.Study()
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := RunAllOptions{
-		TierOneProviders: 3, Table6Rows: 8, Table6MinPrefixes: 2,
-		Routers: 6, DriftRouters: 1, Figure9ASes: 2,
-	}
-	var a, b bytes.Buffer
-	if err := se.RunAll(context.Background(), &a, opts); err != nil {
-		t.Fatal(err)
-	}
-	if err := NewSessionFromStudy(s).RunAll(context.Background(), &b, opts); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Fatal("RunAll diverges between NewSession and NewSessionFromStudy")
 	}
 }
 

@@ -8,13 +8,16 @@
 // community-based verification, persistence, cause analysis and
 // export-to-peer behaviour.
 //
-// The entry point is a Study:
+// The entry point is a Session, which builds the Study — the synthetic
+// Internet plus its vantage data and lazily derived artifacts — on the
+// first query and answers every experiment of the catalog (Experiments
+// lists it) by name:
 //
-//	study, err := policyscope.NewStudy(policyscope.DefaultConfig())
+//	sess := policyscope.NewSession(policyscope.DefaultConfig())
+//	res, err := sess.Run(ctx, "table5", nil)
 //	...
-//	res := study.Table5SAPrefixes()
-//	table := study.RenderTable5(res)
-//	table.WriteTo(os.Stdout)
+//	rows := res.(policyscope.RowsResult[core.SAResult]).Rows // typed data
+//	res.Render(os.Stdout)                                    // or the paper's table
 //
 // Every experiment is deterministic in Config.Seed.
 package policyscope

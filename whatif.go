@@ -1,13 +1,16 @@
 package policyscope
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
 
+	"github.com/policyscope/policyscope/experiment"
 	"github.com/policyscope/policyscope/internal/bgp"
 	"github.com/policyscope/policyscope/internal/reports"
 	"github.com/policyscope/policyscope/internal/simulate"
+	"github.com/policyscope/policyscope/internal/sweep"
 )
 
 // What-if experiments: the paper infers which routes ASes *do* use; the
@@ -17,6 +20,56 @@ import (
 // nation-state routing) studies. Session.WhatIf applies a scenario to
 // the study's converged Internet and reports the catchment shift and
 // reachability delta, re-converging incrementally.
+
+func init() {
+	register(def[WhatIfParams]{
+		name: "whatif", title: "What-if: scenario applied to the converged study", group: "whatif", order: 210,
+		defaults: &WhatIfParams{MaxRows: 10},
+		plan: func(opts RunAllOptions) []any {
+			if opts.SkipWhatIf {
+				return nil
+			}
+			return []any{nil}
+		},
+		run: func(ctx context.Context, se *Session, s *Study, p WhatIfParams) (experiment.Result, error) {
+			sc := p.Scenario
+			if len(sc.Events) == 0 {
+				var ok bool
+				if sc, _, _, ok = s.FailoverScenario(); !ok {
+					return WhatIfResult{MaxRows: p.MaxRows}, nil
+				}
+			}
+			rep, err := se.WhatIf(ctx, sc)
+			if err != nil {
+				return nil, err
+			}
+			return WhatIfResult{Report: rep, MaxRows: p.MaxRows}, nil
+		},
+	})
+}
+
+// WhatIfParams parameterizes the what-if experiment. An empty scenario
+// (no events) runs the study's canonical failover what-if.
+type WhatIfParams struct {
+	Scenario simulate.Scenario `json:"scenario"`
+	// MaxRows caps the rendered report's table rows.
+	MaxRows int `json:"max_rows"`
+}
+
+// WhatIfResult wraps a what-if report (nil when the study has no
+// default failover subject and none was requested).
+type WhatIfResult struct {
+	Report  *WhatIfReport `json:"report"`
+	MaxRows int           `json:"-"`
+}
+
+// Render implements experiment.Result.
+func (r WhatIfResult) Render(w io.Writer) error {
+	if r.Report == nil {
+		return nil
+	}
+	return WriteWhatIf(w, r.Report, r.MaxRows)
+}
 
 // WhatIfReport is the outcome of one scenario application.
 type WhatIfReport struct {
@@ -92,10 +145,9 @@ func (s *Study) FailoverScenario() (simulate.Scenario, bgp.ASN, bgp.ASN, bool) {
 	return simulate.Scenario{}, 0, 0, false
 }
 
-// RenderWhatIf renders the report in the repro harness's table style:
-// a summary header, the most-shifted prefixes, and the peers that saw
-// their view change.
-func RenderWhatIf(rep *WhatIfReport, maxRows int) *reports.Table {
+// renderWhatIf renders the report in the repro harness's table style: a
+// summary header and the most-shifted prefixes.
+func renderWhatIf(rep *WhatIfReport, maxRows int) *reports.Table {
 	if maxRows <= 0 {
 		maxRows = 10
 	}
@@ -120,9 +172,9 @@ func RenderWhatIf(rep *WhatIfReport, maxRows int) *reports.Table {
 	return t
 }
 
-// RenderWhatIfPeers renders the per-peer view-change counts, peers with
+// renderWhatIfPeers renders the per-peer view-change counts, peers with
 // the largest shift first.
-func RenderWhatIfPeers(rep *WhatIfReport, maxRows int) *reports.Table {
+func renderWhatIfPeers(rep *WhatIfReport, maxRows int) *reports.Table {
 	if maxRows <= 0 {
 		maxRows = 10
 	}
@@ -158,9 +210,112 @@ func RenderWhatIfPeers(rep *WhatIfReport, maxRows int) *reports.Table {
 
 // WriteWhatIf renders both what-if tables to w.
 func WriteWhatIf(w io.Writer, rep *WhatIfReport, maxRows int) error {
-	if _, err := RenderWhatIf(rep, maxRows).WriteTo(w); err != nil {
-		return err
+	return writeAll(w, renderWhatIf(rep, maxRows), renderWhatIfPeers(rep, maxRows))
+}
+
+// ---- Sweep -------------------------------------------------------------------
+
+func init() {
+	register(def[SweepParams]{
+		name: "sweep", title: "Sweep: batch what-if over scenario families, aggregated", group: "sweep", order: 215,
+		defaults: &SweepParams{MaxRecords: 20},
+		// A whole-topology sweep is too heavy for the default RunAll
+		// battery; run it by name (repro -run sweep, POST /sweep).
+		plan: func(RunAllOptions) []any { return nil },
+		run: func(ctx context.Context, se *Session, _ *Study, p SweepParams) (experiment.Result, error) {
+			spec := p.Spec
+			if len(spec.Generators) == 0 {
+				spec = sweep.Spec{
+					Name:       "default-single-link-failures",
+					Generators: []sweep.Generator{{Kind: sweep.KindAllSingleLinkFailures, Max: 16}},
+				}
+			}
+			scenarios, err := se.SweepScenarios(ctx, spec)
+			if err != nil {
+				return nil, &experiment.ParamError{Name: "sweep", Err: err}
+			}
+			var records []*sweep.Impact
+			opts := sweep.Options{
+				Workers: p.Workers, TopShifts: p.TopShifts, TopK: p.TopK,
+				OnImpact: func(imp *sweep.Impact) error {
+					if p.MaxRecords <= 0 || len(records) < p.MaxRecords {
+						records = append(records, imp)
+					}
+					return nil
+				},
+			}
+			agg, err := se.Sweep(ctx, scenarios, opts)
+			if err != nil {
+				return nil, err
+			}
+			return SweepResult{Spec: spec, Aggregate: agg, Records: records}, nil
+		},
+	})
+}
+
+// SweepParams parameterizes the sweep experiment: a declarative spec
+// expanded against the study's topology, run on the sharded executor.
+// An empty spec (no generators) runs a capped all-single-link-failures
+// sweep as a demonstration.
+type SweepParams struct {
+	Spec sweep.Spec `json:"spec"`
+	// Workers is the executor shard count (0 = GOMAXPROCS).
+	Workers int `json:"workers"`
+	// TopShifts bounds each record's per-prefix detail (0 = 3).
+	TopShifts int `json:"top_shifts"`
+	// TopK bounds the aggregate's critical-scenario lists (0 = 10).
+	TopK int `json:"top_k"`
+	// MaxRecords caps the per-scenario records the result retains
+	// (<= 0 keeps all; the streaming /sweep endpoint always carries
+	// every record).
+	MaxRecords int `json:"max_records"`
+}
+
+// SweepResult is the registry-shaped outcome of a sweep: the expanded
+// spec, the streamed aggregate, and (bounded by SweepParams.MaxRecords)
+// the head of the per-scenario record stream.
+type SweepResult struct {
+	Spec      sweep.Spec       `json:"spec"`
+	Aggregate *sweep.Aggregate `json:"aggregate"`
+	Records   []*sweep.Impact  `json:"records,omitempty"`
+}
+
+// Render implements experiment.Result.
+func (r SweepResult) Render(w io.Writer) error {
+	a := r.Aggregate
+	name := r.Spec.Name
+	if name == "" {
+		name = fmt.Sprintf("%d generator(s)", len(r.Spec.Generators))
 	}
-	_, err := RenderWhatIfPeers(rep, maxRows).WriteTo(w)
-	return err
+	summary := &reports.Table{
+		Title: fmt.Sprintf(
+			"Sweep %s: %d scenarios (%d with impact, %d partitioning, %d errors), %d (prefix,AS) best shifts, reach -%d/+%d",
+			name, a.Scenarios, a.ScenariosWithImpact, a.ScenariosPartitioning, a.Errors,
+			a.ShiftedASes, a.LostReachPairs, a.GainedReachPairs),
+		Columns: []string{"Shifted (prefix,AS) pairs", "Scenarios"},
+	}
+	for _, b := range a.Histogram {
+		summary.AddRow(b.Label, fmt.Sprintf("%d", b.Scenarios))
+	}
+	top := &reports.Table{
+		Title:   "Most critical scenarios (by shifted pairs)",
+		Columns: []string{"#", "Scenario", "Shifted", "Lost reach"},
+	}
+	for i, e := range a.TopByShift {
+		top.AddRow(fmt.Sprintf("%d", i+1), e.Name,
+			fmt.Sprintf("%d", e.ShiftedASes), fmt.Sprintf("%d", e.LostReachPairs))
+	}
+	peers := &reports.Table{
+		Title:   fmt.Sprintf("Vantage points touched: %d", len(a.Peers)),
+		Columns: []string{"Peer", "Scenarios", "Changed best routes"},
+	}
+	for i, p := range a.Peers {
+		if i >= 10 {
+			peers.AddRow("...", fmt.Sprintf("(%d more)", len(a.Peers)-10), "")
+			break
+		}
+		peers.AddRow(fmt.Sprintf("AS%d", p.Peer),
+			fmt.Sprintf("%d", p.Scenarios), fmt.Sprintf("%d", p.PrefixChanges))
+	}
+	return writeAll(w, summary, top, peers)
 }
