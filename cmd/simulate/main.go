@@ -95,8 +95,9 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		// Topology only: the engine converges the base state itself, so
-		// a full study load would simulate everything twice.
+		// Topology only: this path wants an engine to apply one scenario
+		// to and nothing else of a study (no snapshot, no analysis state),
+		// and converges it itself.
 		topo, peers, err := dataset.LoadTopology(context.Background(), src)
 		if err != nil {
 			fail(err)

@@ -145,8 +145,8 @@ func main() {
 	}
 	slog.Info("loading dataset", "dataset", cat.Default())
 	src, _ := cat.Get(cat.Default())
-	// Topology only: the engine below runs its own convergence, so a
-	// full study load would converge the base state twice.
+	// Topology only: expansion needs nothing else, and fleet mode never
+	// builds an engine here at all (local mode converges its own below).
 	topo, peerSet, err := dataset.LoadTopology(ctx, src)
 	if err != nil {
 		fail(err)

@@ -6,10 +6,12 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
+	"time"
 
 	policyscope "github.com/policyscope/policyscope"
 	"github.com/policyscope/policyscope/internal/asgraph"
@@ -22,19 +24,22 @@ import (
 )
 
 // cacheFormatVersion is hashed into every cache key, so a codec change
-// invalidates old entries instead of misreading them. Version 2 is the
-// flat studyfmt payload (version 1 was gob); the version byte inside
-// the blob catches entries that survive a key collision or a hand-moved
-// file, so both layers fall through to regeneration.
-const cacheFormatVersion = 2
+// invalidates old entries instead of misreading them. Version 3 is the
+// flat studyfmt payload with the best-forest section (version 2 lacked
+// the forest, version 1 was gob); the version byte inside the blob
+// catches entries that survive a key collision or a hand-moved file, so
+// both layers fall through to regeneration.
+const cacheFormatVersion = 3
 
 // Cached wraps a source with a content-addressed on-disk store: entries
 // are keyed by a hash of the wrapped source's spec, so the expensive
 // part of a synthetic dataset — BGP simulation to convergence — is paid
 // once per configuration and cold server/CLI starts load the converged
-// tables from disk. The payload is the studyfmt flat binary format:
-// converged tables decode in parallel straight into bulk-installed RIBs
-// while the topology regenerates concurrently (synthetic topologies are
+// state from disk: the vantage tables and the best forest, from which
+// the study's base what-if engine is restored without propagating a
+// route. The payload is the studyfmt flat binary format: converged
+// tables decode in parallel straight into bulk-installed RIBs while the
+// topology regenerates concurrently (synthetic topologies are
 // deterministic in the configuration and cheap next to simulation;
 // CAIDA graphs are embedded in the entry, since no configuration can
 // regenerate a measured file).
@@ -79,35 +84,51 @@ func (c *Cached) path() string { return filepath.Join(c.Dir, c.Key()+".study") }
 // Load returns the cached study when the store has a valid entry, and
 // otherwise loads from the wrapped source and persists the result.
 func (c *Cached) Load(ctx context.Context) (*policyscope.Study, error) {
-	if study, err := c.readCacheFile(ctx, c.path()); err == nil {
-		c.overlayExecutionKnobs(study)
+	start := time.Now()
+	study, err := c.readCacheFile(ctx, c.path())
+	if err == nil {
+		observeLoad(cacheHit, start)
 		return study, nil
-	} else if ctx.Err() != nil {
+	}
+	if ctx.Err() != nil {
 		return nil, err
 	}
-	study, err := c.Source.Load(ctx)
-	if err != nil {
+	// No entry is a miss; an entry that would not load — truncated,
+	// corrupt, another format version, a forest the topology refuses — is
+	// stale, and is replaced below.
+	result := cacheStale
+	if errors.Is(err, os.ErrNotExist) {
+		result = cacheMiss
+	}
+	if study, err = c.Source.Load(ctx); err != nil {
 		return nil, err
 	}
 	_ = c.writeCacheFile(c.path(), study) // best-effort
+	observeLoad(result, start)
 	return study, nil
 }
 
-// overlayExecutionKnobs replaces the execution-only configuration a
-// cache entry preserved from its writer with the reading source's:
+// entryConfig decodes the configuration a cache entry recorded and
+// replaces its execution-only part with the reading source's:
 // Parallelism cannot change the data (it is canonicalized out of the
-// cache key for the same reason), so the current process's setting —
-// not the writer's — must drive engines built from a hit, and appear
-// in serialized documents.
-func (c *Cached) overlayExecutionKnobs(study *policyscope.Study) {
+// cache key for the same reason), so the current process's setting — not
+// the writer's — bounds the decode workers, drives the restored engine
+// and appears in serialized documents. A source of unknown kind keeps
+// what the writer recorded.
+func (c *Cached) entryConfig(h *studyfmt.Header) (policyscope.Config, error) {
+	var cfg policyscope.Config
+	if err := json.Unmarshal(h.ConfigJSON, &cfg); err != nil {
+		return cfg, fmt.Errorf("bad config: %w", err)
+	}
 	switch src := c.Source.(type) {
 	case *Synthetic:
-		study.Config.Parallelism = src.Config.Parallelism
+		cfg.Parallelism = src.Config.Parallelism
 	case *MRTFile:
-		study.Config.Parallelism = src.Config.Parallelism
+		cfg.Parallelism = src.Config.Parallelism
 	case *CAIDAFile:
-		study.Config.Parallelism = src.Parallelism
+		cfg.Parallelism = src.Parallelism
 	}
+	return cfg, nil
 }
 
 // writeCacheFile encodes s and atomically publishes it at path: a
@@ -136,9 +157,10 @@ func (c *Cached) writeCacheFile(path string, s *policyscope.Study) error {
 }
 
 // encodeStudy builds the flat payload. Ground-truth studies persist the
-// converged vantage tables plus the collector table (the topology is
-// regenerated from Config, or from the embedded CAIDA graph for CAIDA
-// sources); snapshot-only studies persist the MRT bytes.
+// converged vantage tables, the collector table and the best forest of
+// the study's base engine (the topology is regenerated from Config, or
+// from the embedded CAIDA graph for CAIDA sources); snapshot-only
+// studies persist the MRT bytes.
 func (c *Cached) encodeStudy(s *policyscope.Study) ([]byte, error) {
 	cfgJSON, err := json.Marshal(s.Config)
 	if err != nil {
@@ -153,6 +175,11 @@ func (c *Cached) encodeStudy(s *policyscope.Study) ([]byte, error) {
 		fs.MRT = buf.Bytes()
 		return studyfmt.Encode(fs)
 	}
+	eng, err := s.WhatIfEngine()
+	if err != nil {
+		return nil, err
+	}
+	fs.Forest = eng.ForestSlots()
 	if _, ok := c.Source.(*CAIDAFile); ok {
 		var buf bytes.Buffer
 		if _, err := s.Topo.Graph.WriteTo(&buf); err != nil {
@@ -184,11 +211,13 @@ func (c *Cached) encodeStudy(s *policyscope.Study) ([]byte, error) {
 	return studyfmt.Encode(fs)
 }
 
-// readCacheFile loads a cache entry. Any decode failure — truncation,
-// corruption, a different format version — is returned as an error and
-// treated by Load as a miss. For ground-truth entries the topology
-// regenerates on its own goroutine while the tables decode in parallel,
-// so the two dominant costs of a hit overlap.
+// readCacheFile loads a cache entry. Any failure — truncation,
+// corruption, a different format version, converged state the topology
+// refuses (simulate.ErrRestore) — is returned as an error and treated by
+// Load as a miss. For ground-truth entries the topology regenerates on
+// its own goroutine while the tables decode in parallel, so the two
+// dominant costs of a hit overlap; the base engine is then restored from
+// the decoded tables and forest, and the study's Result is a view of it.
 func (c *Cached) readCacheFile(ctx context.Context, path string) (*policyscope.Study, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -201,9 +230,9 @@ func (c *Cached) readCacheFile(ctx context.Context, path string) (*policyscope.S
 	if err != nil {
 		return nil, fmt.Errorf("dataset: cache entry %s: %w", path, err)
 	}
-	var cfg policyscope.Config
-	if err := json.Unmarshal(h.ConfigJSON, &cfg); err != nil {
-		return nil, fmt.Errorf("dataset: cache entry %s: bad config: %w", path, err)
+	cfg, err := c.entryConfig(h)
+	if err != nil {
+		return nil, fmt.Errorf("dataset: cache entry %s: %w", path, err)
 	}
 
 	if !h.GroundTruth {
@@ -263,11 +292,20 @@ func (c *Cached) readCacheFile(ctx context.Context, path string) (*policyscope.S
 	if tr.err != nil {
 		return nil, fmt.Errorf("dataset: cache entry %s: %w", path, tr.err)
 	}
+	base, err := simulate.RestoreEngine(tr.topo, simulate.Options{
+		VantagePoints: fs.Peers,
+		Parallelism:   cfg.Parallelism,
+		Intern:        intern,
+	}, res, fs.Forest)
+	if err != nil {
+		return nil, fmt.Errorf("dataset: cache entry %s: %w", path, err)
+	}
 	snap := &routeviews.Snapshot{Timestamp: fs.Timestamp, Peers: fs.Peers, Table: collector}
 	return policyscope.NewStudyFromInputs(policyscope.StudyInputs{
 		Config:   cfg,
 		Topo:     tr.topo,
 		Result:   res,
+		Base:     base,
 		Peers:    fs.Peers,
 		Snapshot: snap,
 		Intern:   intern,

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/gob"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"sort"
@@ -16,6 +17,7 @@ import (
 	"github.com/policyscope/policyscope/internal/netx"
 	"github.com/policyscope/policyscope/internal/routeviews"
 	"github.com/policyscope/policyscope/internal/simulate"
+	"github.com/policyscope/policyscope/internal/studyfmt"
 	"github.com/policyscope/policyscope/internal/topogen"
 )
 
@@ -203,6 +205,52 @@ func TestCachedStaleVersionFallsThrough(t *testing.T) {
 	}
 	if _, err := NewCached(&failingSource{spec: c.Spec()}, dir).Load(context.Background()); err != nil {
 		t.Fatalf("repaired entry unreadable: %v", err)
+	}
+}
+
+// TestCachedVersion1EntryIsRefused: testdata/v1_entry.study is a cache
+// entry written by the last commit of format version 1 (60 ASes, seed 3,
+// 6 peers; no forest section, one directory slot fewer). Moved under the
+// key the current format hashes the same spec to — the collision the
+// version byte exists for — it must be refused as ErrVersion before any
+// section is located, counted as a stale load, and replaced by a
+// current-version entry.
+func TestCachedVersion1EntryIsRefused(t *testing.T) {
+	v1, err := os.ReadFile(filepath.Join("testdata", "v1_entry.study"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := studyfmt.DecodeHeader(v1); !errors.Is(err, studyfmt.ErrVersion) {
+		t.Fatalf("version-1 blob: %v, want ErrVersion", err)
+	}
+	dir := t.TempDir()
+	cfg := policyscope.Config{NumASes: 60, Seed: 3, CollectorPeers: 6, LookingGlassASes: 3}
+	src := &countingSource{Synthetic: Synthetic{Config: cfg}}
+	c := NewCached(src, dir)
+	path := filepath.Join(dir, c.Key()+".study")
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	counts := readCacheCounts(t)
+	study, err := c.Load(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !study.HasGroundTruth() || src.loads.Load() != 1 {
+		t.Fatalf("version-1 entry was not a regenerating miss (loads=%d)", src.loads.Load())
+	}
+	if d := counts.since(t); d.stale != 1 || d.hit != 0 || d.miss != 0 {
+		t.Fatalf("cache counters moved by %+v, want one stale load", d)
+	}
+	rewritten, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rewritten[4] != studyfmt.Version {
+		t.Fatalf("entry still carries version byte %d", rewritten[4])
+	}
+	if _, err := NewCached(&failingSource{spec: c.Spec()}, dir).Load(context.Background()); err != nil {
+		t.Fatalf("rewritten entry unreadable: %v", err)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"github.com/policyscope/policyscope/internal/bgp"
 	"github.com/policyscope/policyscope/internal/netx"
 	"github.com/policyscope/policyscope/internal/routeviews"
-	"github.com/policyscope/policyscope/internal/simulate"
 	"github.com/policyscope/policyscope/internal/topogen"
 )
 
@@ -119,9 +118,8 @@ func (c *CAIDAFile) Load(ctx context.Context) (*policyscope.Study, error) {
 	return c.buildStudy(ctx, g)
 }
 
-// buildStudy runs the simulation pipeline over an already-parsed graph
-// (Load, and the cache's topology-regeneration path when only tables
-// were persisted).
+// buildStudy synthesizes the topology over an already-parsed graph and
+// converges it — once: the study keeps the run as its what-if base.
 func (c *CAIDAFile) buildStudy(ctx context.Context, g *asgraph.Graph) (*policyscope.Study, error) {
 	sp := *c.Spec().CAIDA
 	topo, err := CAIDATopology(g, sp)
@@ -135,30 +133,11 @@ func (c *CAIDAFile) buildStudy(ctx context.Context, g *asgraph.Graph) (*policysc
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	intern := bgp.NewIntern()
-	res, err := simulate.Run(topo, simulate.Options{
-		VantagePoints: peers,
-		Parallelism:   c.Parallelism,
-		Intern:        intern,
-	})
+	in, err := policyscope.ConvergeInputs(c.studyConfig(topo, peers), topo, peers)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("dataset: %s: %w", c.Path, err)
 	}
-	if len(res.Unconverged) > 0 {
-		return nil, fmt.Errorf("dataset: %s: %d prefixes did not converge", c.Path, len(res.Unconverged))
-	}
-	snap, err := routeviews.Collect(res, peers, 0)
-	if err != nil {
-		return nil, err
-	}
-	return policyscope.NewStudyFromInputs(policyscope.StudyInputs{
-		Config:   c.studyConfig(topo, peers),
-		Topo:     topo,
-		Result:   res,
-		Peers:    peers,
-		Snapshot: snap,
-		Intern:   intern,
-	})
+	return policyscope.NewStudyFromInputs(in)
 }
 
 // studyConfig derives the analysis configuration a CAIDA study reports.

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	policyscope "github.com/policyscope/policyscope"
+	"github.com/policyscope/policyscope/internal/studyfmt"
 )
 
 // tinyConfig returns a fast-to-build study configuration; vary seed to
@@ -142,6 +143,7 @@ func TestCachedSourceRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	cfg := tinyConfig(7)
 	cold := NewCached(NewSynthetic(cfg), dir)
+	counts := readCacheCounts(t)
 	study, err := cold.Load(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -149,16 +151,23 @@ func TestCachedSourceRoundTrip(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, cold.Key()+".study")); err != nil {
 		t.Fatalf("cache entry not written: %v", err)
 	}
+	if d := counts.since(t); d.miss != 1 || d.hit != 0 || d.stale != 0 {
+		t.Fatalf("cold load moved the cache counters by %+v, want one miss", d)
+	}
 
 	// A second Cached over the same spec but a poisoned inner source
 	// must resolve purely from disk.
 	hit := NewCached(&failingSource{spec: cold.Spec()}, dir)
+	counts = readCacheCounts(t)
 	cached, err := hit.Load(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !cached.HasGroundTruth() {
 		t.Fatal("cache hit lost ground truth")
+	}
+	if d := counts.since(t); d.hit != 1 || d.miss != 0 || d.stale != 0 {
+		t.Fatalf("second load moved the cache counters by %+v, want one hit", d)
 	}
 
 	// The reconstructed study answers a ground-truth-heavy slice of the
@@ -186,29 +195,56 @@ func TestCachedSourceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCachedHitOverlaysParallelism: a hit must carry the *reading*
+// TestCachedHitOverlaysParallelism: a hit must run with the *reading*
 // process's execution knob, not the writer's — Parallelism is
 // canonicalized out of the key, so entries are shared across -j values.
+// The reader's value has to be in place before the entry's body is
+// decoded and the base engine restored, not patched onto the finished
+// study: it bounds the decode workers and is the restored engine's
+// worker bound.
 func TestCachedHitOverlaysParallelism(t *testing.T) {
 	dir := t.TempDir()
-	cfg := tinyConfig(19)
-	if _, err := NewCached(NewSynthetic(cfg), dir).Load(context.Background()); err != nil {
+	cfg8 := tinyConfig(19)
+	cfg8.Parallelism = 8
+	if _, err := NewCached(NewSynthetic(cfg8), dir).Load(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	cfg8 := cfg
-	cfg8.Parallelism = 8
-	reader := NewCached(NewSynthetic(cfg8), dir)
+	cfg1 := cfg8
+	cfg1.Parallelism = 1
+	reader := NewCached(NewSynthetic(cfg1), dir)
 	entry := filepath.Join(dir, reader.Key()+".study")
 	before, err := os.Stat(entry)
 	if err != nil {
 		t.Fatalf("reader hashes to a different key: %v", err)
 	}
+	blob, err := os.ReadFile(entry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := studyfmt.DecodeHeader(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var written policyscope.Config
+	if err := json.Unmarshal(h.ConfigJSON, &written); err != nil || written.Parallelism != 8 {
+		t.Fatalf("entry records Parallelism %d (%v), the test wants the writer's 8 in it", written.Parallelism, err)
+	}
+	if got, err := reader.entryConfig(h); err != nil || got.Parallelism != 1 {
+		t.Fatalf("decode and restore would run with Parallelism %d (%v), want the reader's 1", got.Parallelism, err)
+	}
 	study, err := reader.Load(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if study.Config.Parallelism != 8 {
+	if study.Config.Parallelism != 1 {
 		t.Fatalf("hit kept the writer's Parallelism %d", study.Config.Parallelism)
+	}
+	eng, err := study.WhatIfEngine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eng.Parallelism() != 1 {
+		t.Fatalf("restored engine is bounded by the writer's Parallelism %d", eng.Parallelism())
 	}
 	after, err := os.Stat(entry)
 	if err != nil {

@@ -1,6 +1,10 @@
 package dataset
 
-import "github.com/policyscope/policyscope/obs"
+import (
+	"time"
+
+	"github.com/policyscope/policyscope/obs"
+)
 
 // Pool metrics, process-wide across all pools (a serving process runs
 // one). The counters mirror Pool.Stats so dashboards and healthz agree;
@@ -23,3 +27,26 @@ var (
 	mPoolCooldownRejects = obs.NewCounter("policyscope_pool_cooldown_rejects_total",
 		"Session requests refused because the dataset's last build failed within the cooldown window.")
 )
+
+// Cache metrics: where a Cached.Load's study came from, and what that
+// cost. No per-dataset label — a manifest can name any number of them.
+var (
+	mCacheLoads = obs.NewCounterVec("policyscope_dataset_cache_total",
+		"Cached dataset loads by where the study came from: hit (restored from the entry), miss (no entry: built and written), stale (an entry that would not load — truncated, corrupt, another format version, converged state the topology refuses — rebuilt and replaced).",
+		"result")
+	mCacheLoadSeconds = obs.NewHistogramVec("policyscope_dataset_load_seconds",
+		"Wall time of one Cached dataset load, by the same result: a hit is read + decode + engine restore, a miss or stale load is the source's build plus the entry's encode and write.",
+		nil, "result")
+)
+
+// The values of the result label.
+const (
+	cacheHit   = "hit"
+	cacheMiss  = "miss"
+	cacheStale = "stale"
+)
+
+func observeLoad(result string, start time.Time) {
+	mCacheLoads.With(result).Inc()
+	mCacheLoadSeconds.With(result).ObserveSince(start)
+}

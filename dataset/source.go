@@ -132,13 +132,16 @@ func (m *MRTFile) Load(ctx context.Context) (*policyscope.Study, error) {
 }
 
 // LoadTopology yields just a dataset's annotated topology and collector
-// peer set — what an engine-building consumer (cmd/sweep, cmd/simulate
-// -scenario) actually needs. For synthetic sources this generates the
-// topology *without* simulating it (the engine will run its own
-// convergence), skipping the converged-tables work a full Load pays;
-// a Cached wrapper is unwrapped for the same reason — generation alone
-// is cheaper than any disk load. Snapshot-only sources carry no
-// topology and return an error wrapping policyscope.ErrNeedsGroundTruth.
+// peer set, for a consumer that may need no converged state at all
+// (cmd/sweep expands its spec against the topology and, in fleet mode,
+// never builds an engine; cmd/simulate -scenario builds its own). For
+// synthetic and CAIDA sources this generates the topology without
+// simulating it; a Cached wrapper is unwrapped, because generation alone
+// is cheaper than reading an entry's tables. A consumer that does want
+// the converged state should Load the study and take
+// Study.WhatIfEngine, which a cached dataset restores without
+// converging. Snapshot-only sources carry no topology and return an
+// error wrapping policyscope.ErrNeedsGroundTruth.
 func LoadTopology(ctx context.Context, src Source) (*topogen.Topology, []bgp.ASN, error) {
 	if c, ok := src.(*Cached); ok {
 		src = c.Source

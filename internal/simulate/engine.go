@@ -32,8 +32,11 @@
 // restoration, prefix withdrawal or re-origination, policy edit — can
 // actually disturb, seeding the per-prefix activation loop from the
 // reconstructed pre-event state instead of recomputing the fixpoint from
-// scratch. Ablation knobs (DecisionDepth, IgnoreImportPolicy) are
-// exercised by the benchmark suite in the repository root.
+// scratch. An Engine's Result is a view of it, so one convergence serves
+// both the analyses and the what-ifs, and RestoreEngine (restore.go)
+// rebuilds a converged Engine from stored tables and forest rows without
+// converging at all. Ablation knobs (DecisionDepth, IgnoreImportPolicy)
+// are exercised by the benchmark suite in the repository root.
 package simulate
 
 import (

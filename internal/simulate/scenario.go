@@ -322,8 +322,12 @@ type Engine struct {
 }
 
 // NewEngine runs a full simulation of topo and retains the per-prefix
-// best forest that incremental re-convergence needs. Memory cost beyond
-// a plain Run is 4 bytes per (prefix, AS) pair.
+// best forest that incremental re-convergence needs: 4 bytes per
+// (prefix, AS) pair on top of what Run holds while it converges. Result
+// is then a view of the engine, so a caller that wants both the
+// converged tables and a what-if engine converges once — here — and
+// RestoreEngine rebuilds the same engine from stored state without
+// converging at all.
 func NewEngine(topo *topogen.Topology, opts Options) (*Engine, error) {
 	clone := topo.Clone()
 	e := newEngine(clone, opts)
@@ -341,8 +345,10 @@ func NewEngine(topo *topogen.Topology, opts Options) (*Engine, error) {
 func (en *Engine) Topology() *topogen.Topology { return en.topo }
 
 // Result builds the current converged state in the same shape Run
-// returns. Tables are shared with the engine: they are updated in place
-// by subsequent Apply calls.
+// returns. Tables are shared with the engine: an Apply on this engine
+// writes them in place (un-sharing first when a Clone exists), so a
+// caller that keeps the Result keeps the engine pristine and applies to
+// clones — the arrangement a Study and its base engine have.
 func (en *Engine) Result() *Result {
 	return en.e.buildResult(en.unconvergedList())
 }
@@ -359,6 +365,9 @@ func (en *Engine) SetParallelism(n int) {
 	en.opts.Parallelism = n
 	en.e.opts.Parallelism = n
 }
+
+// Parallelism reports the engine's worker bound (0 = GOMAXPROCS).
+func (en *Engine) Parallelism() int { return en.opts.Parallelism }
 
 func (en *Engine) unconvergedList() []netx.Prefix {
 	out := make([]netx.Prefix, 0, len(en.unconv))

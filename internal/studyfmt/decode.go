@@ -3,6 +3,7 @@ package studyfmt
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 
@@ -74,7 +75,8 @@ func (h *Header) section(i int) []byte {
 
 // DecodeOptions tunes DecodeBody.
 type DecodeOptions struct {
-	// Parallelism bounds table-decode workers; 0 uses GOMAXPROCS.
+	// Parallelism bounds the table- and forest-decode workers; 0 uses
+	// GOMAXPROCS.
 	Parallelism int
 	// Intern, when set, canonicalizes decoded community sets through
 	// the shared intern table, so the simulation engine the study feeds
@@ -82,10 +84,11 @@ type DecodeOptions struct {
 	Intern *bgp.Intern
 }
 
-// DecodeBody decodes the full study. Tables decode in parallel (each
-// table's routes, paths-region references and neighbor lists land in
-// per-table arenas carved into per-prefix subslices, installed through
-// bgp.RIB's bulk path), after the shared regions decode once up front.
+// DecodeBody decodes the full study. Tables and the forest decode in
+// parallel (each table's routes, paths-region references and neighbor
+// lists land in per-table arenas carved into per-prefix subslices,
+// installed through bgp.RIB's bulk path), after the shared regions
+// decode once up front.
 func (h *Header) DecodeBody(opts DecodeOptions) (*Study, error) {
 	s := &Study{
 		ConfigJSON:  h.ConfigJSON,
@@ -189,13 +192,16 @@ func (h *Header) DecodeBody(opts DecodeOptions) (*Study, error) {
 		}
 	}
 
+	// One work item per table, after item 0: the forest, the largest
+	// single piece of an entry that has one.
 	s.Tables = make([]Table, len(refs))
+	items := len(refs) + 1
 	workers := opts.Parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(refs) {
-		workers = len(refs)
+	if workers > items {
+		workers = items
 	}
 	var (
 		wg       sync.WaitGroup
@@ -209,16 +215,23 @@ func (h *Header) DecodeBody(opts DecodeOptions) (*Study, error) {
 			defer wg.Done()
 			for {
 				mu.Lock()
-				if next >= len(refs) || firstErr != nil {
+				if next >= items || firstErr != nil {
 					mu.Unlock()
 					return
 				}
 				i := next
 				next++
 				mu.Unlock()
-				ref := refs[i]
-				rib, err := decodeTable(ref.owner, data[ref.off:ref.off+ref.length],
-					ref.nprefix, ref.nroute, paths, comms)
+				var err error
+				if i == 0 {
+					s.Forest, err = decodeForest(h.section(secForest))
+				} else {
+					ref := refs[i-1]
+					tab := Table{Owner: ref.owner, Collector: ref.collector}
+					tab.RIB, err = decodeTable(ref.owner, data[ref.off:ref.off+ref.length],
+						ref.nprefix, ref.nroute, paths, comms)
+					s.Tables[i-1] = tab
+				}
 				if err != nil {
 					mu.Lock()
 					if firstErr == nil {
@@ -227,7 +240,6 @@ func (h *Header) DecodeBody(opts DecodeOptions) (*Study, error) {
 					mu.Unlock()
 					return
 				}
-				s.Tables[i] = Table{Owner: ref.owner, Collector: ref.collector, RIB: rib}
 			}
 		}()
 	}
@@ -319,6 +331,52 @@ func decodeComms(sec []byte, in *bgp.Intern) ([]bgp.Communities, error) {
 		}
 	}
 	return comms, nil
+}
+
+// decodeForest decodes the forest section into rows carved from one
+// slab, whose size the section's own length bounds (a cell is at least
+// one byte).
+func decodeForest(sec []byte) ([][]int32, error) {
+	if len(sec) == 0 {
+		return nil, nil
+	}
+	r := &reader{b: sec}
+	n, err := r.count(1)
+	if err != nil {
+		return nil, err
+	}
+	width, err := r.count(1)
+	if err != nil {
+		return nil, err
+	}
+	if n == 0 || width == 0 || n > r.remaining()/width {
+		return nil, corrupt("forest: %d rows of %d cells in %d bytes", n, width, r.remaining())
+	}
+	slab := make([]int32, n*width)
+	for k := range slab {
+		// Nearly every cell is a one-byte varint.
+		if r.off < len(sec) && sec[r.off] < 0x80 {
+			slab[k] = int32(sec[r.off])
+			r.off++
+			continue
+		}
+		v, err := r.uvarint()
+		if err != nil {
+			return nil, err
+		}
+		if v > math.MaxInt32 {
+			return nil, corrupt("forest cell %d: code %d exceeds 31 bits", k, v)
+		}
+		slab[k] = int32(v)
+	}
+	if r.remaining() != 0 {
+		return nil, corrupt("forest: %d trailing bytes", r.remaining())
+	}
+	rows := make([][]int32, n)
+	for i := range rows {
+		rows[i] = slab[i*width : (i+1)*width : (i+1)*width]
+	}
+	return rows, nil
 }
 
 // decodeTable decodes one table's entries into exact-size arenas and

@@ -101,6 +101,12 @@ func Encode(s *Study) ([]byte, error) {
 	}
 	sections[secComms] = commsSec
 
+	forest, err := encodeForest(s.Forest)
+	if err != nil {
+		return nil, err
+	}
+	sections[secForest] = forest
+
 	// Assemble: header, directory, sections.
 	total := headerSize
 	for _, sec := range sections {
@@ -128,6 +134,32 @@ func Encode(s *Study) ([]byte, error) {
 		blob = append(blob, sec...)
 	}
 	return blob, nil
+}
+
+// encodeForest writes the forest section: row count, row length, then
+// every cell in row order. No rows is an empty section.
+func encodeForest(rows [][]int32) ([]byte, error) {
+	if len(rows) == 0 {
+		return nil, nil
+	}
+	width := len(rows[0])
+	// One byte per cell plus slack for the two-byte codes of the
+	// best-connected ASes.
+	b := make([]byte, 0, 16+len(rows)*width*9/8)
+	b = binary.AppendUvarint(b, uint64(len(rows)))
+	b = binary.AppendUvarint(b, uint64(width))
+	for i, row := range rows {
+		if len(row) != width || width == 0 {
+			return nil, corrupt("forest row %d has %d cells, row 0 has %d", i, len(row), width)
+		}
+		for _, v := range row {
+			if v < 0 {
+				return nil, corrupt("forest row %d: negative code %d", i, v)
+			}
+			b = binary.AppendUvarint(b, uint64(v))
+		}
+	}
+	return b, nil
 }
 
 func appendPrefix(b []byte, p netx.Prefix) []byte {

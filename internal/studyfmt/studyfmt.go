@@ -19,7 +19,10 @@
 //     varint-packed table-data section, sized so the decoder
 //     preallocates exact-length arenas per table and installs entries
 //     through bgp.RIB's bulk path (InstallOwned) with zero per-route
-//     map or slice growth, and decodes tables in parallel.
+//     map or slice growth, and decodes tables in parallel;
+//   - a forest section: per prefix, every AS's best next hop as a small
+//     code (see Study.Forest), about one byte per (prefix, AS), so a
+//     reader rebuilds the what-if engine without converging anything.
 //
 // The format is deliberately position-independent and append-only in
 // spirit: every section is located via the directory, unknown trailing
@@ -37,8 +40,11 @@ import (
 )
 
 // Version is the format version this package reads and writes. Readers
-// reject other versions with ErrVersion.
-const Version = 1
+// reject other versions with ErrVersion. Version 2 added the forest
+// section (and with it one more directory entry, so a version-1 reader
+// of a version-2 blob, or the reverse, would misplace every section —
+// the version check runs before the directory is read).
+const Version = 2
 
 // ErrFormat reports a structurally invalid blob (bad magic, truncated
 // section, offset out of bounds, overdrawn count). Every decode error
@@ -68,6 +74,7 @@ const (
 	secTableIndex        // per-table directory over the table-data section
 	secTableData         // varint-packed RIB entries of every table
 	secMRT               // raw MRT bytes of MRT-sourced studies (or empty)
+	secForest            // per-prefix best-next-hop rows (or empty)
 	numSections
 )
 
@@ -117,6 +124,14 @@ type Study struct {
 	// MRT is the raw MRT path/bytes of MRT-sourced studies (the cache
 	// stores the source path here), empty otherwise.
 	MRT []byte
+	// Forest is the converged best forest, or nil: row i belongs to
+	// Reach[i].Prefix and holds one non-negative code per AS of the
+	// topology, all rows equally long. The format packs the codes as
+	// varints and does not interpret them; the writer chooses codes that
+	// are small where it matters (simulate.Engine.ForestSlots names a next
+	// hop by its position in the AS's adjacency, which fits one byte for
+	// all but the best-connected ASes).
+	Forest [][]int32
 }
 
 // corrupt builds an ErrFormat-wrapped error.

@@ -2,8 +2,10 @@ package studyfmt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"github.com/policyscope/policyscope/internal/bgp"
@@ -13,7 +15,8 @@ import (
 // buildStudy assembles a small but representative study: three tables
 // (two vantages plus a collector) whose routes share AS paths and
 // community sets across tables, non-trivial best selection, reach
-// entries, peers, and an embedded opaque topology blob.
+// entries, peers, an embedded opaque topology blob, and a forest row per
+// reach entry with one code that needs a second varint byte.
 func buildStudy() *Study {
 	mkRoute := func(p netx.Prefix, path bgp.Path, comms bgp.Communities, lp uint32) *bgp.Route {
 		return &bgp.Route{
@@ -55,6 +58,7 @@ func buildStudy() *Study {
 		Reach:       []ReachEntry{{Prefix: p1, Count: 5}, {Prefix: p2, Count: 3}},
 		Tables:      tables,
 		MRT:         nil,
+		Forest:      [][]int32{{1, 2, 0, 300}, {3, 1, 2, 2}},
 	}
 }
 
@@ -94,12 +98,55 @@ func TestRoundTrip(t *testing.T) {
 			t.Fatalf("table %d: size diverged", i)
 		}
 	}
+	if !reflect.DeepEqual(got.Forest, s.Forest) {
+		t.Fatalf("forest decoded as %v, want %v", got.Forest, s.Forest)
+	}
 	reblob, err := Encode(got)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(blob, reblob) {
 		t.Fatal("re-encoding the decoded study changed bytes")
+	}
+}
+
+// TestEncodeRejectsBadForest: ragged rows and negative codes are encode
+// errors, not blobs no reader accepts.
+func TestEncodeRejectsBadForest(t *testing.T) {
+	for name, forest := range map[string][][]int32{
+		"ragged":   {{1, 2}, {1}},
+		"negative": {{1, -1}},
+		"no cells": {{}},
+	} {
+		if _, err := Encode(&Study{Forest: forest}); !errors.Is(err, ErrFormat) {
+			t.Errorf("%s forest: %v", name, err)
+		}
+	}
+}
+
+// TestDecodeRejectsBadForest: a forest section whose counts overrun its
+// bytes, leave bytes over, or describe no cells is ErrFormat, and the
+// count check runs before the slab is allocated.
+func TestDecodeRejectsBadForest(t *testing.T) {
+	uv := func(vs ...uint64) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = binary.AppendUvarint(b, v)
+		}
+		return b
+	}
+	for name, sec := range map[string][]byte{
+		"rows overrun":   uv(3, 2, 1, 1, 1, 1),
+		"huge counts":    uv(1<<40, 1<<40, 1),
+		"trailing bytes": uv(1, 2, 1, 1, 1),
+		"no rows":        uv(0, 2),
+		"no cells":       uv(2, 0),
+		"code too wide":  uv(1, 1, 1<<31),
+		"torn varint":    append(uv(1, 2, 1), 0x80),
+	} {
+		if _, err := decodeForest(sec); !errors.Is(err, ErrFormat) {
+			t.Errorf("%s: %v", name, err)
+		}
 	}
 }
 
@@ -199,11 +246,7 @@ func TestDecodeHeaderRejects(t *testing.T) {
 
 // decodeAll runs the full two-phase decode, returning the first error.
 func decodeAll(blob []byte) error {
-	h, err := DecodeHeader(blob)
-	if err != nil {
-		return err
-	}
-	_, err = h.DecodeBody(DecodeOptions{Parallelism: 1})
+	_, err := decodeStudy(blob)
 	return err
 }
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -15,6 +16,7 @@ import (
 	policyscope "github.com/policyscope/policyscope"
 	"github.com/policyscope/policyscope/dataset"
 	"github.com/policyscope/policyscope/internal/simulate"
+	"github.com/policyscope/policyscope/obs"
 )
 
 var updateWhatIfGolden = flag.Bool("update-whatif-golden", false,
@@ -69,38 +71,71 @@ func whatIfGoldenScenarios(t *testing.T, s *policyscope.Study) []simulate.Scenar
 // the committed SHA-256 digests were generated on the commit before
 // PeerBestChanged became a by-product of Engine.Apply, so any drift in
 // the report — a count, a missing zero-valued peer, field order — fails
-// here.
+// here. The same digests are required of a session whose base engine
+// was restored from a cache entry instead of converged: to /whatif the
+// two ways a dataset comes to exist are one.
 func TestWhatIfGoldenDigests(t *testing.T) {
-	cat := dataset.NewCatalog()
-	if err := cat.Register("paper", dataset.NewSynthetic(policyscope.DefaultConfig())); err != nil {
+	paper := dataset.NewSynthetic(policyscope.DefaultConfig())
+	dir := t.TempDir()
+	if _, err := dataset.NewCached(paper, dir).Load(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	pool := dataset.NewPool(cat, 1)
-	sess, err := pool.Session(context.Background(), "paper")
+	for _, tc := range []struct {
+		name string
+		src  dataset.Source
+	}{
+		{"cold build", paper},
+		{"cache hit", dataset.NewCached(paper, dir)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cat := dataset.NewCatalog()
+			if err := cat.Register("paper", tc.src); err != nil {
+				t.Fatal(err)
+			}
+			pool := dataset.NewPool(cat, 1)
+			hits := cacheHits(t)
+			sess, err := pool.Session(context.Background(), "paper")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := cacheHits(t) - hits; tc.name == "cache hit" && got != 1 {
+				t.Fatalf("the cached source's load counted %v hits: the restore path is not under test", got)
+			}
+			study, err := sess.Study()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(New(pool))
+			defer ts.Close()
+
+			got := map[string]string{}
+			for _, sc := range whatIfGoldenScenarios(t, study) {
+				req, err := json.Marshal(sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				status, body := post(t, ts.URL+"/whatif?dataset=paper", string(req))
+				if status != http.StatusOK {
+					t.Fatalf("%s: status %d: %s", sc.Name, status, body)
+				}
+				got[sc.Name] = bodyDigest(body)
+			}
+			checkGoldenDigests(t, whatIfGoldenPath, got, *updateWhatIfGolden && tc.name == "cold build")
+		})
+	}
+}
+
+// cacheHits reads policyscope_dataset_cache_total{result="hit"}.
+func cacheHits(t *testing.T) float64 {
+	t.Helper()
+	var buf bytes.Buffer
+	obs.Default.WriteText(&buf)
+	samples, err := obs.ParseText(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	study, err := sess.Study()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(New(pool))
-	defer ts.Close()
-
-	got := map[string]string{}
-	for _, sc := range whatIfGoldenScenarios(t, study) {
-		req, err := json.Marshal(sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		status, body := post(t, ts.URL+"/whatif?dataset=paper", string(req))
-		if status != http.StatusOK {
-			t.Fatalf("%s: status %d: %s", sc.Name, status, body)
-		}
-		got[sc.Name] = bodyDigest(body)
-	}
-
-	checkGoldenDigests(t, whatIfGoldenPath, got, *updateWhatIfGolden)
+	v, _ := obs.Find(samples, "policyscope_dataset_cache_total", `result="hit"`)
+	return v
 }
 
 func bodyDigest(body []byte) string {

@@ -19,13 +19,13 @@ import (
 
 // Session is the serving-side façade over a Study: it builds the Study
 // once, lazily memoizes the expensive shared artifacts behind
-// sync.Once-style gates — the converged simulation Result, the
-// Gao-inferred relationships and observed-path index (both on the Study
-// itself), the Looking-Glass server over the vantage tables, the
-// per-parameter persistence series, and the what-if Engine — and is
-// safe for many concurrent queries. What-if scenarios run on
-// copy-on-write clones of one pristine base engine, so parallel callers
-// never contend and never observe each other's mutations.
+// sync.Once-style gates — the Gao-inferred relationships, observed-path
+// index and base what-if engine (all on the Study itself), the
+// Looking-Glass server over the vantage tables and the per-parameter
+// persistence series — and is safe for many concurrent queries. What-if
+// scenarios run on copy-on-write clones of the study's pristine base
+// engine, so parallel callers never contend and never observe each
+// other's mutations.
 //
 // Construction is free: the first query pays for generation and
 // simulation, every later query reuses them.
@@ -39,10 +39,6 @@ type Session struct {
 	studyOnce sync.Once
 	study     *Study
 	studyErr  error
-
-	engineOnce sync.Once
-	engine     *simulate.Engine
-	engineErr  error
 
 	lgOnce sync.Once
 	lg     *lookingglass.Server
@@ -111,26 +107,23 @@ func (se *Session) Study() (*Study, error) {
 	return se.study, se.studyErr
 }
 
-// baseEngine returns the pristine what-if engine, building it on first
-// use. It is only ever cloned, never applied to.
+// baseEngine returns the study's pristine what-if engine. It is only
+// ever cloned, never applied to.
 func (se *Session) baseEngine() (*simulate.Engine, error) {
-	se.engineOnce.Do(func() {
-		s, err := se.Study()
-		if err != nil {
-			se.engineErr = err
-			return
-		}
-		se.engine, se.engineErr = s.WhatIfEngine()
-	})
-	return se.engine, se.engineErr
+	s, err := se.Study()
+	if err != nil {
+		return nil, err
+	}
+	return s.baseEngine()
 }
 
-// Warm eagerly builds the study and the base what-if engine. Servers
-// call it before accepting traffic, and to tell construction failures
-// (the session's fault) from per-query errors (the query's fault).
-// Snapshot-only studies have no engine to warm; Warm succeeds once the
-// study is built, and what-if/sweep calls fail per-query with
-// ErrNeedsGroundTruth.
+// Warm eagerly builds the study and asks it for its base what-if engine
+// — which a study from a dataset source already holds, so the second
+// step costs nothing there. Servers call it before accepting traffic,
+// and to tell construction failures (the session's fault) from per-query
+// errors (the query's fault). Snapshot-only studies have no engine to
+// warm; Warm succeeds once the study is built, and what-if/sweep calls
+// fail per-query with ErrNeedsGroundTruth.
 func (se *Session) Warm() error {
 	s, err := se.Study()
 	if err != nil {
@@ -139,7 +132,7 @@ func (se *Session) Warm() error {
 	if !s.HasGroundTruth() {
 		return nil
 	}
-	_, err = se.baseEngine()
+	_, err = s.baseEngine()
 	return err
 }
 
@@ -155,14 +148,14 @@ func (se *Session) WhatIf(ctx context.Context, sc simulate.Scenario) (*WhatIfRep
 	if err != nil {
 		return nil, err
 	}
-	base, err := se.baseEngine()
+	eng, err := s.WhatIfEngine()
 	if err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return s.whatIfOn(base.Clone(), sc)
+	return s.whatIfOn(eng, sc)
 }
 
 // SweepScenarios expands a sweep spec against the session's base

@@ -138,7 +138,11 @@ type Study struct {
 	// has no full tables).
 	LookingGlass []bgp.ASN
 	// Result holds the converged state (full tables at every peer; nil
-	// for snapshot-only studies).
+	// for snapshot-only studies). For a study built by GenerateInputs or
+	// loaded through the dataset package it is a view of the base what-if
+	// engine — the same tables, not a copy: the base is only ever cloned,
+	// and a clone writes to a table through its own copy-on-write layer —
+	// so treat the tables as read-only.
 	Result *simulate.Result
 	// Snapshot is the collector's best-route view.
 	Snapshot *routeviews.Snapshot
@@ -155,6 +159,13 @@ type Study struct {
 	Intern *bgp.Intern
 
 	tiers map[bgp.ASN]int
+
+	// base is the converged engine every what-if starts from: the run that
+	// produced Result when the inputs carried it, otherwise built on first
+	// demand (see baseEngine). Never applied to, only cloned.
+	baseOnce sync.Once
+	base     *simulate.Engine
+	baseErr  error
 
 	// Lazily memoized shared artifacts. All gates are safe for
 	// concurrent use, so many Session queries can share one Study.
@@ -251,6 +262,11 @@ type StudyInputs struct {
 	// Result holds the full per-vantage tables; nil for snapshot-only
 	// inputs. Topo and Result come and go together.
 	Result *simulate.Result
+	// Base, when set, is the converged engine Result is a view of
+	// (Result == Base.Result()): the study keeps it as the base of every
+	// what-if instead of converging Topo a second time. Nil makes the
+	// study build its base on first demand.
+	Base *simulate.Engine
 	// Peers is the collector peer set; defaulted from Snapshot.Peers.
 	Peers []bgp.ASN
 	// Snapshot is the collector's best-route view (required).
@@ -284,8 +300,17 @@ func GenerateInputs(cfg Config) (StudyInputs, error) {
 	if err != nil {
 		return StudyInputs{}, err
 	}
+	return ConvergeInputs(cfg, topo, peers)
+}
+
+// ConvergeInputs is the one place a dataset's base state is converged:
+// it simulates topo to convergence as a what-if engine, collects the
+// snapshot from the engine's own tables, and returns inputs whose Result
+// is a view of that engine and whose Base is the engine. cfg supplies
+// Parallelism and is recorded as the inputs' Config.
+func ConvergeInputs(cfg Config, topo *topogen.Topology, peers []bgp.ASN) (StudyInputs, error) {
 	intern := bgp.NewIntern()
-	res, err := simulate.Run(topo, simulate.Options{
+	base, err := simulate.NewEngine(topo, simulate.Options{
 		VantagePoints: peers,
 		Parallelism:   cfg.Parallelism,
 		Intern:        intern,
@@ -293,21 +318,22 @@ func GenerateInputs(cfg Config) (StudyInputs, error) {
 	if err != nil {
 		return StudyInputs{}, err
 	}
-	if len(res.Unconverged) > 0 {
-		return StudyInputs{}, fmt.Errorf("policyscope: %d prefixes did not converge", len(res.Unconverged))
+	if n := base.UnconvergedCount(); n > 0 {
+		return StudyInputs{}, fmt.Errorf("policyscope: %d prefixes did not converge", n)
 	}
+	res := base.Result()
 	snap, err := routeviews.Collect(res, peers, 0)
 	if err != nil {
 		return StudyInputs{}, err
 	}
-	return StudyInputs{Config: cfg, Topo: topo, Result: res, Peers: peers, Snapshot: snap, Intern: intern}, nil
+	return StudyInputs{Config: cfg, Topo: topo, Result: res, Base: base, Peers: peers, Snapshot: snap, Intern: intern}, nil
 }
 
 // GenerateTopology generates just the annotated topology and the
-// collector peer selection for cfg — the engine-only slice of
-// GenerateInputs, for consumers (scenario engines, sweeps) that run
-// their own convergence and have no use for the simulated tables. The
-// peer set matches what a full GenerateInputs of the same cfg selects.
+// collector peer selection for cfg — the first step of GenerateInputs,
+// for consumers (cmd/sweep, cmd/simulate -scenario) that build their own
+// engine over it and have no use for a study. The peer set matches what
+// a full GenerateInputs of the same cfg selects.
 func GenerateTopology(cfg Config) (*topogen.Topology, []bgp.ASN, error) {
 	if cfg.NumASes <= 0 {
 		return nil, nil, fmt.Errorf("policyscope: NumASes must be positive")
@@ -333,6 +359,9 @@ func NewStudyFromInputs(in StudyInputs) (*Study, error) {
 	}
 	if (in.Topo == nil) != (in.Result == nil) {
 		return nil, fmt.Errorf("policyscope: inputs must carry both Topo and Result or neither")
+	}
+	if in.Base != nil && in.Result == nil {
+		return nil, fmt.Errorf("policyscope: inputs carry a base engine but no Result")
 	}
 	cfg := in.Config
 	peers := in.Peers
@@ -361,6 +390,9 @@ func NewStudyFromInputs(in StudyInputs) (*Study, error) {
 		Result:   in.Result,
 		Snapshot: in.Snapshot,
 		Intern:   intern,
+	}
+	if in.Base != nil {
+		s.baseOnce.Do(func() { s.base = in.Base })
 	}
 	if in.Result != nil {
 		if cfg.LookingGlassASes <= 0 {

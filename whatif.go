@@ -85,19 +85,36 @@ type WhatIfReport struct {
 	LostReach, GainedReach int
 }
 
-// WhatIfEngine builds a scenario engine over the study's topology and
-// simulation options. The engine owns an independent topology clone;
-// successive Apply calls compound on it while the study itself stays on
-// the base configuration.
+// WhatIfEngine returns a scenario engine over the study's converged
+// state: a copy-on-write clone of the study's base engine, which costs
+// what the caller's Apply calls go on to write, not a convergence.
+// Successive Apply calls compound on the returned engine while the study
+// itself stays on the base configuration.
 func (s *Study) WhatIfEngine() (*simulate.Engine, error) {
-	if s.Topo == nil {
-		return nil, &NeedsGroundTruthError{Op: "what-if engine"}
+	base, err := s.baseEngine()
+	if err != nil {
+		return nil, err
 	}
-	return simulate.NewEngine(s.Topo, simulate.Options{
-		VantagePoints: s.Peers,
-		Parallelism:   s.Config.Parallelism,
-		Intern:        s.Intern,
+	return base.Clone(), nil
+}
+
+// baseEngine is the study's one gate on its base engine. Inputs that
+// came with the run that converged them (StudyInputs.Base: every dataset
+// source) resolved it at assembly; a study assembled from a bare Result
+// pays for a convergence here, once, on first demand.
+func (s *Study) baseEngine() (*simulate.Engine, error) {
+	s.baseOnce.Do(func() {
+		if s.Topo == nil {
+			s.baseErr = &NeedsGroundTruthError{Op: "what-if engine"}
+			return
+		}
+		s.base, s.baseErr = simulate.NewEngine(s.Topo, simulate.Options{
+			VantagePoints: s.Peers,
+			Parallelism:   s.Config.Parallelism,
+			Intern:        s.Intern,
+		})
 	})
+	return s.base, s.baseErr
 }
 
 // whatIfOn applies sc to eng — a clone of the session's base engine —
