@@ -1,7 +1,6 @@
 package cmdtest
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"os/exec"
@@ -36,15 +35,10 @@ func TestExamplesRun(t *testing.T) {
 		if out, err := build.CombinedOutput(); err != nil {
 			t.Fatalf("build %s: %v\n%s", name, err, out)
 		}
-		var stdout, stderr bytes.Buffer
-		cmd := exec.Command(bin)
-		cmd.Stdout, cmd.Stderr = &stdout, &stderr
-		if err := cmd.Run(); err != nil {
-			t.Fatalf("%s: %v\n%s", name, err, stderr.String())
-		}
-		sum := sha256.Sum256(stdout.Bytes())
+		stdout := runStdout(t, bin)
+		sum := sha256.Sum256(stdout)
 		if got := hex.EncodeToString(sum[:]); got != want {
-			t.Errorf("%s: stdout digest %s, want %s\n%s", name, got, want, stdout.String())
+			t.Errorf("%s: stdout digest %s, want %s\n%s", name, got, want, stdout)
 		}
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -22,56 +21,6 @@ import (
 	"testing"
 	"time"
 )
-
-// repoRoot resolves the module root (two levels above this package).
-func repoRoot(t *testing.T) string {
-	t.Helper()
-	abs, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(abs, "go.mod")); err != nil {
-		t.Fatalf("module root not found at %s: %v", abs, err)
-	}
-	return abs
-}
-
-// buildCmds compiles every cmd/ binary into dir and returns their paths.
-func buildCmds(t *testing.T, dir string) map[string]string {
-	t.Helper()
-	root := repoRoot(t)
-	entries, err := os.ReadDir(filepath.Join(root, "cmd"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bins := make(map[string]string)
-	for _, e := range entries {
-		if !e.IsDir() || e.Name() == "cmdtest" {
-			continue
-		}
-		bin := filepath.Join(dir, e.Name())
-		cmd := exec.Command("go", "build", "-o", bin, "./cmd/"+e.Name())
-		cmd.Dir = root
-		if out, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("build %s: %v\n%s", e.Name(), err, out)
-		}
-		bins[e.Name()] = bin
-	}
-	return bins
-}
-
-// run executes a binary and returns combined stdout/stderr.
-func run(t *testing.T, bin string, args ...string) string {
-	t.Helper()
-	cmd := exec.Command(bin, args...)
-	var buf bytes.Buffer
-	cmd.Stdout = &buf
-	cmd.Stderr = &buf
-	if err := cmd.Run(); err != nil {
-		t.Fatalf("%s %s: %v\n%s", filepath.Base(bin), strings.Join(args, " "), err, buf.String())
-	}
-	return buf.String()
-}
 
 // firstProviderEdge extracts one provider|customer edge from a CAIDA
 // relationship file.
@@ -102,7 +51,6 @@ func TestCLISmoke(t *testing.T) {
 		t.Skip("builds binaries; skipped in -short mode")
 	}
 	dir := t.TempDir()
-	bins := buildCmds(t, dir)
 
 	relPath := filepath.Join(dir, "rel.txt")
 	pfxPath := filepath.Join(dir, "prefixes.txt")
@@ -234,20 +182,6 @@ func TestCLISmoke(t *testing.T) {
 	}
 }
 
-// runFail executes a binary expecting a non-zero exit and returns the
-// combined output.
-func runFail(t *testing.T, bin string, args ...string) string {
-	t.Helper()
-	cmd := exec.Command(bin, args...)
-	var buf bytes.Buffer
-	cmd.Stdout = &buf
-	cmd.Stderr = &buf
-	if err := cmd.Run(); err == nil {
-		t.Fatalf("%s %s: expected failure\n%s", filepath.Base(bin), strings.Join(args, " "), buf.String())
-	}
-	return buf.String()
-}
-
 // TestDatasetCLISmoke drives the dataset plumbing end to end across
 // CLIs: simulate exports an MRT snapshot, a manifest names it, repro
 // imports it (snapshot-capable experiment runs; a ground-truth one
@@ -257,17 +191,6 @@ func TestDatasetCLISmoke(t *testing.T) {
 		t.Skip("builds binaries; skipped in -short mode")
 	}
 	dir := t.TempDir()
-	root := repoRoot(t)
-	bins := map[string]string{}
-	for _, name := range []string{"repro", "simulate"} {
-		bin := filepath.Join(dir, name)
-		cmd := exec.Command("go", "build", "-o", bin, "./cmd/"+name)
-		cmd.Dir = root
-		if out, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("build %s: %v\n%s", name, err, out)
-		}
-		bins[name] = bin
-	}
 
 	// Export a snapshot, catalog it in a manifest.
 	mrtPath := filepath.Join(dir, "snap.mrt")
@@ -305,12 +228,13 @@ func TestDatasetCLISmoke(t *testing.T) {
 		t.Fatalf("repro bad param:\n%s", out)
 	}
 
-	// The cache: a cold run populates the store, the warm run hits it.
-	cacheDir := filepath.Join(dir, "cache")
+	// The cache: a cold run populates the store (its own directory, so
+	// the first run is the cold one), the warm run hits it.
+	coldCache := filepath.Join(dir, "cache")
 	args := []string{"-ases", "150", "-seed", "4", "-peers", "8", "-lg", "4",
-		"-cache-dir", cacheDir, "-run", "table5", "-format", "json"}
+		"-cache-dir", coldCache, "-run", "table5", "-format", "json"}
 	coldOut := run(t, bins["repro"], args...)
-	entries, err := os.ReadDir(cacheDir)
+	entries, err := os.ReadDir(coldCache)
 	if err != nil || len(entries) == 0 {
 		t.Fatalf("cache dir not populated (%v)", err)
 	}
@@ -372,28 +296,22 @@ func TestReproCAIDASmoke(t *testing.T) {
 		t.Skip("builds binaries and converges a 20k-AS graph; skipped in -short mode")
 	}
 	dir := t.TempDir()
-	root := repoRoot(t)
-	bin := filepath.Join(dir, "repro")
-	cmd := exec.Command("go", "build", "-o", bin, "./cmd/repro")
-	cmd.Dir = root
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("build repro: %v\n%s", err, out)
-	}
 	relPath := filepath.Join(dir, "as-rel-20k.txt")
 	writeRelHierarchy(t, relPath, 20000)
 
-	cacheDir := filepath.Join(dir, "cache")
-	args := []string{"-dataset", "caida:" + relPath, "-cache-dir", cacheDir, "-run", "table5"}
-	out := run(t, bin, args...)
+	// Its own cache directory: the first run must be the cold one.
+	coldCache := filepath.Join(dir, "cache")
+	args := []string{"-dataset", "caida:" + relPath, "-cache-dir", coldCache, "-run", "table5"}
+	out := run(t, bins["repro"], args...)
 	if !strings.Contains(out, "Table 5") {
 		t.Fatalf("repro over 20k-AS CAIDA graph:\n%s", out)
 	}
-	entries, err := os.ReadDir(cacheDir)
+	entries, err := os.ReadDir(coldCache)
 	if err != nil || len(entries) == 0 {
 		t.Fatalf("CAIDA study cache not populated (%v)", err)
 	}
 	// The warm run must still answer (and identically), now from disk.
-	warm := run(t, bin, args...)
+	warm := run(t, bins["repro"], args...)
 	if !strings.Contains(warm, "Table 5") {
 		t.Fatalf("warm repro over CAIDA cache:\n%s", warm)
 	}
@@ -406,16 +324,8 @@ func TestReproSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries; skipped in -short mode")
 	}
-	dir := t.TempDir()
-	root := repoRoot(t)
-	bin := filepath.Join(dir, "repro")
-	cmd := exec.Command("go", "build", "-o", bin, "./cmd/repro")
-	cmd.Dir = root
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("build repro: %v\n%s", err, out)
-	}
-	out := run(t, bin, "-ases", "300", "-seed", "1", "-peers", "12", "-lg", "6",
-		"-daily", "0", "-hourly", "0", "-routers", "6")
+	dataset := []string{"-ases", "300", "-seed", "1", "-peers", "12", "-lg", "6", "-cache-dir", cacheDir}
+	out := run(t, bins["repro"], append(dataset, "-daily", "0", "-hourly", "0", "-routers", "6")...)
 	for _, want := range []string{"Table 5", "Summary: paper vs measured", "What-if"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("repro output missing %q", want)
@@ -423,41 +333,22 @@ func TestReproSmoke(t *testing.T) {
 	}
 
 	// Single-experiment mode with parameter overrides.
-	out = run(t, bin, "-ases", "300", "-seed", "1", "-peers", "12", "-lg", "6",
-		"-run", "table6", "-p", "providers=2", "-p", "max_rows=3")
+	out = run(t, bins["repro"], append(dataset, "-run", "table6", "-p", "providers=2", "-p", "max_rows=3")...)
 	if !strings.Contains(out, "Table 6") {
 		t.Fatalf("repro -run table6 output:\n%s", out)
 	}
 }
 
 // TestReproJSONByteStable is the acceptance bar for the JSON surface:
-// two runs at a fixed seed must emit byte-identical documents.
+// two runs at a fixed seed must emit byte-identical documents — the
+// first converging the dataset, the second restoring it from the cache.
 func TestReproJSONByteStable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries; skipped in -short mode")
 	}
-	dir := t.TempDir()
-	root := repoRoot(t)
-	bin := filepath.Join(dir, "repro")
-	cmd := exec.Command("go", "build", "-o", bin, "./cmd/repro")
-	cmd.Dir = root
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("build repro: %v\n%s", err, out)
-	}
-	args := []string{"-ases", "250", "-seed", "3", "-peers", "10", "-lg", "5",
+	args := []string{"-ases", "250", "-seed", "3", "-peers", "10", "-lg", "5", "-cache-dir", cacheDir,
 		"-daily", "2", "-hourly", "0", "-routers", "4", "-format", "json"}
-	jsonOut := func() []byte {
-		t.Helper()
-		cmd := exec.Command(bin, args...)
-		var stdout, stderr bytes.Buffer
-		cmd.Stdout = &stdout
-		cmd.Stderr = &stderr
-		if err := cmd.Run(); err != nil {
-			t.Fatalf("repro -format json: %v\n%s", err, stderr.String())
-		}
-		return stdout.Bytes()
-	}
-	a, b := jsonOut(), jsonOut()
+	a, b := runStdout(t, bins["repro"], args...), runStdout(t, bins["repro"], args...)
 	if !bytes.Equal(a, b) {
 		t.Fatal("repro -format json is not byte-stable across runs at a fixed seed")
 	}
@@ -474,6 +365,14 @@ func TestReproJSONByteStable(t *testing.T) {
 	}
 }
 
+// tinyDataset is the flag-derived dataset the daemon and fleet tests
+// share; workerDataset is the same universe as a policyscoped worker
+// spells it.
+var (
+	tinyDataset   = []string{"-ases", "60", "-seed", "3", "-peers", "5"}
+	workerDataset = append(tinyDataset[:len(tinyDataset):len(tinyDataset)], "-lg", "3")
+)
+
 // TestServerInferSmoke drives the policyscoped /infer surface end to
 // end: the algorithm catalog, a real inference run, and the
 // fail-before-work contract (bad algo → 422 with no dataset built).
@@ -481,46 +380,7 @@ func TestServerInferSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries; skipped in -short mode")
 	}
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "policyscoped")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/policyscoped")
-	build.Dir = repoRoot(t)
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("build policyscoped: %v\n%s", err, out)
-	}
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-
-	srv := exec.Command(bin, "-addr", addr, "-ases", "60", "-seed", "3", "-peers", "5", "-lg", "3")
-	var srvLog bytes.Buffer
-	srv.Stdout = &srvLog
-	srv.Stderr = &srvLog
-	if err := srv.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		srv.Process.Kill()
-		srv.Wait()
-	})
-
-	base := "http://" + addr
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		resp, err := http.Get(base + "/healthz")
-		if err == nil {
-			resp.Body.Close()
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("policyscoped never became healthy: %v\n%s", err, srvLog.String())
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
+	base := "http://" + startDaemon(t, append(workerDataset, "-cache-dir", cacheDir)...).addr
 
 	// Bad algorithm: 422 before any dataset is built.
 	resp, err := http.Post(base+"/infer/nope", "application/json", strings.NewReader(""))
@@ -583,54 +443,11 @@ func TestGracefulShutdownSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries; skipped in -short mode")
 	}
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "policyscoped")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/policyscoped")
-	build.Dir = repoRoot(t)
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("build policyscoped: %v\n%s", err, out)
-	}
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-
-	srv := exec.Command(bin, "-addr", addr, "-ases", "60", "-seed", "3", "-peers", "5", "-lg", "3",
-		"-drain-timeout", "30s")
-	var srvLog bytes.Buffer
-	srv.Stdout = &srvLog
-	srv.Stderr = &srvLog
-	if err := srv.Start(); err != nil {
-		t.Fatal(err)
-	}
-	exited := false
-	t.Cleanup(func() {
-		if !exited {
-			srv.Process.Kill()
-			srv.Wait()
-		}
-	})
-
-	base := "http://" + addr
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		resp, err := http.Get(base + "/healthz")
-		if err == nil {
-			resp.Body.Close()
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("policyscoped never became healthy: %v\n%s", err, srvLog.String())
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
+	srv := startDaemon(t, append(workerDataset, "-cache-dir", cacheDir, "-drain-timeout", "30s")...)
 
 	// Open the sweep stream, read the first record, then SIGTERM the
 	// daemon while the stream is still going.
-	resp, err := http.Post(base+"/sweep", "application/json",
+	resp, err := http.Post("http://"+srv.addr+"/sweep", "application/json",
 		strings.NewReader(`{"spec": {"generators": [{"kind": "all_single_link_failures", "max": 40}]}, "workers": 1}`))
 	if err != nil {
 		t.Fatal(err)
@@ -645,18 +462,18 @@ func TestGracefulShutdownSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reading first sweep record: %v", err)
 	}
-	if err := srv.Process.Signal(syscall.SIGTERM); err != nil {
+	if err := srv.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
 
 	// The in-flight stream must complete through the drain.
 	rest, err := io.ReadAll(reader)
 	if err != nil {
-		t.Fatalf("stream cut during drain: %v\n%s", err, srvLog.String())
+		t.Fatalf("stream cut during drain: %v\n%s", err, srv.log.String())
 	}
 	lines := strings.Split(strings.TrimSpace(first+string(rest)), "\n")
 	if len(lines) != 42 { // 40 records + aggregate + sweep_done
-		t.Fatalf("drained stream has %d lines, want 42:\n%s", len(lines), srvLog.String())
+		t.Fatalf("drained stream has %d lines, want 42:\n%s", len(lines), srv.log.String())
 	}
 	if !strings.Contains(lines[41], `"sweep_done"`) {
 		t.Fatalf("drained stream missing sweep_done trailer: %s", lines[41])
@@ -664,80 +481,39 @@ func TestGracefulShutdownSmoke(t *testing.T) {
 
 	// And the daemon exits cleanly.
 	done := make(chan error, 1)
-	go func() { done <- srv.Wait() }()
+	go func() { done <- srv.cmd.Wait() }()
 	select {
 	case err := <-done:
-		exited = true
 		if err != nil {
-			t.Fatalf("daemon exited non-zero after drain: %v\n%s", err, srvLog.String())
+			t.Fatalf("daemon exited non-zero after drain: %v\n%s", err, srv.log.String())
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatalf("daemon never exited after SIGTERM\n%s", srvLog.String())
+		t.Fatalf("daemon never exited after SIGTERM\n%s", srv.log.String())
 	}
-	if !strings.Contains(srvLog.String(), "drained") {
-		t.Fatalf("daemon log missing drain record:\n%s", srvLog.String())
+	if !strings.Contains(srv.log.String(), "drained") {
+		t.Fatalf("daemon log missing drain record:\n%s", srv.log.String())
 	}
 }
 
 // TestDistributedSweepSmoke drives the fleet path through real
 // binaries: two policyscoped workers and a cmd/sweep coordinator, compared
 // byte for byte against the same sweep run locally, then resumed from
-// its checkpoint.
+// its checkpoint. Workers and the local run share the study cache, so
+// the comparison is also restored engine against converged engine.
 func TestDistributedSweepSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries; skipped in -short mode")
 	}
 	dir := t.TempDir()
-	root := repoRoot(t)
-	bins := map[string]string{}
-	for _, name := range []string{"sweep", "policyscoped"} {
-		bin := filepath.Join(dir, name)
-		build := exec.Command("go", "build", "-o", bin, "./cmd/"+name)
-		build.Dir = root
-		if out, err := build.CombinedOutput(); err != nil {
-			t.Fatalf("build %s: %v\n%s", name, err, out)
-		}
-		bins[name] = bin
-	}
 
 	// Two workers over the same flag-derived dataset as the coordinator.
 	var addrs []string
 	for i := 0; i < 2; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addr := ln.Addr().String()
-		ln.Close()
-		w := exec.Command(bins["policyscoped"], "-addr", addr,
-			"-ases", "60", "-seed", "3", "-peers", "5", "-lg", "3")
-		var wLog bytes.Buffer
-		w.Stdout = &wLog
-		w.Stderr = &wLog
-		if err := w.Start(); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() {
-			w.Process.Kill()
-			w.Wait()
-		})
-		deadline := time.Now().Add(15 * time.Second)
-		for {
-			resp, err := http.Get("http://" + addr + "/healthz")
-			if err == nil {
-				resp.Body.Close()
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("policyscoped %s never became healthy: %v\n%s", addr, err, wLog.String())
-			}
-			time.Sleep(50 * time.Millisecond)
-		}
-		addrs = append(addrs, addr)
+		addrs = append(addrs, startDaemon(t, append(workerDataset, "-cache-dir", cacheDir)...).addr)
 	}
 
-	cfgArgs := []string{"-ases", "60", "-seed", "3", "-peers", "5",
-		"-gen", "all_single_link_failures", "-max", "15", "-quiet"}
+	cfgArgs := append(tinyDataset[:len(tinyDataset):len(tinyDataset)], "-cache-dir", cacheDir,
+		"-gen", "all_single_link_failures", "-max", "15", "-quiet")
 	localOut := filepath.Join(dir, "local.ndjson")
 	run(t, bins["sweep"], append(cfgArgs, "-records", localOut)...)
 
@@ -745,7 +521,10 @@ func TestDistributedSweepSmoke(t *testing.T) {
 	cpDir := filepath.Join(dir, "checkpoint")
 	distArgs := append(cfgArgs, "-records", distOut,
 		"-workers", addrs[0]+","+addrs[1], "-shard-size", "4", "-checkpoint", cpDir)
-	run(t, bins["sweep"], distArgs...)
+	out := run(t, bins["sweep"], distArgs...)
+	if !strings.Contains(out, "workers=1") && !strings.Contains(out, "workers=2") {
+		t.Fatalf("sweep done line does not count the workers that delivered shards:\n%s", out)
+	}
 
 	local, err := os.ReadFile(localOut)
 	if err != nil {
@@ -761,7 +540,7 @@ func TestDistributedSweepSmoke(t *testing.T) {
 
 	// Reusing the checkpoint without -resume is refused; with -resume
 	// the finished run replays entirely from the spool, byte-identical.
-	out := runFail(t, bins["sweep"], distArgs...)
+	out = runFail(t, bins["sweep"], distArgs...)
 	if !strings.Contains(out, "-resume") {
 		t.Fatalf("checkpoint reuse not refused: %s", out)
 	}
@@ -788,34 +567,13 @@ func TestFleetSweepSmoke(t *testing.T) {
 		t.Skip("builds binaries; skipped in -short mode")
 	}
 	dir := t.TempDir()
-	root := repoRoot(t)
-	bins := map[string]string{}
-	for _, name := range []string{"sweep", "policyscoped"} {
-		bin := filepath.Join(dir, name)
-		build := exec.Command("go", "build", "-o", bin, "./cmd/"+name)
-		build.Dir = root
-		if out, err := build.CombinedOutput(); err != nil {
-			t.Fatalf("build %s: %v\n%s", name, err, out)
-		}
-		bins[name] = bin
-	}
 
-	freeAddr := func() string {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addr := ln.Addr().String()
-		ln.Close()
-		return addr
-	}
-
-	cfgArgs := []string{"-ases", "60", "-seed", "3", "-peers", "5",
-		"-gen", "all_single_link_failures", "-max", "15", "-quiet"}
+	cfgArgs := append(tinyDataset[:len(tinyDataset):len(tinyDataset)], "-cache-dir", cacheDir,
+		"-gen", "all_single_link_failures", "-max", "15", "-quiet")
 	localOut := filepath.Join(dir, "local.ndjson")
 	run(t, bins["sweep"], append(cfgArgs, "-records", localOut)...)
 
-	fleetAddr := freeAddr()
+	fleetAddr := freeAddr(t)
 	distOut := filepath.Join(dir, "dist.ndjson")
 	coord := exec.Command(bins["sweep"], append(cfgArgs, "-records", distOut,
 		"-fleet-addr", fleetAddr, "-shard-size", "4", "-grace", "60s")...)
@@ -825,41 +583,23 @@ func TestFleetSweepSmoke(t *testing.T) {
 	if err := coord.Start(); err != nil {
 		t.Fatal(err)
 	}
-	coordDone := false
 	t.Cleanup(func() {
-		if !coordDone {
-			coord.Process.Kill()
-			coord.Wait()
-		}
+		coord.Process.Kill()
+		coord.Wait()
 	})
 
-	workerAddr := freeAddr()
-	w := exec.Command(bins["policyscoped"], "-addr", workerAddr,
-		"-ases", "60", "-seed", "3", "-peers", "5", "-lg", "3",
-		"-coordinator", "http://"+fleetAddr,
-		"-advertise", "http://"+workerAddr,
-		"-heartbeat", "200ms")
-	var wLog bytes.Buffer
-	w.Stdout = &wLog
-	w.Stderr = &wLog
-	if err := w.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		w.Process.Kill()
-		w.Wait()
-	})
+	worker := startDaemon(t, append(workerDataset, "-cache-dir", cacheDir,
+		"-coordinator", "http://"+fleetAddr, "-heartbeat", "200ms")...)
 
 	done := make(chan error, 1)
 	go func() { done <- coord.Wait() }()
 	select {
 	case err := <-done:
-		coordDone = true
 		if err != nil {
-			t.Fatalf("fleet coordinator failed: %v\ncoordinator: %s\nworker: %s", err, coordLog.String(), wLog.String())
+			t.Fatalf("fleet coordinator failed: %v\ncoordinator: %s\nworker: %s", err, coordLog.String(), worker.log.String())
 		}
 	case <-time.After(90 * time.Second):
-		t.Fatalf("fleet coordinator never finished\ncoordinator: %s\nworker: %s", coordLog.String(), wLog.String())
+		t.Fatalf("fleet coordinator never finished\ncoordinator: %s\nworker: %s", coordLog.String(), worker.log.String())
 	}
 
 	local, err := os.ReadFile(localOut)
@@ -875,5 +615,10 @@ func TestFleetSweepSmoke(t *testing.T) {
 	}
 	if !strings.Contains(coordLog.String(), "worker joined dispatch") {
 		t.Fatalf("coordinator never admitted the registered worker:\n%s", coordLog.String())
+	}
+	// A registered fleet has no static seed list; the summary line counts
+	// the workers that delivered shards.
+	if !strings.Contains(coordLog.String(), "scenarios=15 workers=1") {
+		t.Fatalf("sweep done line does not count the registered worker:\n%s", coordLog.String())
 	}
 }

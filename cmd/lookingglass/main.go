@@ -6,48 +6,49 @@
 //
 //	lookingglass [-ases 400] [-seed 42] -as 0 "show ip bgp"
 //	lookingglass -as <ASN> "show ip bgp 20.1.2.0/24"
+//	lookingglass -dataset small -cache-dir /tmp/psc -as <ASN>
 //
-// With -as 0 the tool lists the available vantage ASes.
+// With -as 0 the tool lists the available vantage ASes. The Internet is
+// a dataset like every other binary's: by default the flag-derived
+// configuration with every collector peer a Looking Glass, with -dataset
+// a preset or manifest entry, restored from -cache-dir when it holds it.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
 	policyscope "github.com/policyscope/policyscope"
+	"github.com/policyscope/policyscope/dataset"
 	"github.com/policyscope/policyscope/internal/bgp"
 )
 
 func main() {
 	var (
-		ases  = flag.Int("ases", 400, "number of ASes")
-		seed  = flag.Int64("seed", 42, "random seed")
-		peers = flag.Int("peers", 15, "vantage AS count")
-		asn   = flag.Uint("as", 0, "vantage AS to query (0 lists vantages)")
+		asn = flag.Uint("as", 0, "vantage AS to query (0 lists vantages)")
+		ds  = dataset.Flags{ASes: 400, Seed: 42, Peers: 15}
 	)
+	ds.Register(flag.CommandLine)
 	flag.Parse()
 
-	// The Session owns the whole setup path — generation, simulation,
-	// vantage selection — shared with the other CLIs and the server.
-	cfg := policyscope.DefaultConfig()
-	cfg.NumASes = *ases
-	cfg.Seed = *seed
-	cfg.CollectorPeers = *peers
-	cfg.LookingGlassASes = *peers
-	sess := policyscope.NewSession(cfg)
-
-	srv, err := sess.LookingGlass()
+	cat, err := ds.Catalog(policyscope.Config{LookingGlassASes: ds.Peers})
+	if err != nil {
+		fail(err)
+	}
+	src, _ := cat.Get(cat.Default())
+	study, err := src.Load(context.Background())
+	if err != nil {
+		fail(err)
+	}
+	srv, err := policyscope.NewSessionFromStudy(study).LookingGlass()
 	if err != nil {
 		fail(err)
 	}
 
 	if *asn == 0 {
-		study, err := sess.Study()
-		if err != nil {
-			fail(err)
-		}
 		fmt.Println("available vantage ASes:")
 		for _, a := range srv.ASes() {
 			info := study.Topo.ASes[a]

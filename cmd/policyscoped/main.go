@@ -107,15 +107,9 @@ import (
 func main() {
 	var (
 		addr      = flag.String("addr", ":8080", "listen address")
-		ases      = flag.Int("ases", 2000, "number of ASes in the flag-derived \"default\" dataset")
-		seed      = flag.Int64("seed", 42, "random seed (runs are deterministic per seed)")
-		peers     = flag.Int("peers", 56, "collector peer count")
 		lg        = flag.Int("lg", 15, "Looking Glass vantage count")
 		inferred  = flag.Bool("inferred", false, "use Gao-inferred relationships instead of ground truth")
 		warm      = flag.Bool("warm", false, "build the default dataset before accepting traffic")
-		dsName    = flag.String("dataset", "", "default dataset name (preset, manifest entry, or \"default\")")
-		manifest  = flag.String("manifest", "", "JSON dataset manifest to add to the catalog")
-		cacheDir  = flag.String("cache-dir", "", "content-addressed study cache directory (cold starts load from it; share it across a sweep fleet)")
 		poolSize  = flag.Int("pool", dataset.DefaultMaxSessions, "max warmed sessions resident at once")
 		debugAddr = flag.String("debug-addr", "", "serve /debug/pprof/* and /metrics on this extra address (off when empty)")
 		coord     = flag.String("coordinator", "", "sweep coordinator base URL to self-register with as a fleet worker (empty = static -workers membership)")
@@ -124,9 +118,11 @@ func main() {
 		maxHeavy  = flag.Int("max-inflight", server.DefaultMaxHeavy, "admission bound on concurrent expensive requests (/run, /infer, /whatif, /sweep, /sweep/shard); excess sheds 429 (-1 = unbounded)")
 		maxLight  = flag.Int("max-inflight-light", server.DefaultMaxLight, "admission bound on concurrent catalog reads; excess sheds 429 (-1 = unbounded)")
 		reqTO     = flag.Duration("request-timeout", 0, "server-side deadline per expensive request (0 = none)")
+		ds        = dataset.Flags{ASes: 2000, Seed: 42, Peers: 56}
 		logFlags  obs.LogFlags
 		srvFlags  httpd.Flags
 	)
+	ds.Register(flag.CommandLine)
 	logFlags.Register(flag.CommandLine)
 	srvFlags.Register(flag.CommandLine)
 	flag.Parse()
@@ -134,14 +130,7 @@ func main() {
 		fail(err)
 	}
 
-	cfg := policyscope.DefaultConfig()
-	cfg.NumASes = *ases
-	cfg.Seed = *seed
-	cfg.CollectorPeers = *peers
-	cfg.LookingGlassASes = *lg
-	cfg.UseInferredRelationships = *inferred
-
-	cat, err := dataset.BuildCatalog(cfg, *dsName, *manifest, *cacheDir)
+	cat, err := ds.Catalog(policyscope.Config{LookingGlassASes: *lg, UseInferredRelationships: *inferred})
 	if err != nil {
 		fail(err)
 	}

@@ -50,9 +50,6 @@ var profStop = func() {}
 
 func main() {
 	var (
-		ases       = flag.Int("ases", 2000, "number of ASes in the synthetic Internet")
-		seed       = flag.Int64("seed", 42, "random seed (runs are deterministic per seed)")
-		peers      = flag.Int("peers", 56, "collector peer count (the paper's RouteViews had 56)")
 		lg         = flag.Int("lg", 15, "Looking Glass vantage count")
 		inferred   = flag.Bool("inferred", false, "use Gao-inferred relationships instead of ground truth")
 		daily      = flag.Int("daily", 31, "daily persistence epochs (0 skips Figures 6a/7a)")
@@ -61,15 +58,14 @@ func main() {
 		format     = flag.String("format", "text", "output format: text or json")
 		runName    = flag.String("run", "", "run a single experiment by registry name")
 		list       = flag.Bool("list", false, "list the experiment catalog and exit")
-		dsName     = flag.String("dataset", "", "dataset to run against (preset or manifest entry; default: flag-derived config)")
-		manifest   = flag.String("manifest", "", "JSON dataset manifest to add to the catalog")
-		cacheDir   = flag.String("cache-dir", "", "content-addressed study cache directory")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		ds         = dataset.Flags{ASes: 2000, Seed: 42, Peers: 56} // the paper's RouteViews had 56 peers
 		logFlags   obs.LogFlags
 	)
 	var params paramList
 	flag.Var(&params, "p", "experiment parameter override key=value (repeatable, with -run)")
+	ds.Register(flag.CommandLine)
 	logFlags.Register(flag.CommandLine)
 	flag.Parse()
 	if err := logFlags.SetDefault(os.Stderr); err != nil {
@@ -87,14 +83,7 @@ func main() {
 	profStop = profiling.MustStart(*cpuProfile, *memProfile, fail)
 	defer profStop()
 
-	cfg := policyscope.DefaultConfig()
-	cfg.NumASes = *ases
-	cfg.Seed = *seed
-	cfg.CollectorPeers = *peers
-	cfg.LookingGlassASes = *lg
-	cfg.UseInferredRelationships = *inferred
-
-	cat, err := dataset.BuildCatalog(cfg, *dsName, *manifest, *cacheDir)
+	cat, err := ds.Catalog(policyscope.Config{LookingGlassASes: *lg, UseInferredRelationships: *inferred})
 	if err != nil {
 		fail(err)
 	}

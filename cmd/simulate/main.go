@@ -7,15 +7,15 @@
 // flag-derived synthetic configuration, with -dataset any built-in
 // preset or manifest entry. Snapshot-only datasets (MRT imports) carry
 // no topology to simulate and are rejected. With -cache-dir the
-// dataset's converged tables load from the study cache when present
-// (snapshot output path only: -scenario builds an engine that runs its
-// own convergence, so the cache cannot help it).
+// dataset converges once per directory: later runs, -scenario included,
+// restore the converged state from the study cache and converge nothing.
 //
 // With -scenario it additionally runs a what-if: the events in the JSON
 // file (link failures/restorations, prefix withdrawals/announcements,
-// policy edits) are applied to the converged state, the affected
-// prefixes are re-converged incrementally, a catchment-shift report is
-// printed, and the post-event snapshot is the one written out. The
+// policy edits) are applied to a copy-on-write clone of the study's
+// converged engine, the affected prefixes are re-converged
+// incrementally, a catchment-shift report is printed, and the
+// post-event snapshot is the one written out. The
 // scenario runs through the sweep subsystem's single-scenario path
 // (internal/sweep.Apply), so a lone what-if and a cmd/sweep member
 // produce identical impact records. -j bounds simulation parallelism.
@@ -44,7 +44,6 @@ import (
 
 	policyscope "github.com/policyscope/policyscope"
 	"github.com/policyscope/policyscope/dataset"
-	"github.com/policyscope/policyscope/internal/bgp"
 	"github.com/policyscope/policyscope/internal/routeviews"
 	"github.com/policyscope/policyscope/internal/simulate"
 	"github.com/policyscope/policyscope/internal/sweep"
@@ -52,58 +51,35 @@ import (
 
 func main() {
 	var (
-		ases     = flag.Int("ases", 2000, "number of ASes (flag-derived dataset)")
-		seed     = flag.Int64("seed", 42, "random seed")
-		peers    = flag.Int("peers", 56, "collector peers")
 		parallel = flag.Int("j", 0, "simulation worker parallelism (0 = GOMAXPROCS)")
 		out      = flag.String("out", "table.mrt", "output MRT file ('-' = stdout)")
 		scenario = flag.String("scenario", "", "what-if events JSON; the post-event snapshot is written")
-		dsName   = flag.String("dataset", "", "dataset to simulate (preset or manifest entry; default: flag-derived config)")
-		manifest = flag.String("manifest", "", "JSON dataset manifest to add to the catalog")
-		cacheDir = flag.String("cache-dir", "", "content-addressed study cache directory")
+		ds       = dataset.Flags{ASes: 2000, Seed: 42, Peers: 56}
 	)
+	ds.Register(flag.CommandLine)
 	flag.Parse()
 
-	cfg := policyscope.Config{
-		NumASes:        *ases,
-		Seed:           *seed,
-		CollectorPeers: *peers,
-		Parallelism:    *parallel,
-	}
-	cat, err := dataset.BuildCatalog(cfg, *dsName, *manifest, *cacheDir)
+	cat, err := ds.Catalog(policyscope.Config{Parallelism: *parallel})
 	if err != nil {
 		fail(err)
 	}
 	src, _ := cat.Get(cat.Default())
+	study, err := src.Load(context.Background())
+	if err != nil {
+		fail(err)
+	}
+	if !study.HasGroundTruth() {
+		fail(fmt.Errorf("dataset %q is snapshot-only: nothing to simulate", cat.Default()))
+	}
 
-	var res *simulate.Result
-	var peerSet []bgp.ASN
-	if *scenario == "" {
-		// The converged base state is the output: a full load (which the
-		// study cache accelerates) is exactly what we need.
-		study, err := src.Load(context.Background())
-		if err != nil {
-			fail(err)
-		}
-		if !study.HasGroundTruth() {
-			fail(fmt.Errorf("dataset %q is snapshot-only: nothing to simulate", cat.Default()))
-		}
-		peerSet = study.Peers
-		res = study.Result
-	} else {
+	// The converged base state is the output, unless a scenario moves it.
+	res := study.Result
+	if *scenario != "" {
 		sc, err := simulate.LoadScenarioFile(*scenario)
 		if err != nil {
 			fail(err)
 		}
-		// Topology only: this path wants an engine to apply one scenario
-		// to and nothing else of a study (no snapshot, no analysis state),
-		// and converges it itself.
-		topo, peers, err := dataset.LoadTopology(context.Background(), src)
-		if err != nil {
-			fail(err)
-		}
-		peerSet = peers
-		eng, err := simulate.NewEngine(topo, simulate.Options{VantagePoints: peerSet, Parallelism: *parallel})
+		eng, err := study.WhatIfEngine()
 		if err != nil {
 			fail(err)
 		}
@@ -136,7 +112,7 @@ func main() {
 	if len(res.Unconverged) > 0 {
 		fail(fmt.Errorf("%d prefixes did not converge", len(res.Unconverged)))
 	}
-	snap, err := routeviews.Collect(res, peerSet, uint32(time.Now().Unix()))
+	snap, err := routeviews.Collect(res, study.Peers, uint32(time.Now().Unix()))
 	if err != nil {
 		fail(err)
 	}

@@ -6,12 +6,13 @@
 // streaming per-scenario impact records and printing the final
 // aggregate.
 //
-// The topology comes from the dataset catalog: by default the
-// flag-derived synthetic configuration, with -dataset any built-in
-// preset or manifest entry (snapshot-only MRT datasets carry no
-// topology and are rejected). The sweep engine always runs its own
-// base convergence, so there is no -cache-dir here — the study cache
-// stores converged tables, which a sweep cannot reuse.
+// The dataset comes from the catalog: by default the flag-derived
+// synthetic configuration, with -dataset any built-in preset or manifest
+// entry (snapshot-only MRT datasets carry no topology and are rejected).
+// A local run sweeps clones of the study's converged engine, so with
+// -cache-dir the dataset converges once per directory and later runs
+// restore it; a coordinator needs only the topology and converges
+// nothing either way.
 //
 // Usage:
 //
@@ -39,8 +40,10 @@
 // topology and spec regardless of -j or the fleet layout). Progress
 // goes to stderr as structured logs (-log-level, -log-format); the
 // final "sweep done" line carries scenarios=N workers=J elapsed_ms=T,
-// and -log-level debug adds one "worker done" line per worker with its
-// busy time — the per-worker utilization behind any J>1 speedup claim.
+// (in -workers/-fleet-addr mode, the distinct workers that delivered a
+// shard), and -log-level debug adds one "worker done" line per worker
+// with its busy time — the per-worker utilization behind any J>1 speedup
+// claim.
 package main
 
 import (
@@ -66,6 +69,7 @@ import (
 	"github.com/policyscope/policyscope/internal/profiling"
 	"github.com/policyscope/policyscope/internal/simulate"
 	"github.com/policyscope/policyscope/internal/sweep"
+	"github.com/policyscope/policyscope/internal/topogen"
 	"github.com/policyscope/policyscope/obs"
 )
 
@@ -75,9 +79,6 @@ var profStop = func() {}
 
 func main() {
 	var (
-		ases       = flag.Int("ases", 800, "number of ASes")
-		seed       = flag.Int64("seed", 42, "random seed")
-		peers      = flag.Int("peers", 24, "collector peers (the sweep's vantage points)")
 		jobs       = flag.Int("j", 0, "sweep worker count; with -workers, the executor parallelism on each remote worker (0 = GOMAXPROCS)")
 		workerList = flag.String("workers", "", "comma-separated policyscoped worker addresses (host:port); run as a distributed coordinator (with -fleet-addr, the static seed list)")
 		fleetAddr  = flag.String("fleet-addr", "", "listen address for worker self-registration (POST /fleet/register); enables dynamic fleet membership")
@@ -102,12 +103,12 @@ func main() {
 		topK       = flag.Int("top", 10, "aggregate top-k critical scenarios")
 		topShifts  = flag.Int("top-shifts", 3, "per-record most-shifted prefix detail")
 		quiet      = flag.Bool("quiet", false, "suppress progress output")
-		dsName     = flag.String("dataset", "", "dataset to sweep (preset or manifest entry; default: flag-derived config)")
-		manifest   = flag.String("manifest", "", "JSON dataset manifest to add to the catalog")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		ds         = dataset.Flags{ASes: 800, Seed: 42, Peers: 24}
 		logFlags   obs.LogFlags
 	)
+	ds.Register(flag.CommandLine)
 	logFlags.Register(flag.CommandLine)
 	flag.Parse()
 	if err := logFlags.SetDefault(os.Stderr); err != nil {
@@ -137,17 +138,25 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	cat, err := dataset.BuildCatalog(policyscope.Config{
-		NumASes: *ases, Seed: *seed, CollectorPeers: *peers,
-	}, *dsName, *manifest, "")
+	cat, err := ds.Catalog(policyscope.Config{})
 	if err != nil {
 		fail(err)
 	}
 	slog.Info("loading dataset", "dataset", cat.Default())
 	src, _ := cat.Get(cat.Default())
-	// Topology only: expansion needs nothing else, and fleet mode never
-	// builds an engine here at all (local mode converges its own below).
-	topo, peerSet, err := dataset.LoadTopology(ctx, src)
+	// A coordinator expands the spec against the topology and leaves every
+	// engine to its fleet, so it converges nothing; a local run takes the
+	// study's converged engine, which the executor clones per worker.
+	var (
+		topo    *topogen.Topology
+		peerSet []bgp.ASN
+		base    *simulate.Engine
+	)
+	if distributed {
+		topo, peerSet, err = dataset.LoadTopology(ctx, src)
+	} else if base, err = loadBase(ctx, src); err == nil {
+		topo = base.Topology()
+	}
 	if err != nil {
 		fail(err)
 	}
@@ -206,7 +215,7 @@ func main() {
 		if *workerList != "" {
 			seeds = strings.Split(*workerList, ",")
 		}
-		effectiveWorkers = len(seeds)
+		delivered := map[string]bool{}
 		var fleet *dsweep.Fleet
 		if *fleetAddr != "" {
 			// Dynamic membership: workers self-register here and stay
@@ -230,7 +239,7 @@ func main() {
 		}
 		var cp *dsweep.Checkpoint
 		if *checkpoint != "" {
-			fp, err := dsweep.NewFingerprint(spec, *dsName, len(scenarios), *shardSize, *topShifts, *adaptive)
+			fp, err := dsweep.NewFingerprint(spec, ds.Dataset, len(scenarios), *shardSize, *topShifts, *adaptive)
 			if err != nil {
 				fail(err)
 			}
@@ -259,13 +268,14 @@ func main() {
 			TopShifts:          *topShifts,
 			TopK:               *topK,
 			WorkerParallelism:  *jobs,
-			Dataset:            *dsName,
+			Dataset:            ds.Dataset,
 			Vantages:           vantageFP,
 			LeaseTimeout:       *lease,
 			MaxAttempts:        *retries,
 			Checkpoint:         cp,
 			OnImpact:           onImpact,
 			OnShardDone: func(worker string, d dsweep.ShardDone) {
+				delivered[worker] = true
 				slog.Debug("shard done",
 					"worker", worker, "start", d.Start, "end", d.End,
 					"records", d.Records)
@@ -281,13 +291,8 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
+		effectiveWorkers = len(delivered)
 	} else {
-		// Local mode runs the executor in-process; only here is the
-		// engine (and its base convergence) needed at all.
-		base, err := simulate.NewEngine(topo, simulate.Options{VantagePoints: peerSet})
-		if err != nil {
-			fail(err)
-		}
 		opts := sweep.Options{Workers: *jobs, TopShifts: *topShifts, TopK: *topK, OnImpact: onImpact}
 		effectiveWorkers = opts.EffectiveWorkers(len(scenarios))
 		opts.OnWorkerDone = func(ws sweep.WorkerStats) {
@@ -336,6 +341,17 @@ func main() {
 	slog.Info("sweep done",
 		"scenarios", agg.Scenarios, "workers", effectiveWorkers,
 		"elapsed_ms", elapsed.Milliseconds())
+}
+
+// loadBase loads the dataset's study and returns a clone of its converged
+// engine — restored, not converged, when the study cache holds the
+// dataset.
+func loadBase(ctx context.Context, src dataset.Source) (*simulate.Engine, error) {
+	study, err := src.Load(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return study.WhatIfEngine()
 }
 
 // resolveSpec builds the sweep spec from -spec, -gen, or the default

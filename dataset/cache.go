@@ -14,7 +14,6 @@ import (
 	"time"
 
 	policyscope "github.com/policyscope/policyscope"
-	"github.com/policyscope/policyscope/internal/asgraph"
 	"github.com/policyscope/policyscope/internal/bgp"
 	"github.com/policyscope/policyscope/internal/netx"
 	"github.com/policyscope/policyscope/internal/routeviews"
@@ -59,18 +58,13 @@ func NewCached(src Source, dir string) *Cached { return &Cached{Source: src, Dir
 // Spec implements Source (the wrapper is transparent).
 func (c *Cached) Spec() Spec { return c.Source.Spec() }
 
-// Key returns the content-addressed store key for the wrapped spec.
+// Key returns the content-addressed store key: a hash of the wrapped
+// source's spec plus the cache format version.
 func (c *Cached) Key() string {
-	return Fingerprint(c.Source.Spec())
-}
-
-// Fingerprint hashes a spec (plus the cache format version) to its
-// store key.
-func Fingerprint(sp Spec) string {
 	blob, err := json.Marshal(struct {
 		Version int  `json:"v"`
 		Spec    Spec `json:"spec"`
-	}{Version: cacheFormatVersion, Spec: sp})
+	}{Version: cacheFormatVersion, Spec: c.Source.Spec()})
 	if err != nil {
 		// Spec is plain data; Marshal cannot fail on it.
 		panic(fmt.Sprintf("dataset: marshal spec: %v", err))
@@ -113,20 +107,15 @@ func (c *Cached) Load(ctx context.Context) (*policyscope.Study, error) {
 // Parallelism cannot change the data (it is canonicalized out of the
 // cache key for the same reason), so the current process's setting — not
 // the writer's — bounds the decode workers, drives the restored engine
-// and appears in serialized documents. A source of unknown kind keeps
-// what the writer recorded.
+// and appears in serialized documents. A source that is not ground truth
+// keeps what the writer recorded.
 func (c *Cached) entryConfig(h *studyfmt.Header) (policyscope.Config, error) {
 	var cfg policyscope.Config
 	if err := json.Unmarshal(h.ConfigJSON, &cfg); err != nil {
 		return cfg, fmt.Errorf("bad config: %w", err)
 	}
-	switch src := c.Source.(type) {
-	case *Synthetic:
-		cfg.Parallelism = src.Config.Parallelism
-	case *MRTFile:
-		cfg.Parallelism = src.Config.Parallelism
-	case *CAIDAFile:
-		cfg.Parallelism = src.Parallelism
+	if gt, ok := c.Source.(groundTruth); ok {
+		cfg.Parallelism = gt.parallelism()
 	}
 	return cfg, nil
 }
@@ -180,7 +169,7 @@ func (c *Cached) encodeStudy(s *policyscope.Study) ([]byte, error) {
 		return nil, err
 	}
 	fs.Forest = eng.ForestSlots()
-	if _, ok := c.Source.(*CAIDAFile); ok {
+	if gt, ok := c.Source.(groundTruth); ok && gt.embedsGraph() {
 		var buf bytes.Buffer
 		if _, err := s.Topo.Graph.WriteTo(&buf); err != nil {
 			return nil, err
@@ -247,19 +236,25 @@ func (c *Cached) readCacheFile(ctx context.Context, path string) (*policyscope.S
 		return policyscope.NewStudyFromSnapshot(snap, cfg)
 	}
 
-	type topoResult struct {
-		topo *topogen.Topology
-		err  error
-	}
-	topoCh := make(chan topoResult, 1)
+	var (
+		topo     *topogen.Topology
+		topoErr  error
+		topoDone = make(chan struct{})
+	)
+	// A ground-truth source rebuilds its own world, from the graph the
+	// entry embeds when it embeds one (the cache key guarantees the live
+	// spec matches the writer's). Any other source — a hit must not need
+	// the wrapped source at all — regenerates from the configuration the
+	// entry recorded, which only a synthetic entry allows.
 	go func() {
-		var tr topoResult
-		if h.TopoCAIDA {
-			tr.topo, tr.err = c.topologyFromCAIDA(h.Topo)
+		defer close(topoDone)
+		if gt, ok := c.Source.(groundTruth); ok {
+			topo, _, _, topoErr = gt.world(h.Topo)
+		} else if h.TopoCAIDA {
+			topoErr = fmt.Errorf("entry embeds a graph but the source is %T", c.Source)
 		} else {
-			tr.topo, tr.err = topogen.Generate(cfg.TopologyConfig())
+			topo, topoErr = topogen.Generate(cfg.TopologyConfig())
 		}
-		topoCh <- tr
 	}()
 
 	intern := bgp.NewIntern()
@@ -288,11 +283,10 @@ func (c *Cached) readCacheFile(ctx context.Context, path string) (*policyscope.S
 	if collector == nil {
 		return nil, fmt.Errorf("dataset: cache entry %s: no collector table", path)
 	}
-	tr := <-topoCh
-	if tr.err != nil {
-		return nil, fmt.Errorf("dataset: cache entry %s: %w", path, tr.err)
+	if <-topoDone; topoErr != nil {
+		return nil, fmt.Errorf("dataset: cache entry %s: %w", path, topoErr)
 	}
-	base, err := simulate.RestoreEngine(tr.topo, simulate.Options{
+	base, err := simulate.RestoreEngine(topo, simulate.Options{
 		VantagePoints: fs.Peers,
 		Parallelism:   cfg.Parallelism,
 		Intern:        intern,
@@ -303,26 +297,11 @@ func (c *Cached) readCacheFile(ctx context.Context, path string) (*policyscope.S
 	snap := &routeviews.Snapshot{Timestamp: fs.Timestamp, Peers: fs.Peers, Table: collector}
 	return policyscope.NewStudyFromInputs(policyscope.StudyInputs{
 		Config:   cfg,
-		Topo:     tr.topo,
+		Topo:     topo,
 		Result:   res,
 		Base:     base,
 		Peers:    fs.Peers,
 		Snapshot: snap,
 		Intern:   intern,
 	})
-}
-
-// topologyFromCAIDA rebuilds a CAIDA source's topology from the graph
-// bytes embedded in a cache entry, using the live source's spec (the
-// cache key guarantees it matches the writer's).
-func (c *Cached) topologyFromCAIDA(graphBytes []byte) (*topogen.Topology, error) {
-	cf, ok := c.Source.(*CAIDAFile)
-	if !ok {
-		return nil, fmt.Errorf("dataset: entry embeds a CAIDA topology but the source is %T", c.Source)
-	}
-	g, err := asgraph.Read(bytes.NewReader(graphBytes))
-	if err != nil {
-		return nil, err
-	}
-	return CAIDATopology(g, *cf.Spec().CAIDA)
 }

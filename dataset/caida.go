@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
@@ -62,101 +63,72 @@ func (sp CAIDASpec) withDefaults() CAIDASpec {
 // simulation to convergence over it. It is the bridge from the paper's
 // synthetic universes to measured AS graphs 10-100x their size.
 type CAIDAFile struct {
-	// Path is the relationships file.
-	Path string
-	// MaxPrefixes, CollectorPeers, LookingGlassASes, Seed mirror
-	// CAIDASpec (zero values take the spec defaults).
-	MaxPrefixes      int
-	CollectorPeers   int
-	LookingGlassASes int
-	Seed             int64
+	// CAIDASpec is the file and the synthesis knobs (zero values take the
+	// spec defaults).
+	CAIDASpec
 	// Parallelism bounds simulation workers (execution knob; not part
 	// of the spec).
 	Parallelism int
 }
 
 // NewCAIDAFile returns a source over the relationships file at path.
-func NewCAIDAFile(path string) *CAIDAFile { return &CAIDAFile{Path: path} }
+func NewCAIDAFile(path string) *CAIDAFile { return &CAIDAFile{CAIDASpec: CAIDASpec{Path: path}} }
 
 // Spec implements Source. The spec carries the resolved defaults so
 // equivalent constructions share one cache entry.
 func (c *CAIDAFile) Spec() Spec {
-	sp := CAIDASpec{
-		Path:             c.Path,
-		MaxPrefixes:      c.MaxPrefixes,
-		CollectorPeers:   c.CollectorPeers,
-		LookingGlassASes: c.LookingGlassASes,
-		Seed:             c.Seed,
-	}.withDefaults()
+	sp := c.withDefaults()
 	return Spec{Kind: KindCAIDA, CAIDA: &sp}
-}
-
-// readGraph parses the relationships file.
-func (c *CAIDAFile) readGraph() (*asgraph.Graph, error) {
-	f, err := os.Open(c.Path)
-	if err != nil {
-		return nil, fmt.Errorf("dataset: open CAIDA relationships: %w", err)
-	}
-	defer f.Close()
-	g, err := asgraph.Read(f)
-	if err != nil {
-		return nil, fmt.Errorf("dataset: %s: %w", c.Path, err)
-	}
-	return g, nil
 }
 
 // Load parses the graph, synthesizes the topology and simulates it to
 // convergence.
-func (c *CAIDAFile) Load(ctx context.Context) (*policyscope.Study, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	g, err := c.readGraph()
-	if err != nil {
-		return nil, err
-	}
-	return c.buildStudy(ctx, g)
-}
+func (c *CAIDAFile) Load(ctx context.Context) (*policyscope.Study, error) { return loadWorld(ctx, c) }
 
-// buildStudy synthesizes the topology over an already-parsed graph and
-// converges it — once: the study keeps the run as its what-if base.
-func (c *CAIDAFile) buildStudy(ctx context.Context, g *asgraph.Graph) (*policyscope.Study, error) {
-	sp := *c.Spec().CAIDA
-	topo, err := CAIDATopology(g, sp)
+func (c *CAIDAFile) parallelism() int { return c.Parallelism }
+
+// embedsGraph: no configuration can regenerate a measured file.
+func (c *CAIDAFile) embedsGraph() bool { return true }
+
+// world annotates the relationship graph — parsed from graph when a
+// cache entry supplies it, from the file otherwise — and derives the
+// analysis configuration a CAIDA study reports.
+func (c *CAIDAFile) world(graph []byte) (*topogen.Topology, []bgp.ASN, policyscope.Config, error) {
+	var cfg policyscope.Config
+	if len(graph) == 0 {
+		var err error
+		if graph, err = os.ReadFile(c.Path); err != nil {
+			return nil, nil, cfg, fmt.Errorf("dataset: open CAIDA relationships: %w", err)
+		}
+	}
+	g, err := asgraph.Read(bytes.NewReader(graph))
 	if err != nil {
-		return nil, err
+		return nil, nil, cfg, fmt.Errorf("dataset: %s: %w", c.Path, err)
+	}
+	sp := c.withDefaults()
+	topo, err := caidaTopology(g, sp)
+	if err != nil {
+		return nil, nil, cfg, err
 	}
 	peers := routeviews.SelectPeers(topo, sp.CollectorPeers)
 	if len(peers) == 0 {
-		return nil, fmt.Errorf("dataset: %s: graph has no eligible collector peers", c.Path)
+		return nil, nil, cfg, fmt.Errorf("dataset: %s: graph has no eligible collector peers", c.Path)
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	in, err := policyscope.ConvergeInputs(c.studyConfig(topo, peers), topo, peers)
-	if err != nil {
-		return nil, fmt.Errorf("dataset: %s: %w", c.Path, err)
-	}
-	return policyscope.NewStudyFromInputs(in)
-}
-
-// studyConfig derives the analysis configuration a CAIDA study reports.
-func (c *CAIDAFile) studyConfig(topo *topogen.Topology, peers []bgp.ASN) policyscope.Config {
-	sp := *c.Spec().CAIDA
-	return policyscope.Config{
+	cfg = policyscope.Config{
 		NumASes:          len(topo.Order),
 		Seed:             sp.Seed,
 		CollectorPeers:   len(peers),
 		LookingGlassASes: sp.LookingGlassASes,
 		Parallelism:      c.Parallelism,
 	}
+	return topo, peers, cfg, nil
 }
 
-// CAIDATopology annotates a relationship graph into a runnable
+// caidaTopology annotates a relationship graph into a runnable
 // topology: tiers from the provider hierarchy, default (nil) policies
 // everywhere, and MaxPrefixes /24 originations stride-selected over the
 // connected ASes. Deterministic in (graph, spec).
-func CAIDATopology(g *asgraph.Graph, spec CAIDASpec) (*topogen.Topology, error) {
+func caidaTopology(g *asgraph.Graph, spec CAIDASpec) (*topogen.Topology, error) {
 	spec = spec.withDefaults()
 	nodes := g.Nodes()
 	if len(nodes) == 0 {

@@ -63,16 +63,11 @@ func TestCAIDATopologyDeterministic(t *testing.T) {
 	path := relFixture(t, 200)
 	src := NewCAIDAFile(path)
 	src.MaxPrefixes = 40
-	g, err := src.readGraph()
+	a, _, _, err := src.world(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := *src.Spec().CAIDA
-	a, err := CAIDATopology(g, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := CAIDATopology(g, spec)
+	b, _, _, err := src.world(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +75,7 @@ func TestCAIDATopologyDeterministic(t *testing.T) {
 		t.Fatalf("topology: %d ASes, %d prefixes", len(a.Order), len(a.PrefixOrigin))
 	}
 	if fmt.Sprint(a.Order) != fmt.Sprint(b.Order) || fmt.Sprint(a.PrefixOrigin) != fmt.Sprint(b.PrefixOrigin) {
-		t.Fatal("CAIDATopology is not deterministic")
+		t.Fatal("caidaTopology is not deterministic")
 	}
 	// The clique landed in tier 1; everything is tiered 1..3.
 	if a.ASes[1].Tier != 1 {
@@ -124,16 +119,6 @@ func TestCAIDASourceLoad(t *testing.T) {
 	}
 	if _, err := sess.Run(context.Background(), "whatif", nil); err != nil {
 		t.Fatalf("whatif: %v", err)
-	}
-
-	// LoadTopology takes the fast path (no simulation) and agrees with
-	// the full load on topology size and peer set.
-	topo, peers, err := LoadTopology(context.Background(), src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(topo.Order) != 300 || fmt.Sprint(peers) != fmt.Sprint(study.Peers) {
-		t.Fatalf("LoadTopology diverged: %d ASes, peers %v vs %v", len(topo.Order), peers, study.Peers)
 	}
 }
 
@@ -188,7 +173,7 @@ func TestCAIDAManifestEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	cat := Builtin()
-	if err := cat.LoadManifestFile(mPath); err != nil {
+	if err := cat.loadManifestFile(mPath); err != nil {
 		t.Fatal(err)
 	}
 	if cat.Default() != "measured" {
@@ -213,12 +198,12 @@ func TestCAIDAManifestEntry(t *testing.T) {
 
 	// A caida entry combined with another kind is rejected.
 	bad := `{"datasets": [{"name": "x", "mrt": "y.mrt", "caida": {"path": "as-rel.txt"}}]}`
-	if err := Builtin().LoadManifest(bytes.NewReader([]byte(bad)), dir); err == nil {
+	if err := Builtin().loadManifestFile(writeManifest(t, dir, bad)); err == nil {
 		t.Error("manifest accepted caida+mrt entry")
 	}
 	// A caida entry without a path is rejected.
 	bad = `{"datasets": [{"name": "x", "caida": {"max_prefixes": 4}}]}`
-	if err := Builtin().LoadManifest(bytes.NewReader([]byte(bad)), dir); err == nil {
+	if err := Builtin().loadManifestFile(writeManifest(t, dir, bad)); err == nil {
 		t.Error("manifest accepted pathless caida entry")
 	}
 }
@@ -230,7 +215,7 @@ func TestBuildCatalogAdHocCAIDA(t *testing.T) {
 	name := "caida:" + path
 	flagCfg := tinyConfig(3)
 	flagCfg.Parallelism = 3
-	cat, err := BuildCatalog(flagCfg, name, "", "")
+	cat, err := buildCatalog(flagCfg, name, "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +235,7 @@ func TestBuildCatalogAdHocCAIDA(t *testing.T) {
 	}
 
 	// With a cache dir the source is wrapped like synthetic presets.
-	cat, err = BuildCatalog(flagCfg, name, "", t.TempDir())
+	cat, err = buildCatalog(flagCfg, name, "", t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +244,7 @@ func TestBuildCatalogAdHocCAIDA(t *testing.T) {
 	}
 
 	// A bare "caida:" is rejected before any work.
-	if _, err := BuildCatalog(flagCfg, "caida:", "", ""); err == nil {
+	if _, err := buildCatalog(flagCfg, "caida:", "", ""); err == nil {
 		t.Error("empty caida path accepted")
 	}
 }

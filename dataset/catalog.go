@@ -2,8 +2,8 @@ package dataset
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -22,7 +22,7 @@ type Catalog struct {
 	def     string
 	// defExplicit records that def was chosen deliberately (SetDefault,
 	// a manifest "default") rather than falling out of registration
-	// order or the built-in presets — BuildCatalog only overrides an
+	// order or the built-in presets — Flags.Catalog only overrides an
 	// implicit default with the flag-derived configuration.
 	defExplicit bool
 }
@@ -107,46 +107,75 @@ func (c *Catalog) SetDefault(name string) error {
 	return nil
 }
 
-// defaultExplicit reports whether the default was chosen deliberately.
-func (c *Catalog) defaultExplicit() bool {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.defExplicit
-}
-
-// EnableCache wraps every registered synthetic and CAIDA source in a
-// Cached store at dir (both pay a BGP simulation on a cold load; CAIDA
-// entries embed the graph bytes, so a hit stays consistent with the
-// tables it was written with). Study-backed sources are left alone
-// (their Load is already free), as are sources already wrapped — and
-// MRT sources: the spec key is the file *path*, so a cache entry would
-// keep serving the old snapshot after the file changed, while the hit
-// path would have to re-parse the bytes anyway.
-func (c *Catalog) EnableCache(dir string) {
+// enableCache wraps every registered ground-truth source in a Cached
+// store at dir: those are the sources that pay a BGP simulation on a cold
+// load (a CAIDA entry embeds the graph bytes, so a hit stays consistent
+// with the tables it was written with). Everything else is left alone —
+// study-backed sources (their Load is already free), sources already
+// wrapped, and MRT sources: the spec key is the file *path*, so a cache
+// entry would keep serving the old snapshot after the file changed,
+// while the hit path would have to re-parse the bytes anyway.
+func (c *Catalog) enableCache(dir string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for name, src := range c.sources {
-		if _, ok := src.(*Cached); ok {
-			continue
+		if _, ok := src.(groundTruth); ok {
+			c.sources[name] = NewCached(src, dir)
 		}
-		if k := src.Spec().Kind; k != KindSynthetic && k != KindCAIDA {
-			continue
-		}
-		c.sources[name] = NewCached(src, dir)
 	}
 }
 
-// BuildCatalog assembles the catalog every CLI shares: the built-in
-// presets, the optional JSON manifest, and the flag-derived synthetic
-// configuration registered under "default". The default dataset
-// resolves by precedence: an explicit -dataset name, then a manifest
-// "default", then the flag-derived configuration (the pre-catalog CLI
-// behavior). A non-empty cacheDir wraps every loadable source in the
-// on-disk store.
-func BuildCatalog(flagCfg policyscope.Config, datasetName, manifestPath, cacheDir string) (*Catalog, error) {
+// Flags is the front door every binary shares: the six command-line
+// flags that say which dataset to run over, declared once, and the
+// catalog they yield. A binary states its own sizing defaults in the
+// literal it registers: dataset.Flags{ASes: 2000, Seed: 42, Peers: 56}.
+type Flags struct {
+	// ASes, Seed and Peers size the flag-derived synthetic dataset.
+	ASes  int
+	Seed  int64
+	Peers int
+	// Dataset names the default dataset: a preset, a manifest entry,
+	// "default" (the flag-derived configuration) or "caida:<path>".
+	Dataset string
+	// Manifest is a JSON dataset manifest to add to the catalog:
+	//
+	//	{"default": "stress", "datasets": [
+	//	  {"name": "stress", "synthetic": {"ases": 5000, "seed": 7, "peers": 56}},
+	//	  {"name": "rv-snapshot", "mrt": "snapshots/rv.mrt"},
+	//	  {"name": "measured", "caida": {"path": "as-rel.txt", "max_prefixes": 4096}}]}
+	//
+	// Each entry declares exactly one of synthetic, mrt or caida; relative
+	// paths resolve against the manifest file's directory.
+	Manifest string
+	// CacheDir is the content-addressed study cache directory ("" = off).
+	CacheDir string
+}
+
+// Register declares the flags on fs; the current field values are the
+// defaults.
+func (f *Flags) Register(fs *flag.FlagSet) {
+	fs.IntVar(&f.ASes, "ases", f.ASes, "number of ASes in the flag-derived \"default\" dataset")
+	fs.Int64Var(&f.Seed, "seed", f.Seed, "random seed (runs are deterministic per seed)")
+	fs.IntVar(&f.Peers, "peers", f.Peers, "collector peer count (the vantage points)")
+	fs.StringVar(&f.Dataset, "dataset", "", "dataset to run over: a preset (paper, small, large), a manifest entry, caida:<as-rel file>, or \"default\" (the flag-derived configuration, also used when empty)")
+	fs.StringVar(&f.Manifest, "manifest", "", "JSON dataset manifest to add to the catalog")
+	fs.StringVar(&f.CacheDir, "cache-dir", "", "content-addressed study cache directory: a dataset converges once per directory, later loads restore it (share it across a sweep fleet)")
+}
+
+// Catalog assembles the catalog: the built-in presets, the optional
+// JSON manifest, and the flag-derived synthetic configuration — cfg with
+// the flags' ASes, Seed and Peers; cfg supplies what the six flags do
+// not (Looking Glass count, inferred relationships, Parallelism) —
+// registered under "default". The default dataset resolves by
+// precedence: an explicit -dataset name, then a manifest "default", then
+// the flag-derived configuration (the pre-catalog CLI behavior). A
+// non-empty CacheDir wraps every ground-truth source in the on-disk
+// store.
+func (f *Flags) Catalog(cfg policyscope.Config) (*Catalog, error) {
+	cfg.NumASes, cfg.Seed, cfg.CollectorPeers = f.ASes, f.Seed, f.Peers
 	cat := Builtin()
-	if manifestPath != "" {
-		if err := cat.LoadManifestFile(manifestPath); err != nil {
+	if f.Manifest != "" {
+		if err := cat.loadManifestFile(f.Manifest); err != nil {
 			return nil, err
 		}
 	}
@@ -154,75 +183,67 @@ func BuildCatalog(flagCfg policyscope.Config, datasetName, manifestPath, cacheDi
 	// a manifest entry already claimed the name, in which case the
 	// manifest wins (an explicit dataset beats implicit flags).
 	if _, taken := cat.Get("default"); !taken {
-		if err := cat.Register("default", NewSynthetic(flagCfg)); err != nil {
+		if err := cat.Register("default", NewSynthetic(cfg)); err != nil {
 			return nil, err
 		}
 	}
 	// "caida:<path>" names an ad-hoc CAIDA relationships file without a
 	// manifest; the literal string is the dataset name.
-	if path, ok := strings.CutPrefix(datasetName, "caida:"); ok {
+	if path, ok := strings.CutPrefix(f.Dataset, "caida:"); ok {
 		if path == "" {
-			return nil, fmt.Errorf("dataset: %q names no relationships file", datasetName)
+			return nil, fmt.Errorf("dataset: %q names no relationships file", f.Dataset)
 		}
-		if _, taken := cat.Get(datasetName); !taken {
-			src := NewCAIDAFile(path)
-			src.Parallelism = flagCfg.Parallelism
-			if err := cat.Register(datasetName, src); err != nil {
+		if _, taken := cat.Get(f.Dataset); !taken {
+			src := &CAIDAFile{CAIDASpec: CAIDASpec{Path: path}, Parallelism: cfg.Parallelism}
+			if err := cat.Register(f.Dataset, src); err != nil {
 				return nil, err
 			}
 		}
 	}
-	switch {
-	case datasetName != "":
-		if err := cat.SetDefault(datasetName); err != nil {
-			return nil, err
-		}
-	case cat.defaultExplicit():
-		// the manifest chose; keep it
-	default:
-		if err := cat.SetDefault("default"); err != nil {
+	name := f.Dataset
+	if name == "" && !cat.defExplicit { // else the manifest chose; keep it
+		name = "default"
+	}
+	if name != "" {
+		if err := cat.SetDefault(name); err != nil {
 			return nil, err
 		}
 	}
-	if cacheDir != "" {
-		cat.EnableCache(cacheDir)
+	if f.CacheDir != "" {
+		cat.enableCache(f.CacheDir)
 	}
 	return cat, nil
 }
 
-// Manifest is the JSON catalog file:
-//
-//	{
-//	  "default": "stress",
-//	  "datasets": [
-//	    {"name": "stress", "synthetic": {"ases": 5000, "seed": 7, "peers": 56}},
-//	    {"name": "rv-snapshot", "mrt": "snapshots/rv.mrt"}
-//	  ]
-//	}
-//
-// Relative MRT paths resolve against the manifest file's directory.
-type Manifest struct {
+// manifest is the JSON catalog file (Flags.Manifest shows one).
+type manifest struct {
 	// Default optionally names the default dataset.
 	Default string `json:"default,omitempty"`
 	// Datasets lists the entries in catalog order.
-	Datasets []ManifestEntry `json:"datasets"`
+	Datasets []manifestEntry `json:"datasets"`
 }
 
-// ManifestEntry declares one dataset: exactly one of Synthetic, MRT or
+// manifestEntry declares one dataset: exactly one of Synthetic, MRT or
 // CAIDA.
-type ManifestEntry struct {
+type manifestEntry struct {
 	Name      string              `json:"name"`
 	Synthetic *policyscope.Config `json:"synthetic,omitempty"`
 	MRT       string              `json:"mrt,omitempty"`
 	CAIDA     *CAIDASpec          `json:"caida,omitempty"`
 }
 
-// LoadManifest registers every dataset of the manifest read from r.
-// baseDir resolves relative MRT paths ("" = current directory).
-func (c *Catalog) LoadManifest(r io.Reader, baseDir string) error {
-	dec := json.NewDecoder(r)
+// loadManifestFile registers every dataset of the manifest at path;
+// relative MRT and CAIDA paths resolve against its directory.
+func (c *Catalog) loadManifestFile(path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	baseDir := filepath.Dir(path)
+	dec := json.NewDecoder(f)
 	dec.DisallowUnknownFields()
-	var m Manifest
+	var m manifest
 	if err := dec.Decode(&m); err != nil {
 		return fmt.Errorf("dataset: bad manifest: %w", err)
 	}
@@ -248,7 +269,7 @@ func (c *Catalog) LoadManifest(r io.Reader, baseDir string) error {
 			src = NewSynthetic(*e.Synthetic)
 		case e.MRT != "":
 			path := e.MRT
-			if baseDir != "" && !filepath.IsAbs(path) {
+			if !filepath.IsAbs(path) {
 				path = filepath.Join(baseDir, path)
 			}
 			src = NewMRTFile(path)
@@ -257,16 +278,10 @@ func (c *Catalog) LoadManifest(r io.Reader, baseDir string) error {
 			if sp.Path == "" {
 				return fmt.Errorf("dataset: %s: caida entry has no path", e.Name)
 			}
-			if baseDir != "" && !filepath.IsAbs(sp.Path) {
+			if !filepath.IsAbs(sp.Path) {
 				sp.Path = filepath.Join(baseDir, sp.Path)
 			}
-			src = &CAIDAFile{
-				Path:             sp.Path,
-				MaxPrefixes:      sp.MaxPrefixes,
-				CollectorPeers:   sp.CollectorPeers,
-				LookingGlassASes: sp.LookingGlassASes,
-				Seed:             sp.Seed,
-			}
+			src = &CAIDAFile{CAIDASpec: sp}
 		default:
 			return fmt.Errorf("dataset: %s: needs synthetic, mrt or caida", e.Name)
 		}
@@ -282,17 +297,6 @@ func (c *Catalog) LoadManifest(r io.Reader, baseDir string) error {
 		}
 	}
 	return nil
-}
-
-// LoadManifestFile reads the manifest at path; relative MRT paths
-// resolve against the manifest's directory.
-func (c *Catalog) LoadManifestFile(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return c.LoadManifest(f, filepath.Dir(path))
 }
 
 // Info is the serializable catalog row (what GET /datasets returns).

@@ -335,7 +335,7 @@ func TestCatalogManifest(t *testing.T) {
 	}
 
 	cat := Builtin()
-	if err := cat.LoadManifestFile(mPath); err != nil {
+	if err := cat.loadManifestFile(mPath); err != nil {
 		t.Fatal(err)
 	}
 	if cat.Default() != "stress" {
@@ -364,11 +364,20 @@ func TestCatalogManifest(t *testing.T) {
 		`{"datasets": [{"name": "x"}]}`,
 		`{"datasets": []}`,
 	} {
-		c := Builtin()
-		if err := c.LoadManifest(bytes.NewReader([]byte(bad)), dir); err == nil {
+		if err := Builtin().loadManifestFile(writeManifest(t, dir, bad)); err == nil {
 			t.Errorf("manifest accepted: %s", bad)
 		}
 	}
+}
+
+// writeManifest writes a manifest into dir and returns its path.
+func writeManifest(t *testing.T, dir, manifest string) string {
+	t.Helper()
+	path := filepath.Join(dir, "manifest-under-test.json")
+	if err := os.WriteFile(path, []byte(manifest), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
 // TestSpecCanonicalizesParallelism: the worker count cannot change the
@@ -377,11 +386,11 @@ func TestSpecCanonicalizesParallelism(t *testing.T) {
 	a := tinyConfig(3)
 	b := tinyConfig(3)
 	b.Parallelism = 8
-	if Fingerprint(NewSynthetic(a).Spec()) != Fingerprint(NewSynthetic(b).Spec()) {
+	if NewCached(NewSynthetic(a), "").Key() != NewCached(NewSynthetic(b), "").Key() {
 		t.Fatal("Parallelism split the cache key")
 	}
 	c := tinyConfig(4)
-	if Fingerprint(NewSynthetic(a).Spec()) == Fingerprint(NewSynthetic(c).Spec()) {
+	if NewCached(NewSynthetic(a), "").Key() == NewCached(NewSynthetic(c), "").Key() {
 		t.Fatal("distinct seeds share a cache key")
 	}
 }
@@ -397,7 +406,7 @@ func TestEnableCacheSkipsMRT(t *testing.T) {
 	if err := cat.Register("mrt", NewMRTFile("x.mrt")); err != nil {
 		t.Fatal(err)
 	}
-	cat.EnableCache(t.TempDir())
+	cat.enableCache(t.TempDir())
 	if src, _ := cat.Get("syn"); !isCached(src) {
 		t.Error("synthetic source not wrapped")
 	}
@@ -407,6 +416,14 @@ func TestEnableCacheSkipsMRT(t *testing.T) {
 }
 
 func isCached(src Source) bool { _, ok := src.(*Cached); return ok }
+
+// buildCatalog is Flags.Catalog for a configuration already in hand: the
+// flags a CLI would have parsed to describe cfg.
+func buildCatalog(cfg policyscope.Config, name, manifest, cacheDir string) (*Catalog, error) {
+	f := Flags{ASes: cfg.NumASes, Seed: cfg.Seed, Peers: cfg.CollectorPeers,
+		Dataset: name, Manifest: manifest, CacheDir: cacheDir}
+	return f.Catalog(cfg)
+}
 
 // TestBuildCatalogManifestOwnsDefault: a manifest entry named
 // "default" wins over the flag-derived configuration instead of
@@ -418,7 +435,7 @@ func TestBuildCatalogManifestOwnsDefault(t *testing.T) {
 	if err := os.WriteFile(mPath, []byte(manifest), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cat, err := BuildCatalog(tinyConfig(3), "", mPath, "")
+	cat, err := buildCatalog(tinyConfig(3), "", mPath, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +455,7 @@ func TestBuildCatalogManifestOwnsDefault(t *testing.T) {
 		[]byte(`{"default": "paper", "datasets": [{"name": "x", "synthetic": {"ases": 9, "seed": 1}}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cat2, err := BuildCatalog(tinyConfig(3), "", keepPaper, "")
+	cat2, err := buildCatalog(tinyConfig(3), "", keepPaper, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,7 +468,7 @@ func TestBuildCatalogManifestOwnsDefault(t *testing.T) {
 	if err := os.WriteFile(bad, []byte(`{"datasets": [{"name": "paper", "synthetic": {"ases": 9, "seed": 1}}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BuildCatalog(tinyConfig(3), "", bad, ""); err == nil || !strings.Contains(err.Error(), "manifest entry 0 (paper)") {
+	if _, err := buildCatalog(tinyConfig(3), "", bad, ""); err == nil || !strings.Contains(err.Error(), "manifest entry 0 (paper)") {
 		t.Fatalf("preset clash error unhelpful: %v", err)
 	}
 }
@@ -503,24 +520,41 @@ func (g *gatedSource) Load(ctx context.Context) (*policyscope.Study, error) {
 	return g.countingSource.Load(ctx)
 }
 
-// TestLoadTopology: synthetic (and cached-synthetic) sources yield the
-// topology without simulating; snapshot-only sources are rejected with
-// the typed sentinel. The peer set matches a full Load of the same
-// source.
+// TestLoadTopology: every ground-truth source — bare or behind the cache
+// — yields through its capability the topology and peer set a full Load
+// of it converges, without simulating; snapshot-only sources are
+// rejected with the typed sentinel.
 func TestLoadTopology(t *testing.T) {
-	cfg := tinyConfig(29)
-	src := NewSynthetic(cfg)
-	topo, peers, err := LoadTopology(context.Background(), NewCached(src, t.TempDir()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	study, err := src.Load(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(topo.Order) != len(study.Topo.Order) || fmt.Sprint(peers) != fmt.Sprint(study.Peers) {
-		t.Fatalf("LoadTopology diverged from Load: %d ASes, peers %v vs %v",
-			len(topo.Order), peers, study.Peers)
+	caida := NewCAIDAFile(relFixture(t, 200))
+	caida.MaxPrefixes, caida.CollectorPeers = 24, 6
+	var study *policyscope.Study
+	for _, tc := range []struct {
+		name string
+		src  Source
+	}{
+		{"synthetic", NewSynthetic(tinyConfig(29))},
+		{"cached synthetic", NewCached(NewSynthetic(tinyConfig(29)), t.TempDir())},
+		{"caida", caida},
+		{"cached caida", NewCached(caida, t.TempDir())},
+	} {
+		runs := metric(t, "policyscope_converge_runs_total", "")
+		topo, peers, err := LoadTopology(context.Background(), tc.src)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if n := metric(t, "policyscope_converge_runs_total", "") - runs; n != 0 {
+			t.Errorf("%s: LoadTopology converged %v times", tc.name, n)
+		}
+		if study, err = tc.src.Load(context.Background()); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if fmt.Sprint(topo.Order) != fmt.Sprint(study.Topo.Order) ||
+			fmt.Sprint(topo.PrefixOrigin) != fmt.Sprint(study.Topo.PrefixOrigin) ||
+			fmt.Sprint(peers) != fmt.Sprint(study.Peers) {
+			t.Errorf("%s: LoadTopology diverged from Load: %d vs %d ASes, %d vs %d prefixes, peers %v vs %v",
+				tc.name, len(topo.Order), len(study.Topo.Order),
+				len(topo.PrefixOrigin), len(study.Topo.PrefixOrigin), peers, study.Peers)
+		}
 	}
 
 	if _, _, err := LoadTopology(context.Background(), NewMRTFile(writeMRT(t, study))); !errors.Is(err, policyscope.ErrNeedsGroundTruth) {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"flag"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -204,6 +205,89 @@ func TestOneConvergencePerDataset(t *testing.T) {
 	}
 	if n := ready(NewSynthetic(cfg)); n != 1 {
 		t.Errorf("uncached dataset: %v convergence passes to ready-to-serve, want 1", n)
+	}
+}
+
+// TestOneConvergencePerFrontDoor is the same count through the door the
+// one-shot binaries take (sweep local mode, simulate -scenario,
+// lookingglass, repro): parsed Flags → Catalog → Load →
+// Study.WhatIfEngine. A cold -cache-dir converges once; a warm one, or a
+// second process over it, converges nothing.
+func TestOneConvergencePerFrontDoor(t *testing.T) {
+	dir := t.TempDir()
+	engine := func(args ...string) float64 {
+		t.Helper()
+		f := Flags{ASes: 2000, Seed: 42, Peers: 56}
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		f.Register(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		cat, err := f.Catalog(policyscope.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := metric(t, "policyscope_converge_runs_total", "")
+		src, _ := cat.Get(cat.Default())
+		study, err := src.Load(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := study.WhatIfEngine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if eng.UnconvergedCount() != 0 || len(eng.Result().Tables) != len(study.Peers) {
+			t.Fatalf("engine not converged over the study's %d peers", len(study.Peers))
+		}
+		return metric(t, "policyscope_converge_runs_total", "") - before
+	}
+	flagCfg := []string{"-ases", "90", "-seed", "71", "-peers", "6"}
+	for _, tc := range []struct {
+		name string
+		args []string
+		want float64
+	}{
+		{"no cache", flagCfg, 1},
+		{"cold cache", append(flagCfg, "-cache-dir", dir), 1},
+		{"warm cache", append(flagCfg, "-cache-dir", dir), 0},
+		{"preset, cold cache", []string{"-dataset", "small", "-cache-dir", dir}, 1},
+		{"preset, warm cache", []string{"-dataset", "small", "-cache-dir", dir}, 0},
+	} {
+		if n := engine(tc.args...); n != tc.want {
+			t.Errorf("%s: %v convergence passes from flags to engine, want %v", tc.name, n, tc.want)
+		}
+	}
+}
+
+// TestStoreKeysPinned holds the literal store keys of the built-in
+// presets and of two CAIDA specs, as they were before the dataset flags
+// and the ground-truth capability were introduced: a change to Spec,
+// Cached.Key or a source's canonicalization that moves one of these
+// silently re-keys every deployed cache directory (each entry would
+// rebuild once and the old files would never be read again). Bump
+// cacheFormatVersion, and these with it, only when entries must be
+// invalidated.
+func TestStoreKeysPinned(t *testing.T) {
+	keys := map[string]string{}
+	cat := Builtin()
+	cat.enableCache("unused")
+	for _, name := range cat.Names() {
+		src, _ := cat.Get(name)
+		keys[name] = src.(*Cached).Key()
+	}
+	keys["caida defaults"] = NewCached(&CAIDAFile{CAIDASpec: CAIDASpec{Path: "testdata/as-rel.txt", Seed: 7}}, "unused").Key()
+	keys["caida explicit"] = NewCached(&CAIDAFile{CAIDASpec: CAIDASpec{Path: "as-rel.txt", MaxPrefixes: 64,
+		CollectorPeers: 6, LookingGlassASes: 4, Seed: 7}, Parallelism: 3}, "unused").Key()
+	want := map[string]string{
+		"paper":          "a46a38a7693db849eacf8b24630dc3a2",
+		"small":          "4a0999c42010cb725f7e4ae827304d24",
+		"large":          "b149ddd1c1406083c604a68512295dc7",
+		"caida defaults": "75b6c0596d9c6b215e0375e6ac790122",
+		"caida explicit": "2a5eb2145a13ad93011c7700cd2c4cc2",
+	}
+	if !reflect.DeepEqual(keys, want) {
+		t.Fatalf("store keys moved:\n got %v\nwant %v", keys, want)
 	}
 }
 

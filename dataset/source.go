@@ -15,6 +15,8 @@
 //   - Pool is a bounded LRU of warmed Sessions keyed by dataset name,
 //     with singleflight builds, so one server process serves many
 //     universes concurrently.
+//   - Flags is the front door every binary shares: the six dataset
+//     flags, declared once, yielding the catalog.
 package dataset
 
 import (
@@ -83,11 +85,66 @@ func (s *Synthetic) Spec() Spec {
 }
 
 // Load generates, simulates and collects the study.
-func (s *Synthetic) Load(ctx context.Context) (*policyscope.Study, error) {
+func (s *Synthetic) Load(ctx context.Context) (*policyscope.Study, error) { return loadWorld(ctx, s) }
+
+func (s *Synthetic) parallelism() int { return s.Config.Parallelism }
+
+func (s *Synthetic) embedsGraph() bool { return false }
+
+// world generates the topology from the configuration alone. The Config
+// it reports carries the peer-count default policyscope.NewStudy records,
+// so a study loaded here and one built there serialize the same.
+func (s *Synthetic) world(graph []byte) (*topogen.Topology, []bgp.ASN, policyscope.Config, error) {
+	cfg := s.Config
+	if len(graph) > 0 {
+		return nil, nil, cfg, fmt.Errorf("dataset: entry embeds a graph but a synthetic source generates its own")
+	}
+	if cfg.CollectorPeers <= 0 {
+		cfg.CollectorPeers = 24
+	}
+	topo, peers, err := policyscope.GenerateTopology(cfg)
+	return topo, peers, cfg, err
+}
+
+// groundTruth is the optional capability of a source whose data is a
+// topology and a collector peer set converged by
+// policyscope.ConvergeInputs: Synthetic and CAIDAFile have it; MRTFile,
+// FromStudy and foreign Source implementations do not. It is all the
+// package asks of a source beyond Spec and Load — loading, the
+// topology-only load, cache restore, graph embedding and what is worth
+// caching go through it — so what a source kind means is written in the
+// source and nowhere else.
+type groundTruth interface {
+	// parallelism is the reading process's execution knob; it replaces
+	// the value a cache entry recorded.
+	parallelism() int
+	// world builds the annotated topology, selects the collector peers
+	// and derives the Config a study over them reports. graph is empty,
+	// or the bytes a cache entry of this source embedded.
+	world(graph []byte) (*topogen.Topology, []bgp.ASN, policyscope.Config, error)
+	// embedsGraph reports that the spec alone cannot regenerate the
+	// topology, so a cache entry carries the serialized graph.
+	embedsGraph() bool
+}
+
+// loadWorld is Load for a ground-truth source: build the world, converge
+// it — once; the study keeps the run as its what-if base.
+func loadWorld(ctx context.Context, gt groundTruth) (*policyscope.Study, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return policyscope.NewStudy(s.Config)
+	topo, peers, cfg, err := gt.world(nil)
+	if err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	in, err := policyscope.ConvergeInputs(cfg, topo, peers)
+	if err != nil {
+		return nil, err
+	}
+	return policyscope.NewStudyFromInputs(in)
 }
 
 // MRTFile loads a TABLE_DUMP/TABLE_DUMP_V2 snapshot into a
@@ -132,40 +189,25 @@ func (m *MRTFile) Load(ctx context.Context) (*policyscope.Study, error) {
 }
 
 // LoadTopology yields just a dataset's annotated topology and collector
-// peer set, for a consumer that may need no converged state at all
-// (cmd/sweep expands its spec against the topology and, in fleet mode,
-// never builds an engine; cmd/simulate -scenario builds its own). For
-// synthetic and CAIDA sources this generates the topology without
-// simulating it; a Cached wrapper is unwrapped, because generation alone
-// is cheaper than reading an entry's tables. A consumer that does want
-// the converged state should Load the study and take
+// peer set, for the one consumer that needs no converged state: the
+// distributed sweep coordinator, which expands its spec against the
+// topology and leaves every engine to its fleet. A ground-truth source
+// builds its world without simulating it (a Cached wrapper is unwrapped:
+// generation is cheaper than reading an entry's tables). Anything that
+// wants converged state should Load the study and take
 // Study.WhatIfEngine, which a cached dataset restores without
-// converging. Snapshot-only sources carry no topology and return an
-// error wrapping policyscope.ErrNeedsGroundTruth.
+// converging. Snapshot-only sources return an error wrapping
+// policyscope.ErrNeedsGroundTruth.
 func LoadTopology(ctx context.Context, src Source) (*topogen.Topology, []bgp.ASN, error) {
 	if c, ok := src.(*Cached); ok {
 		src = c.Source
 	}
-	if s, ok := src.(*Synthetic); ok {
+	if gt, ok := src.(groundTruth); ok {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
-		return policyscope.GenerateTopology(s.Config)
-	}
-	if c, ok := src.(*CAIDAFile); ok {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		g, err := c.readGraph()
-		if err != nil {
-			return nil, nil, err
-		}
-		sp := *c.Spec().CAIDA
-		topo, err := CAIDATopology(g, sp)
-		if err != nil {
-			return nil, nil, err
-		}
-		return topo, routeviews.SelectPeers(topo, sp.CollectorPeers), nil
+		topo, peers, _, err := gt.world(nil)
+		return topo, peers, err
 	}
 	study, err := src.Load(ctx)
 	if err != nil {

@@ -25,7 +25,7 @@ func (f *LogFlags) Register(fs *flag.FlagSet) {
 // SetDefault builds the logger per the flags and installs it as the
 // process-wide slog default.
 func (f LogFlags) SetDefault(w io.Writer) error {
-	l, err := NewLogger(w, f)
+	l, err := newLogger(w, f)
 	if err != nil {
 		return err
 	}
@@ -33,10 +33,10 @@ func (f LogFlags) SetDefault(w io.Writer) error {
 	return nil
 }
 
-// NewLogger builds a slog.Logger writing to w per the flags. Unknown
+// newLogger builds a slog.Logger writing to w per the flags. Unknown
 // levels or formats are an error so a typo'd flag fails fast instead
 // of silently logging at the wrong level.
-func NewLogger(w io.Writer, f LogFlags) (*slog.Logger, error) {
+func newLogger(w io.Writer, f LogFlags) (*slog.Logger, error) {
 	var level slog.Level
 	switch strings.ToLower(f.Level) {
 	case "", "info":

@@ -242,8 +242,8 @@ func TestNilSpanSafe(t *testing.T) {
 		t.Fatal("StartSpan without a trace returned a non-nil span")
 	}
 	s.End() // must not panic
-	if TraceFrom(ctx) != nil {
-		t.Error("TraceFrom on plain context is non-nil")
+	if traceFrom(ctx) != nil {
+		t.Error("traceFrom on plain context is non-nil")
 	}
 }
 

@@ -62,8 +62,8 @@ func WithTrace(ctx context.Context, id string) (context.Context, *Trace) {
 	return context.WithValue(ctx, traceKey{}, tr), tr
 }
 
-// TraceFrom returns the Trace attached to ctx, or nil.
-func TraceFrom(ctx context.Context) *Trace {
+// traceFrom returns the Trace attached to ctx, or nil.
+func traceFrom(ctx context.Context) *Trace {
 	tr, _ := ctx.Value(traceKey{}).(*Trace)
 	return tr
 }
@@ -84,7 +84,7 @@ type spanKey struct{}
 // carried by ctx. The returned context parents nested spans. Without a
 // trace attached it returns ctx unchanged and a nil span.
 func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
-	tr := TraceFrom(ctx)
+	tr := traceFrom(ctx)
 	if tr == nil {
 		return ctx, nil
 	}

@@ -45,7 +45,7 @@ func (s *slowSource) Load(ctx context.Context) (*policyscope.Study, error) {
 // the pinned request complete normally.
 func TestAdmissionShed(t *testing.T) {
 	tiny := policyscope.Config{NumASes: 120, Seed: 7, CollectorPeers: 8, LookingGlassASes: 5}
-	slow := newSlowSource(dataset.NewSynthetic(tiny))
+	slow := newSlowSource(cachedSynthetic(tiny))
 	cat := dataset.NewCatalog()
 	if err := cat.Register("slow", slow); err != nil {
 		t.Fatal(err)
@@ -113,7 +113,7 @@ func TestAdmissionShed(t *testing.T) {
 func TestPanicRecovery(t *testing.T) {
 	tiny := policyscope.Config{NumASes: 120, Seed: 7, CollectorPeers: 8, LookingGlassASes: 5}
 	cat := dataset.NewCatalog()
-	if err := cat.Register("tiny", dataset.NewSynthetic(tiny)); err != nil {
+	if err := cat.Register("tiny", cachedSynthetic(tiny)); err != nil {
 		t.Fatal(err)
 	}
 	srv := New(dataset.NewPool(cat, 1))
@@ -160,7 +160,7 @@ func TestPanicRecovery(t *testing.T) {
 func TestHealthzDraining(t *testing.T) {
 	tiny := policyscope.Config{NumASes: 120, Seed: 7, CollectorPeers: 8, LookingGlassASes: 5}
 	cat := dataset.NewCatalog()
-	if err := cat.Register("tiny", dataset.NewSynthetic(tiny)); err != nil {
+	if err := cat.Register("tiny", cachedSynthetic(tiny)); err != nil {
 		t.Fatal(err)
 	}
 	srv := New(dataset.NewPool(cat, 1))
@@ -244,7 +244,7 @@ func TestBuildCooldown503(t *testing.T) {
 // work through the normal context plumbing and answers 503.
 func TestRequestTimeout(t *testing.T) {
 	tiny := policyscope.Config{NumASes: 120, Seed: 7, CollectorPeers: 8, LookingGlassASes: 5}
-	slow := newSlowSource(dataset.NewSynthetic(tiny))
+	slow := newSlowSource(cachedSynthetic(tiny))
 	defer close(slow.release) // unblock the detached build goroutine
 	cat := dataset.NewCatalog()
 	if err := cat.Register("slow", slow); err != nil {

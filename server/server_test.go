@@ -26,6 +26,28 @@ func testConfig() policyscope.Config {
 	return cfg
 }
 
+// testCache is the test binary's one study cache directory: every
+// synthetic dataset a test serves without asserting a cold build loads
+// through it, so the universes the tests share converge once per run of
+// the binary — the product's cache, tested by being used.
+var testCache string
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "server-test-cache-")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	testCache = dir
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
+func cachedSynthetic(cfg policyscope.Config) dataset.Source {
+	return dataset.NewCached(dataset.NewSynthetic(cfg), testCache)
+}
+
 // testServer serves a three-dataset catalog: "default" (the synthetic
 // study the old single-session server carried), "tiny" (a second
 // synthetic universe), and "imported" (an MRT snapshot of tiny, i.e. a
@@ -33,11 +55,11 @@ func testConfig() policyscope.Config {
 func testServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	cat := dataset.NewCatalog()
-	if err := cat.Register("default", dataset.NewSynthetic(testConfig())); err != nil {
+	if err := cat.Register("default", cachedSynthetic(testConfig())); err != nil {
 		t.Fatal(err)
 	}
 	tiny := policyscope.Config{NumASes: 120, Seed: 7, CollectorPeers: 8, LookingGlassASes: 5}
-	if err := cat.Register("tiny", dataset.NewSynthetic(tiny)); err != nil {
+	if err := cat.Register("tiny", cachedSynthetic(tiny)); err != nil {
 		t.Fatal(err)
 	}
 	if err := cat.Register("imported", dataset.NewMRTFile(writeTinyMRT(t, tiny))); err != nil {
@@ -51,7 +73,7 @@ func testServer(t *testing.T) *httptest.Server {
 // writeTinyMRT materializes an MRT snapshot for the tiny config.
 func writeTinyMRT(t *testing.T, cfg policyscope.Config) string {
 	t.Helper()
-	study, err := policyscope.NewStudy(cfg)
+	study, err := cachedSynthetic(cfg).Load(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

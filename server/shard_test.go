@@ -164,7 +164,7 @@ func TestSweepShardVantageGuard(t *testing.T) {
 func TestDistributedMatchesServerSweep(t *testing.T) {
 	tiny := policyscope.Config{NumASes: 120, Seed: 7, CollectorPeers: 8, LookingGlassASes: 5}
 	cat := dataset.NewCatalog()
-	if err := cat.Register("tiny", dataset.NewSynthetic(tiny)); err != nil {
+	if err := cat.Register("tiny", cachedSynthetic(tiny)); err != nil {
 		t.Fatal(err)
 	}
 	srv := New(dataset.NewPool(cat, 2))

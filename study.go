@@ -331,9 +331,10 @@ func ConvergeInputs(cfg Config, topo *topogen.Topology, peers []bgp.ASN) (StudyI
 
 // GenerateTopology generates just the annotated topology and the
 // collector peer selection for cfg — the first step of GenerateInputs,
-// for consumers (cmd/sweep, cmd/simulate -scenario) that build their own
-// engine over it and have no use for a study. The peer set matches what
-// a full GenerateInputs of the same cfg selects.
+// and all a consumer that needs no converged state wants of it (a
+// synthetic dataset's topology-only load, the benchmark's per-layer
+// timing). The peer set matches what a full GenerateInputs of the same
+// cfg selects.
 func GenerateTopology(cfg Config) (*topogen.Topology, []bgp.ASN, error) {
 	if cfg.NumASes <= 0 {
 		return nil, nil, fmt.Errorf("policyscope: NumASes must be positive")
