@@ -20,9 +20,11 @@ import (
 //   - every default README states in a table — a row whose first cell is
 //     `binary -flag` under a "default" column, or a binary's row under
 //     `-flag` column headings — is the default that binary's -h prints;
-//   - every policyscope_* name is a metric family policyscoped registers;
+//   - every policyscope_* name is a metric family policyscoped registers,
+//     and every policyscope_session_* family it registers is named;
 //   - every curl line addresses a route the server serves, with the
-//     method README gives it.
+//     method README gives it, and one that asks for a ?format= is
+//     answered 200 in that format.
 //
 // A claim README stops making stops being checked; a claim it makes that
 // the product does not keep fails here.
@@ -115,6 +117,11 @@ func TestREADMEClaims(t *testing.T) {
 	if len(names) < 10 {
 		t.Errorf("only %d metric names found in README", len(names))
 	}
+	for family := range families {
+		if strings.HasPrefix(family, "policyscope_session_") && !strings.Contains(readme, family) {
+			t.Errorf("policyscoped registers %s, which README's monitoring table does not name", family)
+		}
+	}
 
 	curls := 0
 	for _, cmd := range commands {
@@ -154,7 +161,7 @@ func TestREADMEClaims(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s /%s: %v", method, path, err)
 		}
-		io.Copy(io.Discard, resp.Body)
+		answer, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		// Every route the server registers stamps X-Request-ID, whatever
 		// its status; the exposition endpoint bypasses that middleware.
@@ -163,6 +170,17 @@ func TestREADMEClaims(t *testing.T) {
 			(strings.HasPrefix(path, "metrics") && resp.StatusCode == http.StatusOK)
 		if !served {
 			t.Errorf("README shows %s /%s, which the server does not route (status %d)", method, path, resp.StatusCode)
+		}
+		// A format README shows is one the server speaks: anything but
+		// json and text is refused, so a stale example fails here.
+		if _, format, ok := strings.Cut(path, "format="); ok {
+			format, _, _ = strings.Cut(format, "&")
+			wantType := map[string]string{"json": "application/json", "text": "text/plain"}[format]
+			if gotType := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK ||
+				wantType == "" || !strings.HasPrefix(gotType, wantType) {
+				t.Errorf("README shows %s /%s: status %d, Content-Type %q: %s",
+					method, path, resp.StatusCode, gotType, answer)
+			}
 		}
 		curls++
 	}

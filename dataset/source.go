@@ -154,9 +154,6 @@ func loadWorld(ctx context.Context, gt groundTruth) (*policyscope.Study, error) 
 type MRTFile struct {
 	// Path is the MRT file.
 	Path string
-	// Config carries analysis knobs (Seed, Parallelism); sizing fields
-	// are derived from the snapshot. The zero value is fine.
-	Config policyscope.Config
 }
 
 // NewMRTFile returns a source over the MRT file at path.
@@ -185,7 +182,9 @@ func (m *MRTFile) Load(ctx context.Context) (*policyscope.Study, error) {
 	if len(snap.Prefixes()) == 0 {
 		return nil, fmt.Errorf("dataset: %s: snapshot has no routes", m.Path)
 	}
-	return policyscope.NewStudyFromSnapshot(snap, m.Config)
+	// The sizing fields come from the snapshot; no manifest entry or
+	// flag sets analysis knobs for an import.
+	return policyscope.NewStudyFromSnapshot(snap, policyscope.Config{})
 }
 
 // LoadTopology yields just a dataset's annotated topology and collector

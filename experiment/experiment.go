@@ -81,6 +81,11 @@ type Experiment[S, R any] struct {
 	// Probabilistic marks inference algorithms whose output carries a
 	// per-edge posterior.
 	Probabilistic bool
+	// NoMemo marks an entry whose parameters carry a whole input (a
+	// scenario, a sweep spec) rather than a few knobs: every request is
+	// its own question, so a runner that memoizes results by parameter
+	// set passes it by.
+	NoMemo bool
 	// NewParams returns a pointer to a freshly allocated parameter
 	// struct carrying the experiment's defaults, or nil when the
 	// experiment takes no parameters.

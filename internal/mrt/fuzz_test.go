@@ -9,11 +9,10 @@ import (
 	"github.com/policyscope/policyscope/internal/netx"
 )
 
-// TestCorruptionNeverPanics flips random bytes in valid streams and
-// checks the reader either errors cleanly or returns records — never
-// panics, never loops forever, never over-allocates. This is the
-// failure-injection guard for the only binary parser in the repo.
-func TestCorruptionNeverPanics(t *testing.T) {
+// pristineStream is a small valid stream through every record type: a
+// peer index with a 2-byte and a 4-byte peer, then RIB and TABLE_DUMP
+// records for eight prefixes.
+func pristineStream(t testing.TB) []byte {
 	var buf bytes.Buffer
 	w := NewWriter(&buf, 1234)
 	peers := []PeerEntry{
@@ -37,18 +36,31 @@ func TestCorruptionNeverPanics(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	pristine := buf.Bytes()
+	return buf.Bytes()
+}
+
+// corrupted flips 1–8 random bytes of a copy of stream.
+func corrupted(stream []byte, rng *rand.Rand) []byte {
+	corrupt := append([]byte(nil), stream...)
+	flips := 1 + rng.Intn(8)
+	for i := 0; i < flips; i++ {
+		pos := rng.Intn(len(corrupt))
+		corrupt[pos] ^= byte(1 + rng.Intn(255))
+	}
+	return corrupt
+}
+
+// TestCorruptionNeverPanics flips random bytes in valid streams and
+// checks the reader either errors cleanly or returns records — never
+// panics, never loops forever, never over-allocates. This is the
+// failure-injection guard for the only binary parser in the repo.
+func TestCorruptionNeverPanics(t *testing.T) {
+	pristine := pristineStream(t)
 
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 3000; trial++ {
-		corrupt := append([]byte(nil), pristine...)
-		flips := 1 + rng.Intn(8)
-		for i := 0; i < flips; i++ {
-			pos := rng.Intn(len(corrupt))
-			corrupt[pos] ^= byte(1 + rng.Intn(255))
-		}
 		// Must terminate without panicking; errors are expected.
-		recs, err := ReadAll(bytes.NewReader(corrupt))
+		recs, err := ReadAll(bytes.NewReader(corrupted(pristine, rng)))
 		_ = recs
 		_ = err
 	}
@@ -60,4 +72,76 @@ func TestCorruptionNeverPanics(t *testing.T) {
 			continue
 		}
 	}
+}
+
+// reencode writes decoded records back through the Writer, stamped with
+// the first record's timestamp. It fails where the Writer does: a RIB
+// entry whose peer the index does not cover.
+func reencode(recs []Record) ([]byte, error) {
+	var buf bytes.Buffer
+	var w *Writer
+	for _, rec := range recs {
+		var err error
+		switch rec := rec.(type) {
+		case *PeerIndexRecord:
+			if w == nil {
+				w = NewWriter(&buf, rec.Header.Timestamp)
+			}
+			err = w.WritePeerIndex(rec.CollectorID, rec.ViewName, rec.Peers)
+		case *RIBRecord:
+			if w == nil {
+				w = NewWriter(&buf, rec.Header.Timestamp)
+			}
+			err = w.WriteRIB(rec.Prefix, rec.Entries)
+		case *TableDumpRecord:
+			if w == nil {
+				w = NewWriter(&buf, rec.Header.Timestamp)
+			}
+			err = w.WriteTableDump(rec.Entry)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return buf.Bytes(), nil
+}
+
+// FuzzReadAll: ReadAll never panics on any bytes — MRT files are handed
+// to us by users — and a valid stream survives the codec unchanged: what
+// the Writer makes of any accepted input decodes, and re-encodes to the
+// same bytes.
+func FuzzReadAll(f *testing.F) {
+	pristine := pristineStream(f)
+	f.Add(pristine)
+	rng := rand.New(rand.NewSource(99))
+	for i := 0; i < 16; i++ {
+		f.Add(corrupted(pristine, rng))
+	}
+	for cut := 0; cut < len(pristine); cut += 37 {
+		f.Add(pristine[:cut])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		recs, err := ReadAll(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		valid, err := reencode(recs)
+		if err != nil {
+			return
+		}
+		again, err := ReadAll(bytes.NewReader(valid))
+		if err != nil {
+			t.Fatalf("the Writer's own stream does not decode: %v", err)
+		}
+		if len(again) != len(recs) {
+			t.Fatalf("%d records written, %d read back", len(recs), len(again))
+		}
+		twice, err := reencode(again)
+		if err != nil {
+			t.Fatalf("a decoded valid stream does not re-encode: %v", err)
+		}
+		if !bytes.Equal(twice, valid) {
+			t.Fatal("a valid stream did not re-encode byte-identically")
+		}
+	})
 }

@@ -147,3 +147,38 @@ func TestGraphDelegation(t *testing.T) {
 		t.Fatalf("graph round trip not byte-identical:\n%s\nvs\n%s", viaGraph.String(), again.String())
 	}
 }
+
+// FuzzRead: Read never panics on any bytes — as-rel files come from
+// users and from CAIDA — and whatever it accepts survives Write → Read:
+// the same relationships in the same order, whatever comments, blank
+// lines and trailing fields the input carried.
+func FuzzRead(f *testing.F) {
+	f.Add([]byte("# source: test\n\n10|20|-1|bgp\n1|2|0\n3|4|1\n"))
+	f.Add([]byte("4294967295|0|-1\r\n  7018|701|0  \n"))
+	f.Add([]byte("1|2\n"))
+	f.Add([]byte("1|2|7\n"))
+	f.Add([]byte("x|2|0\n"))
+	f.Add([]byte("1|2|+1|\n#"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		recs, err := relfile.Read(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if _, err := relfile.Write(&out, recs); err != nil {
+			t.Fatal(err)
+		}
+		again, err := relfile.Read(&out)
+		if err != nil {
+			t.Fatalf("Read refuses what Write made of accepted input: %v", err)
+		}
+		if len(again) != len(recs) {
+			t.Fatalf("%d records written, %d read back", len(recs), len(again))
+		}
+		for i, rec := range recs {
+			if got := again[i]; got.A != rec.A || got.B != rec.B || got.Code != rec.Code {
+				t.Fatalf("record %d: wrote %v, read back %v", i, rec, got)
+			}
+		}
+	})
+}

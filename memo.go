@@ -17,6 +17,11 @@ type memo[K comparable, V any] struct {
 	// max bounds the entry count, evicting first-in first-out; zero is
 	// unbounded.
 	max int
+	// evicted, when set, receives every computed value the bound pushes
+	// out, exactly once — at eviction, or as soon as it is computed when
+	// its entry was evicted mid-flight — so an owner can account for what
+	// the memo holds.
+	evicted func(V)
 
 	mu      sync.Mutex
 	entries map[K]*memoEntry[V]
@@ -27,6 +32,10 @@ type memoEntry[V any] struct {
 	once sync.Once
 	val  V
 	err  error
+	// done (val is computed and good; set only when memo.evicted is) and
+	// gone (evicted by the bound) are guarded by memo.mu; whichever is
+	// set second hands val to memo.evicted.
+	done, gone bool
 }
 
 // newMemo returns a memo counted under policyscope_session_memo_total's
@@ -43,9 +52,12 @@ func (m *memo[K, V]) get(k K, compute func() (V, error)) (V, error) {
 	for {
 		m.mu.Lock()
 		entry, ok := m.entries[k]
+		var old *memoEntry[V]
 		if !ok {
 			entry = &memoEntry[V]{}
 			if m.max > 0 && len(m.fifo) >= m.max {
+				old = m.entries[m.fifo[0]]
+				old.gone = true
 				delete(m.entries, m.fifo[0])
 				m.fifo = m.fifo[1:]
 			}
@@ -54,7 +66,11 @@ func (m *memo[K, V]) get(k K, compute func() (V, error)) (V, error) {
 				m.fifo = append(m.fifo, k)
 			}
 		}
+		release := old != nil && old.done
 		m.mu.Unlock()
+		if release {
+			m.evicted(old.val)
+		}
 		if ok {
 			m.hit.Inc()
 		} else {
@@ -64,6 +80,16 @@ func (m *memo[K, V]) get(k K, compute func() (V, error)) (V, error) {
 		entry.once.Do(func() {
 			ran = true
 			entry.val, entry.err = compute()
+			if entry.err != nil || m.evicted == nil {
+				return
+			}
+			m.mu.Lock()
+			entry.done = true
+			gone := entry.gone
+			m.mu.Unlock()
+			if gone {
+				m.evicted(entry.val)
+			}
 		})
 		if entry.err == nil {
 			return entry.val, nil

@@ -24,8 +24,10 @@ type Trace struct {
 // SpanRecord is one finished span, with times relative to the trace
 // start so the NDJSON dump reads as a waterfall.
 type SpanRecord struct {
-	Name    string  `json:"name"`
-	Parent  string  `json:"parent,omitempty"`
+	Name   string `json:"name"`
+	Parent string `json:"parent,omitempty"`
+	// Note is what the span's owner had to say about it ("memo hit").
+	Note    string  `json:"note,omitempty"`
 	StartMs float64 `json:"start_ms"`
 	DurMs   float64 `json:"dur_ms"`
 }
@@ -75,6 +77,7 @@ type Span struct {
 	tr     *Trace
 	name   string
 	parent string
+	note   string
 	start  time.Time
 }
 
@@ -96,6 +99,14 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	return context.WithValue(ctx, spanKey{}, s), s
 }
 
+// Note annotates the span before it ends — why it was as short or as
+// long as it was. Safe on nil.
+func (s *Span) Note(note string) {
+	if s != nil {
+		s.note = note
+	}
+}
+
 // End records the span. Safe on nil.
 func (s *Span) End() {
 	if s == nil {
@@ -104,6 +115,7 @@ func (s *Span) End() {
 	rec := SpanRecord{
 		Name:    s.name,
 		Parent:  s.parent,
+		Note:    s.note,
 		StartMs: float64(s.start.Sub(s.tr.start).Microseconds()) / 1000,
 		DurMs:   float64(time.Since(s.start).Microseconds()) / 1000,
 	}

@@ -33,6 +33,10 @@ type def[P any] struct {
 	// engine): run against a snapshot-only dataset it returns
 	// ErrNeedsGroundTruth instead of panicking on the missing inputs.
 	snapshot bool
+	// scenarioParams marks an experiment whose parameters carry a
+	// scenario or a sweep spec: its answers stay out of the session's
+	// result memo (each body is its own key, and the answer is the work).
+	scenarioParams bool
 	// defaults nil marks a parameter-less experiment. The value must not
 	// contain pointers to shared mutable state — every request's copy
 	// aliases them, and a JSON decode writes through a non-nil pointer in
@@ -56,7 +60,7 @@ type runFunc[P any] func(context.Context, *Session, *Study, P) (experiment.Resul
 func register[P any](d def[P]) {
 	e := experiment.Experiment[*Session, experiment.Result]{
 		Name: d.name, Title: d.title, Group: d.group, Order: d.order,
-		NeedsGroundTruth: !d.snapshot,
+		NeedsGroundTruth: !d.snapshot, NoMemo: d.scenarioParams,
 	}
 	if d.defaults != nil {
 		e.NewParams = func() any { p := *d.defaults; return &p }

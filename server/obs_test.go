@@ -130,6 +130,26 @@ func TestTraceNDJSON(t *testing.T) {
 	}
 }
 
+// TestTraceExplainsMemoHit: the experiment span says whether the answer
+// was computed or found, so a trace accounts for a sub-millisecond run.
+func TestTraceExplainsMemoHit(t *testing.T) {
+	ts := testServer(t)
+	for _, want := range []string{"memo miss", "memo hit"} {
+		_, body := post(t, ts.URL+"/run/table5?trace=1", "")
+		note := ""
+		for _, line := range bytes.Split(body, []byte("\n")) {
+			var span struct{ Name, Note string }
+			if bytes.Contains(line, []byte(`"trace"`)) && json.Unmarshal(line, &span) == nil &&
+				span.Name == "experiment:table5" {
+				note = span.Note
+			}
+		}
+		if note != want {
+			t.Fatalf("experiment span note %q, want %q", note, want)
+		}
+	}
+}
+
 // TestTraceOffByDefault: without ?trace=1 the body stays plain JSON
 // with no span lines.
 func TestTraceOffByDefault(t *testing.T) {

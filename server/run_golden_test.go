@@ -12,6 +12,7 @@ import (
 
 	policyscope "github.com/policyscope/policyscope"
 	"github.com/policyscope/policyscope/dataset"
+	"github.com/policyscope/policyscope/obs"
 )
 
 var updateRunGolden = flag.Bool("update-run-golden", false,
@@ -39,6 +40,19 @@ var runGoldenBodies = []runGoldenRequest{
 	{"inferensemble", `{"samples": 2, "sweep_max": 4}`},
 }
 
+// resultMemoLookups scrapes the result memo's hit and miss counters.
+func resultMemoLookups(t *testing.T, base string) (hit, miss float64) {
+	t.Helper()
+	_, body := get(t, base+"/metrics")
+	samples, err := obs.ParseText(bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit, _ = obs.Find(samples, "policyscope_session_memo_total", `cache="result",result="hit"`)
+	miss, _ = obs.Find(samples, "policyscope_session_memo_total", `cache="result",result="miss"`)
+	return hit, miss
+}
+
 // TestRunGoldenDigests pins what every experiment answers, byte for
 // byte, on the small preset: status and body of POST /run/{name} as JSON
 // and as text, with default parameters for the whole catalog and one
@@ -58,6 +72,7 @@ func TestRunGoldenDigests(t *testing.T) {
 	requests = append(requests, runGoldenBodies...)
 	got := map[string]string{}
 	for _, req := range requests {
+		hit0, miss0 := resultMemoLookups(t, ts.URL)
 		for _, format := range []string{"json", "text"} {
 			status, resp := post(t, ts.URL+"/run/"+req.name+"?dataset=small&format="+format, req.body)
 			key := fmt.Sprintf("POST /run/%s %s format=%s", req.name, req.body, format)
@@ -65,6 +80,18 @@ func TestRunGoldenDigests(t *testing.T) {
 				t.Errorf("%s: status %d: %s", key, status, resp)
 			}
 			got[key] = bodyDigest(append([]byte(fmt.Sprintf("%d\n", status)), resp...))
+		}
+		// Both bodies of a read-only experiment come from one
+		// computation; a scenario experiment is computed per request and
+		// never consults the memo.
+		hit, miss := resultMemoLookups(t, ts.URL)
+		want := [2]float64{1, 1}
+		if req.name == "whatif" || req.name == "sweep" {
+			want = [2]float64{0, 0}
+		}
+		if (hit-hit0 != want[0]) || (miss-miss0 != want[1]) {
+			t.Errorf("POST /run/%s %s as JSON then text: %v result-memo hits and %v misses, want %v and %v",
+				req.name, req.body, hit-hit0, miss-miss0, want[0], want[1])
 		}
 	}
 

@@ -21,11 +21,14 @@
 // queries reuse the memoized artifacts, and concurrent first queries
 // against one dataset are deduplicated into a single build.
 //
-// /run accepts ?format=json (default) or ?format=text. /sweep streams
-// NDJSON. Experiments that need generator ground truth return 422 with
-// a "needs ground truth" error when the selected dataset is an imported
-// snapshot. Handlers honor the request context — a disconnected client
-// cancels its in-flight run, sweep, or dataset build.
+// /run accepts ?format=json (default) or ?format=text and answers any
+// other value 422; a session computes and renders a read-only
+// experiment once per parameter set, so a repeat is written from the
+// kept bytes. /sweep streams NDJSON. Experiments that need generator
+// ground truth return 422 with a "needs ground truth" error when the
+// selected dataset is an imported snapshot. Handlers honor the request
+// context — a disconnected client cancels its in-flight run, sweep, or
+// dataset build.
 //
 // Every response carries an X-Request-ID header. Appending ?trace=1 to
 // any query endpoint additionally appends a per-request NDJSON span
@@ -246,6 +249,12 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
+	format := r.URL.Query().Get("format")
+	if format != "" && format != "json" && format != "text" {
+		writeError(w, http.StatusUnprocessableEntity,
+			fmt.Errorf("unknown format %q (want json or text)", format))
+		return
+	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("reading body: %w", err))
@@ -262,7 +271,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	res, err := sess.RunJSON(r.Context(), name, body)
+	ans, err := sess.AnswerJSON(r.Context(), name, body)
 	if err != nil {
 		var nf *experiment.NotFoundError
 		var pe *experiment.ParamError
@@ -283,21 +292,21 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
+	// The answer keeps each body it has rendered, so a repeated question
+	// is written, not re-encoded.
 	_, span := obs.StartSpan(r.Context(), "render")
 	defer span.End()
-	if r.URL.Query().Get("format") == "text" {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if err := res.Render(w); err != nil {
-			// Headers are gone; nothing sane left to do but log-level
-			// truncation, which the client sees as a short body.
-			return
-		}
+	render, contentType := ans.JSON, "application/json"
+	if format == "text" {
+		render, contentType = ans.Text, "text/plain; charset=utf-8"
+	}
+	out, err := render()
+	if err != nil {
+		s.writeFailure(w, r, fmt.Errorf("rendering %s: %w", name, err))
 		return
 	}
-	writeJSON(w, http.StatusOK, struct {
-		Name   string            `json:"name"`
-		Result experiment.Result `json:"result"`
-	}{Name: name, Result: res})
+	w.Header().Set("Content-Type", contentType)
+	_, _ = w.Write(out)
 }
 
 // mergeAlgoQuery folds a ?algo=<name> query shortcut into the params

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -223,6 +224,45 @@ func TestRunEndpoint(t *testing.T) {
 	}
 	if status, _ = post(t, ts.URL+"/run/table6", `{"bogus": 1}`); status != http.StatusUnprocessableEntity {
 		t.Fatalf("bad params status %d", status)
+	}
+
+	// ?format= is json or text; anything else is refused, not answered
+	// as JSON.
+	status, body = post(t, ts.URL+"/run/table2?format=txt", "")
+	var refusal struct {
+		Error string `json:"error"`
+	}
+	if status != http.StatusUnprocessableEntity || json.Unmarshal(body, &refusal) != nil ||
+		!strings.Contains(refusal.Error, `"txt"`) {
+		t.Fatalf("format=txt: %d %s", status, body)
+	}
+}
+
+// TestRunErrorsAnsweredEveryTime: a session keeps the answers it
+// computes, never a refusal — a parameter error and a dataset that cannot
+// answer read 422 with the same body however often they are asked, and a
+// good answer asked twice reads the same bytes in each format.
+func TestRunErrorsAnsweredEveryTime(t *testing.T) {
+	ts := testServer(t)
+	for _, q := range []struct {
+		path, body string
+		want       int
+	}{
+		{"/run/table6", `{"bogus": 1}`, http.StatusUnprocessableEntity},
+		{"/run/inferbakeoff", `{"algos": ["nope"]}`, http.StatusUnprocessableEntity},
+		{"/run/table1?dataset=imported", "", http.StatusUnprocessableEntity},
+		{"/run/table5?dataset=imported", "", http.StatusOK},
+		{"/run/table5?dataset=imported&format=text", "", http.StatusOK},
+	} {
+		status, first := post(t, ts.URL+q.path, q.body)
+		if status != q.want {
+			t.Fatalf("%s %s: status %d, want %d: %s", q.path, q.body, status, q.want, first)
+		}
+		status, again := post(t, ts.URL+q.path, q.body)
+		if status != q.want || !bytes.Equal(first, again) {
+			t.Fatalf("%s %s asked again: status %d, want %d; bodies equal: %v",
+				q.path, q.body, status, q.want, bytes.Equal(first, again))
+		}
 	}
 }
 

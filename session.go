@@ -21,8 +21,9 @@ import (
 // once, lazily memoizes the expensive shared artifacts behind
 // sync.Once-style gates — the Gao-inferred relationships, observed-path
 // index and base what-if engine (all on the Study itself), the
-// Looking-Glass server over the vantage tables and the per-parameter
-// persistence series — and is safe for many concurrent queries. What-if
+// Looking-Glass server over the vantage tables, the per-parameter
+// persistence series and each read-only experiment's answer — and is
+// safe for many concurrent queries. What-if
 // scenarios run on copy-on-write clones of the study's pristine base
 // engine, so parallel callers never contend and never observe each
 // other's mutations.
@@ -52,23 +53,42 @@ type Session struct {
 	// (algorithm, canonical params): the bakeoff, the ensemble and the
 	// /infer endpoint all share one run of each parameterization, the
 	// same way the lazy Gao gate shares one legacy inference.
-	inferRuns *memo[inferKey, *infer.Output]
+	inferRuns *memo[canonKey, *infer.Output]
 
 	// sweepExpand memoizes sweep spec expansions per canonical spec
 	// JSON: a distributed coordinator sends every shard of one sweep to
 	// this worker with the same spec, so only the first shard pays for
 	// generator enumeration.
 	sweepExpand *memo[string, []simulate.Scenario]
+
+	// results memoizes whole answers per (experiment, canonical params):
+	// a read-only experiment is a pure function of the immutable Study,
+	// so it is computed once and each of its wire bodies rendered once.
+	// persist and inferRuns stay beside it — they share an artifact
+	// between experiments, which a per-experiment memo cannot.
+	results *memo[canonKey, *Answer]
+	// held is this session's share of the result-memo bytes gauge.
+	held *heldBytes
 }
 
-// inferKey identifies one memoized inference: the algorithm name plus
-// its decoded parameters re-marshaled to canonical JSON, so equal
-// effective parameter sets share one run regardless of field order or
-// encoding form (JSON body, key=value flags, defaults).
-type inferKey struct {
-	algo   string
+// canonKey identifies one memoized run of a catalog entry — an inference
+// algorithm or an experiment: its name plus its decoded parameters
+// (defaults resolved) re-marshaled to canonical JSON, so equal effective
+// parameter sets share one entry regardless of field order or encoding
+// form (an empty body, {}, the spelled-out defaults, key=value flags).
+type canonKey struct {
+	name   string
 	params string
 }
+
+// maxResultMemo bounds the result memo so a parameter-fuzzing client
+// cannot grow a session. The catalog at its defaults (26 entries) plus
+// the non-default parameter sets of one RunAll battery is under 40, so
+// 64 keeps a served working set whole. On the paper preset the one
+// large body (table5's JSON, 0.27 MiB) takes no parameters and every
+// body that does is under 6 KiB, so a full memo holds well under 1 MiB
+// of rendered bytes beside a 24.7 MiB session heap.
+const maxResultMemo = 64
 
 // maxSweepExpandMemo bounds the expansion memo: distinct concurrent
 // sweep specs per session are rare (one fleet runs one spec), so a few
@@ -78,12 +98,16 @@ const maxSweepExpandMemo = 4
 
 // NewSession returns a session for cfg without doing any work yet.
 func NewSession(cfg Config) *Session {
-	return &Session{
+	se := &Session{
 		cfg:         cfg,
 		persist:     newMemo[persistKey, core.PersistenceResult]("persist", 0),
-		inferRuns:   newMemo[inferKey, *infer.Output]("infer", 0),
+		inferRuns:   newMemo[canonKey, *infer.Output]("infer", 0),
 		sweepExpand: newMemo[string, []simulate.Scenario]("sweep_expand", maxSweepExpandMemo),
+		results:     newMemo[canonKey, *Answer]("result", maxResultMemo),
+		held:        newHeldBytes(),
 	}
+	se.results.evicted = (*Answer).release
+	return se
 }
 
 // NewSessionFromStudy wraps an already-built Study (one assembled by
@@ -254,7 +278,7 @@ func (se *Session) Infer(ctx context.Context, algo string, raw json.RawMessage) 
 	}
 	_, span := obs.StartSpan(ctx, "infer:"+algo)
 	defer span.End()
-	return se.inferRuns.get(inferKey{algo: algo, params: string(canon)}, func() (*infer.Output, error) {
+	return se.inferRuns.get(canonKey{name: algo, params: string(canon)}, func() (*infer.Output, error) {
 		s, err := se.Study()
 		if err != nil {
 			return nil, err
@@ -300,8 +324,21 @@ func ValidateKV(name string, kv []string) error {
 // sweep stops between scenarios; a disconnected HTTP client aborts its
 // request). params is nil for defaults or a pointer of the experiment's
 // parameter type (see Experiments for the catalog). For wire-shaped
-// inputs use RunJSON / RunKV.
+// inputs use RunJSON / RunKV. Equal parameter sets share one computed
+// result (see Answer), which callers must not mutate.
 func (se *Session) Run(ctx context.Context, name string, params any) (experiment.Result, error) {
+	a, err := se.answer(ctx, name, params)
+	if err != nil {
+		return nil, err
+	}
+	return a.Result, nil
+}
+
+// answer is the one funnel every experiment execution goes through:
+// instrumentation, and the result memo for every experiment that did not
+// opt out of it (def.scenarioParams). A failed or canceled computation
+// leaves nothing behind.
+func (se *Session) answer(ctx context.Context, name string, params any) (*Answer, error) {
 	e, err := catalog.Lookup(name)
 	if err != nil {
 		return nil, err
@@ -309,21 +346,67 @@ func (se *Session) Run(ctx context.Context, name string, params any) (experiment
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	if params == nil && e.NewParams != nil {
+		params = e.NewParams()
+	}
+	key, memoize := canonKey{name: name}, !e.NoMemo
+	if memoize {
+		canon, err := json.Marshal(params)
+		if err != nil {
+			return nil, &experiment.ParamError{Name: name, Err: err}
+		}
+		key.params = string(canon)
+	}
 	ctx, span := obs.StartSpan(ctx, "experiment:"+name)
 	mExperimentRuns.Inc()
 	var start time.Time
 	if obs.Enabled() {
 		start = time.Now()
 	}
-	res, err := e.Run(ctx, se, params)
+	computed := false
+	compute := func() (*Answer, error) {
+		computed = true
+		res, err := e.Run(ctx, se, params)
+		if err != nil {
+			return nil, err
+		}
+		a := &Answer{Result: res, name: name}
+		if memoize {
+			a.held = se.held
+		}
+		return a, nil
+	}
+	var a *Answer
+	if memoize {
+		a, err = se.results.get(key, compute)
+		if computed {
+			span.Note("memo miss")
+		} else {
+			span.Note("memo hit")
+		}
+	} else {
+		a, err = compute()
+	}
 	if !start.IsZero() {
 		mExperimentSeconds.ObserveSince(start)
 	}
 	span.End()
 	if err != nil {
 		mExperimentErrors.Inc()
+		return nil, err
 	}
-	return res, err
+	return a, nil
+}
+
+// AnswerJSON is RunJSON returning the answer with its wire bodies — what
+// a server writes, so that a repeated question costs the wire and not
+// the analysis.
+func (se *Session) AnswerJSON(ctx context.Context, name string, raw json.RawMessage) (*Answer, error) {
+	params, err := catalog.DecodeJSONParams(name, raw)
+	if err != nil {
+		return nil, err
+	}
+	return se.answer(ctx, name, params)
 }
 
 // RunJSON executes the named experiment with JSON-encoded parameters

@@ -24,7 +24,8 @@ import (
 func init() {
 	register(def[WhatIfParams]{
 		name: "whatif", title: "What-if: scenario applied to the converged study", group: "whatif", order: 210,
-		defaults: &WhatIfParams{MaxRows: 10},
+		scenarioParams: true,
+		defaults:       &WhatIfParams{MaxRows: 10},
 		plan: func(opts RunAllOptions) []any {
 			if opts.SkipWhatIf {
 				return nil
@@ -235,7 +236,8 @@ func WriteWhatIf(w io.Writer, rep *WhatIfReport, maxRows int) error {
 func init() {
 	register(def[SweepParams]{
 		name: "sweep", title: "Sweep: batch what-if over scenario families, aggregated", group: "sweep", order: 215,
-		defaults: &SweepParams{MaxRecords: 20},
+		scenarioParams: true,
+		defaults:       &SweepParams{MaxRecords: 20},
 		// A whole-topology sweep is too heavy for the default RunAll
 		// battery; run it by name (repro -run sweep, POST /sweep).
 		plan: func(RunAllOptions) []any { return nil },
