@@ -21,7 +21,8 @@ import (
 //     `binary -flag` under a "default" column, or a binary's row under
 //     `-flag` column headings — is the default that binary's -h prints;
 //   - every policyscope_* name is a metric family policyscoped registers,
-//     and every policyscope_session_* family it registers is named;
+//     and every policyscope_session_* and policyscope_engine_* family it
+//     registers is named;
 //   - every curl line addresses a route the server serves, with the
 //     method README gives it, and one that asks for a ?format= is
 //     answered 200 in that format.
@@ -118,8 +119,10 @@ func TestREADMEClaims(t *testing.T) {
 		t.Errorf("only %d metric names found in README", len(names))
 	}
 	for family := range families {
-		if strings.HasPrefix(family, "policyscope_session_") && !strings.Contains(readme, family) {
-			t.Errorf("policyscoped registers %s, which README's monitoring table does not name", family)
+		for _, prefix := range []string{"policyscope_session_", "policyscope_engine_"} {
+			if strings.HasPrefix(family, prefix) && !strings.Contains(readme, family) {
+				t.Errorf("policyscoped registers %s, which README's monitoring table does not name", family)
+			}
 		}
 	}
 

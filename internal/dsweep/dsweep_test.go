@@ -108,6 +108,11 @@ type fakeWorker struct {
 	failStatus int
 	failTimes  int
 	delay      time.Duration
+	// waitFor, when set, holds every request until it is closed;
+	// onRequest, when set, runs as each request arrives. Together they
+	// order one worker's first request before another's first answer.
+	waitFor   <-chan struct{}
+	onRequest func()
 }
 
 func (f *fakeWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -125,6 +130,16 @@ func (f *fakeWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	f.requests++
 	n := f.requests
 	f.mu.Unlock()
+	if f.onRequest != nil {
+		f.onRequest()
+	}
+	if f.waitFor != nil {
+		select {
+		case <-f.waitFor:
+		case <-r.Context().Done():
+			return
+		}
+	}
 	if f.failStatus != 0 && (f.failTimes == 0 || n <= f.failTimes) {
 		http.Error(w, "injected failure", f.failStatus)
 		return
@@ -345,9 +360,16 @@ func TestDistributedBitIdentical(t *testing.T) {
 func TestFaultInjectionWorkerDiesMidShard(t *testing.T) {
 	refSweep(t)
 	n := len(ref.scenarios)
-	healthy1 := &fakeWorker{t: t}
-	healthy2 := &fakeWorker{t: t}
-	dying := &fakeWorker{t: t, dieAfter: 3}
+	// The healthy workers answer nothing until the dying one has been sent
+	// a shard: each of them holds one of the eight while it waits, so the
+	// dying worker's loop is the only one left to take the next. Without
+	// the gate two fast workers on a loaded machine can drain the queue
+	// before the third loop is first scheduled.
+	dispatched := make(chan struct{})
+	var once sync.Once
+	healthy1 := &fakeWorker{t: t, waitFor: dispatched}
+	healthy2 := &fakeWorker{t: t, waitFor: dispatched}
+	dying := &fakeWorker{t: t, dieAfter: 3, onRequest: func() { once.Do(func() { close(dispatched) }) }}
 	records, agg, err := collectRun(t, Options{
 		Workers:     startWorkers(t, healthy1, dying, healthy2),
 		ShardSize:   (n + 7) / 8,

@@ -112,8 +112,14 @@ func TestServeRequests(t *testing.T) {
 	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprint(w, "ok")
 	})
-	url, cancel, errc := startServe(t, Config{}, h)
-	resp, err := http.Get(url + "/")
+	// serve does not default the config (Run does), and a zero DrainTimeout
+	// is a drain that has already timed out: the client has the whole body
+	// a moment before the server marks the connection idle, and a shutdown
+	// landing in between would report the connection as cut. Give the drain
+	// time to see it idle, and do not leave it pooled on the client side.
+	url, cancel, errc := startServe(t, Config{DrainTimeout: 5 * time.Second}, h)
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	resp, err := client.Get(url + "/")
 	if err != nil {
 		t.Fatal(err)
 	}

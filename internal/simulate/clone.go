@@ -14,16 +14,18 @@ import (
 // best forest (4 bytes per (prefix, AS) pair), the vantage RIBs, the
 // topology's graph, policies, AS descriptions and prefix ownership, and
 // the prefix index all stay shared until one side's Apply edits them (see
-// unshare and DESIGN.md "What a clone costs"). Only slice headers, the
-// reach counters and the unconverged set are copied eagerly — O(ASes +
-// prefixes) words — which makes a clone orders of magnitude cheaper than
-// NewEngine, which re-simulates the world.
+// unshare and DESIGN.md §3). Only slice headers, the reach counters and
+// the unconverged set are copied eagerly — O(ASes + prefixes) words —
+// which makes a clone orders of magnitude cheaper than NewEngine, which
+// re-simulates the world.
 //
 // Clone must not overlap with Apply on the receiver (the usual Engine
 // contract), but any number of Clone calls may run concurrently on a
-// quiescent engine — the pattern a query session uses to answer
-// parallel what-if requests: keep one pristine base engine, Clone per
-// request, Apply on the clone, discard.
+// quiescent engine. A caller that wants a private engine to compound
+// scenarios on (Study.WhatIfEngine) clones; one that answers independent
+// scenarios against a pristine base — a query session's what-ifs, a
+// sweep's workers — goes through Scratch (lease.go), which clones only
+// when no engine it lent out before came back clean.
 func (en *Engine) Clone() *Engine {
 	en.cloneMu.Lock()
 	defer en.cloneMu.Unlock()

@@ -152,6 +152,9 @@ type engine struct {
 	// everything the next Apply overwrites so Rollback can restore the
 	// checkpointed state. See journal.go.
 	journal *applyJournal
+	// spent is the journal the last Rollback consumed, kept for the next
+	// Checkpoint to arm again in place.
+	spent *applyJournal
 
 	// track, when non-nil, records for every prefix the converged best
 	// next hop of every AS: track[prefixIdx][asIdx] is the as-index the

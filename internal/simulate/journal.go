@@ -8,10 +8,11 @@ import (
 	"github.com/policyscope/policyscope/internal/netx"
 )
 
-// Rollback journal. The sweep executor's dominant pattern is
-// apply-scenario / emit / undo-scenario on a long-lived engine clone;
-// before this journal existed the undo leg re-applied the inverse events
-// and paid a full incremental pass. Checkpoint arms pre-image capture
+// Rollback journal. The dominant pattern of the serving path — every
+// what-if, every sweep scenario — is apply-scenario / emit / undo-scenario
+// on a scratch engine that outlives the scenario (lease.go); before this
+// journal existed the undo leg re-applied the inverse events and paid a
+// full incremental pass. Checkpoint arms pre-image capture
 // for the next Apply: every overwritten best-forest row, reach counter,
 // unconverged mark and vantage-table entry is saved once, and link-event
 // graph mutations record their inverses. Rollback then restores the
@@ -27,8 +28,9 @@ import (
 // Journaling supports link-event batches (failures and restorations) —
 // the scenario families that dominate sweeps. Batches with prefix or
 // policy events mark the journal unsupported and Rollback reports false,
-// telling the caller to fall back to its own strategy (the executor
-// re-clones).
+// telling the caller to recover by other means (the lease drops the
+// engine and clones the base for the next scenario). beginApply is the
+// one place that decides which batches those are.
 
 // journalRow is prefix pi's forest row and reach count before the Apply.
 type journalRow struct {
@@ -83,9 +85,24 @@ type applyJournal struct {
 // Checkpoint arms pre-image journaling for the next Apply, so Rollback
 // can restore the engine to this exact state. Only one checkpoint is
 // live at a time; arming again replaces the previous one.
+//
+// A journal the last Rollback spent is armed again with its slices and
+// bitset emptied, not reallocated: an engine that lives across scenarios
+// (lease.go) journals in the buffers its largest batch grew.
 func (en *Engine) Checkpoint() {
 	mCheckpoints.Inc()
-	en.e.journal = &applyJournal{supported: true, rowSeen: make([]uint64, (len(en.e.prefixes)+63)/64)}
+	e := en.e
+	j := e.spent
+	e.spent = nil
+	if words := (len(e.prefixes) + 63) / 64; j == nil || len(j.rowSeen) != words {
+		j = &applyJournal{rowSeen: make([]uint64, words)}
+	} else {
+		clear(j.rowSeen)
+		j.rows, j.unconvWas, j.entries = j.rows[:0], j.unconvWas[:0], j.entries[:0]
+		j.applied, j.links, j.endpoints = false, nil, nil
+	}
+	j.supported = true
+	e.journal = j
 }
 
 // Rollback undoes the Apply performed since the last Checkpoint and
@@ -98,14 +115,20 @@ func (en *Engine) Rollback() bool {
 	e := en.e
 	j := e.journal
 	e.journal = nil
-	if j == nil || !j.applied {
-		return j != nil // armed but unused: still at the checkpoint
+	if j == nil {
+		return false
+	}
+	if !j.applied {
+		e.spent = j
+		return true // armed but unused: still at the checkpoint
 	}
 	if !j.supported {
 		mRollbackRefused.Inc()
 		return false
 	}
 	mRollbacks.Inc()
+	e.spent = j
+	en.scratch.Store(nil)
 	e.atomsStale = j.atomsStaleWas
 
 	// Undo the graph mutations and refresh adjacency. The Apply un-shared

@@ -1,0 +1,260 @@
+package simulate
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+)
+
+// leaseChecker runs scenarios through base.Scratch and holds every lease
+// to a fresh clone: the Delta and the post-event engine are the ones
+// base.Clone() + Apply produce, an engine that went back to the pool
+// stands at base's state with no journal armed ("rollback == never
+// applied"), and one that did not is never seen again.
+type leaseChecker struct {
+	t        *testing.T
+	base     *Engine
+	baseline *Result
+	dropped  map[*Engine]string // engine -> the scenario that cost it its place
+	restored int
+}
+
+func newLeaseChecker(t *testing.T, base *Engine) *leaseChecker {
+	return &leaseChecker{t: t, base: base, baseline: resultSnapshot(base), dropped: make(map[*Engine]string)}
+}
+
+// run leases one scenario. spoil, when set, runs as the tail of observe
+// on the leased engine and its error is observe's.
+func (lc *leaseChecker) run(sc Scenario, spoil func(*Engine) error) (restored bool, err error) {
+	t := lc.t
+	t.Helper()
+	var held *Engine
+	// Deferred: a panicking observer unwinds through here.
+	defer func() {
+		if held != nil && !restored {
+			lc.dropped[held] = sc.Name
+		}
+	}()
+	restored, err = lc.base.Scratch(lc.base.Parallelism(), sc, func(d *Delta, s *Engine) error {
+		held = s
+		if by, gone := lc.dropped[s]; gone {
+			t.Errorf("%s: leased the engine %s should have cost its place", sc.Name, by)
+		}
+		fresh := lc.base.Clone()
+		want, err := fresh.Apply(sc)
+		if err != nil {
+			t.Fatalf("%s: fresh clone refuses what the lease applied: %v", sc.Name, err)
+		}
+		if !reflect.DeepEqual(canonicalDelta(d), canonicalDelta(want)) {
+			t.Errorf("%s: leased Delta differs from a fresh clone's: recomputed %d vs %d, %d vs %d shifts, %d vs %d reach deltas, peers %v vs %v",
+				sc.Name, d.Recomputed, want.Recomputed, len(d.Shifts), len(want.Shifts),
+				len(d.ReachDeltas), len(want.ReachDeltas), d.PeerBestChanged, want.PeerBestChanged)
+		}
+		if diffs := forestDiff(s, fresh); len(diffs) > 0 {
+			t.Errorf("%s: leased forest differs from a fresh clone's: %v", sc.Name, diffs[:min(3, len(diffs))])
+		}
+		if diffs := DiffResults(s.Result(), fresh.Result()); len(diffs) > 0 {
+			t.Errorf("%s: leased tables differ from a fresh clone's: %v", sc.Name, diffs[:min(3, len(diffs))])
+		}
+		if spoil != nil {
+			return spoil(s)
+		}
+		return nil
+	})
+	if restored && held != nil {
+		lc.restored++
+		if held.e.journal != nil {
+			t.Errorf("%s: released engine still has a journal armed", sc.Name)
+		}
+		if diffs := forestDiff(lc.base, held); len(diffs) > 0 {
+			t.Errorf("%s: released forest differs from the base's: %v", sc.Name, diffs[:min(3, len(diffs))])
+		}
+		if diffs := DiffResults(held.Result(), lc.baseline); len(diffs) > 0 {
+			t.Errorf("%s: released tables differ from the base's: %v", sc.Name, diffs[:min(3, len(diffs))])
+		}
+	}
+	return restored, err
+}
+
+// canonicalDelta orders the one tie Apply's sort leaves open under
+// Parallelism > 1: a prefix withdrawn and announced again in one batch has
+// two shifts of equal size, told apart by origin only.
+func canonicalDelta(d *Delta) *Delta {
+	c := *d
+	c.Shifts = append([]PrefixShift(nil), d.Shifts...)
+	sort.SliceStable(c.Shifts, func(i, j int) bool {
+		a, b := c.Shifts[i], c.Shifts[j]
+		if a.Shifted != b.Shifted {
+			return a.Shifted > b.Shifted
+		}
+		if cmp := a.Prefix.Compare(b.Prefix); cmp != 0 {
+			return cmp < 0
+		}
+		return a.Origin < b.Origin
+	})
+	return &c
+}
+
+func linkOnly(events []Event) bool {
+	for _, ev := range events {
+		if ev.Kind != EventLinkFail && ev.Kind != EventLinkRestore {
+			return false
+		}
+	}
+	return true
+}
+
+// TestScratchLeaseEqualsFreshClone: random batches over all seven event
+// kinds through one base's lease. Link-only batches keep their engine,
+// every other batch costs it; an observer that fails, panics or applies a
+// second batch costs it too; a scenario that fails validation does not.
+func TestScratchLeaseEqualsFreshClone(t *testing.T) {
+	seen := make(map[EventKind]int)
+	for _, seed := range []int64{1, 2, 3} {
+		topo, opts := buildTestTopo(t, 120, seed)
+		base, err := NewEngine(topo, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pristine, err := NewEngine(topo, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lc := newLeaseChecker(t, base)
+		reused0, cloned0, discarded0 := mScratchReused.Value(), mScratchCloned.Value(), mScratchDiscarded.Value()
+		leases, drops := 0, 0
+		lease := func(sc Scenario, spoil func(*Engine) error, want bool) error {
+			t.Helper()
+			leases++
+			if !want {
+				drops++
+			}
+			restored, err := lc.run(sc, spoil)
+			if restored != want {
+				t.Errorf("%s %+v: restored = %v, want %v", sc.Name, sc.Events, restored, want)
+			}
+			return err
+		}
+
+		rng := rand.New(rand.NewSource(seed))
+		fresh := 0
+		edges := topo.Graph.Edges()
+		for trial := 0; trial < 48; trial++ {
+			name := fmt.Sprintf("seed%d/trial%d", seed, trial)
+			events := randomBatch(t, rng, topo.Clone(), &fresh)
+			for _, ev := range events {
+				seen[ev.Kind]++
+			}
+			if err := lease(Scenario{Name: name, Events: events}, nil, linkOnly(events)); err != nil {
+				t.Fatalf("%s %+v: %v", name, events, err)
+			}
+			// A single link failure after every draw, so that whatever the
+			// batch left behind is what the next reuse starts from.
+			e := edges[rng.Intn(len(edges))]
+			if err := lease(Scenario{Name: name + "/link", Events: []Event{FailLink(e.A, e.B)}}, nil, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, sc := range linkCancelShapes(t, topo) {
+			if err := lease(sc, nil, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		// Observers that forfeit the engine, each on a batch the journal
+		// would have undone.
+		one := Scenario{Name: "spoiled", Events: []Event{FailLink(edges[0].A, edges[0].B)}}
+		boom := errors.New("observer gave up")
+		if err := lease(one, func(*Engine) error { return boom }, false); !errors.Is(err, boom) {
+			t.Errorf("observer's error came back as %v", err)
+		}
+		if err := lease(one, func(s *Engine) error {
+			_, err := s.Apply(Scenario{Events: []Event{FailLink(edges[1].A, edges[1].B)}})
+			return err
+		}, false); err != nil {
+			t.Errorf("second Apply under the lease: %v", err)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("observer's panic did not reach the caller")
+				}
+			}()
+			_ = lease(one, func(*Engine) error { panic("observer") }, false)
+		}()
+		// Validation fails before anything is written: the engine is kept
+		// and the next lease is held to the same standard as every other.
+		if err := lease(Scenario{Name: "invalid", Events: []Event{FailLink(edges[0].A, edges[0].A)}}, nil, true); err == nil {
+			t.Error("self link accepted")
+		}
+		if err := lease(one, nil, true); err != nil {
+			t.Fatal(err)
+		}
+
+		reused, cloned := mScratchReused.Value()-reused0, mScratchCloned.Value()-cloned0
+		if got := mScratchDiscarded.Value() - discarded0; got != uint64(drops) {
+			t.Errorf("seed %d: %d engines discarded, want %d", seed, got, drops)
+		}
+		if reused+cloned != uint64(leases) {
+			t.Errorf("seed %d: %d reused + %d cloned over %d leases", seed, reused, cloned, leases)
+		}
+		// A collection may empty the pool (and the race detector drops a
+		// share of the Puts), so only the floor is exact: every drop costs
+		// the next lease a clone.
+		if cloned < uint64(drops) || reused == 0 {
+			t.Errorf("seed %d: %d reused, %d cloned after %d drops", seed, reused, cloned, drops)
+		}
+		if lc.restored == 0 {
+			t.Errorf("seed %d: no lease was checked after its release", seed)
+		}
+		if diffs := forestDiff(base, pristine); len(diffs) > 0 {
+			t.Fatalf("seed %d: base forest changed under its leases: %v", seed, diffs[:min(3, len(diffs))])
+		}
+		if diffs := DiffResults(base.Result(), pristine.Result()); len(diffs) > 0 {
+			t.Fatalf("seed %d: base engine changed under its leases: %v", seed, diffs[:min(3, len(diffs))])
+		}
+	}
+	for _, k := range allEventKinds {
+		if seen[k] == 0 {
+			t.Errorf("no batch drew a %s event", k)
+		}
+	}
+}
+
+// TestScratchPoolDroppedWhenBaseMoves: idle scratch engines stand at the
+// state the base had when it lent them out. A base that applies a
+// scenario of its own (a compounding Study.WhatIfEngine handed to
+// sweep.Run twice) or rolls one back must not lease them again.
+func TestScratchPoolDroppedWhenBaseMoves(t *testing.T) {
+	topo, opts := buildTestTopo(t, 120, 4)
+	root, err := NewEngine(topo, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := root.Clone()
+	edges := topo.Graph.Edges()
+	probe := Scenario{Name: "probe", Events: []Event{FailLink(edges[2].A, edges[2].B)}}
+	step := func(name string) {
+		t.Helper()
+		// A fresh checker: its baseline is the base as it stands now.
+		lc := newLeaseChecker(t, base)
+		for i := 0; i < 3; i++ {
+			if restored, err := lc.run(Scenario{Name: name, Events: probe.Events}, nil); err != nil || !restored {
+				t.Fatalf("%s: restored=%v err=%v", name, restored, err)
+			}
+		}
+	}
+	step("at the root state")
+	base.Checkpoint()
+	if _, err := base.Apply(Scenario{Events: []Event{FailLink(edges[0].A, edges[0].B)}}); err != nil {
+		t.Fatal(err)
+	}
+	step("after the base applied")
+	if !base.Rollback() {
+		t.Fatal("rollback refused")
+	}
+	step("after the base rolled back")
+}

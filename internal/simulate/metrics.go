@@ -59,7 +59,14 @@ var (
 	mCowForestRow = mCowCopies.With("forest_row")
 	mCowTable     = mCowCopies.With("table")
 	mCowTopology  = mCowCopies.With("topology")
-	mCheckpoints  = obs.NewCounter("policyscope_journal_checkpoints_total",
+	// What became of each scratch engine a base leased out (lease.go).
+	mScratch = obs.NewCounterVec("policyscope_engine_scratch_total",
+		"Scratch-engine lease events: a what-if or sweep scenario ran on an idle scratch engine standing at its base's state (reused) or on a new clone of the base (cloned), and an engine that could not be proven back at that state afterwards was dropped (discarded).",
+		"event")
+	mScratchReused    = mScratch.With("reused")
+	mScratchCloned    = mScratch.With("cloned")
+	mScratchDiscarded = mScratch.With("discarded")
+	mCheckpoints      = obs.NewCounter("policyscope_journal_checkpoints_total",
 		"Checkpoints armed on any engine.")
 	mRollbacks = obs.NewCounter("policyscope_journal_rollbacks_total",
 		"Rollbacks that restored the checkpointed state.")

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/policyscope/policyscope/internal/asgraph"
@@ -319,6 +320,10 @@ type Engine struct {
 	// engine's clone family and must be copied before an edit; see
 	// unshare in clone.go.
 	shared topoShare
+	// scratch is the pool of idle scratch engines this engine has lent
+	// out and taken back (lease.go); nil until the first lease and again
+	// after every Apply or Rollback, which leave the state they stand at.
+	scratch atomic.Pointer[sync.Pool]
 }
 
 // NewEngine runs a full simulation of topo and retains the per-prefix
@@ -354,13 +359,14 @@ func (en *Engine) Result() *Result {
 }
 
 // UnconvergedCount reports how many prefixes hit the activation budget
-// without converging. The sweep executor compares it against the base
+// without converging. The scratch lease compares it against the base
 // engine's count to decide whether a rollback restored a clean state.
 func (en *Engine) UnconvergedCount() int { return len(en.unconv) }
 
 // SetParallelism rebounds the per-Apply prefix worker count (0 =
-// GOMAXPROCS). A sweep executor sets its worker clones to 1 so the
-// parallelism lives across scenarios, not inside each one.
+// GOMAXPROCS). Every holder of a scratch engine sets its own: a sweep
+// worker 1, so the parallelism lives across scenarios, not inside each
+// one; a what-if the base engine's.
 func (en *Engine) SetParallelism(n int) {
 	en.opts.Parallelism = n
 	en.e.opts.Parallelism = n
@@ -388,6 +394,7 @@ func (en *Engine) Apply(sc Scenario) (*Delta, error) {
 		return nil, err
 	}
 	mApplies.Inc()
+	en.scratch.Store(nil)
 	var applyStart time.Time
 	if obs.Enabled() {
 		applyStart = time.Now()

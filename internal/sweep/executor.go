@@ -13,8 +13,8 @@ import (
 
 // Options configures one sweep run.
 type Options struct {
-	// Workers is the shard count (each worker owns one copy-on-write
-	// engine clone); <= 0 uses GOMAXPROCS.
+	// Workers is the shard count (each worker holds one scratch engine of
+	// the base at a time); <= 0 uses GOMAXPROCS.
 	Workers int
 	// TopShifts bounds each record's per-prefix detail (default 3;
 	// negative keeps none).
@@ -53,8 +53,8 @@ type WorkerStats struct {
 	// (excludes queue idling — the gap between Busy and the run's wall
 	// time is contention or starvation).
 	Busy time.Duration `json:"busy_ns"`
-	// Reclones counts scenarios whose state restore fell back to a
-	// fresh engine clone.
+	// Reclones counts scenarios whose scratch engine could not be restored
+	// and was dropped: each costs a later scenario a fresh clone.
 	Reclones int `json:"reclones"`
 }
 
@@ -82,13 +82,14 @@ func (o Options) topShifts() int {
 }
 
 // Run executes every scenario against base's converged state and
-// returns the streamed aggregate. Each worker clones the base engine
-// once (copy-on-write: the heavy best forest and vantage tables stay
-// shared until written), pulls scenarios from a shared queue, applies
-// each one incrementally, and restores the clone from the engine's
-// rollback journal — falling back to a fresh clone for the batches the
-// journal refuses (prefix and policy events) or when a rollback cannot
-// be proven clean.
+// returns the streamed aggregate. Workers pull scenarios from a shared
+// queue and run each on a scratch engine leased from base
+// (simulate.Engine.Scratch): a copy-on-write clone that outlives the
+// scenario — and this call — whenever the engine's rollback journal can
+// put it back at base's state, and is replaced by a fresh clone for the
+// batches the journal refuses (prefix and policy events) or when a
+// rollback cannot be proven clean. A second Run on the same base starts
+// on the engines the first one warmed.
 //
 // Records are deterministic and identically ordered regardless of
 // Workers: every scenario observes the pristine base state, and
@@ -110,13 +111,11 @@ func Run(ctx context.Context, base *simulate.Engine, scenarios []simulate.Scenar
 		next int64 = -1
 		wg   sync.WaitGroup
 	)
-	baseUnconv := base.UnconvergedCount()
 	mSweepRuns.Inc()
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
-			var eng *simulate.Engine
 			ws := WorkerStats{Worker: worker}
 			// Deferred unconditionally (and registered after wg.Done, so
 			// it runs first): partial stats flush on every exit path —
@@ -135,35 +134,19 @@ func Run(ctx context.Context, base *simulate.Engine, scenarios []simulate.Scenar
 				}
 				sc := scenarios[i]
 				start := time.Now()
-				if eng == nil {
-					eng = base.Clone()
-					// Parallelism lives across scenarios, not inside
-					// each incremental apply.
-					eng.SetParallelism(1)
-				}
-				journaled := linkEventsOnly(sc)
-				if journaled {
-					// Link scenarios (the dominant sweep families) roll
-					// back through the engine's pre-image journal: undo
-					// costs what the apply touched.
-					eng.Checkpoint()
-				}
-				imp, _, err := Apply(eng, sc, topShifts)
+				var imp *Impact
+				// Parallelism 1: it lives across scenarios, not inside each
+				// incremental apply.
+				restored, err := base.Scratch(1, sc, func(delta *simulate.Delta, _ *simulate.Engine) error {
+					imp = BuildImpact(sc, delta, topShifts)
+					return nil
+				})
 				if err != nil {
 					imp = &Impact{Name: sc.Name, Events: len(sc.Events), Error: err.Error()}
 				}
-				switch {
-				case journaled && eng.Rollback() && eng.UnconvergedCount() == baseUnconv:
+				if restored {
 					mRestoreJournal.Inc()
-				case !journaled && err != nil:
-					// Validation failures leave the engine untouched (Apply
-					// validates before mutating): nothing to restore, and
-					// no restore mode is counted.
-				default:
-					// The journal refuses prefix and policy events, and a
-					// rollback that is not provably clean is not trusted:
-					// the next scenario starts from a fresh clone.
-					eng = nil
+				} else {
 					ws.Reclones++
 					mRestoreReclone.Inc()
 				}
@@ -221,18 +204,4 @@ func (em *emitter) emit(i int, imp *Impact) {
 			}
 		}
 	}
-}
-
-// linkEventsOnly reports whether every event is a link failure or
-// restoration — the batches the engine's rollback journal supports.
-func linkEventsOnly(sc simulate.Scenario) bool {
-	if len(sc.Events) == 0 {
-		return false
-	}
-	for _, ev := range sc.Events {
-		if ev.Kind != simulate.EventLinkFail && ev.Kind != simulate.EventLinkRestore {
-			return false
-		}
-	}
-	return true
 }

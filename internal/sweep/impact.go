@@ -60,8 +60,9 @@ type ShiftRecord struct {
 }
 
 // Apply runs one scenario on eng and summarizes the delta as an Impact
-// record — the exact code path the executor's workers use, so a single
-// what-if and a sweep member produce identical records. topShifts
+// record through BuildImpact, which is what the executor's workers call
+// on their scratch engines, so a single what-if and a sweep member
+// produce identical records. topShifts
 // bounds the per-prefix detail (<= 0 keeps none). The engine retains
 // the post-scenario state; rollback is the caller's concern.
 func Apply(eng *simulate.Engine, sc simulate.Scenario, topShifts int) (*Impact, *simulate.Delta, error) {

@@ -2,9 +2,12 @@ package sweep
 
 import (
 	"context"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/policyscope/policyscope/obs"
 )
 
 // TestWorkerStatsAndRestoreMetrics: every worker reports its stats,
@@ -67,5 +70,76 @@ func TestWorkerStatsAndRestoreMetrics(t *testing.T) {
 	}
 	if got := mSweepScenarios.Value() - scen0; got != uint64(len(scenarios)) {
 		t.Errorf("scenario counter advanced by %d, want %d", got, len(scenarios))
+	}
+}
+
+// scratchEvents reads the engine lease's counters off the registry.
+func scratchEvents() (reused, cloned, discarded uint64) {
+	vec := obs.NewCounterVec("policyscope_engine_scratch_total", "", "event")
+	return vec.With("reused").Value(), vec.With("cloned").Value(), vec.With("discarded").Value()
+}
+
+// TestRunsShareScratchEngines: the engines one Run warmed serve the next
+// Run on the same base, and serve it the same bytes — records of a second
+// and third call equal those of workers {1, 4, 8} on bases that have never
+// lent anything out.
+func TestRunsShareScratchEngines(t *testing.T) {
+	// A collection may empty the idle pool; none runs while this test
+	// counts clones.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+
+	topo, opts := buildTestTopo(t, 150, 7)
+	scenarios, err := Expand(context.Background(), topo, Spec{
+		Generators: []Generator{{Kind: KindAllSingleLinkFailures, Max: 96}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want string
+	for _, workers := range []int{1, 4, 8} {
+		records, _ := runCollect(t, newBase(t, topo, opts), scenarios, workers)
+		got := mustJSON(t, records)
+		if want == "" {
+			want = got
+		} else if got != want {
+			t.Fatalf("workers=%d on a fresh base: records differ from workers=1", workers)
+		}
+	}
+
+	base := newBase(t, topo, opts)
+	for call, workers := range []int{4, 4, 1} {
+		reused0, cloned0, discarded0 := scratchEvents()
+		var reclones int
+		var mu sync.Mutex
+		var records []*Impact
+		_, err := Run(context.Background(), base, scenarios, Options{
+			Workers:  workers,
+			OnImpact: func(imp *Impact) error { records = append(records, imp); return nil },
+			OnWorkerDone: func(ws WorkerStats) {
+				mu.Lock()
+				reclones += ws.Reclones
+				mu.Unlock()
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := mustJSON(t, records); got != want {
+			t.Fatalf("call %d: records differ from a fresh base's", call)
+		}
+		reused, cloned, discarded := scratchEvents()
+		reused, cloned, discarded = reused-reused0, cloned-cloned0, discarded-discarded0
+		if reused+cloned != uint64(len(scenarios)) || discarded != 0 || reclones != 0 {
+			t.Errorf("call %d: %d reused + %d cloned over %d scenarios, %d discarded, %d reclones",
+				call, reused, cloned, len(scenarios), discarded, reclones)
+		}
+		// A call clones once per worker on a base that has lent nothing out
+		// yet, and after that only for the share of returned engines the
+		// race detector's sync.Pool drops on purpose (one in four; half of
+		// all scenarios is far outside that, and a clone per scenario is all
+		// of them).
+		if cloned > uint64(len(scenarios)/2) || (call == 0 && cloned == 0) {
+			t.Errorf("call %d: %d clones over %d scenarios on %d workers", call, cloned, len(scenarios), workers)
+		}
 	}
 }

@@ -21,8 +21,8 @@
 // queries reuse the memoized artifacts, and concurrent first queries
 // against one dataset are deduplicated into a single build.
 //
-// /run accepts ?format=json (default) or ?format=text and answers any
-// other value 422; a session computes and renders a read-only
+// /run and /whatif accept ?format=json (default) or ?format=text and
+// answer any other value 422; a session computes and renders a read-only
 // experiment once per parameter set, so a repeat is written from the
 // kept bytes. /sweep streams NDJSON. Experiments that need generator
 // ground truth return 422 with a "needs ground truth" error when the
@@ -247,12 +247,26 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, policyscope.Experiments())
 }
 
-func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	format := r.URL.Query().Get("format")
-	if format != "" && format != "json" && format != "text" {
+// wantsText parses ?format= for the endpoints that render a body either
+// way: json (the default) or text. Any other value is answered 422 here
+// and ok is false.
+func wantsText(w http.ResponseWriter, r *http.Request) (text, ok bool) {
+	switch format := r.URL.Query().Get("format"); format {
+	case "", "json":
+		return false, true
+	case "text":
+		return true, true
+	default:
 		writeError(w, http.StatusUnprocessableEntity,
 			fmt.Errorf("unknown format %q (want json or text)", format))
+		return false, false
+	}
+}
+
+func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
+	name := r.PathValue("name")
+	text, ok := wantsText(w, r)
+	if !ok {
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
@@ -297,7 +311,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	_, span := obs.StartSpan(r.Context(), "render")
 	defer span.End()
 	render, contentType := ans.JSON, "application/json"
-	if format == "text" {
+	if text {
 		render, contentType = ans.Text, "text/plain; charset=utf-8"
 	}
 	out, err := render()
@@ -381,6 +395,10 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
+	text, ok := wantsText(w, r)
+	if !ok {
+		return
+	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("reading body: %w", err))
@@ -417,7 +435,7 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	if r.URL.Query().Get("format") == "text" {
+	if text {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		_ = policyscope.WriteWhatIf(w, rep, 10)
 		return

@@ -352,6 +352,24 @@ func TestWhatIfEndpoint(t *testing.T) {
 		t.Fatalf("what-if recomputed nothing: %s", body)
 	}
 
+	// Both renderings of the same report; any other ?format= is refused
+	// before the scenario is looked at, not answered as JSON.
+	status, text := post(t, ts.URL+"/whatif?format=text", string(event))
+	if status != http.StatusOK || !strings.Contains(string(text), "What-if") {
+		t.Fatalf("format=text: %d %s", status, text)
+	}
+	if status, again := post(t, ts.URL+"/whatif?format=json", string(event)); status != http.StatusOK || !bytes.Equal(again, body) {
+		t.Fatalf("format=json: %d, body differs from the default's", status)
+	}
+	status, refused := post(t, ts.URL+"/whatif?format=txt", string(event))
+	var refusal struct {
+		Error string `json:"error"`
+	}
+	if status != http.StatusUnprocessableEntity || json.Unmarshal(refused, &refusal) != nil ||
+		!strings.Contains(refusal.Error, `"txt"`) {
+		t.Fatalf("format=txt: %d %s", status, refused)
+	}
+
 	// Bad bodies rejected.
 	if status, _ = post(t, ts.URL+"/whatif", `{"events": []}`); status != http.StatusUnprocessableEntity {
 		t.Fatalf("empty scenario status %d", status)

@@ -23,10 +23,11 @@ import (
 // index and base what-if engine (all on the Study itself), the
 // Looking-Glass server over the vantage tables, the per-parameter
 // persistence series and each read-only experiment's answer — and is
-// safe for many concurrent queries. What-if
-// scenarios run on copy-on-write clones of the study's pristine base
-// engine, so parallel callers never contend and never observe each
-// other's mutations.
+// safe for many concurrent queries. What-if scenarios and sweep workers
+// run on scratch engines leased from the study's pristine base engine —
+// copy-on-write clones that are rolled back and reused across calls — so
+// parallel callers never contend and never observe each other's
+// mutations.
 //
 // Construction is free: the first query pays for generation and
 // simulation, every later query reuses them.
@@ -132,7 +133,7 @@ func (se *Session) Study() (*Study, error) {
 }
 
 // baseEngine returns the study's pristine what-if engine. It is only
-// ever cloned, never applied to.
+// ever cloned or leased from, never applied to.
 func (se *Session) baseEngine() (*simulate.Engine, error) {
 	s, err := se.Study()
 	if err != nil {
@@ -160,26 +161,34 @@ func (se *Session) Warm() error {
 	return err
 }
 
-// WhatIf answers one scenario against the session's base state. Each
-// call runs on a fresh copy-on-write clone of the memoized base engine,
-// so concurrent what-ifs are independent and the base state is never
-// mutated. For chained event sequences build one Study.WhatIfEngine and
-// Apply repeatedly instead. ctx gates the call (an already-canceled
-// context returns immediately); a single incremental apply is too fast
-// to interrupt mid-flight.
+// WhatIf answers one scenario against the session's base state. The call
+// runs on a scratch engine leased from the memoized base engine
+// (simulate.Engine.Scratch): a copy-on-write clone that is rolled back
+// and kept for the next call when the scenario is one the journal can
+// undo (link events), and dropped when it is not — so concurrent what-ifs
+// are independent, the base state is never mutated, and a request pays
+// for what its events touch, not for a clone. For chained event sequences
+// build one Study.WhatIfEngine and Apply repeatedly instead. ctx gates the
+// call (an already-canceled context returns immediately); a single
+// incremental apply is too fast to interrupt mid-flight.
 func (se *Session) WhatIf(ctx context.Context, sc simulate.Scenario) (*WhatIfReport, error) {
 	s, err := se.Study()
 	if err != nil {
 		return nil, err
 	}
-	eng, err := s.WhatIfEngine()
+	base, err := s.baseEngine()
 	if err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return s.whatIfOn(eng, sc)
+	var rep *WhatIfReport
+	_, err = base.Scratch(base.Parallelism(), sc, func(delta *simulate.Delta, _ *simulate.Engine) error {
+		rep = s.whatIfReport(sc, delta)
+		return nil
+	})
+	return rep, err
 }
 
 // SweepScenarios expands a sweep spec against the session's base
@@ -215,8 +224,9 @@ func (se *Session) SweepScenariosCached(ctx context.Context, spec sweep.Spec) ([
 }
 
 // Sweep runs a batch of scenarios against the session's base state on
-// the sharded sweep executor: workers own copy-on-write clones of the
-// memoized base engine, records stream through opts.OnImpact in
+// the sharded sweep executor: workers run on scratch engines leased from
+// the memoized base engine (the ones what-ifs and earlier sweeps left
+// idle first), records stream through opts.OnImpact in
 // scenario index order, and the aggregate summarizes the whole batch.
 // ctx cancels the sweep between scenarios. The base state is never
 // mutated, so concurrent sweeps and what-ifs are independent.
@@ -224,7 +234,7 @@ func (se *Session) SweepScenariosCached(ctx context.Context, spec sweep.Spec) ([
 // Worker counts are clamped to 2x GOMAXPROCS: the session is the
 // serving facade, so opts.Workers is wire-derived (POST /sweep,
 // /run/sweep, repro -p workers=...) and sweep work is CPU-bound —
-// beyond the core count extra shards only cost engine-clone memory.
+// beyond the core count extra shards only cost scratch-engine memory.
 // Callers that really want more shards use sweep.Run directly.
 func (se *Session) Sweep(ctx context.Context, scenarios []simulate.Scenario, opts sweep.Options) (*sweep.Aggregate, error) {
 	base, err := se.baseEngine()

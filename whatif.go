@@ -118,13 +118,9 @@ func (s *Study) baseEngine() (*simulate.Engine, error) {
 	return s.base, s.baseErr
 }
 
-// whatIfOn applies sc to eng — a clone of the session's base engine —
-// and summarizes the shift.
-func (s *Study) whatIfOn(eng *simulate.Engine, sc simulate.Scenario) (*WhatIfReport, error) {
-	delta, err := eng.Apply(sc)
-	if err != nil {
-		return nil, err
-	}
+// whatIfReport summarizes the shift delta records for sc. The report
+// holds nothing of the engine the scenario ran on.
+func (s *Study) whatIfReport(sc simulate.Scenario, delta *simulate.Delta) *WhatIfReport {
 	rep := &WhatIfReport{
 		Scenario:        sc,
 		Delta:           delta,
@@ -142,7 +138,7 @@ func (s *Study) whatIfOn(eng *simulate.Engine, sc simulate.Scenario) (*WhatIfRep
 			rep.GainedReach += rd.After - rd.Before
 		}
 	}
-	return rep, nil
+	return rep
 }
 
 // FailoverScenario is the canonical what-if: fail the link between a
