@@ -14,7 +14,7 @@ import (
 // best forest (4 bytes per (prefix, AS) pair), the vantage RIBs, the
 // topology's graph, policies, AS descriptions and prefix ownership, and
 // the prefix index all stay shared until one side's Apply edits them (see
-// unshare and DESIGN.md §3). Only slice headers, the reach counters and
+// topoShare and DESIGN.md §3). Only slice headers, the reach counters and
 // the unconverged set are copied eagerly — O(ASes + prefixes) words —
 // which makes a clone orders of magnitude cheaper than NewEngine, which
 // re-simulates the world.
@@ -94,37 +94,24 @@ func (en *Engine) Clone() *Engine {
 }
 
 // topoShare records which topology components an engine still shares
-// with its clone family. The zero value shares nothing (NewEngine owns a
-// deep copy); Clone sets every flag on both sides.
+// with its clone family and must copy before writing. The zero value
+// shares nothing (NewEngine owns a deep copy); Clone sets every flag on
+// both sides. Only the containers are tracked: a Policy or an AS
+// description is never edited where it stands — see editPolicy.
 type topoShare struct {
 	graph bool
 	// prefixes covers Topology.PrefixOrigin, the Topology.ASes map and
 	// the engine's prefix index; policies covers the Topology.Policies
-	// map. Once a map is private, ownAS / ownPol list the ASes whose
-	// description / policy value has been copied too (nil: all owned).
+	// map.
 	prefixes, policies bool
-	ownAS, ownPol      map[bgp.ASN]bool
 }
 
-// unshare copies, just before ev edits it, the one shared component ev
-// edits — the graph for link events, the owner's Policy for policy
-// events, prefix ownership, the origin's description and Policy and the
-// prefix index for prefix events — so an Apply costs what it writes and
-// the rest of the world stays shared with the clone family.
-func (en *Engine) unshare(ev Event) {
-	switch ev.Kind {
-	case EventLinkFail, EventLinkRestore:
-		en.ownGraph()
-	case EventWithdraw:
-		en.ownPrefixState(en.topo.PrefixOrigin[ev.Prefix])
-	case EventAnnounce:
-		en.ownPrefixState(ev.Origin)
-	default:
-		if owner, ok := en.policyOwner(ev); ok {
-			en.ownPolicy(owner)
-		}
-	}
-}
+// Every mutation point of an Apply, and of the Rollback that undoes it,
+// goes through one of the five functions below just before it writes, so
+// an Apply costs what it writes and the rest of the world stays shared
+// with the clone family: the graph for link events, the owner's Policy
+// for policy events, prefix ownership, the origin's description and
+// Policy and the prefix index for prefix events.
 
 func (en *Engine) ownGraph() {
 	if en.shared.graph {
@@ -134,38 +121,59 @@ func (en *Engine) ownGraph() {
 	}
 }
 
-func (en *Engine) ownPolicy(asn bgp.ASN) {
-	sh := &en.shared
-	if sh.policies {
+func (en *Engine) ownPolicies() {
+	if en.shared.policies {
 		en.topo.Policies = maps.Clone(en.topo.Policies)
-		sh.policies, sh.ownPol = false, make(map[bgp.ASN]bool)
-		mCowTopology.Inc()
-	}
-	if sh.ownPol == nil || sh.ownPol[asn] {
-		return
-	}
-	sh.ownPol[asn] = true
-	if pol := en.topo.Policies[asn]; pol != nil {
-		pol = pol.CloneDeep()
-		en.topo.Policies[asn] = pol
-		en.e.pols[en.e.idx[asn]] = pol
+		en.shared.policies = false
 		mCowTopology.Inc()
 	}
 }
 
-func (en *Engine) ownPrefixState(origin bgp.ASN) {
-	sh := &en.shared
-	if sh.prefixes {
+func (en *Engine) ownPrefixMaps() {
+	if en.shared.prefixes {
 		en.topo.PrefixOrigin = maps.Clone(en.topo.PrefixOrigin)
 		en.topo.ASes = maps.Clone(en.topo.ASes)
 		en.e.prefixIdx = maps.Clone(en.e.prefixIdx)
-		sh.prefixes, sh.ownAS = false, make(map[bgp.ASN]bool)
+		en.shared.prefixes = false
 		mCowTopology.Inc()
 	}
-	if info := en.topo.ASes[origin]; info != nil && sh.ownAS != nil && !sh.ownAS[origin] {
-		sh.ownAS[origin] = true
-		en.topo.ASes[origin] = info.Clone()
+}
+
+// editPolicy makes asn's Policy the Apply's to edit in place: the first
+// call of an Apply installs a deep copy, and the Policy as it stood —
+// shared with the clone family or not — is from then on rc's pre-event
+// view and the journal's pre-image, which is why nothing tracks who owns
+// a Policy. An AS without one has nothing to copy; the nil is recorded
+// all the same: reconstruction must see it, not the Policy the edit
+// creates.
+func (en *Engine) editPolicy(rc *recon, asn bgp.ASN) {
+	e := en.e
+	i := int32(e.idx[asn])
+	if _, done := rc.oldPols[i]; done {
+		return
+	}
+	en.ownPolicies()
+	pre := e.pols[i]
+	rc.oldPols[i] = pre
+	e.journal.policyPre(i, pre)
+	if pre != nil {
+		pol := pre.CloneDeep()
+		en.topo.Policies[asn] = pol
+		e.pols[i] = pol
 		mCowTopology.Inc()
 	}
-	en.ownPolicy(origin)
+}
+
+// editInfo does the same for the description of an AS a prefix event
+// originates at or withdraws from (Prefixes is edited in place), and
+// returns the description as it stood: the pre-image the event's journal
+// record carries.
+func (en *Engine) editInfo(asn bgp.ASN) *topogen.ASInfo {
+	en.ownPrefixMaps()
+	pre := en.topo.ASes[asn]
+	if pre != nil {
+		en.topo.ASes[asn] = pre.Clone()
+		mCowTopology.Inc()
+	}
+	return pre
 }

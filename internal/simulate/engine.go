@@ -148,13 +148,16 @@ type engine struct {
 	atoms      *atomIndex
 	atomsStale bool
 
-	// journal, when armed via Engine.Checkpoint, captures pre-images of
-	// everything the next Apply overwrites so Rollback can restore the
-	// checkpointed state. See journal.go.
+	// journal, when armed via Engine.Checkpoint, logs the inverse of
+	// everything an Apply writes so Rollback can restore the checkpointed
+	// state. See journal.go.
 	journal *applyJournal
-	// spent is the journal the last Rollback consumed, kept for the next
+	// spent is the journal the last Rollback emptied, kept for the next
 	// Checkpoint to arm again in place.
 	spent *applyJournal
+	// applying is set while an Engine.Apply runs: writes to vantage tables
+	// then record pre-batch bests (writableFor).
+	applying bool
 
 	// track, when non-nil, records for every prefix the converged best
 	// next hop of every AS: track[prefixIdx][asIdx] is the as-index the
@@ -189,10 +192,10 @@ type tableSlot struct {
 	rib *bgp.RIB
 	// shared marks the RIB as visible from a copy-on-write clone.
 	shared bool
-	// preBest is non-nil only while an Engine.Apply runs: the best route
-	// each prefix had in this table before the batch's first write to
-	// its entry (nil for an absent entry). Apply derives
-	// Delta.PeerBestChanged from it; see writableFor.
+	// preBest holds, while an Engine.Apply runs, the best route each
+	// prefix had in this table before the batch's first write to its
+	// entry (nil for an absent entry); empty between Applies. Apply
+	// derives Delta.PeerBestChanged from it; see writableFor.
 	preBest map[netx.Prefix]*bgp.Route
 }
 

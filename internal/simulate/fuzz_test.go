@@ -5,6 +5,9 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
+
+	"github.com/policyscope/policyscope/internal/asgraph"
+	"github.com/policyscope/policyscope/internal/netx"
 )
 
 // FuzzLoadScenario feeds LoadScenario the bytes POST /whatif hands it
@@ -30,5 +33,77 @@ func FuzzLoadScenario(f *testing.F) {
 		if !reflect.DeepEqual(sc, again) {
 			t.Fatalf("round trip changed the scenario:\n first %+v\nsecond %+v\n  wire %s", sc, again, out)
 		}
+	})
+}
+
+// FuzzApplyRollback feeds whatever LoadScenario accepts to one long-lived
+// 60-AS engine: a scenario that validates is applied under a checkpoint
+// and rolled back, and the engine must then be indistinguishable from a
+// clone nothing was ever applied to (requireRolledBack: forest, tables,
+// prefix index position by position, topology, and its own invariants).
+// The engine is never replaced, so each input runs on what every earlier
+// rollback left behind. The seeds are one scenario per event kind and a
+// hijack, drawn from the topology so that they validate.
+func FuzzApplyRollback(f *testing.F) {
+	topo, opts := buildTestTopo(f, 60, 7)
+	// A fuzzed local_pref may build a preference cycle; keep the budget
+	// such a prefix burns small.
+	opts.ActivationBudget = 20
+	opts.Parallelism = 1
+	base, err := NewEngine(topo, opts)
+	if err != nil {
+		f.Fatal(err)
+	}
+	pristine := resultSnapshot(base)
+	untouched, work := base.Clone(), base.Clone()
+
+	stub, providers, prefix := multihomedStub(f, topo)
+	peerA, peerB := somePeerEdge(f, topo)
+	for _, events := range [][]Event{
+		{FailLink(stub, providers[0])},
+		{FailLink(peerA, peerB), RestoreLink(peerA, peerB, asgraph.RelPeer)},
+		{WithdrawPrefix(prefix)},
+		{AnnouncePrefix(netx.MustParsePrefix("198.51.100.0/24"), peerA)},
+		{SetLocalPref(providers[0], stub, 40), SetPrefixLocalPref(providers[1], stub, prefix, 30)},
+		{ToggleProviderAnnouncement(prefix, providers[0], false)},
+		{TagNoUpstream(prefix, providers[1])},
+		{WithdrawPrefix(prefix), AnnouncePrefix(prefix, peerB)},
+	} {
+		data, err := json.Marshal(Scenario{Events: events})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sc, err := LoadScenario(bytes.NewReader(data))
+		if err != nil || len(sc.Events) > 16 {
+			return
+		}
+		work.Checkpoint()
+		_, err = work.Apply(sc)
+		if !work.Rollback() {
+			t.Fatal("rollback refused")
+		}
+		requireRolledBack(t, "after rollback", work, untouched, pristine)
+		if err != nil {
+			return // failed validation: the checkpoint went unused
+		}
+		// The same scenario again, now on what the rollback left.
+		want, err := base.Clone().Apply(sc)
+		if err != nil {
+			t.Fatalf("a fresh clone refuses what the engine applied: %v", err)
+		}
+		work.Checkpoint()
+		got, err := work.Apply(sc)
+		if err != nil {
+			t.Fatalf("the rolled-back engine refuses what it applied before: %v", err)
+		}
+		if !reflect.DeepEqual(canonicalDelta(got), canonicalDelta(want)) {
+			t.Fatalf("Delta on the rolled-back engine differs from a fresh clone's: recomputed %d vs %d, %d vs %d shifts",
+				got.Recomputed, want.Recomputed, len(got.Shifts), len(want.Shifts))
+		}
+		work.Rollback()
+		requireRolledBack(t, "after the second rollback", work, untouched, pristine)
 	})
 }

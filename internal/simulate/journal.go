@@ -1,36 +1,52 @@
 package simulate
 
 import (
+	"slices"
 	"sync"
 
 	"github.com/policyscope/policyscope/internal/asgraph"
 	"github.com/policyscope/policyscope/internal/bgp"
 	"github.com/policyscope/policyscope/internal/netx"
+	"github.com/policyscope/policyscope/internal/topogen"
 )
 
 // Rollback journal. The dominant pattern of the serving path — every
 // what-if, every sweep scenario — is apply-scenario / emit / undo-scenario
-// on a scratch engine that outlives the scenario (lease.go); before this
-// journal existed the undo leg re-applied the inverse events and paid a
-// full incremental pass. Checkpoint arms pre-image capture
-// for the next Apply: every overwritten best-forest row, reach counter,
-// unconverged mark and vantage-table entry is saved once, and link-event
-// graph mutations record their inverses. Rollback then restores the
-// exact pre-Apply state in time proportional to what the Apply touched.
+// on a scratch engine that outlives the scenario (lease.go). Checkpoint
+// arms an undo log; every mutation an Apply makes from then on, of any
+// event kind, appends its inverse; Rollback replays the log last-first
+// and the engine is index-for-index back at the checkpoint, in time
+// proportional to what the Applies touched. There is no batch the journal
+// does not take: a second Apply under one checkpoint appends to the same
+// log.
 //
-// A forest row is never copied for the journal: the row as it stood
-// becomes the pre-image and the Apply writes a copy (captureIncremental),
-// in a buffer from the engine's free list. Rollback puts the pre-image
-// back and hands the copy to the free list — the copy and nothing else:
-// not the pre-image, and not a copy a Clone taken since the Apply still
-// shares. The next scenario's copies reuse those buffers.
+// Why last-first and not "by kind": a record names its prefix by index,
+// and a withdraw swap-removes a prefix while an announce appends one, so
+// an index means what it meant only once every later record is undone.
+// The order of e.prefixes is itself state — shifts reach Apply's unstable
+// sort in it, so it decides the order of tied Delta.Shifts — and "the same
+// set in another order" is not a restore.
 //
-// Journaling supports link-event batches (failures and restorations) —
-// the scenario families that dominate sweeps. Batches with prefix or
-// policy events mark the journal unsupported and Rollback reports false,
-// telling the caller to recover by other means (the lease drops the
-// engine and clones the base for the next scenario). beginApply is the
-// one place that decides which batches those are.
+// Nothing is copied for the journal that the Apply does not write. A
+// forest row, a Policy and an AS description are each handed over as they
+// stood: the original becomes the pre-image and the Apply writes a copy
+// (captureIncremental, editPolicy, editInfo). Rollback puts the original
+// back; a row copy goes to the engine's free list — the copy and nothing
+// else: not the pre-image, and not a copy a Clone taken since the Apply
+// still shares — and the next scenario's copies reuse those buffers.
+
+// undoKind says which stack of applyJournal a log entry's record is on;
+// it is also the kind label of policyscope_journal_undo_records_total.
+type undoKind uint8
+
+const (
+	undoRow undoKind = iota
+	undoEntry
+	undoLink
+	undoPolicy
+	undoPrefix
+	numUndoKinds
+)
 
 // journalRow is prefix pi's forest row and reach count before the Apply.
 type journalRow struct {
@@ -38,11 +54,6 @@ type journalRow struct {
 	row    []int32
 	shared bool
 	reach  int64
-}
-
-type journalUnconv struct {
-	prefix netx.Prefix
-	was    bool
 }
 
 type journalEntry struct {
@@ -59,211 +70,278 @@ type linkDelta struct {
 	restored bool
 }
 
-type applyJournal struct {
-	mu        sync.Mutex
-	applied   bool
-	supported bool
-	// atomsStaleWas is the engine's pre-Apply atom-partition staleness,
-	// restored on Rollback (the partition is exactly as valid at the
-	// checkpoint as it was before).
-	atomsStaleWas bool
-
-	links     []linkDelta // the batch's link events, in the order it applied them
-	endpoints []int32     // their ends, ascending
-
-	// rows and unconvWas are append-only: a journalable batch visits each
-	// prefix once, so each pays for one entry, not for a map. rowSeen (a
-	// bitset over the checkpointed prefix indices, which a journalable
-	// batch cannot change) holds rows to that: a second pre-image of one
-	// prefix is refused, the first stands.
-	rows      []journalRow
-	rowSeen   []uint64
-	unconvWas []journalUnconv
-	entries   []journalEntry
+// journalPolicy is AS i's Policy before the Apply's first edit to it; nil
+// for an AS that had none.
+type journalPolicy struct {
+	i   int32
+	pol *topogen.Policy
 }
 
-// Checkpoint arms pre-image journaling for the next Apply, so Rollback
-// can restore the engine to this exact state. Only one checkpoint is
-// live at a time; arming again replaces the previous one.
+type prefixOp uint8
+
+const (
+	// prefixMark: the prefix entered or left the unconverged set.
+	prefixMark prefixOp = iota
+	prefixWithdrawn
+	prefixAnnounced
+)
+
+// journalPrefix is one edit to the prefix bookkeeping. unconv is the
+// prefix's unconverged mark before it. A withdrawal and an announcement
+// also hold the origin and its AS description as it stood; a withdrawal,
+// where the prefix sat in the index and what sat there with it.
+type journalPrefix struct {
+	op     prefixOp
+	prefix netx.Prefix
+	unconv bool
+	origin bgp.ASN
+	info   *topogen.ASInfo
+	pi     int
+	row    []int32
+	shared bool
+	reach  int64
+}
+
+type applyJournal struct {
+	mu      sync.Mutex
+	applied bool
+	// atomsStaleWas is the engine's atom-partition staleness before the
+	// first Apply, restored on Rollback (the partition is exactly as valid
+	// at the checkpoint as it was before).
+	atomsStaleWas bool
+
+	// log is the order the records were made in; each kind's records sit
+	// on a stack of their own, so replaying log last-first pops them in
+	// step. Records made by concurrent workers (rows, entries) commute:
+	// within one Apply they name distinct prefixes.
+	log      []undoKind
+	rows     []journalRow
+	entries  []journalEntry
+	links    []linkDelta
+	policies []journalPolicy
+	prefixes []journalPrefix
+	// endpoints is Rollback's scratch list of the ASes undone link events
+	// end at.
+	endpoints []int32
+}
+
+// Checkpoint arms the undo log, so Rollback can restore the engine to
+// this exact state. Only one checkpoint is live at a time; arming again
+// replaces the previous one.
 //
-// A journal the last Rollback spent is armed again with its slices and
-// bitset emptied, not reallocated: an engine that lives across scenarios
-// (lease.go) journals in the buffers its largest batch grew.
+// A journal the last Rollback spent is empty and is armed again as it
+// is: an engine that lives across scenarios (lease.go) journals in the
+// buffers its largest batch grew.
 func (en *Engine) Checkpoint() {
 	mCheckpoints.Inc()
 	e := en.e
 	j := e.spent
 	e.spent = nil
-	if words := (len(e.prefixes) + 63) / 64; j == nil || len(j.rowSeen) != words {
-		j = &applyJournal{rowSeen: make([]uint64, words)}
-	} else {
-		clear(j.rowSeen)
-		j.rows, j.unconvWas, j.entries = j.rows[:0], j.unconvWas[:0], j.entries[:0]
-		j.applied, j.links, j.endpoints = false, nil, nil
+	if j == nil {
+		j = new(applyJournal)
 	}
-	j.supported = true
 	e.journal = j
 }
 
-// Rollback undoes the Apply performed since the last Checkpoint and
-// reports whether the engine is back at the checkpointed state. It
-// returns true when no Apply consumed the checkpoint (nothing to undo)
-// and false when the applied batch was not journalable (prefix or
-// policy events) — the engine is then in the post-Apply state and the
-// caller must recover by other means.
+// Rollback undoes every Apply performed since the last Checkpoint and
+// reports whether the engine is back at the checkpointed state: false
+// only when no checkpoint was armed, in which case nothing was undone.
 func (en *Engine) Rollback() bool {
 	e := en.e
 	j := e.journal
-	e.journal = nil
 	if j == nil {
 		return false
 	}
+	e.journal = nil
+	e.spent = j
 	if !j.applied {
-		e.spent = j
 		return true // armed but unused: still at the checkpoint
 	}
-	if !j.supported {
-		mRollbackRefused.Inc()
-		return false
-	}
+	j.applied = false
 	mRollbacks.Inc()
-	e.spent = j
 	en.scratch.Store(nil)
 	e.atomsStale = j.atomsStaleWas
-
-	// Undo the graph mutations and refresh adjacency. The Apply un-shared
-	// the graph, but a Clone taken since shares it again.
+	var undone [numUndoKinds]uint64
+	for k := len(j.log) - 1; k >= 0; k-- {
+		kind := j.log[k]
+		undone[kind]++
+		switch kind {
+		case undoRow:
+			en.undoRow(pop(&j.rows))
+		case undoEntry:
+			en.undoEntry(pop(&j.entries))
+		case undoLink:
+			l := pop(&j.links)
+			en.undoLink(l)
+			j.endpoints = append(j.endpoints, l.pair[0], l.pair[1])
+		case undoPolicy:
+			en.undoPolicy(pop(&j.policies))
+		case undoPrefix:
+			en.undoPrefix(pop(&j.prefixes))
+		}
+	}
+	for kind, n := range undone {
+		mUndoRecords[kind].Add(n)
+	}
+	j.log = j.log[:0]
 	if len(j.endpoints) > 0 {
-		en.ownGraph()
-		// Last event first: a batch may fail and restore one pair, in
-		// either order, and only the reverse walk ends at the state the
-		// first event found.
-		for i := len(j.links) - 1; i >= 0; i-- {
-			l := j.links[i]
-			a, b := e.asns[l.pair[0]], e.asns[l.pair[1]]
-			if l.restored {
-				e.topo.Graph.RemoveEdge(a, b)
-			} else {
-				// The edge was there before the event removed it, so
-				// adding it back cannot be refused.
-				_ = e.topo.Graph.AddEdge(a, b, l.rel)
-			}
-		}
-		e.relink(j.endpoints)
-	}
-
-	// Restore forest rows and reach counters. What sits in e.track is the
-	// copy the Apply wrote: it goes back to the free list unless a Clone
-	// taken since marked it shared.
-	for _, jr := range j.rows {
-		if e.trackShared == nil || !e.trackShared[jr.pi] {
-			e.rowFree = append(e.rowFree, e.track[jr.pi])
-		}
-		e.track[jr.pi] = jr.row
-		if e.trackShared != nil {
-			e.trackShared[jr.pi] = jr.shared
-		}
-		e.reachCounts[jr.pi] = jr.reach
-	}
-	for _, ju := range j.unconvWas {
-		if ju.was {
-			en.unconv[ju.prefix] = true
-		} else {
-			delete(en.unconv, ju.prefix)
-		}
-	}
-
-	// Restore vantage-table entries.
-	for _, je := range j.entries {
-		slot := e.tables[je.vi]
-		slot.mu.Lock()
-		slot.writable().RestoreEntry(je.prefix, je.snap)
-		slot.mu.Unlock()
+		slices.Sort(j.endpoints)
+		e.relink(slices.Compact(j.endpoints))
+		j.endpoints = j.endpoints[:0]
 	}
 	return true
 }
 
-// beginApply marks the armed journal consumed and records whether the
-// batch is journalable. A second Apply under the same checkpoint marks
-// the journal unsupported: pre-images of the first batch would mix with
-// link deltas of the second, so Rollback must refuse rather than
-// restore a hybrid state.
-func (j *applyJournal) beginApply(events []Event, atomsStaleWas bool) {
-	if j == nil {
-		return
+// pop removes and returns the top of a record stack, zeroing the slot so
+// the spent journal pins no pre-image.
+func pop[T any](stack *[]T) T {
+	s := *stack
+	n := len(s) - 1
+	top := s[n]
+	var zero T
+	s[n] = zero
+	*stack = s[:n]
+	return top
+}
+
+// undoRow puts a forest row's pre-image back. What sits in e.track is the
+// copy the Apply wrote: it goes to the free list unless a Clone taken
+// since marked it shared.
+func (en *Engine) undoRow(jr journalRow) {
+	e := en.e
+	e.freeRow(jr.pi)
+	e.track[jr.pi] = jr.row
+	if e.trackShared != nil {
+		e.trackShared[jr.pi] = jr.shared
 	}
-	if j.applied {
-		j.supported = false
+	e.reachCounts[jr.pi] = jr.reach
+}
+
+// freeRow hands prefix pi's row buffer to the free list when nothing else
+// can be reading it.
+func (e *engine) freeRow(pi int) {
+	if row := e.track[pi]; row != nil && (e.trackShared == nil || !e.trackShared[pi]) {
+		e.rowFree = append(e.rowFree, row)
+	}
+}
+
+func (en *Engine) undoEntry(je journalEntry) {
+	slot := en.e.tables[je.vi]
+	slot.mu.Lock()
+	slot.writable().RestoreEntry(je.prefix, je.snap)
+	slot.mu.Unlock()
+}
+
+// undoLink reverses one link event in the graph; Rollback refreshes the
+// adjacency once every one of them is undone. The Apply un-shared the
+// graph, but a Clone taken since shares it again.
+func (en *Engine) undoLink(l linkDelta) {
+	en.ownGraph()
+	a, b := en.e.asns[l.pair[0]], en.e.asns[l.pair[1]]
+	if l.restored {
+		en.topo.Graph.RemoveEdge(a, b)
+	} else {
+		// The edge was there before the event removed it, so adding it
+		// back cannot be refused.
+		_ = en.topo.Graph.AddEdge(a, b, l.rel)
+	}
+}
+
+func (en *Engine) undoPolicy(jp journalPolicy) {
+	en.ownPolicies()
+	asn := en.e.asns[jp.i]
+	if jp.pol == nil {
+		delete(en.topo.Policies, asn)
+	} else {
+		en.topo.Policies[asn] = jp.pol
+	}
+	en.e.pols[jp.i] = jp.pol
+}
+
+func (en *Engine) undoPrefix(jp journalPrefix) {
+	e := en.e
+	switch jp.op {
+	case prefixWithdrawn:
+		en.ownPrefixMaps()
+		en.topo.PrefixOrigin[jp.prefix] = jp.origin
+		en.topo.ASes[jp.origin] = jp.info
+		e.indexPrefixAt(jp.pi, jp.prefix, jp.row, jp.shared, jp.reach)
+	case prefixAnnounced:
+		// Every later record is undone, so the prefix is the last one
+		// indexed again and leaving moves nobody.
+		en.ownPrefixMaps()
+		delete(en.topo.PrefixOrigin, jp.prefix)
+		en.topo.ASes[jp.origin] = jp.info
+		e.freeRow(len(e.prefixes) - 1)
+		e.unindexPrefix(jp.prefix)
+	}
+	if jp.unconv {
+		en.unconv[jp.prefix] = true
+	} else {
+		delete(en.unconv, jp.prefix)
+	}
+}
+
+// beginApply marks the armed journal consumed; the first Apply under a
+// checkpoint records the staleness Rollback restores.
+func (j *applyJournal) beginApply(atomsStaleWas bool) {
+	if j == nil || j.applied {
 		return
 	}
 	j.applied = true
 	j.atomsStaleWas = atomsStaleWas
-	for _, ev := range events {
-		if ev.Kind != EventLinkFail && ev.Kind != EventLinkRestore {
-			j.supported = false
-			return
-		}
-	}
 }
 
-// recordLinks hands the batch's link deltas to the journal (rc does not
-// outlive the Apply, so the slices are the journal's from here on).
-func (j *applyJournal) recordLinks(rc *recon) {
-	if j == nil || !j.supported {
-		return
-	}
-	j.links = rc.links
-	j.endpoints = rc.endpoints
-}
-
-// rowPre makes prefix pi's forest row, as it stands before its first
-// overwrite, the journal's pre-image, together with its reach count. It
-// reports whether it did: the caller must then leave that array alone
-// and write a copy. False means there is no armed journal, or pi already
-// has a pre-image (the first one stands and the caller's row is already
-// the copy).
+// rowPre makes prefix pi's forest row, as it stands, the journal's
+// pre-image, together with its reach count. It reports whether it did:
+// the caller must then leave that array alone and write a copy. False
+// means there is no armed journal.
 func (j *applyJournal) rowPre(pi int, row []int32, shared bool, reach int64) bool {
-	if j == nil || !j.supported {
+	if j == nil {
 		return false
 	}
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	w, bit := pi>>6, uint64(1)<<(pi&63)
-	if j.rowSeen[w]&bit != 0 {
-		return false
-	}
-	j.rowSeen[w] |= bit
 	j.rows = append(j.rows, journalRow{pi: pi, row: row, shared: shared, reach: reach})
+	j.log = append(j.log, undoRow)
+	j.mu.Unlock()
 	return true
 }
 
-// unconvPre records a prefix's unconverged membership before Apply
-// changes it. Apply calls it only for prefixes whose membership does
-// change, from one goroutine; a prefix already recorded keeps its first
-// pre-image.
-func (j *applyJournal) unconvPre(p netx.Prefix, was bool) {
-	if j == nil || !j.supported {
-		return
-	}
-	for _, ju := range j.unconvWas {
-		if ju.prefix == p {
-			return
-		}
-	}
-	j.unconvWas = append(j.unconvWas, journalUnconv{prefix: p, was: was})
-}
-
 // entryPre journals a vantage table entry's pre-image. writableFor
-// calls it on the batch's first write to the entry, holding the slot
+// calls it on each Apply's first write to the entry, holding the slot
 // lock.
 func (j *applyJournal) entryPre(vi int, prefix netx.Prefix, rib *bgp.RIB) {
-	if j == nil || !j.supported {
+	if j == nil {
 		return
 	}
 	snap := rib.SnapshotEntry(prefix)
 	j.mu.Lock()
 	j.entries = append(j.entries, journalEntry{vi: vi, prefix: prefix, snap: snap})
+	j.log = append(j.log, undoEntry)
 	j.mu.Unlock()
+}
+
+// linkDone, policyPre and prefixDone record the edits Apply makes from
+// its own goroutine, in the order it makes them.
+func (j *applyJournal) linkDone(l linkDelta) {
+	if j != nil {
+		j.links = append(j.links, l)
+		j.log = append(j.log, undoLink)
+	}
+}
+
+func (j *applyJournal) policyPre(i int32, pol *topogen.Policy) {
+	if j != nil {
+		j.policies = append(j.policies, journalPolicy{i: i, pol: pol})
+		j.log = append(j.log, undoPolicy)
+	}
+}
+
+func (j *applyJournal) prefixDone(jp journalPrefix) {
+	if j != nil {
+		j.prefixes = append(j.prefixes, jp)
+		j.log = append(j.log, undoPrefix)
+	}
 }
 
 // writableFor returns slot's RIB for a write to prefix's entry; every
@@ -273,9 +351,9 @@ func (j *applyJournal) entryPre(vi int, prefix netx.Prefix, rib *bgp.RIB) {
 // checkpoint is armed — and hands the full pre-image to the journal.
 // Installed routes are immutable, so the pointer is the pre-image.
 // Outside Apply (cold convergence) there is no batch to compare against
-// and preBest is nil.
+// and nothing is recorded.
 func (e *engine) writableFor(vi int, slot *tableSlot, prefix netx.Prefix) *bgp.RIB {
-	if slot.preBest != nil {
+	if e.applying {
 		if _, seen := slot.preBest[prefix]; !seen {
 			slot.preBest[prefix] = slot.rib.Best(prefix)
 			e.journal.entryPre(vi, prefix, slot.rib)
@@ -285,11 +363,15 @@ func (e *engine) writableFor(vi int, slot *tableSlot, prefix netx.Prefix) *bgp.R
 }
 
 // beginBestChanges arms every vantage table's pre-batch best record for
-// one Apply.
+// one Apply. The maps are the engine's for life: emptied after each
+// Apply, not made again for the next.
 func (e *engine) beginBestChanges() {
 	for _, slot := range e.tables {
-		slot.preBest = make(map[netx.Prefix]*bgp.Route)
+		if slot.preBest == nil {
+			slot.preBest = make(map[netx.Prefix]*bgp.Route)
+		}
 	}
+	e.applying = true
 }
 
 // endBestChanges disarms the records and returns, per vantage AS, how
@@ -298,6 +380,7 @@ func (e *engine) beginBestChanges() {
 // announced and withdrawn again, counts nothing — together with the
 // number of entries the batch wrote. Every vantage AS has a key.
 func (e *engine) endBestChanges() (changed map[bgp.ASN]int, written int) {
+	e.applying = false
 	changed = make(map[bgp.ASN]int, len(e.tables))
 	for vi, slot := range e.tables {
 		n := 0
@@ -308,7 +391,7 @@ func (e *engine) endBestChanges() (changed map[bgp.ASN]int, written int) {
 		}
 		changed[e.asns[vi]] = n
 		written += len(slot.preBest)
-		slot.preBest = nil
+		clear(slot.preBest)
 	}
 	return changed, written
 }

@@ -2,6 +2,9 @@ package simulate
 
 import (
 	"fmt"
+	"maps"
+	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -29,28 +32,190 @@ func resultSnapshot(en *Engine) *Result {
 	return cp
 }
 
-// requireRolledBack holds en, just rolled back, to "never applied":
-// tables and reach counts equal the snapshot's, the forest equals the
-// untouched engine's row by row, and no buffer on the free list is still
-// a live row.
+// requireRolledBack holds en, just rolled back, to "never applied"
+// against an engine that never was: no journal armed; tables, reach counts
+// and forest rows equal; the prefix index equal position by position (its
+// order decides the order of tied Delta.Shifts, so the same set in another
+// order is not a restore); the topology's graph, prefix ownership, AS
+// descriptions and policies deep-equal; and the engine's own books
+// balanced (checkInvariants: no buffer on the free list is still a live
+// row, among the rest).
 func requireRolledBack(t *testing.T, name string, en, untouched *Engine, pristine *Result) {
 	t.Helper()
+	if en.e.journal != nil {
+		t.Fatalf("%s: a journal is still armed", name)
+	}
 	if diffs := DiffResults(pristine, en.Result()); len(diffs) > 0 {
 		t.Fatalf("%s: state not restored: %s", name, diffs[0])
 	}
 	if diffs := forestDiff(en, untouched); len(diffs) > 0 {
 		t.Fatalf("%s: forest not restored: %s", name, diffs[0])
 	}
-	free := make(map[*int32]bool, len(en.e.rowFree))
-	for _, buf := range en.e.rowFree {
-		if free[&buf[0]] {
-			t.Fatalf("%s: one buffer is on the free list twice", name)
-		}
-		free[&buf[0]] = true
+	if err := en.checkInvariants(); err != nil {
+		t.Fatalf("%s: %v", name, err)
 	}
-	for pi, row := range en.e.track {
-		if free[&row[0]] {
-			t.Fatalf("%s: forest row %d is a buffer Rollback recycled", name, pi)
+	got, want := en.e, untouched.e
+	if !slices.Equal(got.prefixes, want.prefixes) || !maps.Equal(got.prefixIdx, want.prefixIdx) ||
+		!slices.Equal(got.reachCounts, want.reachCounts) {
+		t.Fatalf("%s: prefix index not restored position by position (%d prefixes, want %d)", name, len(got.prefixes), len(want.prefixes))
+	}
+	if !maps.Equal(en.unconv, untouched.unconv) {
+		t.Fatalf("%s: unconverged set %v, want %v", name, en.unconv, untouched.unconv)
+	}
+	gt, wt := en.Topology(), untouched.Topology()
+	if !slices.Equal(gt.Graph.Edges(), wt.Graph.Edges()) {
+		t.Fatalf("%s: graph not restored", name)
+	}
+	if !maps.Equal(gt.PrefixOrigin, wt.PrefixOrigin) {
+		t.Fatalf("%s: prefix ownership not restored", name)
+	}
+	if len(gt.Policies) != len(wt.Policies) || len(gt.ASes) != len(wt.ASes) {
+		t.Fatalf("%s: %d policies and %d AS descriptions, want %d and %d", name, len(gt.Policies), len(gt.ASes), len(wt.Policies), len(wt.ASes))
+	}
+	for i, asn := range got.asns {
+		if !reflect.DeepEqual(gt.ASes[asn], wt.ASes[asn]) {
+			t.Fatalf("%s: AS%d's description not restored: %+v, want %+v", name, asn, gt.ASes[asn], wt.ASes[asn])
+		}
+		if pol, ok := gt.Policies[asn]; !reflect.DeepEqual(pol, wt.Policies[asn]) || got.pols[i] != pol {
+			t.Fatalf("%s: AS%d's policy not restored (present %v): %+v, want %+v", name, asn, ok, pol, wt.Policies[asn])
+		}
+	}
+}
+
+// TestRollbackIsTotal is the differential for "rollback == never applied"
+// over every event kind. One engine per seed goes through every batch —
+// random ones over all seven kinds and the named shapes below, some as
+// two Applies under one checkpoint — and is never cloned again. Each
+// Apply must report the Delta a fresh clone of the base reports and leave
+// the state that clone is left in; each Rollback must leave the engine
+// requireRolledBack cannot tell from one that never applied anything. The
+// next batch running on the same engine is what holds "and behaves like
+// it" — its Delta is compared with a fresh clone's like every other.
+func TestRollbackIsTotal(t *testing.T) {
+	seen := make(map[EventKind]int)
+	var undone0 [numUndoKinds]uint64
+	for kind, c := range mUndoRecords {
+		undone0[kind] = c.Value()
+	}
+	for _, seed := range []int64{1, 2, 3} {
+		topo, opts := buildTestTopo(t, 120, seed)
+		// One AS is configured with no Policy at all: an edit there creates
+		// one, and the rollback has to take it away again.
+		bare, bareProviders, barePrefix := multihomedStub(t, topo)
+		delete(topo.Policies, bare)
+		base, err := NewEngine(topo, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pristine := resultSnapshot(base)
+		untouched, work := base.Clone(), base.Clone()
+
+		// check runs the scenarios as successive Applies under one
+		// checkpoint.
+		check := func(t *testing.T, name string, applies ...Scenario) {
+			t.Helper()
+			fresh := base.Clone()
+			work.Checkpoint()
+			for _, sc := range applies {
+				for _, ev := range sc.Events {
+					seen[ev.Kind]++
+				}
+				want, err := fresh.Apply(sc)
+				if err != nil {
+					t.Fatalf("%s %+v: %v", name, sc.Events, err)
+				}
+				got, err := work.Apply(sc)
+				if err != nil {
+					t.Fatalf("%s %+v: the engine refuses what a fresh clone applied: %v", name, sc.Events, err)
+				}
+				if !reflect.DeepEqual(canonicalDelta(got), canonicalDelta(want)) {
+					t.Fatalf("%s %+v: Delta differs from a fresh clone's: recomputed %d vs %d, %d vs %d shifts, %d vs %d reach deltas, peers %v vs %v",
+						name, sc.Events, got.Recomputed, want.Recomputed, len(got.Shifts), len(want.Shifts),
+						len(got.ReachDeltas), len(want.ReachDeltas), got.PeerBestChanged, want.PeerBestChanged)
+				}
+			}
+			if diffs := forestDiff(work, fresh); len(diffs) > 0 {
+				t.Fatalf("%s: forest differs from a fresh clone's: %v", name, diffs[:min(3, len(diffs))])
+			}
+			if diffs := DiffResults(work.Result(), fresh.Result()); len(diffs) > 0 {
+				t.Fatalf("%s: tables differ from a fresh clone's: %v", name, diffs[:min(3, len(diffs))])
+			}
+			// The same state without a checkpoint armed over it.
+			if err := fresh.checkInvariants(); err != nil {
+				t.Fatalf("%s: after Apply: %v", name, err)
+			}
+			if !work.Rollback() {
+				t.Fatalf("%s: rollback refused", name)
+			}
+			requireRolledBack(t, name, work, untouched, pristine)
+		}
+
+		rng := rand.New(rand.NewSource(seed))
+		fresh := 0
+		for trial := 0; trial < 40; trial++ {
+			name := fmt.Sprintf("seed%d/trial%d", seed, trial)
+			// Two draws: even trials apply them as one batch each under
+			// separate checkpoints, odd ones as two Applies under one (the
+			// second drawn against the topology the first left).
+			mutated := topo.Clone()
+			delete(mutated.Policies, bare)
+			first := Scenario{Name: name + "/a", Events: randomBatch(t, rng, mutated, &fresh)}
+			if trial%2 == 0 {
+				mutated = topo.Clone()
+				delete(mutated.Policies, bare)
+			}
+			second := Scenario{Name: name + "/b", Events: randomBatch(t, rng, mutated, &fresh)}
+			if trial%2 == 0 {
+				check(t, first.Name, first)
+				check(t, second.Name, second)
+			} else {
+				check(t, name, first, second)
+			}
+		}
+
+		edges := topo.Graph.Edges()
+		link := Scenario{Events: []Event{FailLink(edges[5].A, edges[5].B)}}
+		lastPrefix := work.e.prefixes[len(work.e.prefixes)-1]
+		attacker := topo.Order[len(topo.Order)/2]
+		if attacker == bare {
+			attacker = topo.Order[len(topo.Order)/2+1]
+		}
+		newPrefix := netx.MustParsePrefix("198.51.100.0/24")
+		barePolicy := Scenario{Events: []Event{TagNoUpstream(barePrefix, bareProviders[0]), SetLocalPref(bare, bareProviders[1], 50)}}
+		shapes := []struct {
+			name    string
+			applies []Scenario
+		}{
+			{"hijack", []Scenario{{Events: []Event{WithdrawPrefix(barePrefix), AnnouncePrefix(barePrefix, attacker)}}}},
+			{"announce_withdraw", []Scenario{{Events: []Event{AnnouncePrefix(newPrefix, attacker), WithdrawPrefix(newPrefix)}}}},
+			{"withdraw_last", []Scenario{{Events: []Event{WithdrawPrefix(lastPrefix)}}}},
+			{"bare_policy", []Scenario{barePolicy}},
+			{"link_then_policy", []Scenario{link, barePolicy}},
+			{"policy_then_prefix", []Scenario{barePolicy, {Events: []Event{WithdrawPrefix(barePrefix), AnnouncePrefix(newPrefix, bare)}}}},
+			{"announce_edit_withdraw", []Scenario{
+				{Events: []Event{AnnouncePrefix(newPrefix, bare)}},
+				{Events: []Event{SetPrefixLocalPref(bareProviders[0], bare, newPrefix, 40), ToggleProviderAnnouncement(newPrefix, bareProviders[1], false)}},
+				{Events: []Event{WithdrawPrefix(newPrefix)}},
+			}},
+		}
+		for _, sh := range shapes {
+			t.Run(fmt.Sprintf("seed%d/%s", seed, sh.name), func(t *testing.T) { check(t, sh.name, sh.applies...) })
+		}
+		for _, sc := range linkCancelShapes(t, topo) {
+			check(t, sc.Name, sc)
+		}
+		if _, ok := work.Topology().Policies[bare]; ok {
+			t.Errorf("seed %d: AS%d ended up with a Policy", seed, bare)
+		}
+	}
+	for _, k := range allEventKinds {
+		if seen[k] == 0 {
+			t.Errorf("no batch drew a %s event", k)
+		}
+	}
+	for kind, c := range mUndoRecords {
+		if c.Value() == undone0[kind] {
+			t.Errorf("policyscope_journal_undo_records_total: no record of kind %d was replayed", kind)
 		}
 	}
 }
@@ -195,49 +360,8 @@ func TestRollbackRecyclesForestRows(t *testing.T) {
 	requireSameForest(t, "clone taken before the rollback", held, mutated, opts)
 }
 
-// TestJournalEntriesAreUnique: the journal's slices stand in for maps on
-// the strength of "each prefix is recorded once". The guard that holds
-// them to it is always on: a second pre-image of one prefix is refused
-// and the first stands, for rows and for unconverged marks alike.
-func TestJournalEntriesAreUnique(t *testing.T) {
-	topo, vantage := equivalenceTopo(t, 120, 5)
-	en, err := NewEngine(topo, Options{VantagePoints: vantage, Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	en.Checkpoint()
-	j := en.e.journal
-	first, second := []int32{1}, []int32{2}
-	last := len(en.e.prefixes) - 1
-	if !j.rowPre(last, first, true, 7) || !j.rowPre(0, first, false, 3) {
-		t.Fatal("first pre-image of a prefix refused")
-	}
-	if j.rowPre(last, second, false, 9) {
-		t.Fatal("second pre-image of one prefix accepted")
-	}
-	if len(j.rows) != 2 || &j.rows[0].row[0] != &first[0] || !j.rows[0].shared || j.rows[0].reach != 7 {
-		t.Fatalf("journal rows after a refused duplicate: %+v", j.rows)
-	}
-	p := en.e.prefixes[0]
-	j.unconvPre(p, true)
-	j.unconvPre(p, false)
-	if len(j.unconvWas) != 1 || !j.unconvWas[0].was {
-		t.Fatalf("unconverged marks after a duplicate: %+v", j.unconvWas)
-	}
-	// No armed journal, or one a batch made unsupported: nothing is
-	// recorded and nobody is told to copy.
-	var none *applyJournal
-	if none.rowPre(0, first, true, 1) {
-		t.Fatal("nil journal claimed a pre-image")
-	}
-	j.supported = false
-	if j.rowPre(1, first, true, 1) {
-		t.Fatal("unsupported journal claimed a pre-image")
-	}
-}
-
-// linkCancelShapes returns the two journalable batches whose link events
-// cancel out on one pair: an existing link failed and restored with its
+// linkCancelShapes returns the two batches whose link events cancel out
+// on one pair: an existing link failed and restored with its
 // own relationship, and a new peering opened and failed again.
 func linkCancelShapes(t *testing.T, topo *topogen.Topology) []Scenario {
 	t.Helper()
@@ -257,8 +381,8 @@ func linkCancelShapes(t *testing.T, topo *topogen.Topology) []Scenario {
 	}
 }
 
-// TestRollbackUndoesLinkEventsInReverse: a journaled batch may fail and
-// restore the same pair, in either order; Rollback has to undo the graph
+// TestRollbackUndoesLinkEventsInReverse: a batch may fail and restore
+// the same pair, in either order; Rollback has to undo the graph
 // mutations last-first, or the pair ends up in the state its first event
 // left rather than the one the checkpoint saw.
 func TestRollbackUndoesLinkEventsInReverse(t *testing.T) {
@@ -277,7 +401,7 @@ func TestRollbackUndoesLinkEventsInReverse(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !en.Rollback() {
-				t.Fatal("rollback refused a link-only batch")
+				t.Fatal("rollback refused")
 			}
 			if got, want := en.Topology().Graph.Edges(), topo.Graph.Edges(); !slices.Equal(got, want) {
 				t.Fatalf("graph not restored: %d edges, want %d", len(got), len(want))
@@ -287,57 +411,30 @@ func TestRollbackUndoesLinkEventsInReverse(t *testing.T) {
 	}
 }
 
-// TestCheckpointDoubleApplyRefused: a second Apply under the same
-// checkpoint would mix pre-images of the first batch with link deltas
-// of the second; Rollback must refuse rather than restore a hybrid.
-func TestCheckpointDoubleApplyRefused(t *testing.T) {
-	topo, vantage := equivalenceTopo(t, 120, 5)
-	en, err := NewEngine(topo, Options{VantagePoints: vantage, Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	edges := topo.Graph.Edges()
-	en.Checkpoint()
-	if _, err := en.Apply(Scenario{Events: []Event{FailLink(edges[0].A, edges[0].B)}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := en.Apply(Scenario{Events: []Event{FailLink(edges[1].A, edges[1].B)}}); err != nil {
-		t.Fatal(err)
-	}
-	if en.Rollback() {
-		t.Fatal("rollback claimed success after two applies under one checkpoint")
-	}
-}
-
-// TestCheckpointUnsupportedBatch: non-link events consume the
-// checkpoint and Rollback reports false (caller must re-clone).
-func TestCheckpointUnsupportedBatch(t *testing.T) {
+// TestRollbackWithoutApply: the two ways Rollback has nothing to undo.
+// With no checkpoint armed it reports false — the only false there is —
+// and an armed checkpoint no Apply consumed (the batch failed validation)
+// is a clean no-op: the engine never left the checkpointed state.
+func TestRollbackWithoutApply(t *testing.T) {
 	topo, vantage := equivalenceTopo(t, 120, 3)
 	en, err := NewEngine(topo, Options{VantagePoints: vantage, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var target *Engine = en
-	// Pick any originated prefix.
-	var ev Event
-	for p := range topo.PrefixOrigin {
-		ev = WithdrawPrefix(p)
-		break
+	pristine := resultSnapshot(en)
+	untouched := en.Clone()
+	if en.Rollback() {
+		t.Fatal("rollback claimed success with no checkpoint armed")
 	}
-	target.Checkpoint()
-	if _, err := target.Apply(Scenario{Events: []Event{ev}}); err != nil {
-		t.Fatal(err)
-	}
-	if target.Rollback() {
-		t.Fatal("rollback claimed success for an unsupported batch")
-	}
-	// An unused checkpoint (validation failure) reports success: the
-	// engine never left the checkpointed state.
-	target.Checkpoint()
-	if _, err := target.Apply(Scenario{Events: []Event{FailLink(1, 2)}}); err == nil {
+	en.Checkpoint()
+	if _, err := en.Apply(Scenario{Events: []Event{FailLink(1, 2)}}); err == nil {
 		t.Fatal("expected validation error")
 	}
-	if !target.Rollback() {
+	if !en.Rollback() {
 		t.Fatal("rollback after validation failure should be a clean no-op")
 	}
+	if en.Rollback() {
+		t.Fatal("a second rollback found a checkpoint the first one spent")
+	}
+	requireRolledBack(t, "unused checkpoint", en, untouched, pristine)
 }

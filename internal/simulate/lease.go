@@ -9,8 +9,9 @@ import "sync"
 // after its scenario returns to the base's idle pool and serves the next
 // one with everything it has warmed: its own graph, its layered vantage
 // tables, the forest-row buffers its rollbacks recycled (rowFree) and its
-// journal's slices. Only a scenario the journal cannot undo costs a clone,
-// and it costs it the next holder, not this one.
+// journal's slices. The journal undoes every event kind, so a scenario
+// costs a clone only when its observer fails or its rollback cannot be
+// proven clean — and it costs it the next holder, not this one.
 //
 // The idle engines sit in a sync.Pool, so the garbage collector is the
 // bound on how many a base keeps: there is no size to tune.
@@ -19,17 +20,16 @@ import "sync"
 // en's state, or a new Clone — at the given parallelism (see
 // SetParallelism), and calls observe with the Delta and the engine as
 // the scenario left it. The engine is observe's for the call only: it
-// must not be retained, and a second Apply on it costs the next holder a
-// clone.
+// must not be retained; what observe applies to it on top of sc is rolled
+// back with sc.
 //
 // Afterwards the engine is restored, and this is the one place that
-// decides how: it goes back to the idle pool only when the journal took
-// the whole batch (link events only, one Apply), Rollback undid it, and
-// no prefix is left unconverged that is not on en. Anything else — a
-// prefix or policy event, an error or panic from observe — drops the
-// engine and the next acquire clones; restored reports which. A scenario
-// that fails validation never touched the engine, which is kept; err is
-// that failure or observe's.
+// decides how: Rollback undoes everything applied since the checkpoint,
+// and the engine goes back to the idle pool unless a prefix is left
+// unconverged that is not on en. An error or panic from observe drops the
+// engine without asking what state it is in, and the next acquire clones;
+// restored reports which. A scenario that fails validation never touched
+// the engine, which is kept; err is that failure or observe's.
 //
 // Scratch never writes en, so any number of calls may run concurrently
 // on a quiescent engine (the Clone contract). An Apply or Rollback on en

@@ -54,14 +54,14 @@ var (
 	// One child per thing an engine can un-share from its clone family,
 	// resolved here so the write paths touch a bare atomic.
 	mCowCopies = obs.NewCounterVec("policyscope_engine_cow_copies_total",
-		"Shared structures an engine un-shared before writing them: best-forest rows (copied), vantage tables (layered over the shared one; entries copy as they are written), topology components (graph, policy map, one policy, prefix maps, one AS description).",
+		"Structures an engine copied before writing them: best-forest rows shared with its clone family, vantage tables (layered over the shared one; entries copy as they are written), topology components (the graph, the policy map and the prefix maps once per engine; a policy or an AS description once per Apply that edits it, the original being the rollback pre-image).",
 		"kind")
 	mCowForestRow = mCowCopies.With("forest_row")
 	mCowTable     = mCowCopies.With("table")
 	mCowTopology  = mCowCopies.With("topology")
 	// What became of each scratch engine a base leased out (lease.go).
 	mScratch = obs.NewCounterVec("policyscope_engine_scratch_total",
-		"Scratch-engine lease events: a what-if or sweep scenario ran on an idle scratch engine standing at its base's state (reused) or on a new clone of the base (cloned), and an engine that could not be proven back at that state afterwards was dropped (discarded).",
+		"Scratch-engine lease events: a what-if or sweep scenario ran on an idle scratch engine standing at its base's state (reused) or on a new clone of the base (cloned), and an engine was dropped (discarded) — failure path only: the observer returned an error or panicked, or the rollback left a prefix unconverged that the base converges.",
 		"event")
 	mScratchReused    = mScratch.With("reused")
 	mScratchCloned    = mScratch.With("cloned")
@@ -70,8 +70,19 @@ var (
 		"Checkpoints armed on any engine.")
 	mRollbacks = obs.NewCounter("policyscope_journal_rollbacks_total",
 		"Rollbacks that restored the checkpointed state.")
-	mRollbackRefused = obs.NewCounter("policyscope_journal_rollbacks_unsupported_total",
-		"Rollbacks refused because the applied batch was not journalable.")
+	// Registered for the readers it still has (bench/ derives
+	// simulate.rollback_refused_share from it); nothing increments it:
+	// the journal takes every batch. It leaves with ROADMAP item 1(c).
+	_ = obs.NewCounter("policyscope_journal_rollbacks_unsupported_total",
+		"Always 0: the rollback journal undoes every event kind.")
+	// One child per record stack of applyJournal, indexed by undoKind.
+	mUndo = obs.NewCounterVec("policyscope_journal_undo_records_total",
+		"Undo-log records rollbacks replayed: forest rows put back (row), vantage table entries restored (entry), link events reversed (link), policies swapped back (policy), prefix withdrawals, announcements and unconverged marks reverted (prefix).",
+		"kind")
+	mUndoRecords = [numUndoKinds]*obs.Counter{
+		undoRow: mUndo.With("row"), undoEntry: mUndo.With("entry"), undoLink: mUndo.With("link"),
+		undoPolicy: mUndo.With("policy"), undoPrefix: mUndo.With("prefix"),
+	}
 )
 
 // applyCountBuckets spans the per-Apply work counts from a stub's

@@ -3,7 +3,6 @@ package simulate
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"github.com/policyscope/policyscope/internal/netx"
 	"github.com/policyscope/policyscope/internal/topogen"
@@ -103,137 +102,36 @@ func RestoreEngine(topo *topogen.Topology, opts Options, res *Result, forest [][
 		return nil, restoreErr("%d forest rows for %d prefixes", len(forest), len(e.prefixes))
 	}
 
-	// Rows first (every cell becomes an AS index), then the tables against
-	// the finished rows. A table is checked whole by one worker: in prefix
-	// order its entries sit in the order they were decoded, where a pass
-	// across the tables per prefix would miss the cache on every one.
-	var (
-		mu    sync.Mutex
-		first error
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if first == nil {
-			first = err
-		}
-		mu.Unlock()
-	}
-	e.forEachIndex(len(forest), func() (func(int), func()) {
-		// done[i] == pi+1 once AS i is known to reach prefix pi's origin.
-		done := make([]int32, len(e.asns))
-		return func(pi int) {
-			if err := e.adoptRow(pi, forest[pi], done); err != nil {
-				fail(err)
-			}
-		}, func() {}
-	})
-	if first != nil {
-		return nil, first
-	}
-	vantages := make([]int, 0, len(e.tables))
-	for vi := range e.tables {
-		vantages = append(vantages, vi)
-	}
-	e.forEachIndex(len(vantages), func() (func(int), func()) {
-		return func(k int) {
-			if err := e.checkTable(vantages[k], forest); err != nil {
-				fail(err)
-			}
-		}, func() {}
-	})
-	if first != nil {
-		return nil, first
-	}
+	// Every cell becomes an AS index, and what the rows then say is held to
+	// the topology, the reach counts and the tables by the checker live
+	// engines pass too.
 	e.track = forest
-	return &Engine{e: e, topo: clone, opts: opts, unconv: make(map[netx.Prefix]bool)}, nil
+	en := &Engine{e: e, topo: clone, opts: opts, unconv: make(map[netx.Prefix]bool)}
+	if err := en.checkState(e.adoptRow); err != nil {
+		return nil, restoreErr("%v", err)
+	}
+	return en, nil
 }
 
-// adoptRow validates prefix pi's stored row against the topology and the
-// reach counter, rewriting its slot codes into the AS indices the
-// engine's forest holds.
-func (e *engine) adoptRow(pi int, row, done []int32) error {
-	prefix := e.prefixes[pi]
+// adoptRow rewrites prefix pi's stored row from slot codes into the AS
+// indices the engine's forest holds, refusing a code that names no cell
+// of the AS's adjacency.
+func (e *engine) adoptRow(pi int) error {
+	prefix, row := e.prefixes[pi], e.track[pi]
 	if len(row) != len(e.asns) {
-		return restoreErr("forest row %v has %d cells for %d ASes", prefix, len(row), len(e.asns))
+		return fmt.Errorf("forest row %v has %d cells for %d ASes", prefix, len(row), len(e.asns))
 	}
-	origin := int32(e.idx[e.topo.PrefixOrigin[prefix]])
-	if row[origin] != SlotOrigin {
-		return restoreErr("forest row %v: origin AS%d carries code %d", prefix, e.asns[origin], row[origin])
-	}
-	routed := 0
 	for i, code := range row {
 		switch {
 		case code == SlotNone:
 			row[i] = trackNone
-			continue
 		case code == SlotOrigin:
-			if int32(i) != origin {
-				return restoreErr("forest row %v: origin code at AS%d, origin is AS%d", prefix, e.asns[i], e.asns[origin])
-			}
-			row[i] = origin
+			row[i] = int32(i)
 		case code < 0 || int(code-slotBase) >= len(e.nbrs[i]):
-			return restoreErr("forest row %v: AS%d has no neighbor slot %d", prefix, e.asns[i], code-slotBase)
+			return fmt.Errorf("forest row %v: AS%d has no neighbor slot %d", prefix, e.asns[i], code-slotBase)
 		default:
 			row[i] = e.nbrs[i][code-slotBase]
 		}
-		routed++
-	}
-	if int64(routed) != e.reachCounts[pi] {
-		return restoreErr("forest row %v routes %d ASes, reach count is %d", prefix, routed, e.reachCounts[pi])
-	}
-
-	stamp := int32(pi) + 1
-	done[origin] = stamp
-	for i := range row {
-		if row[i] == trackNone || done[i] == stamp {
-			continue
-		}
-		// Walk to an AS already known good; more steps than ASes is a cycle.
-		steps := 0
-		for j := int32(i); done[j] != stamp; j = row[j] {
-			if row[j] == trackNone {
-				return restoreErr("forest row %v: hop from AS%d leads to AS%d, which has no route", prefix, e.asns[i], e.asns[j])
-			}
-			if steps++; steps > len(row) {
-				return restoreErr("forest row %v: hops from AS%d cycle", prefix, e.asns[i])
-			}
-		}
-		for j := int32(i); done[j] != stamp; j = row[j] {
-			done[j] = stamp
-		}
-	}
-	return nil
-}
-
-// checkTable holds vantage vi's adopted table against the adopted forest:
-// for every prefix the vantage's hop is the next-hop AS of the table's
-// best route (none where the table has no entry, itself where the route
-// is local), and the table holds no entry beyond the topology's prefixes.
-func (e *engine) checkTable(vi int, forest [][]int32) error {
-	rib := e.tables[vi].rib
-	held := 0
-	for pi, prefix := range e.prefixes {
-		best, from := rib.Best(prefix), forest[pi][vi]
-		switch {
-		case best == nil:
-			if from != trackNone {
-				return restoreErr("forest row %v: vantage AS%d has a hop but no table entry", prefix, e.asns[vi])
-			}
-			continue
-		case best.IsLocal():
-			if from != int32(vi) {
-				return restoreErr("forest row %v: vantage AS%d originates the route but the row says otherwise", prefix, e.asns[vi])
-			}
-		default:
-			nh, _ := best.NextHopAS()
-			if from == trackNone || from == int32(vi) || e.asns[from] != nh {
-				return restoreErr("forest row %v: vantage AS%d's best route comes from AS%d, the row disagrees", prefix, e.asns[vi], nh)
-			}
-		}
-		held++
-	}
-	if held != rib.Len() {
-		return restoreErr("vantage AS%d's table holds %d prefixes, %d of them the topology's", e.asns[vi], rib.Len(), held)
 	}
 	return nil
 }

@@ -402,8 +402,8 @@ func (en *Engine) Apply(sc Scenario) (*Delta, error) {
 	defer observeApplyEnd(applyStart)
 	// Scenario events can change origins, policies and adjacency; the
 	// cold-convergence atom partition no longer describes this engine
-	// (a journaled Rollback restores the pre-Apply staleness).
-	e.journal.beginApply(sc.Events, e.atomsStale)
+	// (Rollback restores the pre-Apply staleness).
+	e.journal.beginApply(e.atomsStale)
 	e.atomsStale = true
 	e.beginBestChanges()
 
@@ -415,105 +415,61 @@ func (en *Engine) Apply(sc Scenario) (*Delta, error) {
 	}
 	delta := &Delta{}
 
-	// Snapshot the pre-event policies reconstruction will need.
-	for _, ev := range sc.Events {
-		owner, ok := en.policyOwner(ev)
-		if !ok {
-			continue
-		}
-		oi := int32(e.idx[owner])
-		if _, done := rc.oldPols[oi]; !done {
-			// Record presence even for a nil policy: reconstruction must
-			// see the pre-event nil, not the policy the edit creates.
-			if pol := e.pols[oi]; pol != nil {
-				rc.oldPols[oi] = pol.CloneDeep()
-			} else {
-				rc.oldPols[oi] = nil
-			}
-		}
-	}
-
-	// Mutate the topology, recording link deltas for reconstruction, and
-	// handle prefix removal/addition bookkeeping.
+	// Mutate the topology — each event first un-shares, or hands the journal
+	// as its pre-image, the one component it edits (clone.go) — recording
+	// link deltas for reconstruction, and handle prefix removal/addition
+	// bookkeeping.
 	var added []netx.Prefix
-	addedSet := make(map[netx.Prefix]bool)
 	for _, ev := range sc.Events {
-		en.unshare(ev)
 		switch ev.Kind {
 		case EventWithdraw:
-			if addedSet[ev.Prefix] {
+			if i := slices.Index(added, ev.Prefix); i >= 0 {
 				// Announced earlier in this batch and never converged:
 				// net effect is nothing, so just unwind the bookkeeping.
-				if _, err := applyEventToTopology(en.topo, ev); err != nil {
-					return nil, err
-				}
-				en.removePrefixState(ev.Prefix)
-				delete(addedSet, ev.Prefix)
-				for i, p := range added {
-					if p == ev.Prefix {
-						added = append(added[:i], added[i+1:]...)
-						break
-					}
-				}
-				continue
+				added = slices.Delete(added, i, i+1)
+			} else {
+				en.recordWithdrawal(ev.Prefix, delta)
 			}
-			// Record the catchment loss before the state disappears.
-			pi := e.prefixIdx[ev.Prefix]
-			lost := 0
-			var vantage []bgp.ASN
-			for i, f := range e.track[pi] {
-				if f != trackNone {
-					lost++
-					if e.vantage[i] {
-						vantage = append(vantage, e.asns[i])
-					}
-				}
-			}
-			before := int(e.reachCounts[pi])
-			if lost > 0 {
-				delta.Shifts = append(delta.Shifts, PrefixShift{
-					Prefix: ev.Prefix, Origin: en.topo.PrefixOrigin[ev.Prefix],
-					Shifted: lost, Lost: lost, Vantage: vantage,
-				})
-			}
-			if before != 0 {
-				delta.ReachDeltas = append(delta.ReachDeltas, ReachDelta{Prefix: ev.Prefix, Before: before})
-			}
+			origin := en.topo.PrefixOrigin[ev.Prefix]
+			en.editPolicy(rc, origin)
+			info := en.editInfo(origin)
 			if _, err := applyEventToTopology(en.topo, ev); err != nil {
 				return nil, err
 			}
-			en.removePrefixState(ev.Prefix)
-			delta.Recomputed++
+			en.removePrefixState(ev.Prefix, origin, info)
 		case EventAnnounce:
+			info := en.editInfo(ev.Origin)
 			if _, err := applyEventToTopology(en.topo, ev); err != nil {
 				return nil, err
 			}
-			en.addPrefixState(ev.Prefix)
+			en.addPrefixState(ev.Prefix, ev.Origin, info)
 			added = append(added, ev.Prefix)
-			addedSet[ev.Prefix] = true
-		default:
+		case EventLinkFail, EventLinkRestore:
+			en.ownGraph()
 			rel, err := applyEventToTopology(en.topo, ev)
 			if err != nil {
 				return nil, err
 			}
-			if owner, ok := en.policyOwner(ev); ok {
-				// The edit was in place unless the owner had no Policy
-				// yet: re-resolve the pointer.
-				e.pols[e.idx[owner]] = en.topo.Policies[owner]
-			}
 			ai, bi := int32(e.idx[ev.A]), int32(e.idx[ev.B])
 			pair := edgePair(ai, bi)
-			switch ev.Kind {
-			case EventLinkFail:
+			if ev.Kind == EventLinkFail {
 				was := orient(rel, ai, bi)
 				rc.removed[pair] = was
-				rc.links = append(rc.links, linkDelta{pair: pair, rel: was})
-				rc.endpoints = append(rc.endpoints, ai, bi)
-			case EventLinkRestore:
+				e.journal.linkDone(linkDelta{pair: pair, rel: was})
+			} else {
 				rc.added[pair] = true
-				rc.links = append(rc.links, linkDelta{pair: pair, restored: true})
-				rc.endpoints = append(rc.endpoints, ai, bi)
+				e.journal.linkDone(linkDelta{pair: pair, restored: true})
 			}
+			rc.endpoints = append(rc.endpoints, ai, bi)
+		default:
+			owner, _ := en.policyOwner(ev)
+			en.editPolicy(rc, owner)
+			if _, err := applyEventToTopology(en.topo, ev); err != nil {
+				return nil, err
+			}
+			// The edit was in place unless the owner had no Policy yet:
+			// re-resolve the pointer.
+			e.pols[e.idx[owner]] = en.topo.Policies[owner]
 		}
 	}
 	if len(rc.endpoints) > 0 {
@@ -521,7 +477,6 @@ func (en *Engine) Apply(sc Scenario) (*Delta, error) {
 		rc.endpoints = slices.Compact(rc.endpoints)
 		e.relink(rc.endpoints)
 	}
-	e.journal.recordLinks(rc)
 
 	// Newly originated prefixes converge from scratch.
 	if len(added) > 0 {
@@ -687,9 +642,38 @@ func (en *Engine) validate(sc Scenario) error {
 	return nil
 }
 
+// recordWithdrawal puts the catchment a withdrawn prefix loses on delta,
+// before the state that says so disappears.
+func (en *Engine) recordWithdrawal(prefix netx.Prefix, delta *Delta) {
+	e := en.e
+	pi := e.prefixIdx[prefix]
+	lost := 0
+	var vantage []bgp.ASN
+	for i, f := range e.track[pi] {
+		if f != trackNone {
+			lost++
+			if e.vantage[i] {
+				vantage = append(vantage, e.asns[i])
+			}
+		}
+	}
+	if lost > 0 {
+		delta.Shifts = append(delta.Shifts, PrefixShift{
+			Prefix: prefix, Origin: en.topo.PrefixOrigin[prefix],
+			Shifted: lost, Lost: lost, Vantage: vantage,
+		})
+	}
+	if before := int(e.reachCounts[pi]); before != 0 {
+		delta.ReachDeltas = append(delta.ReachDeltas, ReachDelta{Prefix: prefix, Before: before})
+	}
+	delta.Recomputed++
+}
+
 // removePrefixState erases a withdrawn prefix from tables, reach counts
-// and the best forest, compacting the engine's prefix indexing.
-func (en *Engine) removePrefixState(prefix netx.Prefix) {
+// and the best forest, compacting the engine's prefix indexing. origin
+// and info are the journal's: who originated the prefix and that AS's
+// description before the event.
+func (en *Engine) removePrefixState(prefix netx.Prefix, origin bgp.ASN, info *topogen.ASInfo) {
 	e := en.e
 	for vi, slot := range e.tables {
 		slot.mu.Lock()
@@ -698,10 +682,24 @@ func (en *Engine) removePrefixState(prefix netx.Prefix) {
 		}
 		slot.mu.Unlock()
 	}
-	pi, ok := e.prefixIdx[prefix]
-	if !ok {
-		return
-	}
+	jp := journalPrefix{op: prefixWithdrawn, prefix: prefix, unconv: en.unconv[prefix], origin: origin, info: info}
+	jp.pi, jp.row, jp.shared, jp.reach = e.unindexPrefix(prefix)
+	delete(en.unconv, prefix)
+	e.journal.prefixDone(jp)
+}
+
+// addPrefixState registers a newly originated prefix at the end of the
+// engine's indexing; its state is produced by the full-convergence pass.
+func (en *Engine) addPrefixState(prefix netx.Prefix, origin bgp.ASN, info *topogen.ASInfo) {
+	en.e.indexPrefixAt(len(en.e.prefixes), prefix, nil, false, 0)
+	en.e.journal.prefixDone(journalPrefix{op: prefixAnnounced, prefix: prefix, origin: origin, info: info})
+}
+
+// unindexPrefix swap-removes prefix from the prefix indexing and returns
+// where it sat and what sat there with it.
+func (e *engine) unindexPrefix(prefix netx.Prefix) (pi int, row []int32, shared bool, reach int64) {
+	pi = e.prefixIdx[prefix]
+	row, reach = e.track[pi], e.reachCounts[pi]
 	last := len(e.prefixes) - 1
 	e.prefixes[pi] = e.prefixes[last]
 	e.prefixes = e.prefixes[:last]
@@ -710,6 +708,7 @@ func (en *Engine) removePrefixState(prefix netx.Prefix) {
 	e.track[pi] = e.track[last]
 	e.track = e.track[:last]
 	if e.trackShared != nil {
+		shared = e.trackShared[pi]
 		e.trackShared[pi] = e.trackShared[last]
 		e.trackShared = e.trackShared[:last]
 	}
@@ -717,20 +716,30 @@ func (en *Engine) removePrefixState(prefix netx.Prefix) {
 	if pi < last {
 		e.prefixIdx[e.prefixes[pi]] = pi
 	}
-	delete(en.unconv, prefix)
+	return pi, row, shared, reach
 }
 
-// addPrefixState registers a newly originated prefix in the engine's
-// indexing; its state is produced by the full-convergence pass.
-func (en *Engine) addPrefixState(prefix netx.Prefix) {
-	e := en.e
-	e.prefixIdx[prefix] = len(e.prefixes)
+// indexPrefixAt is unindexPrefix's inverse: prefix goes back to index pi
+// and what the swap-remove moved there returns to the end. With pi the
+// length of the index it appends.
+func (e *engine) indexPrefixAt(pi int, prefix netx.Prefix, row []int32, shared bool, reach int64) {
+	last := len(e.prefixes)
 	e.prefixes = append(e.prefixes, prefix)
-	e.reachCounts = append(e.reachCounts, 0)
-	e.track = append(e.track, nil)
+	e.reachCounts = append(e.reachCounts, reach)
+	e.track = append(e.track, row)
 	if e.trackShared != nil {
-		e.trackShared = append(e.trackShared, false)
+		e.trackShared = append(e.trackShared, shared)
 	}
+	if pi < last {
+		e.prefixes[last], e.prefixes[pi] = e.prefixes[pi], prefix
+		e.reachCounts[last], e.reachCounts[pi] = e.reachCounts[pi], reach
+		e.track[last], e.track[pi] = e.track[pi], row
+		if e.trackShared != nil {
+			e.trackShared[last], e.trackShared[pi] = e.trackShared[pi], shared
+		}
+		e.prefixIdx[e.prefixes[last]] = last
+	}
+	e.prefixIdx[prefix] = pi
 }
 
 // rebuildAdjacency refreshes one AS's neighbor arrays from the (mutated)
@@ -772,10 +781,6 @@ type recon struct {
 	e       *engine
 	removed map[[2]int32]asgraph.Relationship // value: what pair[1] is to pair[0]
 	added   map[[2]int32]bool
-	// links is every link event in the order the batch applied it — what
-	// a journaled Rollback undoes in reverse (removed and added, keyed by
-	// pair, cannot say which of two events on one pair came first).
-	links []linkDelta
 	// endpoints lists the ASes a link event of the batch ends at, sorted
 	// ascending: a session between two ASes that are not both in it kept
 	// its relationship, which spares the hot paths the map probes.
@@ -1153,7 +1158,7 @@ func (en *Engine) runIncremental(events []Event, rc *recon, skip map[netx.Prefix
 	})
 	for _, p := range flipped {
 		was := en.unconv[p]
-		e.journal.unconvPre(p, was)
+		e.journal.prefixDone(journalPrefix{op: prefixMark, prefix: p, unconv: was})
 		if was {
 			delete(en.unconv, p)
 		} else {

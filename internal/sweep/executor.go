@@ -53,8 +53,10 @@ type WorkerStats struct {
 	// (excludes queue idling — the gap between Busy and the run's wall
 	// time is contention or starvation).
 	Busy time.Duration `json:"busy_ns"`
-	// Reclones counts scenarios whose scratch engine could not be restored
-	// and was dropped: each costs a later scenario a fresh clone.
+	// Reclones counts scenarios whose scratch engine was dropped — the
+	// rollback left a prefix unconverged that the base converges — each
+	// costing a later scenario a fresh clone. The rollback journal undoes
+	// every event kind, so this is a failure path and reads 0.
 	Reclones int `json:"reclones"`
 }
 
@@ -85,11 +87,11 @@ func (o Options) topShifts() int {
 // returns the streamed aggregate. Workers pull scenarios from a shared
 // queue and run each on a scratch engine leased from base
 // (simulate.Engine.Scratch): a copy-on-write clone that outlives the
-// scenario — and this call — whenever the engine's rollback journal can
-// put it back at base's state, and is replaced by a fresh clone for the
-// batches the journal refuses (prefix and policy events) or when a
-// rollback cannot be proven clean. A second Run on the same base starts
-// on the engines the first one warmed.
+// scenario — and this call — because the engine's rollback journal puts
+// it back at base's state whatever the scenario's events were; it is
+// replaced by a fresh clone only when a rollback cannot be proven clean.
+// A second Run on the same base starts on the engines the first one
+// warmed.
 //
 // Records are deterministic and identically ordered regardless of
 // Workers: every scenario observes the pristine base state, and

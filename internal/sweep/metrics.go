@@ -2,8 +2,9 @@ package sweep
 
 import "github.com/policyscope/policyscope/obs"
 
-// Sweep executor metrics. The restore-mode counters expose how often
-// the fleet pays which undo cost (journal ≪ re-clone), and
+// Sweep executor metrics. The restore-mode counters say whether a
+// scenario's scratch engine was kept (journal, every event kind) or
+// dropped (reclone, the failure path), and
 // the per-worker busy histogram makes parallel efficiency measurable:
 // utilization = sum(busy) / (workers × wall), the number the j8_vs_j1
 // baseline was missing.
@@ -15,7 +16,7 @@ var (
 	mScenarioSeconds = obs.NewHistogram("policyscope_sweep_scenario_seconds",
 		"Per-scenario wall time on a worker (apply + restore).", nil)
 	mRestores = obs.NewCounterVec("policyscope_sweep_restore_total",
-		"Scenario state restorations by mode: journal pre-image undo or engine re-clone.",
+		"Scenario state restorations by mode: journal — rolled back and the scratch engine kept, every event kind — or reclone — failure path only: the rollback left a prefix unconverged and the engine was dropped.",
 		"mode")
 	mRestoreJournal    = mRestores.With("journal")
 	mRestoreReclone    = mRestores.With("reclone")

@@ -164,10 +164,10 @@ func (se *Session) Warm() error {
 // WhatIf answers one scenario against the session's base state. The call
 // runs on a scratch engine leased from the memoized base engine
 // (simulate.Engine.Scratch): a copy-on-write clone that is rolled back
-// and kept for the next call when the scenario is one the journal can
-// undo (link events), and dropped when it is not — so concurrent what-ifs
-// are independent, the base state is never mutated, and a request pays
-// for what its events touch, not for a clone. For chained event sequences
+// and kept for the next call whatever the scenario's events — link,
+// prefix or policy — so concurrent what-ifs are independent, the base
+// state is never mutated, and a request pays for what its events touch,
+// not for a clone. For chained event sequences
 // build one Study.WhatIfEngine and Apply repeatedly instead. ctx gates the
 // call (an already-canceled context returns immediately); a single
 // incremental apply is too fast to interrupt mid-flight.

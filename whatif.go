@@ -90,7 +90,8 @@ type WhatIfReport struct {
 // state: a copy-on-write clone of the study's base engine, which costs
 // what the caller's Apply calls go on to write, not a convergence.
 // Successive Apply calls compound on the returned engine while the study
-// itself stays on the base configuration.
+// itself stays on the base configuration; under a Checkpoint, one Rollback
+// undoes all of them, of any event kind.
 func (s *Study) WhatIfEngine() (*simulate.Engine, error) {
 	base, err := s.baseEngine()
 	if err != nil {
