@@ -229,12 +229,12 @@ func BenchmarkSweepExecutorJ1(b *testing.B) { benchmarkSweepExecutor(b, 1) }
 
 func BenchmarkSweepExecutorJ8(b *testing.B) { benchmarkSweepExecutor(b, 8) }
 
-// BenchmarkSweepExecutorPolicyJ1 is the executor on the families the
-// rollback journal refuses — hijacks, local-pref flips, prefix
-// withdrawals, no-upstream flips — so every scenario pays a fresh clone.
-// One op is a 64-scenario batch, sixteen per family strided across the
-// family like the bench/ harness's sweep_policy workload; -benchmem shows
-// what a clone + apply un-shares.
+// BenchmarkSweepExecutorPolicyJ1 is the executor on the policy and prefix
+// families — hijacks, local-pref flips, prefix withdrawals, no-upstream
+// flips — each scenario applied and rolled back on a scratch engine the
+// worker keeps. One op is a 64-scenario batch, sixteen per family strided
+// across the family like the bench/ harness's sweep_policy workload;
+// -benchmem shows what an apply writes and the journal keeps.
 func BenchmarkSweepExecutorPolicyJ1(b *testing.B) {
 	base, _ := sharedSweep(b)
 	topo := base.Topology()

@@ -232,7 +232,7 @@ func (e *engine) reseedSession(st *workerState, u, v int32) {
 	if j < 0 {
 		return
 	}
-	relVtoU := e.rels[u][j]
+	relVtoU := e.sess[u][j].rel
 	best := st.best[u]
 	if best != nil && e.shouldExport(u, v, relVtoU, best, st.curPrefix) {
 		e.announce(st, u, v, relVtoU, best)

@@ -3,7 +3,6 @@ package simulate
 import (
 	"maps"
 
-	"github.com/policyscope/policyscope/internal/asgraph"
 	"github.com/policyscope/policyscope/internal/bgp"
 	"github.com/policyscope/policyscope/internal/netx"
 	"github.com/policyscope/policyscope/internal/topogen"
@@ -63,7 +62,7 @@ func (en *Engine) Clone() *Engine {
 		// engine (the clone goes stale on its own Applies).
 		atoms:      e.atoms,
 		atomsStale: e.atomsStale,
-		// Outer slices copied; inner neighbor/relationship slices are
+		// Outer slices copied; inner neighbor and session slices are
 		// shared because rebuildAdjacency replaces them wholesale, and
 		// the CSR offset table is shared because publishLayout publishes
 		// a fresh slice instead of rewriting (relink does the same for
@@ -78,7 +77,7 @@ func (en *Engine) Clone() *Engine {
 		back:        append([][]int32(nil), e.back...),
 		adjVersion:  e.adjVersion,
 		nbrs:        append([][]int32(nil), e.nbrs...),
-		rels:        append([][]asgraph.Relationship(nil), e.rels...),
+		sess:        append([][]session(nil), e.sess...),
 		pols:        append([]*topogen.Policy(nil), e.pols...),
 		prefixes:    append([]netx.Prefix(nil), e.prefixes...),
 		reachCounts: append([]int64(nil), e.reachCounts...),

@@ -109,8 +109,8 @@ type engine struct {
 	opts  Options
 	idx   map[bgp.ASN]int
 	asns  []bgp.ASN
-	nbrs  [][]int32 // sorted neighbor indices per AS
-	rels  [][]asgraph.Relationship
+	nbrs  [][]int32   // sorted neighbor indices per AS
+	sess  [][]session // sess[v][j]: v's record of its session with nbrs[v][j]
 	pols  []*topogen.Policy
 	depth bgp.DecisionStep
 
@@ -218,6 +218,45 @@ func (s *tableSlot) writable() *bgp.RIB {
 // trackNone marks "no route" in the per-prefix best-next-hop record.
 const trackNone int32 = -1
 
+// session is what AS v knows of the session in one slot of its adjacency
+// before any prefix is named: what the neighbor is to v, and the import
+// side of every route arriving over it — the local preference and the
+// relationship tag v assigns — worked out once per slot from the graph and
+// v's Policy instead of once per announcement (see importAt).
+//
+// The records rest on one invariant: scenario events edit only a Policy's
+// Override and Export, and only through editPolicy's deep copy, which
+// shares Import and Tagging with the Policy it copies (an AS without a
+// Policy grows one with neither). So every Policy an AS has had within an
+// engine family — pre-event, post-event, rolled back — agrees on what a
+// record holds, and a record goes stale only when its slot moves, which
+// rebuilds it. Override is the one input left out; importAt asks
+// topogen wherever one is set.
+type session struct {
+	rel asgraph.Relationship // what the neighbor is to v
+	// hashed says v prices the neighbor's routes per prefix (a per-prefix
+	// or atypical neighbor): lp does not apply.
+	hashed bool
+	tagged bool
+	lp     uint32
+	tag    bgp.Community
+}
+
+// newSession derives v's record of its session with neighbor, which is
+// rel to v, from v's Policy pol.
+func (e *engine) newSession(pol *topogen.Policy, neighbor bgp.ASN, rel asgraph.Relationship) session {
+	s := session{rel: rel, lp: bgp.DefaultLocalPref}
+	if !e.opts.IgnoreImportPolicy {
+		var uniform bool
+		s.lp, uniform = pol.NeighborLocalPref(neighbor)
+		s.hashed = !uniform
+	}
+	if pol != nil && pol.Tagging != nil {
+		s.tag, s.tagged = pol.Tagging.TagFor(rel, neighbor)
+	}
+	return s
+}
+
 func newEngine(topo *topogen.Topology, opts Options) *engine {
 	e := &engine{
 		topo:      topo,
@@ -235,17 +274,13 @@ func newEngine(topo *topogen.Topology, opts Options) *engine {
 	}
 	n := len(e.asns)
 	e.nbrs = make([][]int32, n)
-	e.rels = make([][]asgraph.Relationship, n)
+	e.sess = make([][]session, n)
 	e.pols = make([]*topogen.Policy, n)
 	for i, asn := range e.asns {
-		nbs := topo.Graph.Neighbors(asn)
-		e.nbrs[i] = make([]int32, len(nbs))
-		e.rels[i] = make([]asgraph.Relationship, len(nbs))
-		for j, nb := range nbs {
-			e.nbrs[i][j] = int32(e.idx[nb])
-			e.rels[i][j] = topo.Graph.Rel(asn, nb)
-		}
 		e.pols[i] = topo.Policies[asn]
+	}
+	for i := range e.asns {
+		e.rebuildAdjacency(int32(i))
 	}
 	e.rebuildCSR()
 	e.depth = opts.DecisionDepth
@@ -282,6 +317,32 @@ func newEngine(topo *topogen.Topology, opts Options) *engine {
 		e.atoms = buildAtomIndex(e)
 	}
 	return e
+}
+
+// rebuildAdjacency derives AS i's neighbor list and session records from
+// the graph and i's Policy, into fresh slices (clones and the journal keep
+// the ones they replace). newEngine calls it for every AS, relink for the
+// endpoints of a batch's link events.
+func (e *engine) rebuildAdjacency(i int32) {
+	asn, pol := e.asns[i], e.pols[i]
+	nbs := e.topo.Graph.Neighbors(asn)
+	nbrs := make([]int32, len(nbs))
+	sess := make([]session, len(nbs))
+	for j, nb := range nbs {
+		nbrs[j] = int32(e.idx[nb])
+		sess[j] = e.newSession(pol, nb, e.topo.Graph.Rel(asn, nb))
+	}
+	e.nbrs[i], e.sess[i] = nbrs, sess
+}
+
+// sessionTo looks up the session between u and v in u's adjacency: what v
+// is to u, and u's slot in v's adjacency — the one v's record of the
+// session sits at. RelNone and -1 when the two are not adjacent.
+func (e *engine) sessionTo(u, v int32) (asgraph.Relationship, int32) {
+	if j := slotOf(e.nbrs[u], v); j >= 0 {
+		return e.sess[u][j].rel, e.back[u][j]
+	}
+	return asgraph.RelNone, -1
 }
 
 // atomsApplicable reports whether atom-sharded convergence is safe for
@@ -592,7 +653,7 @@ func (e *engine) drain(st *workerState) bool {
 func (e *engine) exportFrom(st *workerState, u int32) {
 	best := st.best[u]
 	for j, v := range e.nbrs[u] {
-		relVtoU := e.rels[u][j] // what v is to u
+		relVtoU := e.sess[u][j].rel // what v is to u
 		vslot := e.back[u][j]
 		allowed := best != nil && e.shouldExport(u, v, relVtoU, best, st.curPrefix)
 		if allowed {
@@ -639,10 +700,8 @@ func exportAllowed(uASN, vASN bgp.ASN, relVtoU, ingress asgraph.Relationship, ro
 
 	// The standard valley-free export rules: to a provider or peer, only
 	// own routes and customer routes.
-	if relVtoU == asgraph.RelProvider || relVtoU == asgraph.RelPeer {
-		if !route.IsLocal() && ingress != asgraph.RelCustomer && ingress != asgraph.RelSibling {
-			return false
-		}
+	if !route.IsLocal() && !valleyFree(relVtoU, ingress) {
+		return false
 	}
 
 	if pol == nil {
@@ -675,6 +734,14 @@ func exportAllowed(uASN, vASN bgp.ASN, relVtoU, ingress asgraph.Relationship, ro
 	return true
 }
 
+// valleyFree is the standard export rule for a learned route: to a
+// provider or peer (relVtoU), only routes learned from a customer or
+// sibling (ingress). Own routes go everywhere; the caller checks for them.
+func valleyFree(relVtoU, ingress asgraph.Relationship) bool {
+	return relVtoU != asgraph.RelProvider && relVtoU != asgraph.RelPeer ||
+		ingress == asgraph.RelCustomer || ingress == asgraph.RelSibling
+}
+
 // announce builds the route as seen at v and installs it (position
 // resolved by binary search; the export loop uses announceAt).
 func (e *engine) announce(st *workerState, u, v int32, relVtoU asgraph.Relationship, best *bgp.Route) {
@@ -688,13 +755,12 @@ func (e *engine) announce(st *workerState, u, v int32, relVtoU asgraph.Relations
 // announceAt builds the route as seen at v and installs it in the given
 // slot of v's candidate row.
 func (e *engine) announceAt(st *workerState, u, v, vslot int32, relVtoU asgraph.Relationship, best *bgp.Route) {
-	uASN, vASN := e.asns[u], e.asns[v]
 	// Loop prevention: v discards routes already carrying its ASN.
-	if best.Path.Contains(vASN) || v == st.originIdx {
+	if best.Path.Contains(e.asns[v]) || v == st.originIdx {
 		e.withdrawAt(st, u, v, vslot)
 		return
 	}
-	r := e.buildAnnouncement(uASN, vASN, relVtoU, best, st.curPrefix, e.pols[u], e.pols[v], st)
+	r := e.buildAnnouncement(u, v, vslot, relVtoU, best, st.curPrefix, e.pols[u], e.pols[v], st)
 	st.touch(v)
 	prev := st.cs.at(v, vslot)
 	if prev != nil && sameRoute(prev, r) {
@@ -705,14 +771,15 @@ func (e *engine) announceAt(st *workerState, u, v, vslot int32, relVtoU asgraph.
 }
 
 // buildAnnouncement constructs the route v installs when u announces
-// best over a session where v is relVtoU to u. The announcing and
-// receiving policies are explicit so the scenario engine can rebuild
+// best over a session where v is relVtoU to u; vslot is u's slot in v's
+// adjacency, -1 where the caller has none (see importAt). The announcing
+// and receiving policies are explicit so the scenario engine can rebuild
 // pre-event routes against policy snapshots; prefix is the authoritative
 // destination (best.Prefix may be the atom representative's). When st is
 // non-nil the Route and Path are carved from its arenas and are only
-// valid until the worker state resets; a nil st allocates from the heap
-// (the reconstruction paths that memoize routes across prefixes).
-func (e *engine) buildAnnouncement(uASN, vASN bgp.ASN, relVtoU asgraph.Relationship, best *bgp.Route, prefix netx.Prefix, polU, polV *topogen.Policy, st *workerState) *bgp.Route {
+// valid until the worker state resets; a nil st allocates from the heap.
+func (e *engine) buildAnnouncement(u, v, vslot int32, relVtoU asgraph.Relationship, best *bgp.Route, prefix netx.Prefix, polU, polV *topogen.Policy, st *workerState) *bgp.Route {
+	uASN, vASN := e.asns[u], e.asns[v]
 	comm := best.Communities
 	if best.IsLocal() && polU != nil {
 		if tagged, ok := polU.Export.NoUpstream[prefix]; ok && tagged == vASN {
@@ -726,17 +793,9 @@ func (e *engine) buildAnnouncement(uASN, vASN bgp.ASN, relVtoU asgraph.Relations
 		path = best.Path.Prepend(uASN, 1)
 	}
 
-	// Import side at v: local preference and relationship tagging.
-	var lp uint32 = bgp.DefaultLocalPref
-	if !e.opts.IgnoreImportPolicy {
-		lp = e.topo.EffectiveLocalPrefWith(polV, vASN, uASN, prefix)
-	}
-	if polV != nil && polV.Tagging != nil {
-		if tag, ok := polV.Tagging.TagFor(relVtoU.Invert(), uASN); ok {
-			// relVtoU is what v is to u; the tag classifies u from v's
-			// point of view, hence the inversion.
-			comm = addCommunity(st, comm, tag)
-		}
+	lp, tag, tagged := e.importAt(u, v, vslot, relVtoU, polV, prefix)
+	if tagged {
+		comm = addCommunity(st, comm, tag)
 	}
 
 	var r *bgp.Route
@@ -754,6 +813,33 @@ func (e *engine) buildAnnouncement(uASN, vASN bgp.ASN, relVtoU asgraph.Relations
 		Communities: comm,
 	}
 	return r
+}
+
+// importAt is the import side of an announcement from u at v, which is
+// relVtoU to u: the local preference v assigns to the route for prefix
+// under policy polV, and the relationship tag it attaches, if any. v's
+// record of the session answers when it describes this very session — the
+// slot exists and carries the relationship asked about — and polV has no
+// Override and does not price the neighbor per prefix. Every other case,
+// pre-event sessions over a link the batch took down or re-typed among
+// them, asks topogen, where both rules are defined.
+func (e *engine) importAt(u, v, vslot int32, relVtoU asgraph.Relationship, polV *topogen.Policy, prefix netx.Prefix) (lp uint32, tag bgp.Community, tagged bool) {
+	// relVtoU is what v is to u; the record and the tag classify u from
+	// v's point of view, hence the inversion.
+	relUtoV := relVtoU.Invert()
+	if vslot >= 0 && (polV == nil || polV.Override == nil) {
+		if s := &e.sess[v][vslot]; s.rel == relUtoV && !s.hashed {
+			return s.lp, s.tag, s.tagged
+		}
+	}
+	lp = bgp.DefaultLocalPref
+	if !e.opts.IgnoreImportPolicy {
+		lp = e.topo.EffectiveLocalPrefWith(polV, e.asns[v], e.asns[u], prefix)
+	}
+	if polV != nil && polV.Tagging != nil {
+		tag, tagged = polV.Tagging.TagFor(relUtoV, e.asns[u])
+	}
+	return lp, tag, tagged
 }
 
 func (e *engine) withdraw(st *workerState, u, v int32) {

@@ -126,16 +126,17 @@ func legacyPropagate(e *engine, st *legacyState, prefix netx.Prefix) bool {
 		st.inQueue[u] = false
 		best := st.best[u]
 		for j, v := range e.nbrs[u] {
-			rel := e.rels[u][j]
+			rel := e.sess[u][j].rel
 			if best != nil && e.shouldExport(u, v, rel, best, prefix) {
-				uASN, vASN := e.asns[u], e.asns[v]
+				vASN := e.asns[v]
 				if best.Path.Contains(vASN) || vASN == e.topo.PrefixOrigin[best.Prefix] {
 					if legacyWithdraw(st, u, v) {
 						legacyReselect(e, st, v)
 					}
 					continue
 				}
-				r := e.buildAnnouncement(uASN, vASN, rel, best, prefix, e.pols[u], e.pols[v], nil)
+				// No slot: the reference asks topogen for every route.
+				r := e.buildAnnouncement(u, v, -1, rel, best, prefix, e.pols[u], e.pols[v], nil)
 				st.touch(v)
 				if st.cands[v] == nil {
 					st.cands[v] = make(map[int32]*bgp.Route, 4)

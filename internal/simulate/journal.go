@@ -130,14 +130,14 @@ type applyJournal struct {
 	adjVersion uint64
 }
 
-// journalAdj is AS i's adjacency before a relink: neighbor, relationship
+// journalAdj is AS i's adjacency before a relink: neighbor, session-record
 // and reverse-index rows. relink replaces these slices and never writes
 // them — published layouts are never written in place — so they are the
 // pre-image as they stand.
 type journalAdj struct {
 	i    int32
 	nbrs []int32
-	rels []asgraph.Relationship
+	sess []session
 	back []int32
 }
 
@@ -200,7 +200,7 @@ func (en *Engine) Rollback() bool {
 	j.log = j.log[:0]
 	for len(j.adj) > 0 {
 		ja := pop(&j.adj)
-		e.nbrs[ja.i], e.rels[ja.i], e.back[ja.i] = ja.nbrs, ja.rels, ja.back
+		e.nbrs[ja.i], e.sess[ja.i], e.back[ja.i] = ja.nbrs, ja.sess, ja.back
 	}
 	if j.csrOff != nil {
 		// The pre-Apply layout under its own version: a pooled worker
@@ -369,7 +369,7 @@ func (j *applyJournal) relinkPre(e *engine, stale []int32) {
 		j.csrOff, j.adjVersion = e.csrOff, e.adjVersion
 	}
 	for _, u := range stale {
-		j.adj = append(j.adj, journalAdj{i: u, nbrs: e.nbrs[u], rels: e.rels[u], back: e.back[u]})
+		j.adj = append(j.adj, journalAdj{i: u, nbrs: e.nbrs[u], sess: e.sess[u], back: e.back[u]})
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime/debug"
-	"sort"
 	"testing"
 	"unsafe"
 
@@ -53,7 +52,7 @@ func (lc *leaseChecker) run(sc Scenario, spoil func(*Engine) error) (restored bo
 		if err != nil {
 			t.Fatalf("%s: fresh clone refuses what the lease applied: %v", sc.Name, err)
 		}
-		if !reflect.DeepEqual(canonicalDelta(d), canonicalDelta(want)) {
+		if !reflect.DeepEqual(d, want) {
 			t.Errorf("%s: leased Delta differs from a fresh clone's: recomputed %d vs %d, %d vs %d shifts, %d vs %d reach deltas, peers %v vs %v",
 				sc.Name, d.Recomputed, want.Recomputed, len(d.Shifts), len(want.Shifts),
 				len(d.ReachDeltas), len(want.ReachDeltas), d.PeerBestChanged, want.PeerBestChanged)
@@ -82,25 +81,6 @@ func (lc *leaseChecker) run(sc Scenario, spoil func(*Engine) error) (restored bo
 		}
 	}
 	return restored, err
-}
-
-// canonicalDelta orders the one tie Apply's sort leaves open under
-// Parallelism > 1: a prefix withdrawn and announced again in one batch has
-// two shifts of equal size, told apart by origin only.
-func canonicalDelta(d *Delta) *Delta {
-	c := *d
-	c.Shifts = append([]PrefixShift(nil), d.Shifts...)
-	sort.SliceStable(c.Shifts, func(i, j int) bool {
-		a, b := c.Shifts[i], c.Shifts[j]
-		if a.Shifted != b.Shifted {
-			return a.Shifted > b.Shifted
-		}
-		if cmp := a.Prefix.Compare(b.Prefix); cmp != 0 {
-			return cmp < 0
-		}
-		return a.Origin < b.Origin
-	})
-	return &c
 }
 
 // TestScratchLeaseEqualsFreshClone: random batches over all seven event
@@ -319,6 +299,33 @@ func BenchmarkScratchLinkFailure(b *testing.B) {
 	var scs []Scenario
 	for _, e := range topo.Graph.Edges() {
 		scs = append(scs, Scenario{Events: []Event{FailLink(e.A, e.B)}})
+	}
+	observe := func(*Delta, *Engine) error { return nil }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := base.Scratch(1, scs[i%len(scs)], observe); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkScratchLocalPrefFlip: one neighbor-wide local_pref flip per op
+// on leased scratch engines of a 120-AS base — the sweep_policy family the
+// export gate prunes most: every session of the highest-degree AS, at 50
+// and at 200.
+func BenchmarkScratchLocalPrefFlip(b *testing.B) {
+	topo, opts := buildTestTopo(b, 120, 1)
+	base, err := NewEngine(topo, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	as := byDegree(topo)[0]
+	var scs []Scenario
+	for _, nb := range topo.Graph.Neighbors(as) {
+		for _, value := range []uint32{50, 200} {
+			scs = append(scs, Scenario{Events: []Event{SetLocalPref(as, nb, value)}})
+		}
 	}
 	observe := func(*Delta, *Engine) error { return nil }
 	b.ReportAllocs()

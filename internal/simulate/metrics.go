@@ -43,7 +43,7 @@ var (
 	mApplySeconds = obs.NewHistogram("policyscope_scenario_apply_seconds",
 		"Wall time of one scenario Apply.", nil)
 	mApplyDisturbed = obs.NewHistogram("policyscope_scenario_disturbed_prefixes",
-		"Prefixes one scenario Apply submitted to re-convergence: the forest-crossing disturb set of a link-failure-only batch, otherwise the pre-existing prefixes the events name (all of them for a link event or a neighbor-wide local_pref, one for sa_toggle / no_upstream / per-prefix local_pref, none for withdraw / announce), plus newly announced ones.",
+		"Prefixes one scenario Apply submitted to re-convergence: the forest-crossing disturb set of a link-failure-only batch, otherwise the pre-existing prefixes the events name (all of them for a link event; for a neighbor-wide local_pref, those whose forest lets a route cross the session, plus unconverged ones; one for sa_toggle / no_upstream / per-prefix local_pref; none for withdraw / announce), plus newly announced ones.",
 		applyCountBuckets)
 	mApplyMaterialized = obs.NewHistogram("policyscope_scenario_materialized_ases",
 		"ASes whose candidate set one scenario Apply's incremental re-convergences rebuilt, summed over its disturbed prefixes: divided by policyscope_scenario_disturbed_prefixes it says whether a slow Apply visited many prefixes or went deep in each. An AS whose changed candidate cannot displace its best is not materialized and not counted.",

@@ -399,8 +399,10 @@ type deltaBuf struct {
 	vantage []bgp.ASN // the one array every shift's Vantage is carved from
 	peers   map[bgp.ASN]int
 	// disturbed is runIncremental's list of the prefixes it re-converges;
-	// it never reaches the Delta.
-	disturbed []netx.Prefix
+	// it never reaches the Delta. shiftAt and reachAt hold the position in
+	// it of each shift and reach delta the pass appended.
+	disturbed        []netx.Prefix
+	shiftAt, reachAt []int32
 }
 
 // reset starts a new Delta in b's arrays.
@@ -478,12 +480,7 @@ func (en *Engine) apply(sc Scenario, b *deltaBuf) error {
 	// and half filled; the next Apply would take them for its own.
 	defer e.disarmBestChanges()
 
-	rc := &recon{
-		e:       e,
-		removed: make(map[[2]int32]asgraph.Relationship),
-		added:   make(map[[2]int32]bool),
-		oldPols: make(map[int32]*topogen.Policy),
-	}
+	rc := newRecon(e)
 	b.reset()
 	delta := &b.d
 
@@ -534,14 +531,9 @@ func (en *Engine) apply(sc Scenario, b *deltaBuf) error {
 			}
 			rc.endpoints = append(rc.endpoints, ai, bi)
 		default:
-			owner, _ := en.policyOwner(ev)
-			en.editPolicy(rc, owner)
-			if _, err := applyEventToTopology(en.topo, ev); err != nil {
+			if err := en.applyPolicyEvent(rc, ev); err != nil {
 				return err
 			}
-			// The edit was in place unless the owner had no Policy yet:
-			// re-resolve the pointer.
-			e.pols[e.idx[owner]] = en.topo.Policies[owner]
 		}
 	}
 	if len(rc.endpoints) > 0 {
@@ -610,6 +602,20 @@ func (en *Engine) apply(sc Scenario, b *deltaBuf) error {
 		return delta.ReachDeltas[i].Prefix.Compare(delta.ReachDeltas[j].Prefix) < 0
 	})
 	b.finish()
+	return nil
+}
+
+// applyPolicyEvent carries out a local_pref, sa_toggle or no_upstream
+// event on a Policy of the Apply's own (editPolicy).
+func (en *Engine) applyPolicyEvent(rc *recon, ev Event) error {
+	owner, _ := en.policyOwner(ev)
+	en.editPolicy(rc, owner)
+	if _, err := applyEventToTopology(en.topo, ev); err != nil {
+		return err
+	}
+	// The edit was in place unless the owner had no Policy yet: re-resolve
+	// the pointer.
+	en.e.pols[en.e.idx[owner]] = en.topo.Policies[owner]
 	return nil
 }
 
@@ -817,20 +823,6 @@ func (e *engine) indexPrefixAt(pi int, prefix netx.Prefix, row []int32, shared b
 	e.prefixIdx[prefix] = pi
 }
 
-// rebuildAdjacency refreshes one AS's neighbor arrays from the (mutated)
-// graph; relink calls it for every endpoint of a batch and then brings
-// the CSR layout up to date.
-func (e *engine) rebuildAdjacency(i int32) {
-	asn := e.asns[i]
-	nbs := e.topo.Graph.Neighbors(asn)
-	e.nbrs[i] = make([]int32, len(nbs))
-	e.rels[i] = make([]asgraph.Relationship, len(nbs))
-	for j, nb := range nbs {
-		e.nbrs[i][j] = int32(e.idx[nb])
-		e.rels[i][j] = e.topo.Graph.Rel(asn, nb)
-	}
-}
-
 // edgePair canonicalizes an undirected AS-index pair.
 func edgePair(a, b int32) [2]int32 {
 	if a < b {
@@ -863,14 +855,13 @@ type recon struct {
 	oldPols   map[int32]*topogen.Policy
 }
 
-// curRel reads the current relationship of v to u off the engine's
-// adjacency arrays (equivalent to topo.Graph.Rel but without the edge
-// map lookups; rebuildAdjacency keeps the arrays current).
-func (e *engine) curRel(u, v int32) asgraph.Relationship {
-	if j := slotOf(e.nbrs[u], v); j >= 0 {
-		return e.rels[u][j]
+func newRecon(e *engine) *recon {
+	return &recon{
+		e:       e,
+		removed: make(map[[2]int32]asgraph.Relationship),
+		added:   make(map[[2]int32]bool),
+		oldPols: make(map[int32]*topogen.Policy),
 	}
-	return asgraph.RelNone
 }
 
 // linkChanged reports whether this batch may have removed or added the
@@ -909,7 +900,7 @@ func (rc *recon) relOld(u, v int32, cur asgraph.Relationship) asgraph.Relationsh
 // edge record (used to classify the ingress of not-yet-reprocessed old
 // routes whose next hop crossed a failed link).
 func (rc *recon) relAny(u, v int32) asgraph.Relationship {
-	if rel := rc.e.curRel(u, v); rel != asgraph.RelNone {
+	if rel, _ := rc.e.sessionTo(u, v); rel != asgraph.RelNone {
 		return rel
 	}
 	return rc.relOld(u, v, asgraph.RelNone)
@@ -917,8 +908,10 @@ func (rc *recon) relAny(u, v int32) asgraph.Relationship {
 
 // polOld returns AS i's pre-event policy.
 func (rc *recon) polOld(i int32) *topogen.Policy {
-	if p, ok := rc.oldPols[i]; ok {
-		return p
+	if len(rc.oldPols) > 0 {
+		if p, ok := rc.oldPols[i]; ok {
+			return p
+		}
 	}
 	return rc.e.pols[i]
 }
@@ -985,8 +978,8 @@ func (pr *prefixRecon) bestOldDepth(u int32, depth int) *bgp.Route {
 			// route rather than corrupting downstream state.
 			return nil
 		}
-		e := pr.rc.e
-		r = e.buildAnnouncement(e.asns[f], e.asns[u], pr.rc.relOld(f, u, e.curRel(f, u)), parentBest,
+		rel, slot := pr.rc.e.sessionTo(f, u)
+		r = pr.rc.e.buildAnnouncement(f, u, slot, pr.rc.relOld(f, u, rel), parentBest,
 			pr.prefix, pr.rc.polOld(f), pr.rc.polOld(u), pr.st)
 	}
 	pr.st.memoSeen[u] = pr.st.version
@@ -995,9 +988,17 @@ func (pr *prefixRecon) bestOldDepth(u int32, depth int) *bgp.Route {
 }
 
 // candOld rebuilds the candidate AS v held from neighbor u pre-event
-// (nil when the session carried nothing). cur is what v is to u now:
-// the callers walk an adjacency list and read it off the slot in hand.
-func (pr *prefixRecon) candOld(v, u int32, cur asgraph.Relationship) *bgp.Route {
+// (nil when the session carried nothing). cur is what v is to u now and
+// vslot u's slot in v's adjacency (-1 for none): the callers walk an
+// adjacency list and read both off the slot in hand.
+//
+// The export gate comes first: u had no route, v is the origin, or the
+// valley-free rule refuses what u learned from its forest parent to a
+// v that was its provider or peer. Each of these makes the candidate nil
+// whatever u's route holds, so the forest's cells answer, and u's route —
+// a rebuild of its whole chain to the origin on a memo miss — is rebuilt
+// only for sessions that may carry it.
+func (pr *prefixRecon) candOld(v, u int32, cur asgraph.Relationship, vslot int32) *bgp.Route {
 	relVtoU := pr.rc.relOld(u, v, cur)
 	if relVtoU == asgraph.RelNone {
 		return nil
@@ -1007,58 +1008,66 @@ func (pr *prefixRecon) candOld(v, u int32, cur asgraph.Relationship) *bgp.Route 
 	if pr.row[v] == u {
 		return pr.bestOld(v)
 	}
-	best := pr.bestOld(u)
-	if best == nil {
+	f := pr.row[u]
+	if f == trackNone || v == pr.originIdx {
 		return nil
 	}
 	e := pr.rc.e
-	vASN := e.asns[v]
-	if best.Path.Contains(vASN) || v == pr.originIdx {
-		return nil
-	}
 	var ingress asgraph.Relationship
-	if f := pr.row[u]; f != u {
-		ingress = pr.rc.relOld(u, f, e.curRel(u, f))
+	if f != u {
+		rel, _ := e.sessionTo(u, f)
+		if ingress = pr.rc.relOld(u, f, rel); !valleyFree(relVtoU, ingress) {
+			return nil
+		}
 	}
-	if !exportAllowed(e.asns[u], vASN, relVtoU, ingress, best, pr.prefix, pr.rc.polOld(u)) {
+	best := pr.bestOld(u)
+	if best == nil || best.Path.Contains(e.asns[v]) {
 		return nil
 	}
-	return e.buildAnnouncement(e.asns[u], vASN, relVtoU, best, pr.prefix, pr.rc.polOld(u), pr.rc.polOld(v), pr.st)
+	if !exportAllowed(e.asns[u], e.asns[v], relVtoU, ingress, best, pr.prefix, pr.rc.polOld(u)) {
+		return nil
+	}
+	return e.buildAnnouncement(u, v, vslot, relVtoU, best, pr.prefix, pr.rc.polOld(u), pr.rc.polOld(v), pr.st)
 }
 
 // candNew computes the candidate v would hold from u right now: u's
 // current best (pre-event unless u was already re-seeded) pushed through
 // the post-event session policies. Nothing crosses a link that is down.
-func (pr *prefixRecon) candNew(st *workerState, v, u int32) *bgp.Route {
-	e := pr.rc.e
-	relVtoU := e.curRel(u, v)
-	if relVtoU == asgraph.RelNone {
+// relVtoU is what v is to u now and vslot u's slot in v's adjacency
+// (sessionTo). For an unmaterialized u, candOld's export gate runs on
+// the forest before u's pre-event route is rebuilt.
+func (pr *prefixRecon) candNew(st *workerState, v, u int32, relVtoU asgraph.Relationship, vslot int32) *bgp.Route {
+	if relVtoU == asgraph.RelNone || v == pr.originIdx {
 		return nil
 	}
 	var (
-		best *bgp.Route
-		from int32 // where u's best came from: the next hop whose class gates the export
+		best    *bgp.Route
+		ingress asgraph.Relationship // the class of u's next hop, which gates the export
 	)
 	if st.seen[u] == st.version {
-		best, from = st.best[u], st.bestFrom[u]
+		if best = st.best[u]; best != nil && !best.IsLocal() {
+			ingress = pr.rc.relAny(u, st.bestFrom[u])
+		}
 	} else {
-		best, from = pr.bestOld(u), pr.row[u]
+		from := pr.row[u]
+		if from == trackNone {
+			return nil
+		}
+		if from != u {
+			if ingress = pr.rc.relAny(u, from); !valleyFree(relVtoU, ingress) {
+				return nil
+			}
+		}
+		best = pr.bestOld(u)
 	}
-	if best == nil {
+	e := pr.rc.e
+	if best == nil || best.Path.Contains(e.asns[v]) {
 		return nil
 	}
-	vASN := e.asns[v]
-	if best.Path.Contains(vASN) || v == pr.originIdx {
+	if !exportAllowed(e.asns[u], e.asns[v], relVtoU, ingress, best, pr.prefix, e.pols[u]) {
 		return nil
 	}
-	var ingress asgraph.Relationship
-	if !best.IsLocal() {
-		ingress = pr.rc.relAny(u, from)
-	}
-	if !exportAllowed(e.asns[u], vASN, relVtoU, ingress, best, pr.prefix, e.pols[u]) {
-		return nil
-	}
-	return e.buildAnnouncement(e.asns[u], vASN, relVtoU, best, pr.prefix, e.pols[u], e.pols[v], pr.st)
+	return e.buildAnnouncement(u, v, vslot, relVtoU, best, pr.prefix, e.pols[u], e.pols[v], pr.st)
 }
 
 // materialize seeds v's per-prefix scratch state with its reconstructed
@@ -1075,8 +1084,8 @@ func (pr *prefixRecon) materialize(st *workerState, v int32) {
 	e := pr.rc.e
 	nbrs := e.nbrs[v]
 	for j, u := range nbrs {
-		// rels[v][j] is what u is to v; candOld wants v's side of it.
-		if c := pr.candOld(v, u, e.rels[v][j].Invert()); c != nil {
+		// The record holds what u is to v; candOld wants v's side of it.
+		if c := pr.candOld(v, u, e.sess[v][j].rel.Invert(), int32(j)); c != nil {
 			st.cs.setAt(v, int32(j), c)
 		}
 	}
@@ -1093,7 +1102,7 @@ func (pr *prefixRecon) materialize(st *workerState, v int32) {
 		default:
 			continue
 		}
-		if c := pr.candOld(v, u, asgraph.RelNone); c != nil {
+		if c := pr.candOld(v, u, asgraph.RelNone, -1); c != nil {
 			st.cs.set(nbrs, v, u, c)
 		}
 	}
@@ -1112,7 +1121,8 @@ func (pr *prefixRecon) materialize(st *workerState, v int32) {
 	}
 	for i := st.deferHead[v]; i >= 0; i = st.deferred[i].next {
 		u := st.deferred[i].u
-		if c := pr.candNew(st, v, u); c != nil {
+		rel, vslot := e.sessionTo(u, v)
+		if c := pr.candNew(st, v, u, rel, vslot); c != nil {
 			st.cs.set(nbrs, v, u, c)
 		} else {
 			st.cs.del(nbrs, v, u)
@@ -1172,13 +1182,14 @@ func (pr *prefixRecon) update(st *workerState, v, u int32, rNew *bgp.Route) {
 // sessions cost two route reconstructions and no state.
 func (pr *prefixRecon) sessionReseed(st *workerState, u, v int32) {
 	e := pr.rc.e
+	rel, vslot := e.sessionTo(u, v)
 	var rOld *bgp.Route
 	if st.seen[v] == st.version {
 		rOld = st.cs.get(e.nbrs[v], v, u)
 	} else {
-		rOld = pr.candOld(v, u, e.curRel(u, v))
+		rOld = pr.candOld(v, u, rel, vslot)
 	}
-	if rNew := pr.candNew(st, v, u); !routesEquivalent(rOld, rNew) {
+	if rNew := pr.candNew(st, v, u, rel, vslot); !routesEquivalent(rOld, rNew) {
 		pr.update(st, v, u, rNew)
 	}
 }
@@ -1208,31 +1219,45 @@ func (en *Engine) runIncremental(events []Event, rc *recon, skip map[netx.Prefix
 		mu      sync.Mutex
 		flipped []netx.Prefix
 	)
-	e.forEachPrefix(prefixes, func(st *workerState, p netx.Prefix) {
-		was := en.unconv[p]
-		shift, reach, touched, changed, converged := en.reconverge(st, p, was, events, rc)
-		if !changed && converged {
-			return
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		materialized += touched
-		if changed {
-			delta.Recomputed++
-		}
-		if shift.Shifted > 0 {
-			b.addShift(shift)
-		}
-		if reach.Before != reach.After {
-			delta.ReachDeltas = append(delta.ReachDeltas, reach)
-		}
-		// A prefix that exhausted its budget joins the set; one that was
-		// in it and re-converged now (it changed, or we returned above)
-		// leaves.
-		if was == converged {
-			flipped = append(flipped, p)
-		}
+	shifts, reaches := len(delta.Shifts), len(delta.ReachDeltas)
+	b.shiftAt, b.reachAt = b.shiftAt[:0], b.reachAt[:0]
+	e.forEachIndex(len(prefixes), func() (func(int), func()) {
+		st := e.getState()
+		return func(i int) {
+			p := prefixes[i]
+			was := en.unconv[p]
+			shift, reach, touched, changed, converged := en.reconverge(st, p, was, events, rc)
+			if !changed && converged {
+				return
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			materialized += touched
+			if changed {
+				delta.Recomputed++
+			}
+			if shift.Shifted > 0 {
+				b.addShift(shift)
+				b.shiftAt = append(b.shiftAt, int32(i))
+			}
+			if reach.Before != reach.After {
+				delta.ReachDeltas = append(delta.ReachDeltas, reach)
+				b.reachAt = append(b.reachAt, int32(i))
+			}
+			// A prefix that exhausted its budget joins the set; one that was
+			// in it and re-converged now (it changed, or we returned above)
+			// leaves.
+			if was == converged {
+				flipped = append(flipped, p)
+			}
+		}, func() { e.putState(st) }
 	})
+	// Workers append in the order they finish, and Apply's sort is not
+	// stable: where it puts a tie — a hijacked prefix's two shifts —
+	// depends on the order it is handed. Hand it the order one worker
+	// appends in, whatever the worker count.
+	inVisitOrder(delta.Shifts[shifts:], b.shiftAt)
+	inVisitOrder(delta.ReachDeltas[reaches:], b.reachAt)
 	for _, p := range flipped {
 		was := en.unconv[p]
 		e.journal.prefixDone(journalPrefix{op: prefixMark, prefix: p, unconv: was})
@@ -1245,19 +1270,37 @@ func (en *Engine) runIncremental(events []Event, rc *recon, skip map[netx.Prefix
 	return len(prefixes), materialized
 }
 
+// inVisitOrder sorts recs, appended by concurrent workers, by at: the
+// position in the visit list each was made for, kept in step. They arrive
+// nearly in order, which insertion sort takes in about one pass.
+func inVisitOrder[T any](recs []T, at []int32) {
+	for i := 1; i < len(recs); i++ {
+		for j := i; j > 0 && at[j] < at[j-1]; j-- {
+			recs[j], recs[j-1] = recs[j-1], recs[j]
+			at[j], at[j-1] = at[j-1], at[j]
+		}
+	}
+}
+
 // namedPrefixes returns the pre-existing prefixes the events of a mixed
 // batch name, minus skip (the ones the batch announced, already converged
-// from scratch). A link event or a neighbor-wide local_pref changes a
-// session every prefix may cross, so it names them all — a link failure
-// too: linkFailDisturbSet withdraws non-best candidates in place, which
-// is only sound when nothing else in the batch re-evaluates the session.
+// from scratch). A link event changes a session every prefix may cross,
+// so it names them all — a link failure too: linkFailDisturbSet withdraws
+// non-best candidates in place, which is only sound when nothing else in
+// the batch re-evaluates the session. A neighbor-wide local_pref re-prices
+// one session, and names the prefixes whose pre-event route may cross it:
+// candOld's export gate, asked of the forest row, rules the others out
+// (and no other event of a batch without link events can make the session
+// carry them). Unconverged prefixes, whose rows say nothing, stay in.
 // sa_toggle, no_upstream and a per-prefix local_pref re-evaluate sessions
 // for their one prefix only. withdraw and announce name nothing: Apply
 // already dropped or converged their prefix, and no other prefix's
-// routes depend on it. The list is appended to out.
+// routes depend on it. The list is appended to out, in index order when
+// a local_pref is neighbor-wide, sorted otherwise.
 func (en *Engine) namedPrefixes(events []Event, skip map[netx.Prefix]bool, out []netx.Prefix) []netx.Prefix {
 	e := en.e
 	named := make(map[netx.Prefix]bool)
+	var wide [][2]int32 // (neighbor, AS) of each neighbor-wide local_pref
 	for _, ev := range events {
 		switch ev.Kind {
 		case EventWithdraw, EventAnnounce:
@@ -1266,9 +1309,9 @@ func (en *Engine) namedPrefixes(events []Event, skip map[netx.Prefix]bool, out [
 		case EventLocalPref:
 			if ev.PerPrefix {
 				named[ev.Prefix] = true
-				continue
+			} else {
+				wide = append(wide, [2]int32{int32(e.idx[ev.Neighbor]), int32(e.idx[ev.AS])})
 			}
-			fallthrough
 		default:
 			for _, p := range e.prefixes {
 				if !skip[p] {
@@ -1277,6 +1320,14 @@ func (en *Engine) namedPrefixes(events []Event, skip map[netx.Prefix]bool, out [
 			}
 			return out
 		}
+	}
+	if len(wide) > 0 {
+		for pi, p := range e.prefixes {
+			if !skip[p] && (named[p] || en.unconv[p] || e.mayCarry(pi, wide)) {
+				out = append(out, p)
+			}
+		}
+		return out
 	}
 	for p := range named {
 		// A named prefix may have been withdrawn later in the batch, or
@@ -1288,6 +1339,35 @@ func (en *Engine) namedPrefixes(events []Event, skip map[netx.Prefix]bool, out [
 	}
 	netx.SortPrefixes(out)
 	return out
+}
+
+// mayCarry reports whether converged prefix pi's pre-event route may
+// cross one of the sessions, each a (u, v) pair announcing from u to v:
+// whether candOld's export gate, asked of the forest row, lets u's route
+// through. (A v whose best comes over the session passes it: the forest
+// was built under the same rules.) In a converged row the origin alone
+// holds its own index. Only a batch without link events asks, so the
+// current adjacency is the pre-event one.
+func (e *engine) mayCarry(pi int, sessions [][2]int32) bool {
+	row := e.track[pi]
+	if row == nil {
+		return true
+	}
+	for _, s := range sessions {
+		u, v := s[0], s[1]
+		relVtoU, _ := e.sessionTo(u, v)
+		f := row[u]
+		switch {
+		case relVtoU == asgraph.RelNone || f == trackNone || row[v] == v:
+		case f == u:
+			return true
+		default:
+			if ingress, _ := e.sessionTo(u, f); valleyFree(relVtoU, ingress) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func allLinkFailures(events []Event) bool {
@@ -1429,20 +1509,20 @@ func (en *Engine) reconverge(st *workerState, prefix netx.Prefix, unconverged bo
 		// link that is down and the current adjacency classifies it.
 		var ingress asgraph.Relationship
 		if best != nil && !best.IsLocal() {
-			ingress = e.curRel(u, st.bestFrom[u])
+			ingress, _ = e.sessionTo(u, st.bestFrom[u])
 		}
 		for j, v := range e.nbrs[u] {
-			relVtoU := e.rels[u][j]
+			relVtoU, vslot := e.sess[u][j].rel, e.back[u][j]
 			var rNew *bgp.Route
 			if vASN := e.asns[v]; best != nil && !best.Path.Contains(vASN) && v != pr.originIdx &&
 				exportAllowed(uASN, vASN, relVtoU, ingress, best, prefix, e.pols[u]) {
-				rNew = e.buildAnnouncement(uASN, vASN, relVtoU, best, prefix, e.pols[u], e.pols[v], st)
+				rNew = e.buildAnnouncement(u, v, vslot, relVtoU, best, prefix, e.pols[u], e.pols[v], st)
 			}
 			var rOld *bgp.Route
 			if st.seen[v] == st.version {
-				rOld = st.cs.at(v, e.back[u][j])
+				rOld = st.cs.at(v, vslot)
 			} else {
-				rOld = pr.candOld(v, u, relVtoU)
+				rOld = pr.candOld(v, u, relVtoU, vslot)
 			}
 			if !routesEquivalent(rOld, rNew) {
 				pr.update(st, v, u, rNew)

@@ -170,7 +170,31 @@ func (t *Topology) EffectiveLocalPrefWith(p *Policy, asn, neighbor bgp.ASN, pref
 			return av
 		}
 	}
-	if v, ok := p.Import.NeighborPref[neighbor]; ok {
+	return p.Import.neighborPref(neighbor)
+}
+
+// NeighborLocalPref is EffectiveLocalPrefWith for a neighbor whose routes
+// all get one preference from p's generated import rules: that value, and
+// ok false when the rules price the neighbor's routes per prefix (a
+// per-prefix or atypical neighbor) and only EffectiveLocalPrefWith, asked
+// per prefix, can say. Scenario overrides are not consulted: where
+// p.Override is set, EffectiveLocalPrefWith decides.
+func (p *Policy) NeighborLocalPref(neighbor bgp.ASN) (uint32, bool) {
+	if p == nil {
+		return bgp.DefaultLocalPref, true
+	}
+	_, perPrefix := p.Import.PrefixPref[neighbor]
+	_, atypical := p.Import.AtypicalPref[neighbor]
+	if perPrefix || atypical {
+		return 0, false
+	}
+	return p.Import.neighborPref(neighbor), true
+}
+
+// neighborPref is the neighbor's base value, the protocol default for a
+// neighbor the generator gave none.
+func (ip *ImportPolicy) neighborPref(neighbor bgp.ASN) uint32 {
+	if v, ok := ip.NeighborPref[neighbor]; ok {
 		return v
 	}
 	return bgp.DefaultLocalPref

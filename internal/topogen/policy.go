@@ -117,10 +117,7 @@ func (ip *ImportPolicy) LocalPref(neighbor bgp.ASN, prefix netx.Prefix) uint32 {
 			return v
 		}
 	}
-	if v, ok := ip.NeighborPref[neighbor]; ok {
-		return v
-	}
-	return bgp.DefaultLocalPref
+	return ip.neighborPref(neighbor)
 }
 
 // transitKey identifies an (exported prefix, provider) pair for
