@@ -1,13 +1,12 @@
 package policyscope
 
 import (
-	"bytes"
-	"encoding/json"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"github.com/policyscope/policyscope/experiment"
+	"github.com/policyscope/policyscope/internal/jsonw"
 	"github.com/policyscope/policyscope/obs"
 )
 
@@ -43,29 +42,35 @@ type body struct {
 // {"name", "result"} envelope, two-space indented, newline-terminated.
 // The bytes are shared — callers must not modify them.
 func (a *Answer) JSON() ([]byte, error) {
-	return a.render(&a.json, func(buf *bytes.Buffer) error {
-		enc := json.NewEncoder(buf)
-		enc.SetIndent("", "  ")
-		return enc.Encode(struct {
+	return a.render(&a.json, func(keep func([]byte)) error {
+		return jsonw.Encode(struct {
 			Name   string            `json:"name"`
 			Result experiment.Result `json:"result"`
-		}{a.name, a.Result})
+		}{a.name, a.Result}, keep)
 	})
 }
 
 // Text returns the rendered report (Result.Render). The bytes are
 // shared — callers must not modify them.
 func (a *Answer) Text() ([]byte, error) {
-	return a.render(&a.text, func(buf *bytes.Buffer) error { return a.Result.Render(buf) })
+	return a.render(&a.text, func(keep func([]byte)) error {
+		return jsonw.Render(a.Result.Render, keep)
+	})
 }
 
-func (a *Answer) render(b *body, write func(*bytes.Buffer) error) ([]byte, error) {
+// render renders a body once into a pooled buffer and keeps an
+// exact-size copy, so the bytes charged to the session are the bytes
+// retained: make and copy, not bytes.Clone, whose append rounds the
+// capacity up to a size class.
+func (a *Answer) render(b *body, write func(keep func([]byte)) error) ([]byte, error) {
 	b.once.Do(func() {
-		var buf bytes.Buffer
-		if b.err = write(&buf); b.err != nil {
+		b.err = write(func(out []byte) {
+			b.b = make([]byte, len(out))
+			copy(b.b, out)
+		})
+		if b.err != nil {
 			return
 		}
-		b.b = buf.Bytes()
 		a.mu.Lock()
 		if a.held != nil {
 			a.charged += int64(len(b.b))

@@ -350,3 +350,34 @@ func TestMemoEvictedHook(t *testing.T) {
 		t.Fatalf("evicted %v, want [1 2]", evicted)
 	}
 }
+
+// TestAnswerBodiesExactSize: an answer keeps exact-size copies of its
+// bodies — no grown buffer's spare capacity rides along — so the
+// session's share of policyscope_session_result_memo_bytes is the bytes
+// the memo retains.
+func TestAnswerBodiesExactSize(t *testing.T) {
+	total := obs.NewRegistry().NewGauge("held", "")
+	se := smallSession(t)
+	se.held.total = total
+	for _, name := range []string{"table1", "table2", "table7", "table8", "figure2a"} {
+		a, err := se.AnswerJSON(context.Background(), name, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		js, text := bodies(t, a)
+		for form, b := range map[string][]byte{"JSON": js, "text": text} {
+			if len(b) == 0 || cap(b) != len(b) {
+				t.Fatalf("%s %s body: len %d, cap %d", name, form, len(b), cap(b))
+			}
+		}
+		again, err := a.JSON()
+		if err != nil || &again[0] != &js[0] {
+			t.Fatalf("%s: a second JSON() was not the kept body (%v)", name, err)
+		}
+	}
+	held := heldInMemo(se)
+	if got := total.Value(); got != held || se.held.n.Load() != held {
+		t.Fatalf("gauge reads %d, session account %d, the memo's answers hold %d bytes",
+			got, se.held.n.Load(), held)
+	}
+}

@@ -119,19 +119,29 @@ func appendAddr(dst []byte, a uint32) []byte {
 	return dst
 }
 
+// maxPrefixLen is the longest rendering, "255.255.255.255/32".
+const maxPrefixLen = 18
+
 // String renders p as "a.b.c.d/len".
 func (p Prefix) String() string {
-	var b [18]byte
-	out := appendAddr(b[:0], p.Addr&Mask(p.Len))
-	out = append(out, '/')
-	out = strconv.AppendUint(out, uint64(p.Len), 10)
+	var b [maxPrefixLen]byte
+	out, _ := p.AppendText(b[:0])
 	return string(out)
 }
 
+// AppendText implements encoding.TextAppender: it appends "a.b.c.d/len"
+// to b, allocating only when b lacks the room.
+func (p Prefix) AppendText(b []byte) ([]byte, error) {
+	b = appendAddr(b, p.Addr&Mask(p.Len))
+	b = append(b, '/')
+	return strconv.AppendUint(b, uint64(p.Len), 10), nil
+}
+
 // MarshalText implements encoding.TextMarshaler, so prefixes serialize
-// as "a.b.c.d/len" in JSON values and map keys alike.
+// as "a.b.c.d/len" in JSON values and map keys alike. It makes one
+// allocation, the returned slice.
 func (p Prefix) MarshalText() ([]byte, error) {
-	return []byte(p.String()), nil
+	return p.AppendText(make([]byte, 0, maxPrefixLen))
 }
 
 // UnmarshalText implements encoding.TextUnmarshaler.

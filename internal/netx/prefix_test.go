@@ -1,6 +1,7 @@
 package netx
 
 import (
+	"encoding"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -276,5 +277,65 @@ func TestIsValid(t *testing.T) {
 	}
 	if (Prefix{Len: 40}).IsValid() {
 		t.Fatal("length > 32 reported valid")
+	}
+}
+
+// textSink makes MarshalText's result escape, as it does in a JSON encoder.
+var textSink []byte
+
+var (
+	_ interface {
+		AppendText([]byte) ([]byte, error)
+	} = Prefix{}
+	_ encoding.TextMarshaler = Prefix{}
+)
+
+// TestPrefixTextRoundTrip: MarshalText, AppendText and String agree and
+// ParsePrefix reads them back, for every length over sampled addresses;
+// MarshalText allocates its result only, and AppendText into a buffer
+// with room allocates nothing.
+func TestPrefixTextRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	addrs := []uint32{0, ^uint32(0), 0x0a000000, 0xc0a80401}
+	for i := 0; i < 64; i++ {
+		addrs = append(addrs, rng.Uint32())
+	}
+	buf := make([]byte, 0, 64)
+	for l := uint8(0); l <= 32; l++ {
+		for _, a := range addrs {
+			p := Prefix{Addr: a, Len: l}.Canonical()
+			text, err := p.MarshalText()
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := p.String()
+			if string(text) != s {
+				t.Fatalf("%v: MarshalText %q, String %q", p, text, s)
+			}
+			buf, _ = p.AppendText(append(buf[:0], "x="...))
+			if string(buf) != "x="+s {
+				t.Fatalf("%v: AppendText wrote %q after its prefix", p, buf)
+			}
+			back, err := ParsePrefix(s)
+			if err != nil || back != p {
+				t.Fatalf("ParsePrefix(%q) = %v, %v; want %v", s, back, err, p)
+			}
+			var un Prefix
+			if err := un.UnmarshalText(text); err != nil || un != p {
+				t.Fatalf("UnmarshalText(%q) = %v, %v; want %v", text, un, err, p)
+			}
+		}
+	}
+	// Host bits beyond the mask are not rendered.
+	if got := (Prefix{Addr: 0x0a0000ff, Len: 24}).String(); got != "10.0.0.0/24" {
+		t.Fatalf("non-canonical prefix renders %q", got)
+	}
+
+	p := MustParsePrefix("255.255.255.255/32")
+	if n := testing.AllocsPerRun(100, func() { textSink, _ = p.MarshalText() }); n != 1 {
+		t.Fatalf("MarshalText makes %v allocations, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { buf, _ = p.AppendText(buf[:0]) }); n != 0 {
+		t.Fatalf("AppendText into a buffer with room makes %v allocations, want 0", n)
 	}
 }

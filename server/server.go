@@ -53,6 +53,7 @@ import (
 	"github.com/policyscope/policyscope/dataset"
 	"github.com/policyscope/policyscope/experiment"
 	"github.com/policyscope/policyscope/infer"
+	"github.com/policyscope/policyscope/internal/jsonw"
 	"github.com/policyscope/policyscope/internal/simulate"
 	"github.com/policyscope/policyscope/internal/sweep"
 	"github.com/policyscope/policyscope/obs"
@@ -562,12 +563,19 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		UptimeSeconds: time.Since(s.start).Seconds(), Pool: s.pool.Stats()})
 }
 
+// writeJSON answers status with v, two-space indented. The body is
+// encoded before the header goes out, into buffers that outlive the
+// request (internal/jsonw), and written in one Write; a value that does
+// not encode is answered 500 with the usual error body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	err := jsonw.Encode(v, func(body []byte) {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(status)
+		_, _ = w.Write(body)
+	})
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, fmt.Errorf("encoding response: %w", err))
+	}
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {
