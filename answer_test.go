@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -141,6 +142,46 @@ func TestResultMemoCanonicalParams(t *testing.T) {
 	if _, miss := resultMemoCounts(se); miss-miss0 != 2 || len(se.results.entries) != 2 {
 		t.Fatalf("providers=2 shared the providers=3 entry (%d misses, %d entries)",
 			miss-miss0, len(se.results.entries))
+	}
+}
+
+// TestRunTypedNilParamsAreDefaults: a nil pointer of an experiment's
+// parameter type asks what an untyped nil asks — the defaults, under the
+// same memo key — for every catalog entry, NoParams ones included. The
+// dataset is smaller than smallSession's: inferensemble's defaults
+// converge five sampled topologies.
+func TestRunTypedNilParamsAreDefaults(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.NumASes = 120
+	cfg.CollectorPeers = 8
+	cfg.LookingGlassASes = 4
+	se := NewSession(cfg)
+	ctx := context.Background()
+	for _, e := range catalog.All() {
+		typedNil := any((*NoParams)(nil))
+		if e.NewParams != nil {
+			typedNil = reflect.Zero(reflect.TypeOf(e.NewParams())).Interface()
+		}
+		// The typed nil asks first, so a shared memo entry cannot hide
+		// how it would be computed.
+		got, err := se.answer(ctx, e.Name, typedNil)
+		if err != nil {
+			t.Fatalf("%s, %T(nil): %v", e.Name, typedNil, err)
+		}
+		want, err := se.answer(ctx, e.Name, nil)
+		if err != nil {
+			t.Fatalf("%s, nil params: %v", e.Name, err)
+		}
+		if !e.NoMemo {
+			if got != want {
+				t.Errorf("%s: %T(nil) is memoized apart from the defaults", e.Name, typedNil)
+			}
+			continue
+		}
+		wantJS, _ := bodies(t, want)
+		if gotJS, _ := bodies(t, got); !bytes.Equal(gotJS, wantJS) {
+			t.Errorf("%s: %T(nil) answers differently from the defaults", e.Name, typedNil)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math/rand"
 	"sort"
 
 	"github.com/policyscope/policyscope/experiment"
@@ -13,7 +14,6 @@ import (
 	"github.com/policyscope/policyscope/internal/irr"
 	"github.com/policyscope/policyscope/internal/netx"
 	"github.com/policyscope/policyscope/internal/reports"
-	"github.com/policyscope/policyscope/internal/routeviews"
 	"github.com/policyscope/policyscope/internal/simulate"
 	"github.com/policyscope/policyscope/internal/topogen"
 )
@@ -873,37 +873,73 @@ func (k persistKey) xlabel() string {
 	return "day"
 }
 
-// persistenceSeries collects an epoch series and analyzes SA persistence
-// at the largest Tier-1. The churn runs on a private topology clone, so
-// the study stays on the base configuration and concurrent queries never
-// observe mid-experiment policies.
+// persistenceSeries replays an epoch series of export-policy churn and
+// analyzes SA persistence at the largest Tier-1. The series runs on a
+// what-if engine — a copy-on-write clone of the study's base engine —
+// with each epoch's churn one Apply, so the study stays on the base
+// configuration and concurrent queries never observe mid-series policies.
+// Each epoch's view is taken right after its Apply: the engine writes its
+// tables in place on the next one.
 func persistenceSeries(s *Study, k persistKey) (core.PersistenceResult, error) {
 	t1 := s.TierOneVantages(1)
 	if len(t1) == 0 {
 		return core.PersistenceResult{}, fmt.Errorf("policyscope: no tier-1 vantage")
 	}
-	series, err := routeviews.CollectSeries(s.Topo.Clone(), routeviews.SeriesOptions{
-		Epochs:        k.epochs,
-		ChurnFraction: k.churn,
-		Seed:          s.Config.Seed + 7,
-		EpochSeconds:  k.epochSeconds,
-		Simulate: simulate.Options{
-			VantagePoints: s.Peers,
-			Parallelism:   s.Config.Parallelism,
-		},
-		Peers: s.Peers,
-	})
+	en, err := s.WhatIfEngine()
 	if err != nil {
 		return core.PersistenceResult{}, err
 	}
-	a := &core.ExportAnalyzer{Graph: s.Graph}
 	views := make([]core.BestView, 0, k.epochs)
 	times := make([]uint32, 0, k.epochs)
-	for _, snap := range series.Snapshots {
-		views = append(views, core.ViewFromPeerTable(snap.Table, t1[0]))
-		times = append(times, snap.Timestamp)
+	for epoch := 0; epoch < k.epochs; epoch++ {
+		if epoch > 0 {
+			rng := rand.New(rand.NewSource(s.Config.Seed + 7 + int64(epoch)))
+			if _, err := en.Apply(simulate.Scenario{Events: churnEvents(s.Topo, rng, k.churn)}); err != nil {
+				return core.PersistenceResult{}, err
+			}
+		}
+		views = append(views, core.ViewFromRIB(en.Result().Tables[t1[0]]))
+		times = append(times, uint32(epoch)*k.epochSeconds)
 	}
-	return core.AnalyzePersistence(a, views, times), nil
+	return core.AnalyzePersistence(&core.ExportAnalyzer{Graph: s.Graph}, views, times), nil
+}
+
+// churnEvents draws one epoch of export-policy churn: network operators
+// "change prefix exporting pattern at different time", so roughly
+// fraction of the multihomed origins re-roll one prefix's announcement —
+// to every provider, to a random proper subset of them, or to every
+// provider with the no-upstream community scoped to one. Each re-roll
+// restates the prefix's whole origin export policy: one sa_toggle per
+// provider, then a no_upstream (provider 0 clears it). rng drives which
+// origins churn and how; pass a per-epoch-seeded one for a reproducible
+// series.
+func churnEvents(topo *topogen.Topology, rng *rand.Rand, fraction float64) []simulate.Event {
+	var events []simulate.Event
+	for _, asn := range topo.Order {
+		providers := topo.Graph.Providers(asn)
+		prefixes := topo.ASes[asn].Prefixes
+		if len(providers) < 2 || len(prefixes) == 0 || rng.Float64() >= fraction {
+			continue
+		}
+		prefix := prefixes[rng.Intn(len(prefixes))]
+		var withheld map[bgp.ASN]bool
+		var tag bgp.ASN
+		switch rng.Intn(3) {
+		case 1:
+			kept := 1 + rng.Intn(len(providers)-1)
+			withheld = make(map[bgp.ASN]bool, len(providers)-kept)
+			for _, idx := range rng.Perm(len(providers))[kept:] {
+				withheld[providers[idx]] = true
+			}
+		case 2:
+			tag = providers[rng.Intn(len(providers))]
+		}
+		for _, p := range providers {
+			events = append(events, simulate.ToggleProviderAnnouncement(prefix, p, !withheld[p]))
+		}
+		events = append(events, simulate.TagNoUpstream(prefix, tag))
+	}
+	return events
 }
 
 // PersistenceChartResult carries a persistence series rendered as

@@ -390,6 +390,12 @@ func runInferEnsemble(ctx context.Context, se *Session, s *Study, p InferEnsembl
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
+		// Each sample converges from scratch, unlike the persistence
+		// series' churn. Its flipped annotations leave hundreds of
+		// prefixes unconverged (151–421 per sample at the defaults on
+		// the default 600-AS dataset), and where the activation budget
+		// runs out depends on the path taken: the same flips applied to
+		// the base engine as link fail/restore events answer differently.
 		topo := s.Topo.Clone()
 		flipped, err := overlayRelationships(topo.Graph, g)
 		if err != nil {

@@ -305,57 +305,3 @@ func TestEndToEndPeerExport(t *testing.T) {
 		t.Fatal("no vantage with enough peers")
 	}
 }
-
-// TestEndToEndPersistence reproduces Figures 6–7 on a short series:
-// SA counts stay positive every epoch and the shifting share is a
-// minority, like the paper's "about one sixth".
-func TestEndToEndPersistence(t *testing.T) {
-	topo, err := topogen.Generate(topogen.DefaultConfig(250, 109))
-	if err != nil {
-		t.Fatal(err)
-	}
-	peers := routeviews.SelectPeers(topo, 8)
-	series, err := routeviews.CollectSeries(topo, routeviews.SeriesOptions{
-		Epochs:        6,
-		ChurnFraction: 0.04,
-		Seed:          11,
-		Simulate:      simulate.Options{VantagePoints: peers},
-		Peers:         peers,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	target := peers[0]
-	a := &ExportAnalyzer{Graph: topo.Graph}
-	var views []BestView
-	var times []uint32
-	for _, snap := range series.Snapshots {
-		views = append(views, ViewFromPeerTable(snap.Table, target))
-		times = append(times, snap.Timestamp)
-	}
-	res := AnalyzePersistence(a, views, times)
-	if len(res.Points) != 6 {
-		t.Fatalf("points: %d", len(res.Points))
-	}
-	for i, pt := range res.Points {
-		if pt.SAPrefixes == 0 {
-			t.Errorf("epoch %d: zero SA prefixes", i)
-		}
-		if pt.AllPrefixes < pt.ConePrefixes || pt.ConePrefixes < pt.SAPrefixes {
-			t.Fatalf("epoch %d: inconsistent counts %+v", i, pt)
-		}
-	}
-	if share := res.ShiftingShare(); share > 0.6 {
-		t.Errorf("shifting share %.2f: churn dominates, persistence signal lost", share)
-	}
-	hist := res.UptimeHistogram()
-	totalRemaining, totalShifting := 0, 0
-	for _, b := range hist {
-		totalRemaining += b.RemainingSA
-		totalShifting += b.Shifting
-	}
-	if totalRemaining == 0 {
-		t.Error("no prefix remained SA through its uptime")
-	}
-	_ = totalShifting
-}

@@ -9,7 +9,6 @@ package routeviews
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"sort"
 
 	"github.com/policyscope/policyscope/internal/bgp"
@@ -176,69 +175,4 @@ func ReadMRT(r io.Reader) (*Snapshot, error) {
 
 func peerIP(asn bgp.ASN) uint32 {
 	return 0xC6336400 | (uint32(asn) & 0xff) // 198.51.100.x, TEST-NET-2
-}
-
-// Series is a sequence of snapshots over policy-churn epochs — the
-// substrate of the paper's Figures 6 and 7.
-type Series struct {
-	// Snapshots, one per epoch, in time order.
-	Snapshots []*Snapshot
-}
-
-// SeriesOptions configures CollectSeries.
-type SeriesOptions struct {
-	// Epochs is the number of snapshots (31 for the March-2002 daily
-	// view, 12–24 for the hourly view).
-	Epochs int
-	// ChurnFraction is the per-epoch fraction of multihomed origins that
-	// re-roll an export policy.
-	ChurnFraction float64
-	// Seed drives the churn.
-	Seed int64
-	// EpochSeconds spaces snapshot timestamps.
-	EpochSeconds uint32
-	// BaseTimestamp is the first snapshot's timestamp.
-	BaseTimestamp uint32
-	// Simulate carries the propagation options; VantagePoints must
-	// include every collector peer.
-	Simulate simulate.Options
-	// Peers is the collector peer set.
-	Peers []bgp.ASN
-}
-
-// CollectSeries simulates the topology, then alternates policy churn and
-// incremental re-simulation, snapshotting the collector at every epoch.
-// The topology's policies are mutated in place; callers wanting to keep
-// the original should pass topo.Clone().
-func CollectSeries(topo *topogen.Topology, opts SeriesOptions) (*Series, error) {
-	if opts.Epochs <= 0 {
-		return nil, fmt.Errorf("routeviews: Epochs must be positive")
-	}
-	if opts.EpochSeconds == 0 {
-		opts.EpochSeconds = 86400
-	}
-	res, err := simulate.Run(topo, opts.Simulate)
-	if err != nil {
-		return nil, err
-	}
-	series := &Series{}
-	snap, err := Collect(res, opts.Peers, opts.BaseTimestamp)
-	if err != nil {
-		return nil, err
-	}
-	series.Snapshots = append(series.Snapshots, snap)
-	for epoch := 1; epoch < opts.Epochs; epoch++ {
-		rng := rand.New(rand.NewSource(opts.Seed + int64(epoch)))
-		touched := topo.MutateExportPolicies(rng, opts.ChurnFraction)
-		res, err = simulate.RunSubset(topo, opts.Simulate, res, touched)
-		if err != nil {
-			return nil, err
-		}
-		snap, err := Collect(res, opts.Peers, opts.BaseTimestamp+uint32(epoch)*opts.EpochSeconds)
-		if err != nil {
-			return nil, err
-		}
-		series.Snapshots = append(series.Snapshots, snap)
-	}
-	return series, nil
 }

@@ -154,97 +154,3 @@ func TestMRTRoundTrip(t *testing.T) {
 		}
 	}
 }
-
-func TestCollectSeries(t *testing.T) {
-	topo, err := topogen.Generate(topogen.DefaultConfig(120, 62))
-	if err != nil {
-		t.Fatal(err)
-	}
-	peers := SelectPeers(topo, 8)
-	series, err := CollectSeries(topo, SeriesOptions{
-		Epochs:        4,
-		ChurnFraction: 0.3,
-		Seed:          5,
-		EpochSeconds:  3600,
-		Simulate:      simulate.Options{VantagePoints: peers},
-		Peers:         peers,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(series.Snapshots) != 4 {
-		t.Fatalf("snapshots = %d", len(series.Snapshots))
-	}
-	for i := 1; i < 4; i++ {
-		if series.Snapshots[i].Timestamp != series.Snapshots[0].Timestamp+uint32(i)*3600 {
-			t.Fatalf("timestamps not spaced: %d", series.Snapshots[i].Timestamp)
-		}
-	}
-	// Churn must change at least one route across the series.
-	changed := false
-	first, last := series.Snapshots[0], series.Snapshots[3]
-	for _, prefix := range first.Prefixes() {
-		for _, peer := range first.Peers {
-			a, b := first.RouteFrom(peer, prefix), last.RouteFrom(peer, prefix)
-			if (a == nil) != (b == nil) {
-				changed = true
-			} else if a != nil && !a.Path.Equal(b.Path) {
-				changed = true
-			}
-		}
-	}
-	if !changed {
-		t.Fatal("no route changed across churn epochs")
-	}
-	if _, err := CollectSeries(topo, SeriesOptions{Epochs: 0}); err == nil {
-		t.Fatal("zero epochs must fail")
-	}
-}
-
-func TestSeriesEpochSubsetConsistency(t *testing.T) {
-	// A series epoch must equal a from-scratch run with the same mutated
-	// policies: catches stale-table bugs in the RunSubset adoption path.
-	topo, err := topogen.Generate(topogen.DefaultConfig(100, 63))
-	if err != nil {
-		t.Fatal(err)
-	}
-	peers := SelectPeers(topo, 6)
-	opts := SeriesOptions{
-		Epochs:        3,
-		ChurnFraction: 0.4,
-		Seed:          17,
-		Simulate:      simulate.Options{VantagePoints: peers},
-		Peers:         peers,
-	}
-	series, err := CollectSeries(topo, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// topo now carries the final epoch's policies; a fresh full run must
-	// match the last snapshot.
-	res, err := simulate.Run(topo, opts.Simulate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := Collect(res, peers, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	last := series.Snapshots[len(series.Snapshots)-1]
-	lastPrefixes := last.Prefixes()
-	freshPrefixes := fresh.Prefixes()
-	if len(lastPrefixes) != len(freshPrefixes) {
-		t.Fatalf("prefix counts: %d vs %d", len(lastPrefixes), len(freshPrefixes))
-	}
-	for _, prefix := range lastPrefixes {
-		for _, peer := range peers {
-			a, b := last.RouteFrom(peer, prefix), fresh.RouteFrom(peer, prefix)
-			if (a == nil) != (b == nil) {
-				t.Fatalf("presence diverges at %v/%v", peer, prefix)
-			}
-			if a != nil && !a.Path.Equal(b.Path) {
-				t.Fatalf("incremental epoch diverges at %v/%v: %v vs %v", peer, prefix, a.Path, b.Path)
-			}
-		}
-	}
-}

@@ -25,7 +25,7 @@
 //     propagation per propagation-equivalence class, then a cheap
 //     deviation re-convergence per member prefix.
 //
-// On top of the one-shot Run/RunSubset entry points, the package offers a
+// On top of the one-shot Run entry point, the package offers a
 // what-if scenario engine (see scenario.go): Engine holds a converged
 // state plus a per-prefix record of every AS's best next hop, and
 // Engine.Apply re-converges only the prefixes an event — link failure or
@@ -453,40 +453,6 @@ func Run(topo *topogen.Topology, opts Options) (*Result, error) {
 	e := newEngine(topo, opts)
 	unconverged := e.runPrefixes(e.prefixes)
 	return e.buildResult(unconverged), nil
-}
-
-// RunSubset recomputes only the given prefixes against existing vantage
-// tables (dropping their previous routes first). Used by the epoch loop
-// of the persistence experiments. The result shares table objects with
-// prior epochs' result.
-func RunSubset(topo *topogen.Topology, opts Options, prior *Result, prefixes []netx.Prefix) (*Result, error) {
-	e := newEngine(topo, opts)
-	// Adopt prior tables so untouched prefixes carry over.
-	for i, slot := range e.tables {
-		asn := e.asns[i]
-		if prev, ok := prior.Tables[asn]; ok {
-			slot.rib = prev
-			for _, p := range prefixes {
-				prev.DropPrefix(p)
-			}
-		}
-	}
-	// Carry over reach counts for untouched prefixes.
-	for p, c := range prior.ReachCount {
-		if i, ok := e.prefixIdx[p]; ok {
-			e.reachCounts[i] = int64(c)
-		}
-	}
-	for _, p := range prefixes {
-		if i, ok := e.prefixIdx[p]; ok {
-			e.reachCounts[i] = 0
-		}
-	}
-	unconverged := e.runPrefixes(prefixes)
-	res := e.buildResult(unconverged)
-	// Prefixes that no longer exist (churn removed none here, but be
-	// safe) keep prior counts via the carry-over above.
-	return res, nil
 }
 
 func (e *engine) buildResult(unconverged []netx.Prefix) *Result {

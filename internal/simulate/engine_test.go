@@ -357,62 +357,6 @@ func TestReachCountAndDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunSubsetMatchesFullRun: recomputing a subset after a policy change
-// must produce the same tables as a from-scratch run.
-func TestRunSubsetMatchesFullRun(t *testing.T) {
-	topo, err := topogen.Generate(topogen.DefaultConfig(120, 36))
-	if err != nil {
-		t.Fatal(err)
-	}
-	vantage := topo.Order[:6]
-	opts := Options{VantagePoints: vantage}
-	base, err := Run(topo, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Flip one multihomed origin's policy by hand.
-	var victim bgp.ASN
-	var victimPrefix netx.Prefix
-	for _, asn := range topo.Order {
-		prov := topo.Graph.Providers(asn)
-		if len(prov) >= 2 && len(topo.ASes[asn].Prefixes) > 0 {
-			victim = asn
-			victimPrefix = topo.ASes[asn].Prefixes[0]
-			topo.Policies[asn].Export.OriginProviders[victimPrefix] = map[bgp.ASN]bool{prov[0]: true}
-			break
-		}
-	}
-	if victim == 0 {
-		t.Fatal("no multihomed origin found")
-	}
-
-	sub, err := RunSubset(topo, opts, base, []netx.Prefix{victimPrefix})
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := Run(topo, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, asn := range vantage {
-		want, got := full.Tables[asn], sub.Tables[asn]
-		if want.Len() != got.Len() {
-			t.Fatalf("table size at %v: %d vs %d", asn, got.Len(), want.Len())
-		}
-		for _, prefix := range want.Prefixes() {
-			wb, gb := want.Best(prefix), got.Best(prefix)
-			if (wb == nil) != (gb == nil) || (wb != nil && !wb.Path.Equal(gb.Path)) {
-				t.Fatalf("subset run diverges at %v / %v", asn, prefix)
-			}
-		}
-	}
-	if sub.ReachCount[victimPrefix] != full.ReachCount[victimPrefix] {
-		t.Fatalf("reach count diverges: %d vs %d",
-			sub.ReachCount[victimPrefix], full.ReachCount[victimPrefix])
-	}
-}
-
 // TestIgnoreImportPolicyAblation: with import policy off, best routes
 // follow shortest AS path, so a longer customer route loses.
 func TestIgnoreImportPolicyAblation(t *testing.T) {

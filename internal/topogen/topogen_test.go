@@ -1,7 +1,6 @@
 package topogen
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -448,44 +447,6 @@ func TestCommunityTaggingRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMutateExportPolicies(t *testing.T) {
-	topo := genSmall(t, 300, 17)
-	rng := rand.New(rand.NewSource(99))
-	touched := topo.MutateExportPolicies(rng, 0.5)
-	if len(touched) == 0 {
-		t.Fatal("no prefixes churned at fraction 0.5")
-	}
-	// Mutated policies stay structurally valid.
-	for _, asn := range topo.Order {
-		pol := topo.Policies[asn]
-		providers := topo.Graph.Providers(asn)
-		pset := map[bgp.ASN]bool{}
-		for _, p := range providers {
-			pset[p] = true
-		}
-		for _, set := range pol.Export.OriginProviders {
-			if len(set) == 0 {
-				t.Fatalf("%v: empty selective set after mutation", asn)
-			}
-			for p := range set {
-				if !pset[p] {
-					t.Fatalf("%v: mutated set names non-provider", asn)
-				}
-			}
-		}
-	}
-	// Mutation is reproducible under identical seeds.
-	rng2 := rand.New(rand.NewSource(99))
-	topo2 := genSmall(t, 300, 17)
-	if rng2Touched := topo2.MutateExportPolicies(rng2, 0.5); len(rng2Touched) != len(touched) {
-		t.Fatal("mutation not reproducible under identical seeds")
-	}
-	// A negative fraction is the no-churn control.
-	if none := topo.MutateExportPolicies(rng, -1); len(none) != 0 {
-		t.Fatalf("negative fraction churned %d prefixes", len(none))
-	}
-}
-
 func TestRegionAndNameAssignment(t *testing.T) {
 	topo := genSmall(t, 200, 21)
 	regions := map[Region]int{}
@@ -501,16 +462,5 @@ func TestRegionAndNameAssignment(t *testing.T) {
 	}
 	if regions[RegionNA] < regions[RegionAU] {
 		t.Fatalf("NA should dominate AU: %v", regions)
-	}
-}
-
-func TestSortedPrefixesHelper(t *testing.T) {
-	m := map[netx.Prefix]bool{
-		netx.MustParsePrefix("30.0.0.0/8"): true,
-		netx.MustParsePrefix("10.0.0.0/8"): true,
-	}
-	got := sortedPrefixes(m)
-	if len(got) != 2 || got[0].String() != "10.0.0.0/8" {
-		t.Fatalf("sortedPrefixes = %v", got)
 	}
 }

@@ -1,6 +1,7 @@
 package policyscope
 
 import (
+	"errors"
 	"sync"
 
 	"github.com/policyscope/policyscope/obs"
@@ -11,7 +12,9 @@ import (
 // are never retained — a failed computation's entry is dropped, so the
 // next caller recomputes — and never inherited: a caller that waited on
 // another caller's failed computation (say, one whose context was
-// canceled) recomputes under its own.
+// canceled) recomputes under its own. A panicking computation counts as
+// failed: its panic goes on up its own caller's stack, and it leaves
+// nothing behind.
 type memo[K comparable, V any] struct {
 	hit, miss *obs.Counter
 	// max bounds the entry count, evicting first-in first-out; zero is
@@ -27,6 +30,9 @@ type memo[K comparable, V any] struct {
 	entries map[K]*memoEntry[V]
 	fifo    []K
 }
+
+// errComputePanicked marks an entry whose computation did not return.
+var errComputePanicked = errors.New("policyscope: memoized computation panicked")
 
 type memoEntry[V any] struct {
 	once sync.Once
@@ -79,6 +85,15 @@ func (m *memo[K, V]) get(k K, compute func() (V, error)) (V, error) {
 		ran := false
 		entry.once.Do(func() {
 			ran = true
+			// A panicking compute leaves errComputePanicked in place: the
+			// entry is dropped on the way out, and a caller waiting on this
+			// flight sees an error and retries under its own compute.
+			entry.err = errComputePanicked
+			defer func() {
+				if entry.err == errComputePanicked {
+					m.drop(k, entry)
+				}
+			}()
 			entry.val, entry.err = compute()
 			if entry.err != nil || m.evicted == nil {
 				return

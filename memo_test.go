@@ -3,6 +3,7 @@ package policyscope
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -67,6 +68,58 @@ func TestMemoFollowerDoesNotInheritError(t *testing.T) {
 	}()
 	close(release)
 	wg.Wait()
+}
+
+// TestMemoPanicLeavesNothingBehind: a computation that panics fails its
+// own caller with the panic and leaves no entry behind, so the next
+// caller — one that comes after, and one that was waiting on the
+// panicking flight — computes under its own closure.
+func TestMemoPanicLeavesNothingBehind(t *testing.T) {
+	seven := func() (int, error) { return 7, nil }
+	getPanics := func(m *memo[string, int], compute func() (int, error)) (panicked bool) {
+		defer func() { panicked = recover() != nil }()
+		m.get("k", compute)
+		return false
+	}
+	t.Run("sequential", func(t *testing.T) {
+		m := newMemo[string, int]("test", 0)
+		if !getPanics(m, func() (int, error) { panic("boom") }) {
+			t.Fatal("the computation's panic was swallowed")
+		}
+		if v, err := m.get("k", seven); err != nil || v != 7 {
+			t.Fatalf("next caller got %d, %v — the panicked entry was kept", v, err)
+		}
+	})
+	t.Run("waiting", func(t *testing.T) {
+		m := newMemo[string, int]("test", 0)
+		entered, release := make(chan struct{}), make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if !getPanics(m, func() (int, error) { close(entered); <-release; panic("boom") }) {
+				t.Error("the computation's panic was swallowed")
+			}
+		}()
+		<-entered
+		hits := m.hit.Value()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if v, err := m.get("k", seven); err != nil || v != 7 {
+				t.Errorf("waiting caller got %d, %v — it inherited the panicked flight", v, err)
+			}
+		}()
+		// Let the follower join the flight before the leader panics.
+		for m.hit.Value() == hits {
+			runtime.Gosched()
+		}
+		close(release)
+		wg.Wait()
+		if v, err := m.get("k", func() (int, error) { return 0, errors.New("recomputed") }); err != nil || v != 7 {
+			t.Fatalf("after the retry: %d, %v; want the waiting caller's 7 memoized", v, err)
+		}
+	})
 }
 
 // TestSessionInferCanceledContextNotRetained: a first caller whose

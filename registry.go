@@ -79,7 +79,9 @@ func register[P any](d def[P]) {
 				return nil, &experiment.ParamError{Name: d.name,
 					Err: fmt.Errorf("want *%T, got %T", p, params)}
 			}
-			p = *tp
+			if tp != nil {
+				p = *tp
+			}
 		}
 		s, err := se.Study()
 		if err != nil {

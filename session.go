@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"maps"
+	"reflect"
 	"runtime"
 	"slices"
 	"sync"
@@ -49,7 +50,8 @@ type Session struct {
 	lgErr  error
 
 	// persist memoizes persistence series per normalized parameter set
-	// (epochs × incremental re-simulation; figure6/figure7 share one).
+	// (one churn Apply per epoch on a what-if engine; figure6/figure7
+	// share one).
 	persist *memo[persistKey, core.PersistenceResult]
 
 	// inferRuns memoizes relationship-inference outputs per
@@ -383,7 +385,7 @@ func (se *Session) answer(ctx context.Context, name string, params any) (*Answer
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if params == nil && e.NewParams != nil {
+	if e.NewParams != nil && nilParams(params) {
 		params = e.NewParams()
 	}
 	key, memoize := canonKey{name: name}, !e.NoMemo
@@ -433,6 +435,17 @@ func (se *Session) answer(ctx context.Context, name string, params any) (*Answer
 		return nil, err
 	}
 	return a, nil
+}
+
+// nilParams reports whether params asks for the defaults: an untyped nil,
+// or a nil pointer of the experiment's parameter type — one question, so
+// one memo key.
+func nilParams(params any) bool {
+	if params == nil {
+		return true
+	}
+	v := reflect.ValueOf(params)
+	return v.Kind() == reflect.Pointer && v.IsNil()
 }
 
 // AnswerJSON is RunJSON returning the answer with its wire bodies — what
