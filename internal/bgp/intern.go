@@ -2,34 +2,30 @@ package bgp
 
 import "sync"
 
-// Intern is an engine-level table of canonical Communities sets and AS
-// paths, shared by the convergence engine's workers, the study-cache
-// decoder, and the cache encoder. Interning collapses the many
-// structurally-identical attribute values a converged Internet produces
-// (every customer of AS x carries the same relationship tag set) to one
-// allocation, and — because the same table is threaded from decode
-// through simulation — a cache hit materializes state the engine's
-// equality fast paths (pointer/len comparisons) already recognize.
+// Intern is an engine-level table of canonical Communities sets, shared
+// by the convergence engine's workers, the study-cache decoder, and the
+// cache encoder. Interning collapses the many structurally-identical
+// attribute values a converged Internet produces (every customer of AS x
+// carries the same relationship tag set) to one allocation, and — because
+// the same table is threaded from decode through simulation — a cache hit
+// materializes state the engine's equality fast paths (pointer/len
+// comparisons) already recognize.
 //
 // Ownership rule: a value handed to an Intern (or returned by one) is
 // immutable from that point on. Callers must never append to or modify
-// an interned Communities or Path in place; derive a new value (e.g.
-// Communities.Add, Path.Prepend) and intern that instead.
+// an interned Communities in place; derive a new value (e.g.
+// Communities.Add) and intern that instead.
 //
 // All methods are safe for concurrent use and safe on a nil receiver
 // (nil = no interning: lookups miss, stores return the input).
 type Intern struct {
 	mu    sync.RWMutex
 	comms map[string]Communities
-	paths map[string]Path
 }
 
 // NewIntern returns an empty intern table.
 func NewIntern() *Intern {
-	return &Intern{
-		comms: make(map[string]Communities),
-		paths: make(map[string]Path),
-	}
+	return &Intern{comms: make(map[string]Communities)}
 }
 
 // AppendCommunitiesKey appends the canonical byte key of cs to dst and
@@ -80,42 +76,4 @@ func (in *Intern) InternCommunities(key []byte, cs Communities) Communities {
 	in.comms[string(key)] = cs
 	in.mu.Unlock()
 	return cs
-}
-
-// LookupPath returns the canonical path for key, if present.
-func (in *Intern) LookupPath(key []byte) (Path, bool) {
-	if in == nil {
-		return nil, false
-	}
-	in.mu.RLock()
-	p, ok := in.paths[string(key)]
-	in.mu.RUnlock()
-	return p, ok
-}
-
-// InternPath stores p as the canonical path for key unless one exists,
-// and returns the canonical value. p must match key.
-func (in *Intern) InternPath(key []byte, p Path) Path {
-	if in == nil {
-		return p
-	}
-	in.mu.Lock()
-	if prev, ok := in.paths[string(key)]; ok {
-		in.mu.Unlock()
-		return prev
-	}
-	in.paths[string(key)] = p
-	in.mu.Unlock()
-	return p
-}
-
-// Stats reports the table sizes (diagnostics).
-func (in *Intern) Stats() (comms, paths int) {
-	if in == nil {
-		return 0, 0
-	}
-	in.mu.RLock()
-	comms, paths = len(in.comms), len(in.paths)
-	in.mu.RUnlock()
-	return comms, paths
 }

@@ -1,12 +1,12 @@
 package simulate
 
-import "sync"
+import "runtime"
 
 // Scratch lease. A base engine that answers many independent scenarios —
 // a session's what-ifs, a sweep's workers — does not clone itself per
 // scenario: it lends out scratch engines, clones of itself that outlive
 // the call. A scratch engine that is provably back at the base's state
-// after its scenario returns to the base's idle pool and serves the next
+// after its scenario returns to the base's idle list and serves the next
 // one with everything it has warmed: its own graph, its layered vantage
 // tables, the forest-row buffers its rollbacks recycled (rowFree), its
 // journal's slices and the arrays its scenarios' Deltas were built in.
@@ -14,8 +14,17 @@ import "sync"
 // when its observer fails or its rollback cannot be proven clean — and it
 // costs it the next holder, not this one.
 //
-// The idle engines sit in a sync.Pool, so the garbage collector is the
-// bound on how many a base keeps: there is no size to tune.
+// The base keeps its idle engines in a list it owns, at most ScratchLimit
+// of them, so its clone count depends on its leases alone: a lease clones
+// when it finds the list empty — the first one, one per holder beyond the
+// engines idle, the next after a discard or after the base moved — and
+// reuses otherwise.
+
+// ScratchLimit is how many idle scratch engines a base keeps: 2x
+// GOMAXPROCS, read when the base makes its list. It is also the cap
+// Session.Sweep puts on worker counts, so the engines of a clamped sweep
+// all fit in the list.
+func ScratchLimit() int { return 2 * runtime.GOMAXPROCS(0) }
 
 // Scratch runs sc on a scratch engine of en — an idle one standing at
 // en's state, or a new Clone — at the given parallelism (see
@@ -28,7 +37,7 @@ import "sync"
 //
 // Afterwards the engine is restored, and this is the one place that
 // decides how: Rollback undoes everything applied since the checkpoint,
-// and the engine goes back to the idle pool unless a prefix is left
+// and the engine goes back to the idle list unless a prefix is left
 // unconverged that is not on en. An error or panic from observe drops the
 // engine without asking what state it is in, and the next acquire clones;
 // restored reports which. A scenario that fails validation never touched
@@ -36,24 +45,28 @@ import "sync"
 //
 // Scratch never writes en, so any number of calls may run concurrently
 // on a quiescent engine (the Clone contract). An Apply or Rollback on en
-// itself empties its pool: the idle engines stand at a state en has left.
+// itself drops its list: the idle engines stand at a state en has left.
 func (en *Engine) Scratch(parallelism int, sc Scenario, observe func(*Delta, *Engine) error) (restored bool, err error) {
 	idle := en.idle()
-	s, _ := idle.Get().(*Engine)
-	if s == nil {
+	var s *Engine
+	select {
+	case s = <-idle:
+		mScratchReused.Inc()
+	default:
 		s = en.Clone()
 		mScratchCloned.Inc()
-	} else {
-		mScratchReused.Inc()
 	}
 	s.SetParallelism(parallelism)
 	// Deferred so that a panic in observe unwinds past an engine that is
 	// never put back.
 	defer func() {
-		if restored {
-			idle.Put(s)
-		} else {
+		if !restored {
 			mScratchDiscarded.Inc()
+			return
+		}
+		select {
+		case idle <- s:
+		default: // the list is full; s is dropped
 		}
 	}()
 	if s.leased == nil {
@@ -69,13 +82,15 @@ func (en *Engine) Scratch(parallelism int, sc Scenario, observe func(*Delta, *En
 	return restored, err
 }
 
-// idle returns en's pool of idle scratch engines. Holders put an engine
-// back into the pool they took it from, so one leased before en moved
-// (which drops the pool) can never be handed out after it.
-func (en *Engine) idle() *sync.Pool {
-	if p := en.scratch.Load(); p != nil {
-		return p
+// idle returns en's list of idle scratch engines, a channel of capacity
+// ScratchLimit. Holders give an engine back to the list they took it
+// from, so one leased before en moved (which drops the list) can never be
+// handed out after it.
+func (en *Engine) idle() chan *Engine {
+	if l := en.scratch.Load(); l != nil {
+		return *l
 	}
-	en.scratch.CompareAndSwap(nil, new(sync.Pool))
-	return en.scratch.Load()
+	l := make(chan *Engine, ScratchLimit())
+	en.scratch.CompareAndSwap(nil, &l)
+	return *en.scratch.Load()
 }

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"runtime/debug"
+	"sync"
 	"testing"
 	"unsafe"
 
@@ -14,7 +14,7 @@ import (
 
 // leaseChecker runs scenarios through base.Scratch and holds every lease
 // to a fresh clone: the Delta and the post-event engine are the ones
-// base.Clone() + Apply produce, an engine that went back to the pool
+// base.Clone() + Apply produce, an engine that went back to the idle list
 // cannot be told from a clone that never applied anything
 // (requireRolledBack), and one that did not is never seen again.
 type leaseChecker struct {
@@ -183,12 +183,9 @@ func TestScratchLeaseEqualsFreshClone(t *testing.T) {
 		if reused+cloned != uint64(leases) {
 			t.Errorf("seed %d: %d reused + %d cloned over %d leases", seed, reused, cloned, leases)
 		}
-		// A collection may empty the pool (and the race detector drops a
-		// share of the Puts), so only the floor is exact: every drop costs
-		// the next lease a clone. A clone per prefix or policy batch — what
-		// a journal that refused them cost — would be about half the leases;
-		// the race detector's pool alone costs a quarter.
-		if cloned < uint64(drops) || cloned*5 > uint64(leases)*2 {
+		// The leases run one at a time: the first clones, every drop costs
+		// the next lease a clone, and every other lease reuses.
+		if cloned != uint64(1+drops) {
 			t.Errorf("seed %d: %d reused, %d cloned over %d leases with %d drops", seed, reused, cloned, leases, drops)
 		}
 		if lc.restored == 0 {
@@ -215,8 +212,6 @@ func TestScratchLeaseEqualsFreshClone(t *testing.T) {
 // empty lists ran in between — and an empty list is nil, on the lease as
 // on a fresh clone's Apply.
 func TestLeaseReusesDeltaBuffers(t *testing.T) {
-	// A collection may empty the idle pool; none runs during the test.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	topo, opts := buildTestTopo(t, 120, 5)
 	base, err := NewEngine(topo, opts)
 	if err != nil {
@@ -267,24 +262,18 @@ func TestLeaseReusesDeltaBuffers(t *testing.T) {
 		}
 		return got
 	}
-	// The race detector's sync.Pool drops a share of the Puts on purpose:
-	// retry until one engine served the whole sequence.
-	for try := 0; try < 32; try++ {
-		warm, between, again, last := lease(full), lease(empty), lease(full), lease(full)
-		if between.engine != warm.engine || again.engine != warm.engine || last.engine != warm.engine {
-			continue
-		}
-		if again.shifts != warm.shifts || again.reach != warm.reach {
-			t.Errorf("the same link failure on the same engine moved its Delta: %+v, then %+v", warm, again)
-		}
-		// The fail+restore names every prefix, which may grow the disturb
-		// set's array past the warm-up's; from then on it stays.
-		if last != again || again.disturbed == nil {
-			t.Errorf("the same link failure on the same engine moved its disturb set: %+v, then %+v", again, last)
-		}
-		return
+	warm, between, again, last := lease(full), lease(empty), lease(full), lease(full)
+	if between.engine != warm.engine || again.engine != warm.engine || last.engine != warm.engine {
+		t.Fatal("four leases in a row did not share one engine")
 	}
-	t.Fatal("no engine served four leases in a row")
+	if again.shifts != warm.shifts || again.reach != warm.reach {
+		t.Errorf("the same link failure on the same engine moved its Delta: %+v, then %+v", warm, again)
+	}
+	// The fail+restore names every prefix, which may grow the disturb
+	// set's array past the warm-up's; from then on it stays.
+	if last != again || again.disturbed == nil {
+		t.Errorf("the same link failure on the same engine moved its disturb set: %+v, then %+v", again, last)
+	}
 }
 
 // BenchmarkScratchLinkFailure: one single-link failure per op on leased
@@ -340,7 +329,8 @@ func BenchmarkScratchLocalPrefFlip(b *testing.B) {
 // TestScratchPoolDroppedWhenBaseMoves: idle scratch engines stand at the
 // state the base had when it lent them out. A base that applies a
 // scenario of its own (a compounding Study.WhatIfEngine handed to
-// sweep.Run twice) or rolls one back must not lease them again.
+// sweep.Run twice) or rolls one back must not lease them again. The list
+// keeps at most ScratchLimit of them, however many were out at once.
 func TestScratchPoolDroppedWhenBaseMoves(t *testing.T) {
 	topo, opts := buildTestTopo(t, 120, 4)
 	root, err := NewEngine(topo, opts)
@@ -370,4 +360,41 @@ func TestScratchPoolDroppedWhenBaseMoves(t *testing.T) {
 		t.Fatal("rollback refused")
 	}
 	step("after the base rolled back")
+
+	// More holders at once than the list may keep: all but the one idle
+	// engine clone, and the list keeps ScratchLimit of them when they are
+	// given back.
+	holders := ScratchLimit() + 2
+	cloned0 := mScratchCloned.Value()
+	var inside, release, done sync.WaitGroup
+	inside.Add(holders)
+	release.Add(1)
+	for i := 0; i < holders; i++ {
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			if restored, err := base.Scratch(1, probe, func(*Delta, *Engine) error {
+				inside.Done()
+				release.Wait()
+				return nil
+			}); err != nil || !restored {
+				t.Errorf("concurrent holder: restored=%v err=%v", restored, err)
+			}
+		}()
+	}
+	inside.Wait()
+	release.Done()
+	done.Wait()
+	if got := mScratchCloned.Value() - cloned0; got != uint64(holders-1) {
+		t.Errorf("%d holders at once with one engine idle cloned %d, want %d", holders, got, holders-1)
+	}
+	if got := len(*base.scratch.Load()); got != ScratchLimit() {
+		t.Errorf("idle list holds %d engines after %d came back, want %d", got, holders, ScratchLimit())
+	}
+	if _, err := base.Apply(Scenario{Events: []Event{FailLink(edges[0].A, edges[0].B)}}); err != nil {
+		t.Fatal(err)
+	}
+	if l := base.scratch.Load(); l != nil {
+		t.Errorf("base applied with %d engines still idle", len(*l))
+	}
 }

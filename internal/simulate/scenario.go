@@ -320,10 +320,10 @@ type Engine struct {
 	// engine's clone family and must be copied before an edit; see
 	// unshare in clone.go.
 	shared topoShare
-	// scratch is the pool of idle scratch engines this engine has lent
+	// scratch is the list of idle scratch engines this engine has lent
 	// out and taken back (lease.go); nil until the first lease and again
 	// after every Apply or Rollback, which leave the state they stand at.
-	scratch atomic.Pointer[sync.Pool]
+	scratch atomic.Pointer[chan *Engine]
 	// leased is where Scratch builds the Deltas of the scenarios leased on
 	// this engine; nil until its first one.
 	leased *deltaBuf

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"maps"
 	"reflect"
-	"runtime"
 	"slices"
 	"sync"
 	"time"
@@ -260,17 +259,19 @@ func (se *Session) SweepScenariosCached(ctx context.Context, spec sweep.Spec) ([
 // ctx cancels the sweep between scenarios. The base state is never
 // mutated, so concurrent sweeps and what-ifs are independent.
 //
-// Worker counts are clamped to 2x GOMAXPROCS: the session is the
-// serving facade, so opts.Workers is wire-derived (POST /sweep,
-// /run/sweep, repro -p workers=...) and sweep work is CPU-bound —
-// beyond the core count extra shards only cost scratch-engine memory.
-// Callers that really want more shards use sweep.Run directly.
+// Worker counts are clamped to simulate.ScratchLimit (2x GOMAXPROCS):
+// the session is the serving facade, so opts.Workers is wire-derived
+// (POST /sweep, /run/sweep, repro -p workers=...) and sweep work is
+// CPU-bound — beyond the core count extra shards only cost scratch-engine
+// memory. A worker holds one scratch engine at a time, so the base's idle
+// list keeps every engine a clamped sweep cloned for the next sweep or
+// what-if. Callers that really want more shards use sweep.Run directly.
 func (se *Session) Sweep(ctx context.Context, scenarios []simulate.Scenario, opts sweep.Options) (*sweep.Aggregate, error) {
 	base, err := se.baseEngine()
 	if err != nil {
 		return nil, err
 	}
-	if limit := 2 * runtime.GOMAXPROCS(0); opts.Workers > limit {
+	if limit := simulate.ScratchLimit(); opts.Workers > limit {
 		opts.Workers = limit
 	}
 	return sweep.Run(ctx, base, scenarios, opts)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -126,9 +125,6 @@ func TestWhatIfLeaseEqualsFreshClone(t *testing.T) {
 // engine, every report is kept, and only at the end are they marshaled:
 // each must be the bytes the same scenario reports on a fresh clone.
 func TestWhatIfReportOutlivesLease(t *testing.T) {
-	// A collection may empty the idle pool; none runs, so the what-ifs
-	// share one engine (but for the race detector's deliberate drops).
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	se := smallSession(t)
 	s, err := se.Study()
 	if err != nil {
@@ -174,8 +170,8 @@ func TestWhatIfReportOutlivesLease(t *testing.T) {
 			t.Fatalf("%s: %v", sc.Name, err)
 		}
 	}
-	if got := reused.Value() - reused0; got < uint64(len(scs))/2 {
-		t.Fatalf("%d of %d what-ifs ran on a reused scratch engine", got, len(scs))
+	if got := reused.Value() - reused0; got != uint64(len(scs)-1) {
+		t.Fatalf("%d of %d what-ifs ran on a reused scratch engine, want all but the first", got, len(scs))
 	}
 	vantage, empty := 0, 0
 	for i, sc := range scs {
@@ -208,13 +204,10 @@ func TestWhatIfReportOutlivesLease(t *testing.T) {
 
 // TestWhatIfUnsharesGraphOncePerScratchEngine is the count guard on the
 // lease: a run of link-failure what-ifs on one session copies the graph
-// once per scratch engine it had to clone, not once per request — the
-// second request, and nearly every later one, copies nothing.
+// once per scratch engine it had to clone, not once per request — one
+// at a time, they clone once, and every request after the first copies
+// nothing.
 func TestWhatIfUnsharesGraphOncePerScratchEngine(t *testing.T) {
-	// A collection may empty the idle pool; none runs while this test
-	// counts copies.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-
 	se := smallSession(t)
 	s, err := se.Study()
 	if err != nil {
@@ -245,10 +238,8 @@ func TestWhatIfUnsharesGraphOncePerScratchEngine(t *testing.T) {
 	if got := reused.Value() - reused0; got+clones != requests || discarded.Value() != discarded0 {
 		t.Errorf("%d reused + %d cloned over %d requests, %d discarded", got, clones, requests, discarded.Value()-discarded0)
 	}
-	// One clone serves every request, but for the returned engines the race
-	// detector's sync.Pool drops on purpose — one in four; half of all
-	// requests is far outside that, and a clone per request is all of them.
-	if clones == 0 || free < requests/2 {
+	// One clone serves every request: only the first copies the graph.
+	if clones != 1 || free != requests-1 {
 		t.Errorf("%d of %d link-failure what-ifs copied no topology; %d scratch engines cloned", free, requests, clones)
 	}
 }
