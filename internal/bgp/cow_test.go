@@ -81,9 +81,9 @@ func TestCloneCOWIsolation(t *testing.T) {
 
 // ribView renders everything the readers of t return — Len, NumRoutes,
 // Prefixes, the Each* walks, and Has / Best / Candidates / CandidateFrom
-// / SnapshotEntry for every prefix and neighbor of the model's universe
-// — with routes by pointer identity, so two tables render equal exactly
-// when no reader can tell them apart.
+// for every prefix and neighbor of the model's universe — with routes by
+// pointer identity, so two tables render equal exactly when no reader
+// can tell them apart.
 func ribView(t *RIB, prefixes []netx.Prefix, nbrs []ASN) string {
 	var b strings.Builder
 	ptrs := func(rs []*Route) string {
@@ -101,9 +101,7 @@ func ribView(t *RIB, prefixes []netx.Prefix, nbrs []ASN) string {
 	t.EachBest(func(p netx.Prefix, r *Route) { fmt.Fprintf(&b, "best %v %p\n", p, r) })
 	fmt.Fprintf(&b, "bestroutes %s\n", ptrs(t.BestRoutes()))
 	for _, p := range prefixes {
-		snap := t.SnapshotEntry(p)
-		fmt.Fprintf(&b, "%v has=%v best=%p cands=%s snap=%v %v %s %p from=", p, t.Has(p), t.Best(p),
-			ptrs(t.Candidates(p)), snap.Present, snap.Neighbors, ptrs(snap.Routes), snap.Best)
+		fmt.Fprintf(&b, "%v has=%v best=%p cands=%s from=", p, t.Has(p), t.Best(p), ptrs(t.Candidates(p)))
 		for _, n := range nbrs {
 			fmt.Fprintf(&b, "%p ", t.CandidateFrom(p, n))
 		}
@@ -112,21 +110,66 @@ func ribView(t *RIB, prefixes []netx.Prefix, nbrs []ASN) string {
 	return b.String()
 }
 
-// TestCloneCOWModel is the model check of the layered table: a seeded
+// FuzzCloneCOWModel is the model check of the layered table: a seeded
 // random sequence of every mutator, applied to t.CloneCOW() and to the
 // deep t.Clone(), must leave every reader equal between the two and t
 // itself unchanged — and the same again one clone level deeper, where
-// the copy starts from a flattened parent layer. Goroutines read t and
-// the first-level copy's source throughout (run with -race): a parent
-// layer is only ever read.
-func TestCloneCOWModel(t *testing.T) {
+// the copy starts from a flattened parent layer. Each table saves its
+// own entry pre-images, each restored once and last-first as the
+// rollback journal does; those saved at the first level and still
+// pending at the second are restored over a parent layer replaced
+// since. Goroutines read t and the first-level copy's source throughout
+// (run with -race): a parent layer is only ever read. Seeds 1–3 are the
+// corpus plain go test runs.
+func FuzzCloneCOWModel(f *testing.F) {
 	var prefixes []netx.Prefix
 	for i := 0; i < 24; i++ {
-		prefixes = append(prefixes, cowPrefix(t, fmt.Sprintf("10.0.%d.0/24", i)))
+		p, err := netx.ParsePrefix(fmt.Sprintf("10.0.%d.0/24", i))
+		if err != nil {
+			f.Fatal(err)
+		}
+		prefixes = append(prefixes, p)
 	}
 	nbrs := []ASN{1, 2, 3, 5, 8}
 	for seed := int64(1); seed <= 3; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
 		cloneCOWModel(t, seed, prefixes, nbrs)
+	})
+}
+
+// TestRevertReadThroughEntry: saving and restoring an entry the table
+// reads through to allocates nothing — a save, a write and a restore
+// cost what the write alone does — and the restore leaves the own layer
+// without the prefix, reading through again.
+func TestRevertReadThroughEntry(t *testing.T) {
+	p := cowPrefix(t, "10.0.0.0/24")
+	src := NewRIB(64512)
+	src.Upsert(1, cowRoute(p, 100))
+	src.Upsert(2, cowRoute(p, 200))
+	cow := src.CloneCOW()
+	r := cowRoute(p, 300)
+	write := testing.AllocsPerRun(100, func() {
+		cow.Upsert(1, r)
+		delete(cow.entries, p)
+	})
+	cycle := testing.AllocsPerRun(100, func() {
+		img := cow.SaveEntry(p)
+		cow.Upsert(1, r)
+		cow.RevertEntry(p, img)
+	})
+	if write == 0 || cycle != write {
+		t.Errorf("save, write and restore allocate %.1f objects, the write alone %.1f", cycle, write)
+	}
+	img := cow.SaveEntry(p)
+	cow.Withdraw(2, p)
+	cow.RevertEntry(p, img)
+	if _, own := cow.entries[p]; own {
+		t.Fatal("the restored read-through entry is still in the own layer")
+	}
+	if cow.Best(p) != src.Best(p) || len(cow.Candidates(p)) != 2 {
+		t.Fatalf("restored entry reads %d candidates, best %+v", len(cow.Candidates(p)), cow.Best(p))
 	}
 }
 
@@ -164,8 +207,22 @@ func cloneCOWModel(t *testing.T, seed int64, prefixes []netx.Prefix, nbrs []ASN)
 		}()
 	}
 
-	var snaps []EntrySnapshot
-	var snapOf []netx.Prefix
+	// pending are pre-images saved and not yet restored, one per table.
+	type image struct {
+		p         netx.Prefix
+		cow, deep EntryImage
+	}
+	var pending []image
+	// revert restores the latest pending image on both tables, consuming
+	// it: last-first, as the rollback journal does, so an early save can
+	// outlive the level it was made at.
+	revert := func(cow, deep *RIB) netx.Prefix {
+		img := pending[len(pending)-1]
+		pending = pending[:len(pending)-1]
+		cow.RevertEntry(img.p, img.cow)
+		deep.RevertEntry(img.p, img.deep)
+		return img.p
+	}
 	// mutate applies one random operation to both tables and holds
 	// their return values and views against each other.
 	mutate := func(step int, cow, deep *RIB) {
@@ -197,15 +254,12 @@ func cloneCOWModel(t *testing.T, seed int64, prefixes []netx.Prefix, nbrs []ASN)
 			cow.InstallConverged(p, ns, rs, best)
 			deep.InstallConverged(p, ns, rs, best)
 		case 5:
-			if len(snaps) == 0 || rng.Intn(2) == 0 {
-				op = "SnapshotEntry"
-				snaps, snapOf = append(snaps, deep.SnapshotEntry(p)), append(snapOf, p)
+			if len(pending) == 0 || rng.Intn(3) != 0 {
+				op = "SaveEntry"
+				pending = append(pending, image{p, cow.SaveEntry(p), deep.SaveEntry(p)})
 				break
 			}
-			i := rng.Intn(len(snaps))
-			op = "RestoreEntry"
-			cow.RestoreEntry(snapOf[i], snaps[i])
-			deep.RestoreEntry(snapOf[i], snaps[i])
+			op, p = "RevertEntry", revert(cow, deep)
 		}
 		if a != b {
 			t.Fatalf("seed %d step %d: %s(%v, %d) returned %v on the COW copy, %v on the deep copy", seed, step, op, p, n, a, b)
@@ -232,6 +286,14 @@ func cloneCOWModel(t *testing.T, seed int64, prefixes []netx.Prefix, nbrs []ASN)
 	}
 	for step := 100; step < 200; step++ {
 		mutate(step, cow2, deep2)
+	}
+	// What is still pending goes back over a parent layer that has been
+	// replaced since the first-level saves.
+	for len(pending) > 0 {
+		p := revert(cow2, deep2)
+		if got, want := ribView(cow2, prefixes, nbrs), ribView(deep2, prefixes, nbrs); got != want {
+			t.Fatalf("seed %d: after the pending RevertEntry(%v) readers disagree\n COW: %s\ndeep: %s", seed, p, got, want)
+		}
 	}
 	if got := ribView(cow, prefixes, nbrs); got != cowView {
 		t.Errorf("seed %d: writes to the second-level copy reached the first", seed)

@@ -270,38 +270,52 @@ func (t *RIB) EachEntry(fn func(prefix netx.Prefix, neighbors []ASN, routes []*R
 	}
 }
 
-// EntrySnapshot is a copied view of one prefix's entry, used by the
-// scenario engine's rollback journal to restore a table slice without
-// replaying events.
-type EntrySnapshot struct {
-	Present   bool
-	Neighbors []ASN
-	Routes    []*Route
-	Best      *Route
+// EntryImage is one prefix's entry as SaveEntry found it in the table's
+// layers, for RevertEntry to put back: the scenario engine's rollback
+// journal holds one per entry an Apply writes. An entry the table reads
+// through to is held as the parent layer's pointer, since that layer is
+// never written; only the table's own entry, which it writes in place,
+// is copied.
+type EntryImage struct {
+	e        *ribEntry // nil: absent, or dropped over the parent layer
+	readThru bool      // e is the parent layer's entry
 }
 
-// SnapshotEntry copies prefix's current entry (Present=false when the
-// table has no candidates for it).
-func (t *RIB) SnapshotEntry(prefix netx.Prefix) EntrySnapshot {
-	e := t.entry(prefix)
-	if e == nil {
-		return EntrySnapshot{}
+// SaveEntry records how prefix stands in the table.
+func (t *RIB) SaveEntry(prefix netx.Prefix) EntryImage {
+	if e, own := t.entries[prefix]; own {
+		if e == nil {
+			return EntryImage{}
+		}
+		return EntryImage{e: e.clone()}
 	}
-	return EntrySnapshot{
-		Present:   true,
-		Neighbors: append([]ASN(nil), e.nbrs...),
-		Routes:    append([]*Route(nil), e.routes...),
-		Best:      e.best,
-	}
+	e := t.parent[prefix]
+	return EntryImage{e: e, readThru: e != nil}
 }
 
-// RestoreEntry reinstates a snapshot taken with SnapshotEntry.
-func (t *RIB) RestoreEntry(prefix netx.Prefix, snap EntrySnapshot) {
-	if !snap.Present {
-		t.DropPrefix(prefix)
-		return
+// RevertEntry puts back an image SaveEntry took of prefix, consuming it:
+// the table adopts an own entry's copy, and reads through again to a
+// parent entry its parent layer still holds. A parent layer replaced
+// since (a CloneCOW flattens the layers) gets a copy of the entry in the
+// own layer instead.
+func (t *RIB) RevertEntry(prefix netx.Prefix, img EntryImage) {
+	was := t.entry(prefix) != nil
+	below, inParent := t.parent[prefix]
+	switch {
+	case img.readThru && below == img.e:
+		delete(t.entries, prefix)
+	case img.readThru:
+		t.entries[prefix] = img.e.clone()
+	case img.e != nil:
+		t.entries[prefix] = img.e
+	case inParent:
+		t.entries[prefix] = nil
+	default:
+		delete(t.entries, prefix)
 	}
-	t.InstallConverged(prefix, snap.Neighbors, snap.Routes, snap.Best)
+	if was != (t.entry(prefix) != nil) {
+		t.sorted.Store(nil)
+	}
 }
 
 // Clone returns an independent deep copy of the table. Route values are

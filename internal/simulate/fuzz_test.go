@@ -42,7 +42,10 @@ func FuzzLoadScenario(f *testing.F) {
 // clone nothing was ever applied to (requireRolledBack: forest, tables,
 // prefix index position by position, topology, and its own invariants).
 // The engine is never replaced, so each input runs on what every earlier
-// rollback left behind. The seeds are one scenario per event kind and a
+// rollback left behind. The second pass clones the engine between Apply
+// and Rollback, so each event kind's rollback also restores over table
+// layers the clone flattened, and the clone must still hold what a fresh
+// clone's Apply makes. The seeds are one scenario per event kind and a
 // hijack, drawn from the topology so that they validate.
 func FuzzApplyRollback(f *testing.F) {
 	topo, opts := buildTestTopo(f, 60, 7)
@@ -89,8 +92,11 @@ func FuzzApplyRollback(f *testing.F) {
 		if err != nil {
 			return // failed validation: the checkpoint went unused
 		}
-		// The same scenario again, now on what the rollback left.
-		want, err := base.Clone().Apply(sc)
+		// The same scenario again, now on what the rollback left, with a
+		// Clone taken between Apply and Rollback: the rollback restores
+		// under it, and it keeps what the Apply made.
+		fresh := base.Clone()
+		want, err := fresh.Apply(sc)
 		if err != nil {
 			t.Fatalf("a fresh clone refuses what the engine applied: %v", err)
 		}
@@ -103,7 +109,11 @@ func FuzzApplyRollback(f *testing.F) {
 			t.Fatalf("Delta on the rolled-back engine differs from a fresh clone's: recomputed %d vs %d, %d vs %d shifts",
 				got.Recomputed, want.Recomputed, len(got.Shifts), len(want.Shifts))
 		}
+		held := work.Clone()
 		work.Rollback()
+		if diffs := DiffResults(fresh.Result(), held.Result()); len(diffs) > 0 {
+			t.Fatalf("a clone taken before the rollback differs from a fresh clone's Apply: %s", diffs[0])
+		}
 		requireRolledBack(t, "after the second rollback", work, untouched, pristine)
 	})
 }

@@ -32,7 +32,11 @@ import (
 // (captureIncremental, editPolicy, editInfo). Rollback puts the original
 // back; a row copy goes to the engine's free list — the copy and nothing
 // else: not the pre-image, and not a copy a Clone taken since the Apply
-// still shares — and the next scenario's copies reuse those buffers.
+// still shares — and the next scenario's copies reuse those buffers. A
+// vantage entry the table reads through to is held as the parent
+// layer's pointer (bgp.RIB.SaveEntry), and Rollback deletes the Apply's
+// own copy so the table reads through again; only an entry the table
+// already owned, which it writes in place, is copied.
 
 // undoKind says which stack of applyJournal a log entry's record is on;
 // it is also the kind label of policyscope_journal_undo_records_total.
@@ -58,7 +62,7 @@ type journalRow struct {
 type journalEntry struct {
 	vi     int
 	prefix netx.Prefix
-	snap   bgp.EntrySnapshot
+	pre    bgp.EntryImage
 }
 
 // linkDelta is one link event as Apply carried it out: the pair in
@@ -244,19 +248,15 @@ func (e *engine) freeRow(pi int) {
 	}
 }
 
-// undoEntry puts a vantage entry's snapshot back. The snapshot's slices
-// are the journal's own copies, and pop has zeroed the record that held
-// them: the table adopts them rather than copying them a second time, as
-// RestoreEntry would.
+// undoEntry puts a vantage entry's pre-image back. An entry the table
+// read through to goes back by deleting the Apply's own copy, so the
+// table reads through again; only when a Clone taken since has flattened
+// the layers is it copied. pop has zeroed the record, so the pre-image
+// is restored once.
 func (en *Engine) undoEntry(je journalEntry) {
 	slot := en.e.tables[je.vi]
 	slot.mu.Lock()
-	rib := slot.writable()
-	if je.snap.Present {
-		rib.InstallOwned(je.prefix, je.snap.Neighbors, je.snap.Routes, je.snap.Best)
-	} else {
-		rib.DropPrefix(je.prefix)
-	}
+	slot.writable().RevertEntry(je.prefix, je.pre)
 	slot.mu.Unlock()
 }
 
@@ -342,9 +342,9 @@ func (j *applyJournal) entryPre(vi int, prefix netx.Prefix, rib *bgp.RIB) {
 	if j == nil {
 		return
 	}
-	snap := rib.SnapshotEntry(prefix)
+	pre := rib.SaveEntry(prefix)
 	j.mu.Lock()
-	j.entries = append(j.entries, journalEntry{vi: vi, prefix: prefix, snap: snap})
+	j.entries = append(j.entries, journalEntry{vi: vi, prefix: prefix, pre: pre})
 	j.log = append(j.log, undoEntry)
 	j.mu.Unlock()
 }
@@ -392,17 +392,20 @@ func (j *applyJournal) prefixDone(jp journalPrefix) {
 // slot.mu held. On the batch's first write to (vantage, prefix) it
 // records the entry's pre-batch best route — always, whether or not a
 // checkpoint is armed — and hands the full pre-image to the journal.
-// Installed routes are immutable, so the pointer is the pre-image.
-// Outside Apply (cold convergence) there is no batch to compare against
-// and nothing is recorded.
+// Installed routes are immutable, so the pointer is the pre-image. The
+// table is un-shared first, so a just-layered table's entries are
+// journaled as read-through references, not copied out of the layer it
+// retired. Outside Apply (cold convergence) there is no batch to compare
+// against and nothing is recorded.
 func (e *engine) writableFor(vi int, slot *tableSlot, prefix netx.Prefix) *bgp.RIB {
+	rib := slot.writable()
 	if e.applying {
 		if _, seen := slot.preBest[prefix]; !seen {
-			slot.preBest[prefix] = slot.rib.Best(prefix)
-			e.journal.entryPre(vi, prefix, slot.rib)
+			slot.preBest[prefix] = rib.Best(prefix)
+			e.journal.entryPre(vi, prefix, rib)
 		}
 	}
-	return slot.writable()
+	return rib
 }
 
 // beginBestChanges arms every vantage table's pre-batch best record for

@@ -5,6 +5,7 @@ import (
 	"maps"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -290,7 +291,8 @@ func TestCheckpointRollbackRestoresState(t *testing.T) {
 // obtains from the allocator no more forest-row buffers than its largest
 // single scenario wrote, however many scenarios it runs; every rollback
 // is "never applied" row by row; and a buffer a Clone taken between Apply
-// and Rollback still reads is not recycled under it.
+// and Rollback still reads is not recycled under it. A warm worker's
+// rollback allocates nothing at all, table entries included.
 func TestRollbackRecyclesForestRows(t *testing.T) {
 	topo, vantage := equivalenceTopo(t, 200, 11)
 	opts := Options{VantagePoints: vantage, Parallelism: 1}
@@ -362,6 +364,41 @@ func TestRollbackRecyclesForestRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameForest(t, "clone taken before the rollback", held, mutated, opts)
+
+	// The table entries' analogue: a warm worker's rollback allocates
+	// nothing. Its second cycle of one scenario finds the graph, the
+	// policy map and the table layers un-shared, so each entry's
+	// pre-image is the parent layer's entry, and putting it back deletes
+	// the Apply's copy.
+	vp := vantage[0]
+	nbr := topo.Graph.Neighbors(vp)[0]
+	for _, sc := range []Scenario{
+		{Name: "link", Events: []Event{FailLink(ev.A, ev.B)}},
+		{Name: "local_pref", Events: []Event{SetLocalPref(vp, nbr, 1000)}},
+	} {
+		warm := base.Clone()
+		for cycle := 0; cycle < 2; cycle++ {
+			warm.Checkpoint()
+			if _, err := warm.Apply(sc); err != nil {
+				t.Fatal(err)
+			}
+			entries := len(warm.e.journal.entries)
+			if entries == 0 {
+				t.Fatalf("%s: the scenario wrote no vantage entry", sc.Name)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			ok := warm.Rollback()
+			runtime.ReadMemStats(&after)
+			if !ok {
+				t.Fatalf("%s: rollback refused", sc.Name)
+			}
+			requireRolledBack(t, sc.Name, warm, base, pristine)
+			if n := after.Mallocs - before.Mallocs; cycle == 1 && n != 0 && !raceEnabled {
+				t.Errorf("%s: a warm rollback of %d entries allocated %d objects, want 0", sc.Name, entries, n)
+			}
+		}
+	}
 }
 
 // linkCancelShapes returns the two batches whose link events cancel out
