@@ -104,9 +104,9 @@ func TestPrefixesCacheInvalidation(t *testing.T) {
 	if got := rib.Prefixes(); len(got) != 0 {
 		t.Fatalf("Prefixes after drop = %v", got)
 	}
-	// InstallConverged introduces prefixes too.
+	// InstallOwned introduces prefixes too.
 	r := allocRoute(p1, 701, 100)
-	rib.InstallConverged(p1, []ASN{701}, []*Route{r}, r)
+	rib.InstallOwned(p1, nil, []ASN{701}, []*Route{r}, r)
 	if got := rib.Prefixes(); len(got) != 1 || got[0] != p1 {
 		t.Fatalf("Prefixes after install = %v", got)
 	}

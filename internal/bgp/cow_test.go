@@ -3,6 +3,7 @@ package bgp
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -250,9 +251,17 @@ func cloneCOWModel(t *testing.T, seed int64, prefixes []netx.Prefix, nbrs []ASN)
 			if len(rs) > 0 {
 				best = rs[rng.Intn(len(rs))]
 			}
-			op = "InstallConverged"
-			cow.InstallConverged(p, ns, rs, best)
-			deep.InstallConverged(p, ns, rs, best)
+			// Each table owns its slices, ending at their capacity as
+			// carved ones do; the COW copy keeps the entry in storage of
+			// the caller's half the time, as the simulator's capture path
+			// does.
+			var into *EntrySlot
+			if rng.Intn(2) == 0 {
+				into = new(EntrySlot)
+			}
+			op = "InstallOwned"
+			cow.InstallOwned(p, into, slices.Clip(slices.Clone(ns)), slices.Clip(slices.Clone(rs)), best)
+			deep.InstallOwned(p, nil, slices.Clip(slices.Clone(ns)), slices.Clip(slices.Clone(rs)), best)
 		case 5:
 			if len(pending) == 0 || rng.Intn(3) != 0 {
 				op = "SaveEntry"

@@ -226,36 +226,33 @@ func RenderEqual(a, b *Route) bool {
 		a.Origin == b.Origin
 }
 
-// InstallConverged replaces prefix's entry wholesale with pre-selected
+// EntrySlot is the storage of one table entry, for a caller that carves
+// entries out of storage of its own (InstallOwned). The zero value is
+// ready to use.
+type EntrySlot struct{ e ribEntry }
+
+// InstallOwned replaces prefix's entry wholesale with pre-selected
 // state: neighbors must be ascending, routes aligned with them, and best
 // the route the decision process would pick (nil only when routes is
-// empty, which drops the prefix). The simulator's capture path uses it to
-// install converged per-prefix state without re-running selection or
-// re-sorting; both slices are copied.
-func (t *RIB) InstallConverged(prefix netx.Prefix, neighbors []ASN, routes []*Route, best *Route) {
+// empty, which drops the prefix). The table takes ownership of both
+// slices and, when into is not nil, keeps the entry in it (otherwise in
+// one it allocates); the caller must not write any of them while the
+// table holds the entry. It is the bulk-install entry point of the
+// study-format decoder, which carves per-prefix subslices out of one
+// arena per table, and of the simulator's capture path, which carves all
+// three out of storage its rollback reuses once the entry is gone. A
+// later Upsert appends past a slice's length, so a carved slice must end
+// at its capacity.
+func (t *RIB) InstallOwned(prefix netx.Prefix, into *EntrySlot, neighbors []ASN, routes []*Route, best *Route) {
 	if len(neighbors) == 0 {
 		t.DropPrefix(prefix)
 		return
 	}
-	t.install(prefix, &ribEntry{
-		nbrs:   append([]ASN(nil), neighbors...),
-		routes: append([]*Route(nil), routes...),
-		best:   best,
-	})
-}
-
-// InstallOwned is InstallConverged without the defensive copies: the
-// table takes ownership of both slices, which the caller must not
-// reuse or mutate afterwards. It is the bulk-install entry point of
-// the study-format decoder, which carves per-prefix subslices out of
-// one arena per table — copying them again would double the load-path
-// allocation for no benefit.
-func (t *RIB) InstallOwned(prefix netx.Prefix, neighbors []ASN, routes []*Route, best *Route) {
-	if len(neighbors) == 0 {
-		t.DropPrefix(prefix)
-		return
+	if into == nil {
+		into = new(EntrySlot)
 	}
-	t.install(prefix, &ribEntry{nbrs: neighbors, routes: routes, best: best})
+	into.e = ribEntry{nbrs: neighbors, routes: routes, best: best}
+	t.install(prefix, &into.e)
 }
 
 // EachEntry calls fn for every prefix with its full entry — aligned
@@ -411,7 +408,7 @@ func (t *RIB) CandidateFrom(prefix netx.Prefix, neighbor ASN) *Route {
 // Prefixes returns every prefix with at least one route, in Compare
 // order. The slice is cached and invalidated by prefix-set mutations
 // (Upsert of a new prefix, Withdraw of a last candidate, DropPrefix,
-// InstallConverged), so repeated calls — one per collector peer in
+// InstallOwned), so repeated calls — one per collector peer in
 // ViewFromPeerTable — neither allocate nor re-sort. Concurrent readers
 // are safe on a quiescent table; treat the result as read-only.
 func (t *RIB) Prefixes() []netx.Prefix {

@@ -29,6 +29,7 @@ func (en *Engine) Clone() *Engine {
 	en.cloneMu.Lock()
 	defer en.cloneMu.Unlock()
 	e := en.e
+	e.clones++
 
 	// Mark the parent's rows, tables and topology shared so a later Apply
 	// on the parent copies before writing instead of corrupting live

@@ -161,6 +161,12 @@ type engine struct {
 	// applying is set while an Engine.Apply runs: writes to vantage tables
 	// then record pre-batch bests (writableFor).
 	applying bool
+	// arena is where an Apply under a checkpoint carves what it writes
+	// into vantage tables, made by the first Checkpoint; clones counts the
+	// Clones taken of this engine, which decide whether a Rollback may
+	// rewind it. See journal.go.
+	arena  *vantageArena
+	clones uint64
 
 	// track, when non-nil, records for every prefix the converged best
 	// next hop of every AS: track[prefixIdx][asIdx] is the as-index the
@@ -884,30 +890,31 @@ func routesEquivalent(a, b *bgp.Route) bool {
 	return sameRoute(a, b)
 }
 
-// persistRoute deep-copies an arena-backed route into heap memory with
-// the authoritative prefix, so it can outlive the worker state inside a
-// vantage table. Communities are shared (immutable once built).
-func persistRoute(r *bgp.Route, prefix netx.Prefix) *bgp.Route {
-	c := *r
-	c.Prefix = prefix
-	c.Path = r.Path.Clone()
-	return &c
-}
-
 // installable returns the route a vantage table installs for arena route
 // r, learned from neighbor for prefix: the one held already holds from
-// that neighbor when it is Identical to persistRoute(r, prefix), a new
-// persisted copy otherwise. prefix is the authoritative destination:
-// during atom fan-out r carries the representative's Prefix.
-func (st *workerState) installable(held *bgp.RIB, prefix netx.Prefix, neighbor bgp.ASN, r *bgp.Route) *bgp.Route {
+// that neighbor when it is Identical to r with prefix as its destination,
+// a copy of r out of the worker's arenas otherwise — carved from va when
+// it has room, on the heap when it is nil or full. prefix is the
+// authoritative destination: during atom fan-out r carries the
+// representative's Prefix.
+func (st *workerState) installable(va *vantageArena, held *bgp.RIB, prefix netx.Prefix, neighbor bgp.ASN, r *bgp.Route) *bgp.Route {
 	want := *r
 	want.Prefix = prefix
 	if old := held.CandidateFrom(prefix, neighbor); old != nil && old.Identical(&want) {
 		st.statKept++
 		return old
 	}
-	st.statPersisted++
-	return persistRoute(r, prefix)
+	c := va.route()
+	if c != nil {
+		st.statRecycled++
+	} else {
+		st.statPersisted++
+		c = new(bgp.Route)
+	}
+	*c = want
+	// Communities are shared: interned sets are immutable.
+	c.Path = va.asnList(r.Path)
+	return c
 }
 
 // capture copies converged state from st into vantage tables, reach
@@ -952,12 +959,18 @@ func (e *engine) capture(st *workerState, prefix netx.Prefix) {
 // its vantage table. A candidate the entry already holds from the same
 // neighbor, attribute for attribute, stays as installed (installed routes
 // are immutable); only the ones that moved are deep-copied out of the
-// worker's arenas. The slot lock is held throughout, so the entry read is
-// the one replaced.
+// worker's arenas. An Apply under a checkpoint carves the copies and the
+// entry's lists from the engine's vantage arena, which the Rollback that
+// removes the entry rewinds (journal.go). The slot lock is held
+// throughout, so the entry read is the one replaced.
 func (e *engine) captureVantage(st *workerState, i int32, prefix netx.Prefix) {
 	slot := e.tables[int(i)]
 	slot.mu.Lock()
 	held := slot.rib
+	var va *vantageArena
+	if e.applying && e.journal != nil {
+		va = e.arena
+	}
 	st.capNbrs = st.capNbrs[:0]
 	st.capRoutes = st.capRoutes[:0]
 	var best *bgp.Route
@@ -965,13 +978,13 @@ func (e *engine) captureVantage(st *workerState, i int32, prefix netx.Prefix) {
 		// Locally originated: the origin holds no learned candidates
 		// (loop prevention rejects them), so the entry is the local route
 		// keyed by the owner ASN.
-		best = st.installable(held, prefix, e.asns[i], st.best[i])
+		best = st.installable(va, held, prefix, e.asns[i], st.best[i])
 		st.capNbrs = append(st.capNbrs, e.asns[i])
 		st.capRoutes = append(st.capRoutes, best)
 	} else {
 		bestFrom := st.bestFrom[i]
 		st.cs.each(e.nbrs[i], i, func(u int32, r *bgp.Route) {
-			pr := st.installable(held, prefix, e.asns[u], r)
+			pr := st.installable(va, held, prefix, e.asns[u], r)
 			st.capNbrs = append(st.capNbrs, e.asns[u])
 			st.capRoutes = append(st.capRoutes, pr)
 			if u == bestFrom {
@@ -993,7 +1006,7 @@ func (e *engine) captureVantage(st *workerState, i int32, prefix netx.Prefix) {
 	if len(st.capNbrs) == 0 {
 		rib.DropPrefix(prefix)
 	} else {
-		rib.InstallConverged(prefix, st.capNbrs, st.capRoutes, best)
+		rib.InstallOwned(prefix, va.entry(), va.asnList(st.capNbrs), va.routeList(st.capRoutes), best)
 	}
 	slot.mu.Unlock()
 }

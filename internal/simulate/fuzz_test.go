@@ -45,8 +45,11 @@ func FuzzLoadScenario(f *testing.F) {
 // rollback left behind. The second pass clones the engine between Apply
 // and Rollback, so each event kind's rollback also restores over table
 // layers the clone flattened, and the clone must still hold what a fresh
-// clone's Apply makes. The seeds are one scenario per event kind and a
-// hijack, drawn from the topology so that they validate.
+// clone's Apply makes — also after the engine applied and rolled back a
+// hijack of another prefix, which carves its routes and entries from
+// whatever storage the first rollback left it. The seeds are one
+// scenario per event kind and a hijack, drawn from the topology so that
+// they validate.
 func FuzzApplyRollback(f *testing.F) {
 	topo, opts := buildTestTopo(f, 60, 7)
 	// A fuzzed local_pref may build a preference cycle; keep the budget
@@ -62,6 +65,15 @@ func FuzzApplyRollback(f *testing.F) {
 
 	stub, providers, prefix := multihomedStub(f, topo)
 	peerA, peerB := somePeerEdge(f, topo)
+	other := base.e.prefixes[len(base.e.prefixes)-1]
+	if other == prefix {
+		other = base.e.prefixes[0]
+	}
+	attacker := peerA
+	if topo.PrefixOrigin[other] == attacker {
+		attacker = peerB
+	}
+	churn := Scenario{Name: "churn", Events: []Event{WithdrawPrefix(other), AnnouncePrefix(other, attacker)}}
 	for _, events := range [][]Event{
 		{FailLink(stub, providers[0])},
 		{FailLink(peerA, peerB), RestoreLink(peerA, peerB, asgraph.RelPeer)},
@@ -111,9 +123,15 @@ func FuzzApplyRollback(f *testing.F) {
 		}
 		held := work.Clone()
 		work.Rollback()
+		requireRolledBack(t, "after the second rollback", work, untouched, pristine)
+		work.Checkpoint()
+		if _, err := work.Apply(churn); err != nil {
+			t.Fatalf("churn after the second rollback: %v", err)
+		}
+		work.Rollback()
 		if diffs := DiffResults(fresh.Result(), held.Result()); len(diffs) > 0 {
 			t.Fatalf("a clone taken before the rollback differs from a fresh clone's Apply: %s", diffs[0])
 		}
-		requireRolledBack(t, "after the second rollback", work, untouched, pristine)
+		requireRolledBack(t, "after the churn", work, untouched, pristine)
 	})
 }

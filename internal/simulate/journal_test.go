@@ -399,6 +399,50 @@ func TestRollbackRecyclesForestRows(t *testing.T) {
 			}
 		}
 	}
+
+	// And what the Apply wrote into the tables is recycled: a warm
+	// worker's third cycle of one scenario carves its routes, their paths,
+	// its entries and their lists from the arena its rollbacks rewound.
+	// Heap copies cost at least three objects an entry; the whole cycle —
+	// with the Delta, the journal's and the recon's own bookkeeping — must
+	// stay below one. Every AS is a vantage point here, so the entries a
+	// scenario writes outnumber that bookkeeping.
+	everywhere, err := NewEngine(topo, Options{VantagePoints: topo.Order, Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := base.e.prefixes[0]
+	if topo.PrefixOrigin[victim] == nbr {
+		victim = base.e.prefixes[1]
+	}
+	for _, sc := range []Scenario{
+		{Name: "hijack", Events: []Event{WithdrawPrefix(victim), AnnouncePrefix(victim, nbr)}},
+		{Name: "local_pref", Events: []Event{SetLocalPref(vp, nbr, 1000)}},
+	} {
+		warm := everywhere.Clone()
+		for cycle := 0; cycle < 3; cycle++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			warm.Checkpoint()
+			if _, err := warm.Apply(sc); err != nil {
+				t.Fatal(err)
+			}
+			entries := len(warm.e.journal.entries)
+			ok := warm.Rollback()
+			runtime.ReadMemStats(&after)
+			if !ok {
+				t.Fatalf("%s: rollback refused", sc.Name)
+			}
+			n := after.Mallocs - before.Mallocs
+			t.Logf("%s cycle %d: %d entries, %d objects", sc.Name, cycle, entries, n)
+			if cycle == 2 && n >= uint64(entries) && !raceEnabled {
+				t.Errorf("%s: a warm cycle that wrote %d entries allocated %d objects, want fewer", sc.Name, entries, n)
+			}
+		}
+		if diffs := DiffResults(everywhere.Result(), warm.Result()); len(diffs) > 0 {
+			t.Fatalf("%s: three cycles left the worker off its base: %s", sc.Name, diffs[0])
+		}
+	}
 }
 
 // linkCancelShapes returns the two batches whose link events cancel out
@@ -537,4 +581,32 @@ func TestFailedApplyDisarmsBestChanges(t *testing.T) {
 		t.Fatal("rollback refused")
 	}
 	requireRolledBack(t, "the batch after it", en, untouched, pristine)
+}
+
+// TestSlabCarvesUntilFull: a vantage-arena slab hands out slices that end
+// at their capacity, fails every take once one did not fit, and rewinds
+// to any mark a checkpoint took — one past its end too, which a
+// checkpoint re-armed after an Apply that outgrew the arena takes.
+func TestSlabCarvesUntilFull(t *testing.T) {
+	s := slab[bgp.ASN]{buf: make([]bgp.ASN, 4)}
+	a := s.take(3)
+	if len(a) != 3 || cap(a) != 3 {
+		t.Fatalf("take(3) = len %d cap %d, want 3 and 3", len(a), cap(a))
+	}
+	a[0], a[1], a[2] = 1, 2, 3
+	if b := s.take(2); b != nil {
+		t.Fatalf("take(2) with one left = %v, want nil", b)
+	}
+	if b := s.one(); b != nil {
+		t.Fatal("a take after a failed one succeeded")
+	}
+	past := s.used.Load()
+	s.rewind(past) // a mark past the end: nothing to clear
+	s.rewind(1)
+	if a[0] != 1 || a[1] != 0 || a[2] != 0 {
+		t.Fatalf("rewind(1) left %v, want [1 0 0]", a)
+	}
+	if b := s.take(3); len(b) != 3 || &b[0] != &a[1] {
+		t.Fatal("a rewound slab does not carve from the mark")
+	}
 }

@@ -326,6 +326,36 @@ func BenchmarkScratchLocalPrefFlip(b *testing.B) {
 	}
 }
 
+// BenchmarkScratchHijack: one origin-takeover hijack per op on leased
+// scratch engines of a 120-AS base — the sweep_policy family with the
+// most vantage rewrites: the hijacked prefix re-converges from scratch,
+// so every vantage table that reaches it writes its entry anew. Eight
+// prefixes spread over the index, each taken over by the four
+// highest-degree ASes.
+func BenchmarkScratchHijack(b *testing.B) {
+	topo, opts := buildTestTopo(b, 120, 1)
+	base, err := NewEngine(topo, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var scs []Scenario
+	for _, p := range samplePrefixes(base, 8) {
+		for _, a := range byDegree(topo)[:4] {
+			if a != topo.PrefixOrigin[p] {
+				scs = append(scs, Scenario{Events: []Event{WithdrawPrefix(p), AnnouncePrefix(p, a)}})
+			}
+		}
+	}
+	observe := func(*Delta, *Engine) error { return nil }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := base.Scratch(1, scs[i%len(scs)], observe); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // TestScratchPoolDroppedWhenBaseMoves: idle scratch engines stand at the
 // state the base had when it lent them out. A base that applies a
 // scenario of its own (a compounding Study.WhatIfEngine handed to

@@ -176,6 +176,27 @@ func TestEngineMetricsAdvance(t *testing.T) {
 		}
 	}
 
+	// A what-if repeated on a reused scratch engine copies the routes its
+	// hijacked prefix re-converged to into the arena its first rollback
+	// rewound, not onto the heap.
+	other := en.e.prefixes[0]
+	attacker := providers[0]
+	if topo.PrefixOrigin[other] == attacker {
+		attacker = providers[1]
+	}
+	hijack := Scenario{Events: []Event{WithdrawPrefix(other), AnnouncePrefix(other, attacker)}}
+	observe := func(*Delta, *Engine) error { return nil }
+	for lease := 0; lease < 2; lease++ {
+		recycled0, persisted0 := mCaptureRecycled.Value(), mCapturePersisted.Value()
+		if restored, err := en.Scratch(1, hijack, observe); err != nil || !restored {
+			t.Fatalf("hijack lease %d: restored=%v err=%v", lease, restored, err)
+		}
+		recycled, persisted := mCaptureRecycled.Value()-recycled0, mCapturePersisted.Value()-persisted0
+		if recycled == 0 || persisted != 0 {
+			t.Errorf("hijack lease %d: capture routes recycled +%d, persisted +%d; want recycled only", lease, recycled, persisted)
+		}
+	}
+
 	stats := en.Atoms()
 	if stats.Prefixes > 0 {
 		if mAtomPrefixes.Value() <= 0 || mAtomClasses.Value() <= 0 {

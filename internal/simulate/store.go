@@ -289,7 +289,7 @@ type workerState struct {
 	deferHead []int32
 	deferSeen []uint32
 
-	// capture scratch: neighbor/route accumulation for InstallConverged,
+	// capture scratch: neighbor/route accumulation for an installed entry,
 	// and the vantage ASes of one incremental capture's shift.
 	capNbrs    []bgp.ASN
 	capRoutes  []*bgp.Route
@@ -313,9 +313,10 @@ type workerState struct {
 	// was pulled from the pool — a plain int so the activation loops
 	// never touch an atomic; putState flushes it to the process counter.
 	statActivations int
-	// statKept / statPersisted count the routes captures kept as installed
-	// or persisted anew, flushed the same way.
-	statKept, statPersisted int
+	// statKept / statRecycled / statPersisted count the routes captures
+	// kept as installed, carved from a vantage arena or copied to the
+	// heap, flushed the same way.
+	statKept, statRecycled, statPersisted int
 }
 
 // deferredSession is one remembered (v, u) session: the candidate v holds
@@ -484,6 +485,10 @@ func (e *engine) putState(st *workerState) {
 	if st.statKept > 0 {
 		mCaptureKept.Add(uint64(st.statKept))
 		st.statKept = 0
+	}
+	if st.statRecycled > 0 {
+		mCaptureRecycled.Add(uint64(st.statRecycled))
+		st.statRecycled = 0
 	}
 	if st.statPersisted > 0 {
 		mCapturePersisted.Add(uint64(st.statPersisted))

@@ -470,7 +470,7 @@ func decodeTable(owner bgp.ASN, data []byte, nprefix, nroute int, paths []bgp.Pa
 		if bestSlot > 0 {
 			best = ptrs[bestSlot-1]
 		}
-		rib.InstallOwned(prefix, nbrs, ptrs, best)
+		rib.InstallOwned(prefix, nil, nbrs, ptrs, best)
 	}
 	if cursor != nroute {
 		return nil, corrupt("table %v: %d routes decoded, index declared %d", owner, cursor, nroute)

@@ -304,7 +304,7 @@ func TestEncodeRejectsForeignBest(t *testing.T) {
 	rib := bgp.NewRIB(64512)
 	rib.Upsert(100, &bgp.Route{Prefix: p, Path: bgp.Path{100}, LocalPref: 100})
 	foreign := &bgp.Route{Prefix: p, Path: bgp.Path{999}, LocalPref: 50}
-	rib.InstallConverged(p, []bgp.ASN{100}, []*bgp.Route{rib.CandidateFrom(p, 100)}, foreign)
+	rib.InstallOwned(p, nil, []bgp.ASN{100}, []*bgp.Route{rib.CandidateFrom(p, 100)}, foreign)
 	_, err := Encode(&Study{Tables: []Table{{Owner: 64512, RIB: rib}}})
 	if err == nil {
 		t.Fatal("foreign best route encoded")

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -243,8 +244,30 @@ func TestWriteJSONReusesBuffers(t *testing.T) {
 	}
 	rep := whatIfReport(t)
 	w := &discardWriter{header: http.Header{}}
-	writeJSON(w, http.StatusOK, rep) // grow a pair to the body
+	writeJSON(w, http.StatusOK, rep)
 	body := w.n
+	// Every P keeps its own pooled pair and encoding/json its own encode
+	// state, each in a slot no other P reads. Answer the report on every
+	// P at once first, so that a call the scheduler moves to another P
+	// (ReadMemStats stops the world) finds both there already grown, and
+	// hold the collector off during the window: two collections empty a
+	// sync.Pool of whatever was not taken in between.
+	procs := runtime.GOMAXPROCS(0)
+	var ready, done sync.WaitGroup
+	ready.Add(procs)
+	for p := 0; p < procs; p++ {
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			ready.Done()
+			ready.Wait()
+			for i := 0; i < 8; i++ {
+				writeJSON(&discardWriter{header: http.Header{}}, http.StatusOK, rep)
+			}
+		}()
+	}
+	done.Wait()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const calls = 50
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
