@@ -9,6 +9,7 @@ package asgraph
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/policyscope/policyscope/internal/bgp"
@@ -257,14 +258,20 @@ func (g *Graph) Siblings(asn bgp.ASN) []bgp.ASN { return sortedCopy(g.siblings[a
 
 // Neighbors returns every neighbor of asn in ascending order.
 func (g *Graph) Neighbors(asn bgp.ASN) []bgp.ASN {
-	out := make([]bgp.ASN, 0,
-		len(g.providers[asn])+len(g.customers[asn])+len(g.peers[asn])+len(g.siblings[asn]))
-	out = append(out, g.providers[asn]...)
-	out = append(out, g.customers[asn]...)
-	out = append(out, g.peers[asn]...)
-	out = append(out, g.siblings[asn]...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return g.AppendNeighbors(make([]bgp.ASN, 0, g.Degree(asn)), asn)
+}
+
+// AppendNeighbors appends every neighbor of asn to dst in ascending order
+// and returns the extended slice: Neighbors into a buffer the caller
+// keeps, allocation-free when dst has room.
+func (g *Graph) AppendNeighbors(dst []bgp.ASN, asn bgp.ASN) []bgp.ASN {
+	n := len(dst)
+	dst = append(dst, g.providers[asn]...)
+	dst = append(dst, g.customers[asn]...)
+	dst = append(dst, g.peers[asn]...)
+	dst = append(dst, g.siblings[asn]...)
+	slices.Sort(dst[n:])
+	return dst
 }
 
 // Degree returns the number of neighbors of asn (Table 1's "degree").

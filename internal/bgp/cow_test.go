@@ -112,7 +112,8 @@ func ribView(t *RIB, prefixes []netx.Prefix, nbrs []ASN) string {
 }
 
 // FuzzCloneCOWModel is the model check of the layered table: a seeded
-// random sequence of every mutator, applied to t.CloneCOW() and to the
+// random sequence of every mutator — Withdraw half the time through
+// WithdrawInto on the COW copy — applied to t.CloneCOW() and to the
 // deep t.Clone(), must leave every reader equal between the two and t
 // itself unchanged — and the same again one clone level deeper, where
 // the copy starts from a flattened parent layer. Each table saves its
@@ -208,6 +209,7 @@ func cloneCOWModel(t *testing.T, seed int64, prefixes []netx.Prefix, nbrs []ASN)
 		}()
 	}
 
+	poison := cowRoute(prefixes[0], 1000)
 	// pending are pre-images saved and not yet restored, one per table.
 	type image struct {
 		p         netx.Prefix
@@ -236,7 +238,24 @@ func cloneCOWModel(t *testing.T, seed int64, prefixes []netx.Prefix, nbrs []ASN)
 			r := cowRoute(p, uint32(rng.Intn(300)))
 			op, a, b = "Upsert", cow.Upsert(n, r), deep.Upsert(n, r)
 		case 2:
-			op, a, b = "Withdraw", cow.Withdraw(n, p), deep.Withdraw(n, p)
+			if rng.Intn(2) == 0 {
+				op, a, b = "Withdraw", cow.Withdraw(n, p), deep.Withdraw(n, p)
+				break
+			}
+			// The COW copy keeps a read-through entry's copy in storage
+			// of the caller's, as the simulator's link failures do; the
+			// storage comes poisoned, so whatever the table does not
+			// overwrite shows.
+			op = "WithdrawInto"
+			a = cow.WithdrawInto(n, p, func(k int) (*EntrySlot, []ASN, []*Route) {
+				into := &EntrySlot{e: ribEntry{nbrs: []ASN{99}, best: poison}}
+				nbrs, routes := make([]ASN, k), make([]*Route, k)
+				for i := range k {
+					nbrs[i], routes[i] = 99, poison
+				}
+				return into, nbrs, routes
+			})
+			b = deep.Withdraw(n, p)
 		case 3:
 			op, a, b = "DropPrefix", cow.DropPrefix(p), deep.DropPrefix(p)
 		case 4:

@@ -167,22 +167,58 @@ func (t *RIB) Upsert(neighbor ASN, route *Route) bool {
 // Withdraw removes the route for prefix learned from neighbor. It returns
 // true when the best route changed (including disappearing).
 func (t *RIB) Withdraw(neighbor ASN, prefix netx.Prefix) bool {
+	return t.WithdrawInto(neighbor, prefix, nil)
+}
+
+// WithdrawInto is Withdraw for a caller that owns the storage of what the
+// table writes, as InstallOwned's does. When prefix's entry is read
+// through from the parent layer and keeps candidates, the table's own
+// copy goes into what carve returns for its n remaining candidates: an
+// entry and two lists of length n that end at their capacity, any of
+// them nil to have the table allocate it. A nil carve allocates all
+// three. The caller must not write the storage while the table holds the
+// entry.
+func (t *RIB) WithdrawInto(neighbor ASN, prefix netx.Prefix, carve func(n int) (*EntrySlot, []ASN, []*Route)) bool {
 	e := t.entry(prefix)
 	if e == nil {
 		return false
 	}
-	if _, ok := e.find(neighbor); !ok {
+	i, ok := e.find(neighbor)
+	if !ok {
 		return false
 	}
-	e = t.writableEntry(prefix)
-	i, _ := e.find(neighbor)
-	e.nbrs = append(e.nbrs[:i], e.nbrs[i+1:]...)
-	e.routes = append(e.routes[:i], e.routes[i+1:]...)
-	if len(e.nbrs) == 0 {
+	if len(e.nbrs) == 1 {
 		t.drop(prefix)
 		return e.best != nil
 	}
-	return t.reselect(e)
+	if t.entries[prefix] != nil {
+		e.nbrs = append(e.nbrs[:i], e.nbrs[i+1:]...)
+		e.routes = append(e.routes[:i], e.routes[i+1:]...)
+		return t.reselect(e)
+	}
+	n := len(e.nbrs) - 1
+	var (
+		into   *EntrySlot
+		nbrs   []ASN
+		routes []*Route
+	)
+	if carve != nil {
+		into, nbrs, routes = carve(n)
+	}
+	if into == nil {
+		into = new(EntrySlot)
+	}
+	if nbrs == nil {
+		nbrs = make([]ASN, n)
+	}
+	if routes == nil {
+		routes = make([]*Route, n)
+	}
+	copy(nbrs[copy(nbrs, e.nbrs[:i]):], e.nbrs[i+1:])
+	copy(routes[copy(routes, e.routes[:i]):], e.routes[i+1:])
+	into.e = ribEntry{nbrs: nbrs, routes: routes, best: e.best}
+	t.entries[prefix] = &into.e
+	return t.reselect(&into.e)
 }
 
 // reselect recomputes the entry's best route over the candidates in

@@ -67,7 +67,9 @@ func (en *Engine) Clone() *Engine {
 		// shared because rebuildAdjacency replaces them wholesale, and
 		// the CSR offset table is shared because publishLayout publishes
 		// a fresh slice instead of rewriting (relink does the same for
-		// the reverse-index rows it recomputes). The state pool and intern
+		// the reverse-index rows it recomputes); the parent's rollback
+		// never recycles storage a Clone taken since its checkpoint can
+		// read (journal.go). The state pool and intern
 		// table are shared across the whole engine family: worker
 		// states warmed on the parent serve the clones directly (the
 		// clone inherits the parent's adjVersion, so warm states match

@@ -129,8 +129,9 @@ type engine struct {
 	adjVersion uint64
 	statePool  *sync.Pool
 	// stale is relink's scratch list of the ASes whose reverse index it
-	// recomputes.
-	stale []int32
+	// recomputes, and nbrASNs rebuildAdjacency's of one AS's neighbors.
+	stale   []int32
+	nbrASNs []bgp.ASN
 
 	// intern is the shared canonical-attribute table (see Options.Intern);
 	// never nil after newEngine, shared by Clone.
@@ -286,7 +287,7 @@ func newEngine(topo *topogen.Topology, opts Options) *engine {
 		e.pols[i] = topo.Policies[asn]
 	}
 	for i := range e.asns {
-		e.rebuildAdjacency(int32(i))
+		e.rebuildAdjacency(int32(i), nil)
 	}
 	e.rebuildCSR()
 	e.depth = opts.DecisionDepth
@@ -327,13 +328,14 @@ func newEngine(topo *topogen.Topology, opts Options) *engine {
 
 // rebuildAdjacency derives AS i's neighbor list and session records from
 // the graph and i's Policy, into fresh slices (clones and the journal keep
-// the ones they replace). newEngine calls it for every AS, relink for the
-// endpoints of a batch's link events.
-func (e *engine) rebuildAdjacency(i int32) {
+// the ones they replace) carved from va, or made on the heap when va is
+// nil or full. newEngine calls it for every AS, relink for the endpoints
+// of a batch's link events.
+func (e *engine) rebuildAdjacency(i int32, va *vantageArena) {
 	asn, pol := e.asns[i], e.pols[i]
-	nbs := e.topo.Graph.Neighbors(asn)
-	nbrs := make([]int32, len(nbs))
-	sess := make([]session, len(nbs))
+	nbs := e.topo.Graph.AppendNeighbors(e.nbrASNs[:0], asn)
+	e.nbrASNs = nbs
+	nbrs, sess := va.int32s(len(nbs)), va.sessions(len(nbs))
 	for j, nb := range nbs {
 		nbrs[j] = int32(e.idx[nb])
 		sess[j] = e.newSession(pol, nb, e.topo.Graph.Rel(asn, nb))
@@ -375,15 +377,15 @@ var adjVersions atomic.Uint64
 func (e *engine) rebuildCSR() {
 	e.back = make([][]int32, len(e.asns))
 	for u := range e.nbrs {
-		e.rebuildBack(int32(u))
+		e.rebuildBack(int32(u), nil)
 	}
-	e.publishLayout()
+	e.publishLayout(nil)
 }
 
-// rebuildBack recomputes back[u] into a fresh slice (clones alias the
-// old one until they rebuild).
-func (e *engine) rebuildBack(u int32) {
-	back := make([]int32, len(e.nbrs[u]))
+// rebuildBack recomputes back[u] into a fresh slice carved from va, or
+// made on the heap (clones alias the old one until they rebuild).
+func (e *engine) rebuildBack(u int32, va *vantageArena) {
+	back := va.int32s(len(e.nbrs[u]))
 	for j, v := range e.nbrs[u] {
 		back[j] = int32(slotOf(e.nbrs[v], u))
 	}
@@ -392,15 +394,18 @@ func (e *engine) rebuildBack(u int32) {
 
 // publishLayout refreshes the CSR offsets from the adjacency lists and
 // re-stamps the adjacency version so pooled worker states re-size. The
-// offset table is always a freshly allocated slice — never rewritten in
-// place — because worker states from the family-shared pool alias the
-// slice of whatever engine they last synced against; replacing
-// wholesale keeps every published layout immutable, so an in-flight
-// state on a sibling clone can keep reading its (version-matched)
-// layout while this engine rebuilds.
-func (e *engine) publishLayout() {
+// offset table is always a fresh slice — never rewritten in place —
+// because worker states from the family-shared pool alias the slice of
+// whatever engine they last synced against; replacing wholesale keeps
+// every published layout immutable while it is published, so an
+// in-flight state on a sibling clone can keep reading its
+// (version-matched) layout while this engine rebuilds. A table carved
+// from va is written again only after a Rollback rewound the arena, when
+// no engine publishes it any more; journal.go says why no pooled state
+// reads it then.
+func (e *engine) publishLayout(va *vantageArena) {
 	n := len(e.asns)
-	csrOff := make([]int32, n+1)
+	csrOff := va.int32s(n + 1)
 	off := int32(0)
 	for i := 0; i < n; i++ {
 		csrOff[i] = off
@@ -419,7 +424,8 @@ func (e *engine) publishLayout() {
 // as it is for the rest of the graph. The events only add or remove
 // edges between endpoints, so those neighbors are the same before and
 // after. Every slice it replaces goes to the journal as it stands, the
-// pre-image Rollback puts back.
+// pre-image Rollback puts back, and under a checkpoint every slice it
+// writes is carved from the vantage arena the Rollback rewinds.
 func (e *engine) relink(endpoints []int32) {
 	stale := append(e.stale[:0], endpoints...)
 	for _, i := range endpoints {
@@ -429,13 +435,14 @@ func (e *engine) relink(endpoints []int32) {
 	stale = slices.Compact(stale)
 	e.stale = stale
 	e.journal.relinkPre(e, stale)
+	va := e.carving()
 	for _, i := range endpoints {
-		e.rebuildAdjacency(i)
+		e.rebuildAdjacency(i, va)
 	}
 	for _, u := range stale {
-		e.rebuildBack(u)
+		e.rebuildBack(u, va)
 	}
-	e.publishLayout()
+	e.publishLayout(va)
 }
 
 // copyRow returns a copy of a forest row in a buffer Rollback handed back,
@@ -967,10 +974,7 @@ func (e *engine) captureVantage(st *workerState, i int32, prefix netx.Prefix) {
 	slot := e.tables[int(i)]
 	slot.mu.Lock()
 	held := slot.rib
-	var va *vantageArena
-	if e.applying && e.journal != nil {
-		va = e.arena
-	}
+	va := e.carving()
 	st.capNbrs = st.capNbrs[:0]
 	st.capRoutes = st.capRoutes[:0]
 	var best *bgp.Route

@@ -3,10 +3,13 @@ package simulate
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/policyscope/policyscope/internal/asgraph"
+	"github.com/policyscope/policyscope/internal/bgp"
 	"github.com/policyscope/policyscope/internal/netx"
 )
 
@@ -47,9 +50,12 @@ func FuzzLoadScenario(f *testing.F) {
 // layers the clone flattened, and the clone must still hold what a fresh
 // clone's Apply makes — also after the engine applied and rolled back a
 // hijack of another prefix, which carves its routes and entries from
-// whatever storage the first rollback left it. The seeds are one
-// scenario per event kind and a hijack, drawn from the topology so that
-// they validate.
+// whatever storage the first rollback left it, and a link failure at a
+// vantage point, which carves relinked adjacency rows and the entries its
+// withdrawals copy. After that churn the clone must still balance its
+// books (checkInvariants, the adjacency included) and answer one more
+// link failure as the fresh clone does. The seeds are one scenario per
+// event kind and a hijack, drawn from the topology so that they validate.
 func FuzzApplyRollback(f *testing.F) {
 	topo, opts := buildTestTopo(f, 60, 7)
 	// A fuzzed local_pref may build a preference cycle; keep the budget
@@ -74,6 +80,7 @@ func FuzzApplyRollback(f *testing.F) {
 		attacker = peerB
 	}
 	churn := Scenario{Name: "churn", Events: []Event{WithdrawPrefix(other), AnnouncePrefix(other, attacker)}}
+	linkChurn, _ := vantageLinkFailure(f, base, [][2]bgp.ASN{{stub, providers[0]}, {peerA, peerB}})
 	for _, events := range [][]Event{
 		{FailLink(stub, providers[0])},
 		{FailLink(peerA, peerB), RestoreLink(peerA, peerB, asgraph.RelPeer)},
@@ -124,14 +131,64 @@ func FuzzApplyRollback(f *testing.F) {
 		held := work.Clone()
 		work.Rollback()
 		requireRolledBack(t, "after the second rollback", work, untouched, pristine)
-		work.Checkpoint()
-		if _, err := work.Apply(churn); err != nil {
-			t.Fatalf("churn after the second rollback: %v", err)
+		for _, c := range []Scenario{churn, linkChurn} {
+			work.Checkpoint()
+			if _, err := work.Apply(c); err != nil {
+				t.Fatalf("%s after the second rollback: %v", c.Name, err)
+			}
+			work.Rollback()
 		}
-		work.Rollback()
 		if diffs := DiffResults(fresh.Result(), held.Result()); len(diffs) > 0 {
 			t.Fatalf("a clone taken before the rollback differs from a fresh clone's Apply: %s", diffs[0])
 		}
 		requireRolledBack(t, "after the churn", work, untouched, pristine)
+		if err := held.checkInvariants(); err != nil {
+			t.Fatalf("a clone taken before the rollback, after the churn: %v", err)
+		}
+		want, wantErr := fresh.Apply(linkChurn)
+		got, gotErr := held.Apply(linkChurn)
+		if (gotErr != nil) != (wantErr != nil) {
+			t.Fatalf("%s on the held clone: %v; on a fresh clone: %v", linkChurn.Name, gotErr, wantErr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s on the held clone differs from a fresh clone's: recomputed %d vs %d, %d vs %d shifts",
+				linkChurn.Name, got.Recomputed, want.Recomputed, len(got.Shifts), len(want.Shifts))
+		}
 	})
+}
+
+// vantageLinkFailure returns the failure of a link, none of the avoided
+// pairs, whose endpoint is a vantage point holding a candidate over it
+// for prefix that is not its best: the failure relinks both endpoints and
+// withdraws that candidate from the table. Of those links it takes the
+// one whose endpoints have the most neighbors, the largest relink.
+func vantageLinkFailure(t testing.TB, en *Engine, avoid [][2]bgp.ASN) (sc Scenario, prefix netx.Prefix) {
+	t.Helper()
+	e, g := en.e, en.Topology().Graph
+	var vantages []int
+	for vi := range e.tables {
+		vantages = append(vantages, vi)
+	}
+	slices.Sort(vantages)
+	most := -1
+	for _, vi := range vantages {
+		slot, v := e.tables[vi], e.asns[vi]
+		for _, u := range g.Neighbors(v) {
+			if g.Degree(v)+g.Degree(u) <= most ||
+				slices.ContainsFunc(avoid, func(p [2]bgp.ASN) bool { return p == [2]bgp.ASN{u, v} || p == [2]bgp.ASN{v, u} }) {
+				continue
+			}
+			for _, p := range e.prefixes {
+				if r := slot.rib.CandidateFrom(p, u); r != nil && r != slot.rib.Best(p) {
+					most = g.Degree(v) + g.Degree(u)
+					sc, prefix = Scenario{Name: fmt.Sprintf("fail AS%d-AS%d", v, u), Events: []Event{FailLink(v, u)}}, p
+					break
+				}
+			}
+		}
+	}
+	if most < 0 {
+		t.Fatal("no vantage point holds a candidate that is not its best")
+	}
+	return sc, prefix
 }

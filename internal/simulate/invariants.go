@@ -3,6 +3,8 @@ package simulate
 import (
 	"fmt"
 	"sync"
+
+	"github.com/policyscope/policyscope/internal/bgp"
 )
 
 // checkInvariants holds an engine at rest to its own books and reports
@@ -21,6 +23,10 @@ import (
 //     mid-oscillation row that promises nothing.)
 //   - Every vantage's hop is the next-hop AS of its table's best route,
 //     and no table holds an entry for a prefix the topology lacks.
+//   - The adjacency is the graph's: every AS's neighbor row lists its
+//     graph neighbors ascending, its session records are what newSession
+//     derives, its reverse index points back at it, and the CSR offsets
+//     span the rows.
 //   - No checkpoint is armed — callers ask between scenarios — the spent
 //     journal is empty, and no buffer on the row free list is a live row or
 //     listed twice.
@@ -47,6 +53,9 @@ func (en *Engine) checkState(prepare func(pi int) error) error {
 	}
 	if j := e.journal; j != nil {
 		return fmt.Errorf("a checkpoint is armed (%d records)", len(j.log))
+	}
+	if err := e.checkAdjacency(); err != nil {
+		return err
 	}
 	if j := e.spent; j != nil && len(j.log)+len(j.rows)+len(j.entries)+len(j.links)+len(j.policies)+len(j.prefixes) > 0 {
 		return fmt.Errorf("the spent journal holds records: log %d, rows %d, entries %d, links %d, policies %d, prefixes %d",
@@ -114,6 +123,43 @@ func (en *Engine) checkState(prepare func(pi int) error) error {
 		if len(free) > 0 && free[&row[0]] {
 			return fmt.Errorf("forest row %v is a buffer on the free list", e.prefixes[pi])
 		}
+	}
+	return nil
+}
+
+// checkAdjacency holds the neighbor rows, session records, reverse index
+// and CSR offsets to the graph and the policies they are derived from.
+func (e *engine) checkAdjacency() error {
+	n := len(e.asns)
+	if len(e.nbrs) != n || len(e.sess) != n || len(e.back) != n || len(e.csrOff) != n+1 {
+		return fmt.Errorf("%d ASes: %d neighbor rows, %d session rows, %d reverse-index rows, %d CSR offsets",
+			n, len(e.nbrs), len(e.sess), len(e.back), len(e.csrOff))
+	}
+	var nbs []bgp.ASN
+	off := int32(0)
+	for i, asn := range e.asns {
+		nbs = e.topo.Graph.AppendNeighbors(nbs[:0], asn)
+		nbrs, sess, back := e.nbrs[i], e.sess[i], e.back[i]
+		if len(nbrs) != len(nbs) || len(sess) != len(nbs) || len(back) != len(nbs) || e.csrOff[i] != off {
+			return fmt.Errorf("AS%d has %d neighbors: rows of %d, %d and %d at CSR offset %d, want %d",
+				asn, len(nbs), len(nbrs), len(sess), len(back), e.csrOff[i], off)
+		}
+		for j, nb := range nbs {
+			v := nbrs[j]
+			if v < 0 || int(v) >= n || e.asns[v] != nb {
+				return fmt.Errorf("AS%d: neighbor slot %d holds index %d, the graph says AS%d", asn, j, v, nb)
+			}
+			if want := e.newSession(e.pols[i], nb, e.topo.Graph.Rel(asn, nb)); sess[j] != want {
+				return fmt.Errorf("AS%d: session record of AS%d is %+v, want %+v", asn, nb, sess[j], want)
+			}
+			if b := back[j]; b < 0 || int(b) >= len(e.nbrs[v]) || e.nbrs[v][b] != int32(i) {
+				return fmt.Errorf("AS%d: reverse index of AS%d is %d, which is not AS%d's slot", asn, nb, b, asn)
+			}
+		}
+		off += int32(len(nbs))
+	}
+	if e.csrOff[n] != off {
+		return fmt.Errorf("CSR offsets end at %d, the rows hold %d", e.csrOff[n], off)
 	}
 	return nil
 }

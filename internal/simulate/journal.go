@@ -39,21 +39,34 @@ import (
 // own copy so the table reads through again; only an entry the table
 // already owned, which it writes in place, is copied.
 //
-// What an Apply under a checkpoint writes into vantage tables is
-// recycled by the same rule. The routes it installs, their AS paths,
-// each entry's neighbor and route lists and the entry itself
-// (bgp.EntrySlot) are carved from the engine's vantageArena. Rollback
-// removes every entry the Apply wrote, so it rewinds the arena to where
-// the checkpoint found it and the next scenario carves the same storage
-// — unless a Clone was taken since the checkpoint: the clone reads the
-// tables as the Apply left them, so the engine leaves that arena to it
-// and makes a new one at its next Checkpoint. A route read out of a
-// table after such an Apply is therefore valid until the Rollback, as a
-// lease's Delta is (lease.go). The arena is a constant budget, sized to
-// a typical scenario (arenaRoutes); what does not fit is copied to the
-// heap, as cold convergence and an Apply without a checkpoint copy
-// everything, so an idle engine holds that budget and not the largest
-// scenario it ran.
+// What an Apply under a checkpoint writes is recycled by the same rule,
+// carved from the engine's vantageArena. Into vantage tables: the routes
+// it installs, their AS paths, each entry's neighbor and route lists and
+// the entry itself (bgp.EntrySlot), and the copy a link failure's
+// withdrawal makes of an entry the table reads through to
+// (bgp.RIB.WithdrawInto). Into the adjacency: every neighbor,
+// session-record and reverse-index row relink rebuilds, and the CSR
+// offsets it publishes. Rollback removes every entry the Apply wrote and
+// puts every replaced row and the old offsets back, so it rewinds the
+// arena to where the checkpoint found it and the next scenario carves
+// the same storage — unless a Clone was taken since the checkpoint: the
+// clone reads the tables and the adjacency as the Apply left them, so
+// the engine leaves that arena to it and makes a new one at its next
+// Checkpoint. A route read out of a table after such an Apply is
+// therefore valid until the Rollback, as a lease's Delta is (lease.go).
+//
+// Recycled offsets are safe although pooled worker states, shared by the
+// whole engine family, alias the offsets of the engine they last synced
+// to and may still alias a rewound table: every publishLayout draws a new
+// process-global version and Rollback puts back the pre-Apply layout
+// under its own, so no engine publishes a rewound table's version again,
+// and syncAdjacency re-inits a state on a version mismatch before it
+// reads any offset.
+//
+// The arena is a constant budget, sized to a typical scenario (550 KiB,
+// see arenaRoutes); what does not fit is copied to the heap, as cold
+// convergence and an Apply without a checkpoint copy everything, so an
+// idle engine holds that budget and not the largest scenario it ran.
 
 // undoKind says which stack of applyJournal a log entry's record is on;
 // it is also the kind label of policyscope_journal_undo_records_total.
@@ -156,31 +169,42 @@ type applyJournal struct {
 	clones  uint64
 }
 
-// The vantage arena's budget: room for arenaRoutes routes, six AS
+// The vantage arena's budget: room for arenaRoutes routes, eight AS
 // numbers a route (its AS path and its share of entry neighbor lists),
-// three route pointers (entry route lists) and one entry — the mix link
-// failures and policy flips carve. On the paper preset all of a
-// scenario fits for every hijack and no-upstream flip, 996 link failures
-// in 1,000 and 977 local-preference flips in 1,000, in 384 KiB an engine.
+// four route pointers (entry route lists) and two entries — a capture
+// writes one, and a link failure's withdrawal copies more, each with its
+// lists — plus the adjacency one relink rewrites: arenaInts int32s (CSR
+// offsets, neighbor and reverse-index rows) and arenaSessions session
+// records. That is 176 + 64 + 64 + 224 KiB for the vantage writes and
+// 16 + 6 KiB for the adjacency: 550 KiB an engine. On the paper preset
+// all of a scenario fits for every hijack, 1,335 of the 1,339 link
+// failures and 1,041 of the 1,064 local-preference flips of the
+// eight best-connected ASes, and every relink fits (at most 2,583 int32s
+// and 219 records).
 const (
-	arenaRoutes  = 2048
-	arenaASNs    = 6 * arenaRoutes
-	arenaLists   = 3 * arenaRoutes
-	arenaEntries = arenaRoutes
+	arenaRoutes   = 2048
+	arenaASNs     = 8 * arenaRoutes
+	arenaLists    = 4 * arenaRoutes
+	arenaEntries  = 2 * arenaRoutes
+	arenaInts     = 4096
+	arenaSessions = 512
 )
 
 // vantageArena is the storage an Apply under a checkpoint carves its
-// vantage-table writes from; Rollback rewinds it. Workers capture
-// concurrently, so each slab is carved by an atomic bump.
+// vantage-table writes and its relinked adjacency from; Rollback rewinds
+// it. Workers capture concurrently, so each slab is carved by an atomic
+// bump.
 type vantageArena struct {
 	routes  slab[bgp.Route]
 	asns    slab[bgp.ASN]
 	lists   slab[*bgp.Route]
 	entries slab[bgp.EntrySlot]
+	ints    slab[int32]
+	sess    slab[session]
 }
 
 // arenaMark is how far each slab of a vantageArena is carved.
-type arenaMark [4]int64
+type arenaMark [6]int64
 
 // slab is one fixed array carved front to back. used may run past the
 // end: a take that does not fit fails, and so does every later one until
@@ -222,11 +246,14 @@ func newVantageArena() *vantageArena {
 	va.asns.buf = make([]bgp.ASN, arenaASNs)
 	va.lists.buf = make([]*bgp.Route, arenaLists)
 	va.entries.buf = make([]bgp.EntrySlot, arenaEntries)
+	va.ints.buf = make([]int32, arenaInts)
+	va.sess.buf = make([]session, arenaSessions)
 	return va
 }
 
 func (va *vantageArena) mark() arenaMark {
-	return arenaMark{va.routes.used.Load(), va.asns.used.Load(), va.lists.used.Load(), va.entries.used.Load()}
+	return arenaMark{va.routes.used.Load(), va.asns.used.Load(), va.lists.used.Load(),
+		va.entries.used.Load(), va.ints.used.Load(), va.sess.used.Load()}
 }
 
 func (va *vantageArena) rewind(at arenaMark) {
@@ -234,6 +261,17 @@ func (va *vantageArena) rewind(at arenaMark) {
 	va.asns.rewind(at[1])
 	va.lists.rewind(at[2])
 	va.entries.rewind(at[3])
+	va.ints.rewind(at[4])
+	va.sess.rewind(at[5])
+}
+
+// carving returns the arena an Apply under a checkpoint carves from; nil
+// outside one, which copies to the heap.
+func (e *engine) carving() *vantageArena {
+	if e.applying && e.journal != nil {
+		return e.arena
+	}
+	return nil
 }
 
 // route and entry return an element carved from va, or nil when va is
@@ -282,10 +320,46 @@ func copyInto[T any](dst, src []T) []T {
 	return dst
 }
 
+// entryStorage is the storage a withdrawal's copy of a read-through entry
+// with n candidates is written into (bgp.RIB.WithdrawInto): what va has
+// room for, nil for the rest, which the table allocates.
+func (va *vantageArena) entryStorage(n int) (*bgp.EntrySlot, []bgp.ASN, []*bgp.Route) {
+	if va == nil {
+		return nil, nil, nil
+	}
+	return va.entries.one(), va.asns.take(n), va.lists.take(n)
+}
+
+// int32s and sessions return n zeroed elements for relink to fill,
+// carved from va, or made on the heap when va is nil or full.
+func (va *vantageArena) int32s(n int) []int32 {
+	if va == nil {
+		return make([]int32, n)
+	}
+	return orMake(va.ints.take(n), n)
+}
+
+func (va *vantageArena) sessions(n int) []session {
+	if va == nil {
+		return make([]session, n)
+	}
+	return orMake(va.sess.take(n), n)
+}
+
+// orMake returns b, or n elements made on the heap when b is nil.
+func orMake[T any](b []T, n int) []T {
+	if b == nil {
+		return make([]T, n)
+	}
+	return b
+}
+
 // journalAdj is AS i's adjacency before a relink: neighbor, session-record
 // and reverse-index rows. relink replaces these slices and never writes
 // them — published layouts are never written in place — so they are the
-// pre-image as they stand.
+// pre-image as they stand. A row an earlier relink under the same
+// checkpoint carved from the arena is such a pre-image too: the arena
+// rewinds only after every row is back.
 type journalAdj struct {
 	i    int32
 	nbrs []int32
@@ -319,10 +393,11 @@ func (en *Engine) Checkpoint() {
 // Rollback undoes every Apply performed since the last Checkpoint and
 // reports whether the engine is back at the checkpointed state: false
 // only when no checkpoint was armed, in which case nothing was undone.
-// Rollback reuses the storage of the routes those Applies installed in
-// vantage tables, so a route read out of the engine's tables in between
-// is valid until Rollback returns — unless a Clone was taken in between,
-// which keeps them all.
+// Rollback reuses the storage of the routes and entries those Applies
+// wrote into vantage tables and of the adjacency they relinked, so a
+// route read out of the engine's tables in between is valid until
+// Rollback returns — unless a Clone was taken in between, which keeps
+// them all.
 func (en *Engine) Rollback() bool {
 	e := en.e
 	j := e.journal

@@ -443,6 +443,43 @@ func TestRollbackRecyclesForestRows(t *testing.T) {
 			t.Fatalf("%s: three cycles left the worker off its base: %s", sc.Name, diffs[0])
 		}
 	}
+
+	// A link failure's relink is recycled too: its neighbor, session and
+	// reverse-index rows and its CSR offsets, and the copy of every
+	// read-through entry a non-best withdrawal writes, are carved from the
+	// arena. Heap rows cost at least one object per AS the relink rebuilt
+	// (two per endpoint, the offsets and three per entry withdrawn on
+	// top); a warm cycle, with the Delta built in a kept buffer as a
+	// lease's is, must cost fewer objects than those ASes number.
+	sc, prefix := vantageLinkFailure(t, base, nil)
+	v, u := sc.Events[0].A, sc.Events[0].B
+	best := base.Result().Tables[v].Best(prefix)
+	warm, kept := base.Clone(), new(deltaBuf)
+	for cycle := 0; cycle < 3; cycle++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		warm.Checkpoint()
+		if err := warm.apply(sc, kept); err != nil {
+			t.Fatal(err)
+		}
+		rebuilt := len(warm.e.stale)
+		rib := warm.e.tables[warm.e.idx[v]].rib
+		withdrawn := rib.CandidateFrom(prefix, u) == nil && rib.Best(prefix) == best
+		ok := warm.Rollback()
+		runtime.ReadMemStats(&after)
+		if !ok {
+			t.Fatalf("%s: rollback refused", sc.Name)
+		}
+		if !withdrawn {
+			t.Fatalf("%s: AS%d did not withdraw its non-best candidate for %v in place", sc.Name, v, prefix)
+		}
+		n := after.Mallocs - before.Mallocs
+		t.Logf("%s cycle %d: relink rebuilt %d ASes, %d objects", sc.Name, cycle, rebuilt, n)
+		if cycle == 2 && n >= uint64(rebuilt) && !raceEnabled {
+			t.Errorf("%s: a warm cycle whose relink rebuilt %d ASes allocated %d objects, want fewer", sc.Name, rebuilt, n)
+		}
+	}
+	requireRolledBack(t, sc.Name, warm, base, pristine)
 }
 
 // linkCancelShapes returns the two batches whose link events cancel out

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"github.com/policyscope/policyscope/internal/asgraph"
 	"github.com/policyscope/policyscope/internal/netx"
 )
 
@@ -205,6 +206,56 @@ func TestScratchLeaseEqualsFreshClone(t *testing.T) {
 	}
 }
 
+// TestConcurrentSiblingLeases: link failures leased from one base by
+// ScratchLimit() goroutines at once, each lease at parallelism 2. The
+// sibling scratch engines share one worker-state pool, so a state that
+// synced to one engine's CSR offsets — carved from that engine's arena
+// and rewound by its rollback — is taken by another while the first
+// carves the same storage again. Every Delta must equal the one a fresh
+// clone's Apply made sequentially, and every engine must come back.
+func TestConcurrentSiblingLeases(t *testing.T) {
+	topo, opts := buildTestTopo(t, 120, 2)
+	base, err := NewEngine(topo, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges := topo.Graph.Edges()
+	var scs []Scenario
+	var want []*Delta
+	for i := 0; i < len(edges); i += max(1, len(edges)/40) {
+		sc := Scenario{Name: fmt.Sprintf("fail AS%d-AS%d", edges[i].A, edges[i].B), Events: []Event{FailLink(edges[i].A, edges[i].B)}}
+		d, err := base.Clone().Apply(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scs, want = append(scs, sc), append(want, d)
+	}
+	holders := ScratchLimit()
+	var wg sync.WaitGroup
+	for h := 0; h < holders; h++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 2; round++ {
+				for i := h; i < len(scs); i += holders {
+					restored, err := base.Scratch(2, scs[i], func(d *Delta, _ *Engine) error {
+						if !reflect.DeepEqual(d, want[i]) {
+							return fmt.Errorf("Delta differs from a fresh clone's: recomputed %d vs %d, %d vs %d shifts",
+								d.Recomputed, want[i].Recomputed, len(d.Shifts), len(want[i].Shifts))
+						}
+						return nil
+					})
+					if err != nil || !restored {
+						t.Errorf("holder %d, %s: restored=%v err=%v", h, scs[i].Name, restored, err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // TestLeaseReusesDeltaBuffers: a scratch engine builds every scenario's
 // Delta in the arrays the ones before it grew. After a warm-up lease, the
 // same link failure on the same engine lands its shifts, reach deltas and
@@ -294,6 +345,53 @@ func BenchmarkScratchLinkFailure(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := base.Scratch(1, scs[i%len(scs)], observe); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkScratchGroupLinkFailure: one op fails every provider session
+// of one multihomed AS in a single scenario on leased scratch engines of
+// a 120-AS base — a group-size batch in miniature — and its observer
+// brings the first session back on top, so the second relink's
+// pre-images are the rows the first one carved. The observer builds its
+// Delta in a buffer the benchmark keeps, as the lease builds the
+// scenario's, so an op counts what the engine allocates. The ops rotate
+// over every AS with two providers or more.
+func BenchmarkScratchGroupLinkFailure(b *testing.B) {
+	topo, opts := buildTestTopo(b, 120, 1)
+	base, err := NewEngine(topo, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	type group struct {
+		fail    Scenario
+		restore Scenario
+	}
+	var groups []group
+	for _, asn := range topo.Order {
+		providers := topo.Graph.Providers(asn)
+		if len(providers) < 2 {
+			continue
+		}
+		var g group
+		for _, p := range providers {
+			g.fail.Events = append(g.fail.Events, FailLink(asn, p))
+		}
+		g.restore.Events = []Event{RestoreLink(asn, providers[0], asgraph.RelProvider)}
+		groups = append(groups, g)
+	}
+	if len(groups) == 0 {
+		b.Fatal("no multihomed AS")
+	}
+	after := new(deltaBuf)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g := groups[i%len(groups)]
+		if _, err := base.Scratch(1, g.fail, func(_ *Delta, s *Engine) error {
+			return s.apply(g.restore, after)
+		}); err != nil {
 			b.Fatal(err)
 		}
 	}

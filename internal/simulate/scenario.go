@@ -1389,9 +1389,11 @@ func allLinkFailures(events []Event) bool {
 // removes a non-best candidate, which is observable only in a vantage
 // table and is withdrawn directly. Budget-exhausted prefixes have
 // unreliable forest rows and always reconverge. The disturb set is
-// appended to disturbed.
+// appended to disturbed. Under a checkpoint, a withdrawal's copy of an
+// entry the table reads through to is carved from the vantage arena.
 func (en *Engine) linkFailDisturbSet(events []Event, delta *Delta, disturbed []netx.Prefix) []netx.Prefix {
 	e := en.e
+	carve := e.carving().entryStorage
 	links := make([][2]int32, 0, len(events))
 	for _, ev := range events {
 		links = append(links, [2]int32{int32(e.idx[ev.A]), int32(e.idx[ev.B])})
@@ -1425,7 +1427,7 @@ func (en *Engine) linkFailDisturbSet(events []Event, delta *Delta, disturbed []n
 				slot := e.tables[int(v)]
 				slot.mu.Lock()
 				if slot.rib.CandidateFrom(p, e.asns[u]) != nil {
-					if e.writableFor(int(v), slot, p).Withdraw(e.asns[u], p) {
+					if e.writableFor(int(v), slot, p).WithdrawInto(e.asns[u], p, carve) {
 						// The removed candidate was selected: the forest
 						// said otherwise, so fall back to a full
 						// re-convergence (captures rebuild the entry).
