@@ -524,9 +524,18 @@ func (e *engine) runPrefixes(prefixes []netx.Prefix) []netx.Prefix {
 // pool. setup runs once per worker and returns the per-item body plus a
 // teardown invoked when the worker drains. Every parallel pass (full
 // convergence, atom groups, incremental scenarios) schedules through
-// it.
+// it. One worker is the caller itself, in index order: a sweep's
+// scenarios run at Parallelism 1, and start no goroutine per pass.
 func (e *engine) forEachIndex(n int, setup func() (body func(int), done func())) {
 	workers := e.workerCount(n)
+	if workers == 1 {
+		body, done := setup()
+		defer done()
+		for i := 0; i < n; i++ {
+			body(i)
+		}
+		return
+	}
 	var (
 		mu   sync.Mutex
 		next int

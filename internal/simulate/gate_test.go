@@ -231,7 +231,8 @@ func requireGatedCandidates(t *testing.T, name string, base *Engine, ev Event, s
 	t.Helper()
 	probe := base.Clone()
 	e := probe.e
-	rc := newRecon(e)
+	rc := new(recon)
+	rc.reset(e)
 	if err := probe.applyPolicyEvent(rc, ev); err != nil {
 		t.Fatal(err)
 	}

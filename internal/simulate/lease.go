@@ -1,6 +1,9 @@
 package simulate
 
-import "runtime"
+import (
+	"runtime"
+	"sync"
+)
 
 // Scratch lease. A base engine that answers many independent scenarios —
 // a session's what-ifs, a sweep's workers — does not clone itself per
@@ -9,7 +12,8 @@ import "runtime"
 // after its scenario returns to the base's idle list and serves the next
 // one with everything it has warmed: its own graph, its layered vantage
 // tables, the forest-row buffers its rollbacks recycled (rowFree), its
-// journal's slices and the arrays its scenarios' Deltas were built in.
+// journal's slices, and the arrays its scenarios' Deltas were built in
+// with the maps their incremental passes reconstructed from (deltaBuf).
 // The journal undoes every event kind, so a scenario costs a clone only
 // when its observer fails or its rollback cannot be proven clean — and it
 // costs it the next holder, not this one.
@@ -18,7 +22,7 @@ import "runtime"
 // of them, so its clone count depends on its leases alone: a lease clones
 // when it finds the list empty — the first one, one per holder beyond the
 // engines idle, the next after a discard or after the base moved — and
-// reuses otherwise.
+// reuses otherwise, the engine given back last first (idleList).
 
 // ScratchLimit is how many idle scratch engines a base keeps: 2x
 // GOMAXPROCS, read when the base makes its list. It is also the cap
@@ -48,11 +52,10 @@ func ScratchLimit() int { return 2 * runtime.GOMAXPROCS(0) }
 // itself drops its list: the idle engines stand at a state en has left.
 func (en *Engine) Scratch(parallelism int, sc Scenario, observe func(*Delta, *Engine) error) (restored bool, err error) {
 	idle := en.idle()
-	var s *Engine
-	select {
-	case s = <-idle:
+	s := idle.pop()
+	if s != nil {
 		mScratchReused.Inc()
-	default:
+	} else {
 		s = en.Clone()
 		mScratchCloned.Inc()
 	}
@@ -64,10 +67,7 @@ func (en *Engine) Scratch(parallelism int, sc Scenario, observe func(*Delta, *En
 			mScratchDiscarded.Inc()
 			return
 		}
-		select {
-		case idle <- s:
-		default: // the list is full; s is dropped
-		}
+		idle.push(s)
 	}()
 	if s.leased == nil {
 		s.leased = new(deltaBuf)
@@ -82,15 +82,48 @@ func (en *Engine) Scratch(parallelism int, sc Scenario, observe func(*Delta, *En
 	return restored, err
 }
 
-// idle returns en's list of idle scratch engines, a channel of capacity
-// ScratchLimit. Holders give an engine back to the list they took it
-// from, so one leased before en moved (which drops the list) can never be
-// handed out after it.
-func (en *Engine) idle() chan *Engine {
-	if l := en.scratch.Load(); l != nil {
-		return *l
+// idleList is a base's stack of idle scratch engines, at most
+// ScratchLimit of them. Last in, first out: the engine given back last is
+// the one whose maps, journal and buffers the scenarios before grew
+// warmest, and a holder that leases one scenario after another — a
+// one-worker sweep, a what-if at a time — keeps getting it back, where a
+// queue would hand it each idle engine in turn and make every one of them
+// pay the same warm-up.
+type idleList struct {
+	mu      sync.Mutex
+	engines []*Engine // capacity ScratchLimit
+}
+
+// pop takes the engine given back last, or nil when none is idle.
+func (l *idleList) pop() *Engine {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.engines)
+	if n == 0 {
+		return nil
 	}
-	l := make(chan *Engine, ScratchLimit())
-	en.scratch.CompareAndSwap(nil, &l)
-	return *en.scratch.Load()
+	s := l.engines[n-1]
+	l.engines[n-1] = nil
+	l.engines = l.engines[:n-1]
+	return s
+}
+
+// push gives s back, or drops it when the list is full.
+func (l *idleList) push(s *Engine) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.engines) < cap(l.engines) {
+		l.engines = append(l.engines, s)
+	}
+}
+
+// idle returns en's list of idle scratch engines. Holders give an engine
+// back to the list they took it from, so one leased before en moved
+// (which drops the list) can never be handed out after it.
+func (en *Engine) idle() *idleList {
+	if l := en.scratch.Load(); l != nil {
+		return l
+	}
+	en.scratch.CompareAndSwap(nil, &idleList{engines: make([]*Engine, 0, ScratchLimit())})
+	return en.scratch.Load()
 }

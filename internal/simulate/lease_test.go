@@ -327,6 +327,65 @@ func TestLeaseReusesDeltaBuffers(t *testing.T) {
 	}
 }
 
+// TestIdleListLastInFirstOut: the idle list is a stack. Leases one after
+// another get the one warm engine back every time, and when two holders
+// give theirs back, A and then B, the next lease gets B — the engine given
+// back last.
+func TestIdleListLastInFirstOut(t *testing.T) {
+	topo, opts := buildTestTopo(t, 120, 3)
+	base, err := NewEngine(topo, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges := topo.Graph.Edges()
+	probe := Scenario{Name: "probe", Events: []Event{FailLink(edges[0].A, edges[0].B)}}
+	lease := func() (leased *Engine) {
+		t.Helper()
+		if restored, err := base.Scratch(1, probe, func(_ *Delta, s *Engine) error {
+			leased = s
+			return nil
+		}); err != nil || !restored {
+			t.Fatalf("lease: restored=%v err=%v", restored, err)
+		}
+		return leased
+	}
+	first := lease()
+	if again := lease(); again != first {
+		t.Fatal("two leases in a row got two engines")
+	}
+
+	// Two holders at once; each gives its engine back when told to.
+	var inside sync.WaitGroup
+	inside.Add(2)
+	release := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
+	returned := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
+	var held [2]*Engine
+	for h := range 2 {
+		go func() {
+			defer close(returned[h])
+			if restored, err := base.Scratch(1, probe, func(_ *Delta, s *Engine) error {
+				held[h] = s
+				inside.Done()
+				<-release[h]
+				return nil
+			}); err != nil || !restored {
+				t.Errorf("holder %d: restored=%v err=%v", h, restored, err)
+			}
+		}()
+	}
+	inside.Wait()
+	if held[0] == held[1] {
+		t.Fatal("two holders at once share an engine")
+	}
+	for h := range 2 {
+		close(release[h])
+		<-returned[h]
+	}
+	if got := lease(); got != held[1] {
+		t.Errorf("after A (%p) then B (%p) came back, the next lease got %p, want B", held[0], held[1], got)
+	}
+}
+
 // BenchmarkScratchLinkFailure: one single-link failure per op on leased
 // scratch engines of a 120-AS base — the sweep_links inner loop. In the
 // steady state an op allocates what it writes into the engine.
@@ -516,13 +575,13 @@ func TestScratchPoolDroppedWhenBaseMoves(t *testing.T) {
 	if got := mScratchCloned.Value() - cloned0; got != uint64(holders-1) {
 		t.Errorf("%d holders at once with one engine idle cloned %d, want %d", holders, got, holders-1)
 	}
-	if got := len(*base.scratch.Load()); got != ScratchLimit() {
+	if got := len(base.scratch.Load().engines); got != ScratchLimit() {
 		t.Errorf("idle list holds %d engines after %d came back, want %d", got, holders, ScratchLimit())
 	}
 	if _, err := base.Apply(Scenario{Events: []Event{FailLink(edges[0].A, edges[0].B)}}); err != nil {
 		t.Fatal(err)
 	}
 	if l := base.scratch.Load(); l != nil {
-		t.Errorf("base applied with %d engines still idle", len(*l))
+		t.Errorf("base applied with %d engines still idle", len(l.engines))
 	}
 }

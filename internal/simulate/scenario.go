@@ -1,12 +1,12 @@
 package simulate
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -320,10 +320,11 @@ type Engine struct {
 	// engine's clone family and must be copied before an edit; see
 	// unshare in clone.go.
 	shared topoShare
-	// scratch is the list of idle scratch engines this engine has lent
-	// out and taken back (lease.go); nil until the first lease and again
-	// after every Apply or Rollback, which leave the state they stand at.
-	scratch atomic.Pointer[chan *Engine]
+	// scratch is the stack of idle scratch engines this engine has lent
+	// out and taken back, the last one given back on top (lease.go); nil
+	// until the first lease and again after every Apply or Rollback, which
+	// leave the state they stand at.
+	scratch atomic.Pointer[idleList]
 	// leased is where Scratch builds the Deltas of the scenarios leased on
 	// this engine; nil until its first one.
 	leased *deltaBuf
@@ -388,19 +389,23 @@ func (en *Engine) unconvergedList() []netx.Prefix {
 }
 
 // deltaBuf is where apply builds a Delta: the Delta itself, the arrays
-// its lists grow in and the disturb set of its incremental pass. Apply
-// builds in a new one per call; a scratch engine keeps one for life
-// (lease.go), so each of its scenarios truncates what the largest before
-// it grew instead of allocating again.
+// its lists grow in, and the reconstruction context and disturb set of
+// its incremental pass. Apply builds in a new one per call; a scratch
+// engine keeps one for life (lease.go), so each of its scenarios
+// truncates or clears what the largest before it grew instead of
+// allocating again.
 type deltaBuf struct {
 	d       Delta
 	shifts  []PrefixShift
 	reach   []ReachDelta
 	vantage []bgp.ASN // the one array every shift's Vantage is carved from
 	peers   map[bgp.ASN]int
-	// disturbed is runIncremental's list of the prefixes it re-converges;
-	// it never reaches the Delta. shiftAt and reachAt hold the position in
-	// it of each shift and reach delta the pass appended.
+	// rc and skip (the prefixes the batch announced) are the incremental
+	// pass's and never reach the Delta, nor does disturbed, its list of
+	// the prefixes it re-converges. shiftAt and reachAt hold the position
+	// in that list of each shift and reach delta the pass appended.
+	rc               recon
+	skip             map[netx.Prefix]bool
 	disturbed        []netx.Prefix
 	shiftAt, reachAt []int32
 }
@@ -409,6 +414,10 @@ type deltaBuf struct {
 func (b *deltaBuf) reset() {
 	b.d = Delta{Shifts: b.shifts[:0], ReachDeltas: b.reach[:0]}
 	b.vantage = b.vantage[:0]
+	if b.skip == nil {
+		b.skip = make(map[netx.Prefix]bool)
+	}
+	clear(b.skip)
 }
 
 // vantageSince carves the ASNs appended to b.vantage since start into
@@ -453,7 +462,8 @@ func (en *Engine) Apply(sc Scenario) (*Delta, error) {
 	if err := en.apply(sc, b); err != nil {
 		return nil, err
 	}
-	b.disturbed = nil // pinned by the returned Delta otherwise
+	// Pinned by the returned Delta otherwise.
+	b.rc, b.skip, b.disturbed = recon{}, nil, nil
 	return &b.d, nil
 }
 
@@ -480,8 +490,9 @@ func (en *Engine) apply(sc Scenario, b *deltaBuf) error {
 	// and half filled; the next Apply would take them for its own.
 	defer e.disarmBestChanges()
 
-	rc := newRecon(e)
 	b.reset()
+	rc := &b.rc
+	rc.reset(e)
 	delta := &b.d
 
 	// Mutate the topology — each event first un-shares, or hands the journal
@@ -574,11 +585,10 @@ func (en *Engine) apply(sc Scenario, b *deltaBuf) error {
 	// Incremental pass over every pre-existing prefix: re-evaluate only
 	// the sessions the events changed, re-converging from reconstructed
 	// pre-event state when anything actually differs.
-	skip := make(map[netx.Prefix]bool, len(added))
 	for _, p := range added {
-		skip[p] = true
+		b.skip[p] = true
 	}
-	disturbed, materialized := en.runIncremental(sc.Events, rc, skip, b)
+	disturbed, materialized := en.runIncremental(sc.Events, rc, b.skip, b)
 
 	var written int
 	delta.PeerBestChanged, written = e.endBestChanges(b.peers)
@@ -587,22 +597,31 @@ func (en *Engine) apply(sc Scenario, b *deltaBuf) error {
 	mApplyMaterialized.Observe(float64(materialized))
 	mApplyEntriesRewritten.Observe(float64(written))
 	delta.TotalPrefixes = len(e.prefixes)
-	sort.Slice(delta.Shifts, func(i, j int) bool {
-		if delta.Shifts[i].Shifted != delta.Shifts[j].Shifted {
-			return delta.Shifts[i].Shifted > delta.Shifts[j].Shifted
-		}
-		return delta.Shifts[i].Prefix.Compare(delta.Shifts[j].Prefix) < 0
-	})
-	sort.Slice(delta.ReachDeltas, func(i, j int) bool {
-		di := abs(delta.ReachDeltas[i].After - delta.ReachDeltas[i].Before)
-		dj := abs(delta.ReachDeltas[j].After - delta.ReachDeltas[j].Before)
-		if di != dj {
-			return di > dj
-		}
-		return delta.ReachDeltas[i].Prefix.Compare(delta.ReachDeltas[j].Prefix) < 0
-	})
+	slices.SortFunc(delta.Shifts, cmpShift)
+	slices.SortFunc(delta.ReachDeltas, cmpReach)
 	b.finish()
 	return nil
+}
+
+// cmpShift orders a Delta's shifts: most ASes shifted first, then by
+// prefix. A hijacked prefix's two shifts (one per origin) can tie, and
+// where the unstable sort puts them is in every record and digest, so a
+// different sort must place ties as this one does
+// (TestSortTiesKeepTheirPlace).
+func cmpShift(a, b PrefixShift) int {
+	if a.Shifted != b.Shifted {
+		return cmp.Compare(b.Shifted, a.Shifted)
+	}
+	return a.Prefix.Compare(b.Prefix)
+}
+
+// cmpReach orders a Delta's reach deltas: largest change first, then by
+// prefix, ties as for cmpShift.
+func cmpReach(a, b ReachDelta) int {
+	if da, db := abs(a.After-a.Before), abs(b.After-b.Before); da != db {
+		return cmp.Compare(db, da)
+	}
+	return a.Prefix.Compare(b.Prefix)
 }
 
 // applyPolicyEvent carries out a local_pref, sa_toggle or no_upstream
@@ -855,13 +874,19 @@ type recon struct {
 	oldPols   map[int32]*topogen.Policy
 }
 
-func newRecon(e *engine) *recon {
-	return &recon{
-		e:       e,
-		removed: make(map[[2]int32]asgraph.Relationship),
-		added:   make(map[[2]int32]bool),
-		oldPols: make(map[int32]*topogen.Policy),
+// reset empties rc for an Apply on e, keeping what its maps and list
+// grew to for the next one.
+func (rc *recon) reset(e *engine) {
+	rc.e = e
+	if rc.removed == nil {
+		rc.removed = make(map[[2]int32]asgraph.Relationship)
+		rc.added = make(map[[2]int32]bool)
+		rc.oldPols = make(map[int32]*topogen.Policy)
 	}
+	clear(rc.removed)
+	clear(rc.added)
+	clear(rc.oldPols)
+	rc.endpoints = rc.endpoints[:0]
 }
 
 // linkChanged reports whether this batch may have removed or added the

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -520,6 +522,89 @@ func TestRandomMixedBatchesMatchFullResim(t *testing.T) {
 	for _, k := range allEventKinds {
 		if seen[k] == 0 {
 			t.Errorf("no batch drew a %s event", k)
+		}
+	}
+}
+
+// TestSortTiesKeepTheirPlace: Apply's shift and reach-delta sorts are
+// unstable, and where they put a tie — two shifts of one prefix with one
+// count, two reach deltas of one prefix with one size of change — is in
+// every sweep record's order and so in the sweep digests. cmpShift and
+// cmpReach under slices.SortFunc must leave each list exactly as
+// sort.Slice leaves it under the equivalent less, on lists built to tie
+// (few prefixes, few counts; Origin, or Before and After, tell the tied
+// records apart) in shapes that take each of pdqsort's paths: short,
+// long, ascending, descending and all-equal runs.
+func TestSortTiesKeepTheirPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	prefixes := []netx.Prefix{
+		netx.MustParsePrefix("10.0.0.0/8"), netx.MustParsePrefix("10.0.0.0/16"),
+		netx.MustParsePrefix("10.1.0.0/16"), netx.MustParsePrefix("192.0.2.0/24"),
+	}
+	shape := func(trial, n int) []int {
+		keys := make([]int, n)
+		for i := range keys {
+			switch trial % 4 {
+			case 0: // random
+				keys[i] = rng.Intn(4 * len(prefixes))
+			case 1: // ascending
+				keys[i] = i * 4 * len(prefixes) / max(n, 1)
+			case 2: // descending
+				keys[i] = (n - i) * 4 * len(prefixes) / max(n, 1)
+			case 3: // one key
+				keys[i] = 5
+			}
+		}
+		return keys
+	}
+	for trial := 0; trial < 400; trial++ {
+		n := rng.Intn(16)
+		if trial%2 == 1 {
+			n = 16 + rng.Intn(400)
+		}
+		keys := shape(trial, n)
+
+		shifts := make([]PrefixShift, n)
+		reach := make([]ReachDelta, n)
+		for i, k := range keys {
+			p := prefixes[k%len(prefixes)]
+			shifts[i] = PrefixShift{Prefix: p, Origin: bgp.ASN(i), Shifted: k / len(prefixes)}
+			before, change := rng.Intn(50), k/len(prefixes)
+			if rng.Intn(2) == 0 {
+				change = -change
+			}
+			reach[i] = ReachDelta{Prefix: p, Before: before, After: before + change}
+		}
+
+		want := slices.Clone(shifts)
+		sort.Slice(want, func(i, j int) bool {
+			if want[i].Shifted != want[j].Shifted {
+				return want[i].Shifted > want[j].Shifted
+			}
+			return want[i].Prefix.Compare(want[j].Prefix) < 0
+		})
+		got := slices.Clone(shifts)
+		slices.SortFunc(got, cmpShift)
+		for i := range got {
+			if got[i].Origin != want[i].Origin {
+				t.Fatalf("trial %d, %d shifts: position %d holds origin %d, sort.Slice put %d there",
+					trial, n, i, got[i].Origin, want[i].Origin)
+			}
+		}
+
+		wantReach := slices.Clone(reach)
+		sort.Slice(wantReach, func(i, j int) bool {
+			di := abs(wantReach[i].After - wantReach[i].Before)
+			dj := abs(wantReach[j].After - wantReach[j].Before)
+			if di != dj {
+				return di > dj
+			}
+			return wantReach[i].Prefix.Compare(wantReach[j].Prefix) < 0
+		})
+		gotReach := slices.Clone(reach)
+		slices.SortFunc(gotReach, cmpReach)
+		if !slices.Equal(gotReach, wantReach) {
+			t.Fatalf("trial %d, %d reach deltas: slices.SortFunc placed ties unlike sort.Slice", trial, n)
 		}
 	}
 }

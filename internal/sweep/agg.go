@@ -1,7 +1,7 @@
 package sweep
 
 import (
-	"sort"
+	"slices"
 
 	"github.com/policyscope/policyscope/internal/bgp"
 )
@@ -177,7 +177,7 @@ func (a *Aggregator) Aggregate() *Aggregate {
 	for p := range a.peers {
 		peers = append(peers, p)
 	}
-	sort.Slice(peers, func(i, j int) bool { return peers[i] < peers[j] })
+	slices.Sort(peers)
 	out.Peers = make([]PeerSummary, 0, len(peers))
 	for _, p := range peers {
 		out.Peers = append(out.Peers, *a.peers[p])

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/policyscope/policyscope/internal/bgp"
 	"github.com/policyscope/policyscope/internal/simulate"
 )
 
@@ -129,20 +130,28 @@ func Run(ctx context.Context, base *simulate.Engine, scenarios []simulate.Scenar
 					opts.OnWorkerDone(ws)
 				}
 			}()
+			// One observer per worker builds each scenario's record, and
+			// peers, where the records gather their vantage points, outlives
+			// them.
+			var (
+				peers []bgp.ASN
+				sc    simulate.Scenario
+				imp   *Impact
+			)
+			observe := func(delta *simulate.Delta, _ *simulate.Engine) error {
+				imp, peers = buildImpact(sc, delta, topShifts, peers)
+				return nil
+			}
 			for {
 				i := int(atomic.AddInt64(&next, 1))
 				if i >= len(scenarios) || ctx.Err() != nil || em.aborted() {
 					return
 				}
-				sc := scenarios[i]
+				sc, imp = scenarios[i], nil
 				start := time.Now()
-				var imp *Impact
 				// Parallelism 1: it lives across scenarios, not inside each
 				// incremental apply.
-				restored, err := base.Scratch(1, sc, func(delta *simulate.Delta, _ *simulate.Engine) error {
-					imp = BuildImpact(sc, delta, topShifts)
-					return nil
-				})
+				restored, err := base.Scratch(1, sc, observe)
 				if err != nil {
 					imp = &Impact{Name: sc.Name, Events: len(sc.Events), Error: err.Error()}
 				}

@@ -1,7 +1,7 @@
 package sweep
 
 import (
-	"sort"
+	"slices"
 
 	"github.com/policyscope/policyscope/internal/bgp"
 	"github.com/policyscope/policyscope/internal/simulate"
@@ -75,27 +75,34 @@ func Apply(eng *simulate.Engine, sc simulate.Scenario, topShifts int) (*Impact, 
 
 // BuildImpact folds one scenario's Delta into its Impact record.
 func BuildImpact(sc simulate.Scenario, delta *simulate.Delta, topShifts int) *Impact {
+	imp, _ := buildImpact(sc, delta, topShifts, nil)
+	return imp
+}
+
+// buildImpact is BuildImpact gathering the shifts' vantage points in
+// peers, a buffer the caller keeps across records, and returning it as it
+// grew: a warm buffer leaves the record the only allocation besides its
+// own lists and the top shifts' prefix strings.
+func buildImpact(sc simulate.Scenario, delta *simulate.Delta, topShifts int, peers []bgp.ASN) (*Impact, []bgp.ASN) {
 	imp := &Impact{
 		Name:               sc.Name,
 		Events:             len(sc.Events),
 		RecomputedPrefixes: delta.Recomputed,
 		AffectedPrefixes:   len(delta.Shifts),
 	}
-	peerCount := map[bgp.ASN]int{}
+	peers = peers[:0]
 	for _, sh := range delta.Shifts {
 		imp.ShiftedASes += sh.Shifted
-		for _, peer := range sh.Vantage {
-			peerCount[peer]++
-		}
+		peers = append(peers, sh.Vantage...)
 	}
-	for i, sh := range delta.Shifts {
-		if topShifts <= 0 || i >= topShifts {
-			break
+	if n := min(topShifts, len(delta.Shifts)); n > 0 {
+		imp.TopShifts = make([]ShiftRecord, n)
+		for i, sh := range delta.Shifts[:n] {
+			imp.TopShifts[i] = ShiftRecord{
+				Prefix: sh.Prefix.String(), Origin: sh.Origin,
+				Shifted: sh.Shifted, Lost: sh.Lost, Gained: sh.Gained,
+			}
 		}
-		imp.TopShifts = append(imp.TopShifts, ShiftRecord{
-			Prefix: sh.Prefix.String(), Origin: sh.Origin,
-			Shifted: sh.Shifted, Lost: sh.Lost, Gained: sh.Gained,
-		})
 	}
 	for _, rd := range delta.ReachDeltas {
 		if rd.After < rd.Before {
@@ -107,16 +114,23 @@ func BuildImpact(sc simulate.Scenario, delta *simulate.Delta, topShifts int) *Im
 			imp.UnreachablePrefixes++
 		}
 	}
-	if len(peerCount) > 0 {
-		peers := make([]bgp.ASN, 0, len(peerCount))
-		for p := range peerCount {
-			peers = append(peers, p)
+	if len(peers) > 0 {
+		// Sorted, each peer's run is its count: the shifts that list it.
+		slices.Sort(peers)
+		runs := 1
+		for i := 1; i < len(peers); i++ {
+			if peers[i] != peers[i-1] {
+				runs++
+			}
 		}
-		sort.Slice(peers, func(i, j int) bool { return peers[i] < peers[j] })
-		imp.PeerChanges = make([]PeerChange, 0, len(peers))
-		for _, p := range peers {
-			imp.PeerChanges = append(imp.PeerChanges, PeerChange{Peer: p, Prefixes: peerCount[p]})
+		imp.PeerChanges = make([]PeerChange, 0, runs)
+		for i, p := range peers {
+			if i > 0 && p == peers[i-1] {
+				imp.PeerChanges[len(imp.PeerChanges)-1].Prefixes++
+			} else {
+				imp.PeerChanges = append(imp.PeerChanges, PeerChange{Peer: p, Prefixes: 1})
+			}
 		}
 	}
-	return imp
+	return imp, peers
 }

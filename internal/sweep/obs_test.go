@@ -112,11 +112,12 @@ func policyBatch(t *testing.T, topo *topogen.Topology) []simulate.Scenario {
 }
 
 // TestRunsShareScratchEngines: the engines one Run warmed serve the next
-// Run on the same base, and serve it the same bytes — records of a second
-// and third call equal those of workers {1, 4, 8} on bases that have never
-// lent anything out — whatever the scenarios' event kinds: a batch of
-// policy and prefix events discards no engine and re-clones for no
-// scenario, exactly like a batch of link failures.
+// Run on the same base, and serve it the same bytes — records of later
+// calls equal those of workers {1, 4, 8} on bases that have never lent
+// anything out — whatever the scenarios' event kinds: a batch of policy
+// and prefix events discards no engine and re-clones for no scenario,
+// exactly like a batch of link failures. A one-worker call after a
+// four-worker one runs every scenario on one engine.
 func TestRunsShareScratchEngines(t *testing.T) {
 	topo, opts := buildTestTopo(t, 150, 7)
 	links, err := Expand(context.Background(), topo, Spec{
@@ -146,14 +147,37 @@ func runsShareScratchEngines(t *testing.T, topo *topogen.Topology, opts simulate
 	}
 
 	base := newBase(t, topo, opts)
-	for call, workers := range []int{1, 4, 4} {
+	var (
+		peeks   int
+		engines map[*simulate.Engine]bool
+	)
+	// peek leases an empty scenario from inside a one-worker call's sink,
+	// where no lease is out: the engine it gets is the one on top of the
+	// idle list, and a lease that changes nothing puts it back on top.
+	peek := func() {
+		peeks++
+		if _, err := base.Scratch(1, simulate.Scenario{Name: "peek"}, func(_ *simulate.Delta, s *simulate.Engine) error {
+			engines[s] = true
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for call, workers := range []int{1, 4, 4, 1} {
 		reused0, cloned0, discarded0 := scratchEvents()
 		var reclones int
 		var mu sync.Mutex
 		var records []*Impact
+		peeks, engines = 0, map[*simulate.Engine]bool{}
 		_, err := Run(context.Background(), base, scenarios, Options{
-			Workers:  workers,
-			OnImpact: func(imp *Impact) error { records = append(records, imp); return nil },
+			Workers: workers,
+			OnImpact: func(imp *Impact) error {
+				records = append(records, imp)
+				if workers == 1 {
+					peek()
+				}
+				return nil
+			},
 			OnWorkerDone: func(ws WorkerStats) {
 				mu.Lock()
 				reclones += ws.Reclones
@@ -168,15 +192,21 @@ func runsShareScratchEngines(t *testing.T, topo *topogen.Topology, opts simulate
 		}
 		reused, cloned, discarded := scratchEvents()
 		reused, cloned, discarded = reused-reused0, cloned-cloned0, discarded-discarded0
-		if reused+cloned != uint64(len(scenarios)) || discarded != 0 || reclones != 0 {
-			t.Errorf("call %d: %d reused + %d cloned over %d scenarios, %d discarded, %d reclones",
-				call, reused, cloned, len(scenarios), discarded, reclones)
+		if reused+cloned != uint64(len(scenarios)+peeks) || discarded != 0 || reclones != 0 {
+			t.Errorf("call %d: %d reused + %d cloned over %d scenarios and %d peeks, %d discarded, %d reclones",
+				call, reused, cloned, len(scenarios), peeks, discarded, reclones)
 		}
 		// One worker on a base that has lent nothing out clones once and
 		// reuses that engine for every other scenario; later calls clone
 		// only for workers the idle list has no engine for yet.
 		if call == 0 && cloned != 1 || call > 0 && cloned > uint64(workers-1) {
 			t.Errorf("call %d: %d clones over %d scenarios on %d workers", call, cloned, len(scenarios), workers)
+		}
+		// The idle list is last in, first out: one worker runs every
+		// scenario on the engine it gave back last, also after four workers
+		// left four engines idle.
+		if workers == 1 && len(engines) != 1 {
+			t.Errorf("call %d: one worker ran its scenarios on %d engines", call, len(engines))
 		}
 	}
 }

@@ -453,3 +453,27 @@ func TestExpandCanceledContext(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkSweepLinkBatch: one op runs 64 single-link failures through
+// Run at one worker on a 150-AS base — a sweep_links batch in miniature.
+// From the second op on, the base's idle list holds the engine the first
+// one warmed, so an op counts what the sweep allocates per scenario
+// beyond the engine's own storage: its record, the emitter and the
+// aggregate.
+func BenchmarkSweepLinkBatch(b *testing.B) {
+	topo, opts := buildTestTopo(b, 150, 7)
+	scenarios, err := Expand(context.Background(), topo, Spec{
+		Generators: []Generator{{Kind: KindAllSingleLinkFailures, Max: 64}},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	base := newBase(b, topo, opts)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(context.Background(), base, scenarios, Options{Workers: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
