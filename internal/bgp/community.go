@@ -2,6 +2,7 @@ package bgp
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -87,7 +88,7 @@ func NewCommunities(vals ...Community) Communities {
 		return nil
 	}
 	out := append(Communities(nil), vals...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	dst := out[:1]
 	for _, c := range out[1:] {
 		if c != dst[len(dst)-1] {

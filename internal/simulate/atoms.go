@@ -112,11 +112,11 @@ func (e *engine) runAtoms(prefixes []netx.Prefix, fail func(netx.Prefix)) {
 		groups[gi] = append(groups[gi], p)
 	}
 
-	e.forEachIndex(len(groups), func() (func(int), func()) {
+	forEachIndex(e, len(groups), perWorker(func() (func(int), func()) {
 		rep, mem := e.getState(), e.getState()
 		return func(i int) { e.runGroup(rep, mem, groups[i], fail) },
 			func() { e.putState(rep); e.putState(mem) }
-	})
+	}))
 }
 
 // runGroup converges one class group: full propagation for the first

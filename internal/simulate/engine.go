@@ -162,11 +162,10 @@ type engine struct {
 	// applying is set while an Engine.Apply runs: writes to vantage tables
 	// then record pre-batch bests (writableFor).
 	applying bool
-	// arena is where an Apply under a checkpoint carves what it writes
-	// into vantage tables, made by the first Checkpoint; clones counts the
-	// Clones taken of this engine, which decide whether a Rollback may
-	// rewind it. See journal.go.
-	arena  *vantageArena
+	// region is where an Apply under a checkpoint carves what it writes;
+	// clones counts the Clones taken of this engine, which decide whether
+	// a Rollback may rewind it. See journal.go.
+	region *region
 	clones uint64
 
 	// track, when non-nil, records for every prefix the converged best
@@ -181,15 +180,6 @@ type engine struct {
 	// NOT share rows between class members — members diverge whenever a
 	// deviation flips a best choice, so every prefix owns its row.)
 	trackShared []bool
-	// rowFree holds forest-row buffers a Rollback handed back: the copies
-	// the rolled-back Apply made, which nothing references any more. The
-	// next Apply's copies come from here first, so a sweep worker that
-	// applies and rolls back thousands of scenarios allocates one
-	// scenario's worth of rows, not one per scenario — and never grows
-	// toward a private copy of the whole forest, which keeping the rows
-	// owned would. Private to the engine: a Clone starts with none.
-	rowMu   sync.Mutex
-	rowFree [][]int32
 }
 
 // tableSlot holds one vantage table behind its lock. The slot pointer
@@ -329,9 +319,9 @@ func newEngine(topo *topogen.Topology, opts Options) *engine {
 // rebuildAdjacency derives AS i's neighbor list and session records from
 // the graph and i's Policy, into fresh slices (clones and the journal keep
 // the ones they replace) carved from va, or made on the heap when va is
-// nil or full. newEngine calls it for every AS, relink for the endpoints
+// nil. newEngine calls it for every AS, relink for the endpoints
 // of a batch's link events.
-func (e *engine) rebuildAdjacency(i int32, va *vantageArena) {
+func (e *engine) rebuildAdjacency(i int32, va *region) {
 	asn, pol := e.asns[i], e.pols[i]
 	nbs := e.topo.Graph.AppendNeighbors(e.nbrASNs[:0], asn)
 	e.nbrASNs = nbs
@@ -384,7 +374,7 @@ func (e *engine) rebuildCSR() {
 
 // rebuildBack recomputes back[u] into a fresh slice carved from va, or
 // made on the heap (clones alias the old one until they rebuild).
-func (e *engine) rebuildBack(u int32, va *vantageArena) {
+func (e *engine) rebuildBack(u int32, va *region) {
 	back := va.int32s(len(e.nbrs[u]))
 	for j, v := range e.nbrs[u] {
 		back[j] = int32(slotOf(e.nbrs[v], u))
@@ -400,10 +390,10 @@ func (e *engine) rebuildBack(u int32, va *vantageArena) {
 // every published layout immutable while it is published, so an
 // in-flight state on a sibling clone can keep reading its
 // (version-matched) layout while this engine rebuilds. A table carved
-// from va is written again only after a Rollback rewound the arena, when
+// from va is written again only after a Rollback rewound the region, when
 // no engine publishes it any more; journal.go says why no pooled state
 // reads it then.
-func (e *engine) publishLayout(va *vantageArena) {
+func (e *engine) publishLayout(va *region) {
 	n := len(e.asns)
 	csrOff := va.int32s(n + 1)
 	off := int32(0)
@@ -425,7 +415,7 @@ func (e *engine) publishLayout(va *vantageArena) {
 // edges between endpoints, so those neighbors are the same before and
 // after. Every slice it replaces goes to the journal as it stands, the
 // pre-image Rollback puts back, and under a checkpoint every slice it
-// writes is carved from the vantage arena the Rollback rewinds.
+// writes is carved from the region the Rollback rewinds.
 func (e *engine) relink(endpoints []int32) {
 	stale := append(e.stale[:0], endpoints...)
 	for _, i := range endpoints {
@@ -443,22 +433,6 @@ func (e *engine) relink(endpoints []int32) {
 		e.rebuildBack(u, va)
 	}
 	e.publishLayout(va)
-}
-
-// copyRow returns a copy of a forest row in a buffer Rollback handed back,
-// or a newly allocated one when the free list is empty.
-func (e *engine) copyRow(row []int32) []int32 {
-	var buf []int32
-	e.rowMu.Lock()
-	if n := len(e.rowFree); n > 0 {
-		buf, e.rowFree = e.rowFree[n-1], e.rowFree[:n-1]
-	}
-	e.rowMu.Unlock()
-	if buf == nil {
-		buf = make([]int32, len(row))
-	}
-	copy(buf, row)
-	return buf
 }
 
 // Run simulates the whole topology.
@@ -520,19 +494,26 @@ func (e *engine) runPrefixes(prefixes []netx.Prefix) []netx.Prefix {
 	return unconverged
 }
 
-// forEachIndex runs body(i) for every i in [0, n) on a bounded worker
-// pool. setup runs once per worker and returns the per-item body plus a
-// teardown invoked when the worker drains. Every parallel pass (full
-// convergence, atom groups, incremental scenarios) schedules through
-// it. One worker is the caller itself, in index order: a sweep's
-// scenarios run at Parallelism 1, and start no goroutine per pass.
-func (e *engine) forEachIndex(n int, setup func() (body func(int), done func())) {
+// A pass is the work forEachIndex spreads over its workers: each worker
+// opens one W, visits its indexes with it and closes it.
+type pass[W any] interface {
+	open() W
+	visit(w W, i int)
+	close(w W)
+}
+
+// forEachIndex runs p.visit for every i in [0, n) on a bounded worker
+// pool. Every parallel pass (full convergence, atom groups, incremental
+// scenarios) schedules through it. One worker is the caller itself, in
+// index order: a sweep's scenarios run at Parallelism 1, and start no
+// goroutine per pass.
+func forEachIndex[W any](e *engine, n int, p pass[W]) {
 	workers := e.workerCount(n)
 	if workers == 1 {
-		body, done := setup()
-		defer done()
+		w := p.open()
+		defer p.close(w)
 		for i := 0; i < n; i++ {
-			body(i)
+			p.visit(w, i)
 		}
 		return
 	}
@@ -541,12 +522,12 @@ func (e *engine) forEachIndex(n int, setup func() (body func(int), done func()))
 		next int
 		wg   sync.WaitGroup
 	)
-	for w := 0; w < workers; w++ {
+	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			body, done := setup()
-			defer done()
+			w := p.open()
+			defer p.close(w)
 			for {
 				mu.Lock()
 				if next >= n {
@@ -556,21 +537,37 @@ func (e *engine) forEachIndex(n int, setup func() (body func(int), done func()))
 				i := next
 				next++
 				mu.Unlock()
-				body(i)
+				p.visit(w, i)
 			}
 		}()
 	}
 	wg.Wait()
 }
 
+// perWorker is a pass made by a function that sets one worker up and
+// returns its per-index body and its teardown.
+type perWorker func() (body func(int), done func())
+
+type workerFuncs struct {
+	body func(int)
+	done func()
+}
+
+func (f perWorker) open() workerFuncs {
+	body, done := f()
+	return workerFuncs{body, done}
+}
+func (perWorker) visit(w workerFuncs, i int) { w.body(i) }
+func (perWorker) close(w workerFuncs)        { w.done() }
+
 // forEachPrefix runs fn over every prefix, one pooled workerState per
 // worker.
 func (e *engine) forEachPrefix(prefixes []netx.Prefix, fn func(*workerState, netx.Prefix)) {
-	e.forEachIndex(len(prefixes), func() (func(int), func()) {
+	forEachIndex(e, len(prefixes), perWorker(func() (func(int), func()) {
 		st := e.getState()
 		return func(i int) { fn(st, prefixes[i]) },
 			func() { e.putState(st) }
-	})
+	}))
 }
 
 func (e *engine) workerCount(items int) int {
@@ -909,24 +906,23 @@ func routesEquivalent(a, b *bgp.Route) bool {
 // installable returns the route a vantage table installs for arena route
 // r, learned from neighbor for prefix: the one held already holds from
 // that neighbor when it is Identical to r with prefix as its destination,
-// a copy of r out of the worker's arenas otherwise — carved from va when
-// it has room, on the heap when it is nil or full. prefix is the
+// a copy of r out of the worker's arenas otherwise — carved from va, or
+// on the heap when it is nil. prefix is the
 // authoritative destination: during atom fan-out r carries the
 // representative's Prefix.
-func (st *workerState) installable(va *vantageArena, held *bgp.RIB, prefix netx.Prefix, neighbor bgp.ASN, r *bgp.Route) *bgp.Route {
+func (st *workerState) installable(va *region, held *bgp.RIB, prefix netx.Prefix, neighbor bgp.ASN, r *bgp.Route) *bgp.Route {
 	want := *r
 	want.Prefix = prefix
 	if old := held.CandidateFrom(prefix, neighbor); old != nil && old.Identical(&want) {
 		st.statKept++
 		return old
 	}
-	c := va.route()
-	if c != nil {
+	if va != nil {
 		st.statRecycled++
 	} else {
 		st.statPersisted++
-		c = new(bgp.Route)
 	}
+	c := va.route()
 	*c = want
 	// Communities are shared: interned sets are immutable.
 	c.Path = va.asnList(r.Path)
@@ -944,7 +940,7 @@ func (e *engine) capture(st *workerState, prefix netx.Prefix) {
 		// replaced, not rewritten in place: capture overwrites every cell
 		// anyway.
 		if shared := e.trackShared != nil && e.trackShared[pi]; row == nil || shared {
-			row = make([]int32, len(e.asns))
+			row = e.carving().int32s(len(e.asns))
 			e.track[pi] = row
 			if shared {
 				e.trackShared[pi] = false
@@ -976,7 +972,7 @@ func (e *engine) capture(st *workerState, prefix netx.Prefix) {
 // neighbor, attribute for attribute, stays as installed (installed routes
 // are immutable); only the ones that moved are deep-copied out of the
 // worker's arenas. An Apply under a checkpoint carves the copies and the
-// entry's lists from the engine's vantage arena, which the Rollback that
+// entry's lists from the engine's region, which the Rollback that
 // removes the entry rewinds (journal.go). The slot lock is held
 // throughout, so the entry read is the one replaced.
 func (e *engine) captureVantage(st *workerState, i int32, prefix netx.Prefix) {

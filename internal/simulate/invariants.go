@@ -27,9 +27,8 @@ import (
 //     graph neighbors ascending, its session records are what newSession
 //     derives, its reverse index points back at it, and the CSR offsets
 //     span the rows.
-//   - No checkpoint is armed — callers ask between scenarios — the spent
-//     journal is empty, and no buffer on the row free list is a live row or
-//     listed twice.
+//   - No checkpoint is armed — callers ask between scenarios — and the
+//     spent journal is empty.
 func (en *Engine) checkInvariants() error { return en.checkState(nil) }
 
 // checkState is checkInvariants with a step run on each forest row just
@@ -77,7 +76,7 @@ func (en *Engine) checkState(prepare func(pi int) error) error {
 	// worker: in prefix order its entries sit in the order they were
 	// decoded, where a pass across the tables per prefix would miss the
 	// cache on every one.
-	e.forEachIndex(len(e.prefixes), func() (func(int), func()) {
+	forEachIndex(e, len(e.prefixes), perWorker(func() (func(int), func()) {
 		ws := newRowCheck(len(e.asns))
 		return func(pi int) {
 			if prepare != nil {
@@ -93,7 +92,7 @@ func (en *Engine) checkState(prepare func(pi int) error) error {
 				fail(err)
 			}
 		}, func() {}
-	})
+	}))
 	if first != nil {
 		return first
 	}
@@ -101,30 +100,14 @@ func (en *Engine) checkState(prepare func(pi int) error) error {
 	for vi := range e.tables {
 		vantages = append(vantages, vi)
 	}
-	e.forEachIndex(len(vantages), func() (func(int), func()) {
+	forEachIndex(e, len(vantages), perWorker(func() (func(int), func()) {
 		return func(k int) {
 			if err := en.checkTable(vantages[k]); err != nil {
 				fail(err)
 			}
 		}, func() {}
-	})
-	if first != nil {
-		return first
-	}
-
-	free := make(map[*int32]bool, len(e.rowFree))
-	for _, buf := range e.rowFree {
-		if free[&buf[0]] {
-			return fmt.Errorf("one row buffer is on the free list twice")
-		}
-		free[&buf[0]] = true
-	}
-	for pi, row := range e.track {
-		if len(free) > 0 && free[&row[0]] {
-			return fmt.Errorf("forest row %v is a buffer on the free list", e.prefixes[pi])
-		}
-	}
-	return nil
+	}))
+	return first
 }
 
 // checkAdjacency holds the neighbor rows, session records, reverse index

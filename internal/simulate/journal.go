@@ -1,8 +1,10 @@
 package simulate
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"github.com/policyscope/policyscope/internal/asgraph"
 	"github.com/policyscope/policyscope/internal/bgp"
@@ -30,30 +32,25 @@ import (
 // Nothing is copied for the journal that the Apply does not write. A
 // forest row, a Policy and an AS description are each handed over as they
 // stood: the original becomes the pre-image and the Apply writes a copy
-// (captureIncremental, editPolicy, editInfo). Rollback puts the original
-// back; a row copy goes to the engine's free list — the copy and nothing
-// else: not the pre-image, and not a copy a Clone taken since the Apply
-// still shares — and the next scenario's copies reuse those buffers. A
-// vantage entry the table reads through to is held as the parent
-// layer's pointer (bgp.RIB.SaveEntry), and Rollback deletes the Apply's
-// own copy so the table reads through again; only an entry the table
-// already owned, which it writes in place, is copied.
+// (captureIncremental, editPolicy, editInfo), and Rollback puts the
+// original back. A vantage entry the table reads through to is held as
+// the parent layer's pointer (bgp.RIB.SaveEntry), and Rollback deletes
+// the Apply's own copy so the table reads through again; only an entry
+// the table already owned, which it writes in place, is copied.
 //
-// What an Apply under a checkpoint writes is recycled by the same rule,
-// carved from the engine's vantageArena. Into vantage tables: the routes
-// it installs, their AS paths, each entry's neighbor and route lists and
-// the entry itself (bgp.EntrySlot), and the copy a link failure's
-// withdrawal makes of an entry the table reads through to
-// (bgp.RIB.WithdrawInto). Into the adjacency: every neighbor,
-// session-record and reverse-index row relink rebuilds, and the CSR
-// offsets it publishes. Rollback removes every entry the Apply wrote and
-// puts every replaced row and the old offsets back, so it rewinds the
-// arena to where the checkpoint found it and the next scenario carves
-// the same storage — unless a Clone was taken since the checkpoint: the
-// clone reads the tables and the adjacency as the Apply left them, so
-// the engine leaves that arena to it and makes a new one at its next
-// Checkpoint. A route read out of a table after such an Apply is
-// therefore valid until the Rollback, as a lease's Delta is (lease.go).
+// What an Apply under a checkpoint writes is carved from the engine's
+// region: the routes, AS paths, neighbor and route lists and entries
+// (bgp.EntrySlot) it writes into vantage tables, a link failure's copies
+// of entries the table reads through to (bgp.RIB.WithdrawInto), the
+// forest rows it rewrites or an announced prefix gets, and every
+// adjacency row and CSR offset table relink rebuilds. Rollback takes all
+// of it out of the engine and rewinds the region to where the checkpoint
+// found it, so the next scenario carves the same storage — unless a Clone
+// was taken since: the clone reads what the Apply wrote, so the engine
+// leaves it the region and starts a new one (recycle). A route read out
+// of a table after such an Apply is therefore valid until the Rollback,
+// as a lease's Delta is (lease.go). Cold convergence and an Apply
+// without a checkpoint copy to the heap.
 //
 // Recycled offsets are safe although pooled worker states, shared by the
 // whole engine family, alias the offsets of the engine they last synced
@@ -62,11 +59,6 @@ import (
 // under its own, so no engine publishes a rewound table's version again,
 // and syncAdjacency re-inits a state on a version mismatch before it
 // reads any offset.
-//
-// The arena is a constant budget, sized to a typical scenario (550 KiB,
-// see arenaRoutes); what does not fit is copied to the heap, as cold
-// convergence and an Apply without a checkpoint copy everything, so an
-// idle engine holds that budget and not the largest scenario it ran.
 
 // undoKind says which stack of applyJournal a log entry's record is on;
 // it is also the kind label of policyscope_journal_undo_records_total.
@@ -163,147 +155,191 @@ type applyJournal struct {
 	csrOff     []int32
 	adjVersion uint64
 
-	// arenaAt is how far the engine's vantage arena was carved at the
+	// regionAt is how far the engine's region was carved at the
 	// checkpoint, and clones how many Clones the engine had taken then.
-	arenaAt arenaMark
-	clones  uint64
+	regionAt regionMark
+	clones   uint64
 }
 
-// The vantage arena's budget: room for arenaRoutes routes, eight AS
-// numbers a route (its AS path and its share of entry neighbor lists),
-// four route pointers (entry route lists) and two entries — a capture
-// writes one, and a link failure's withdrawal copies more, each with its
-// lists — plus the adjacency one relink rewrites: arenaInts int32s (CSR
-// offsets, neighbor and reverse-index rows) and arenaSessions session
-// records. That is 176 + 64 + 64 + 224 KiB for the vantage writes and
-// 16 + 6 KiB for the adjacency: 550 KiB an engine. On the paper preset
-// all of a scenario fits for every hijack, 1,335 of the 1,339 link
-// failures and 1,041 of the 1,064 local-preference flips of the
-// eight best-connected ASes, and every relink fits (at most 2,583 int32s
-// and 219 records).
-const (
-	arenaRoutes   = 2048
-	arenaASNs     = 8 * arenaRoutes
-	arenaLists    = 4 * arenaRoutes
-	arenaEntries  = 2 * arenaRoutes
-	arenaInts     = 4096
-	arenaSessions = 512
-)
+// regionCap is the most a rewind leaves a region. It is above what the
+// largest paper-preset scenarios carve of every type (DESIGN §3), so a
+// warm engine carves each of them without allocating.
+const regionCap = 6 << 20
 
-// vantageArena is the storage an Apply under a checkpoint carves its
-// vantage-table writes and its relinked adjacency from; Rollback rewinds
-// it. Workers capture concurrently, so each slab is carved by an atomic
-// bump.
-type vantageArena struct {
-	routes  slab[bgp.Route]
-	asns    slab[bgp.ASN]
-	lists   slab[*bgp.Route]
-	entries slab[bgp.EntrySlot]
-	ints    slab[int32]
-	sess    slab[session]
+// chunkBytes is the size of a chunk, unless one take needs more.
+const chunkBytes = 64 << 10
+
+// region is the storage an Apply under a checkpoint carves what it
+// writes from: chunks per element type, made as takes need them, none up
+// front. Concurrent workers carve by an atomic bump in the current chunk;
+// a take that does not fit locks and moves to the next chunk.
+type region struct {
+	mu      sync.Mutex
+	held    atomic.Int64 // bytes in every chunk
+	routes  chunks[bgp.Route]
+	asns    chunks[bgp.ASN]
+	lists   chunks[*bgp.Route]
+	entries chunks[bgp.EntrySlot]
+	ints    chunks[int32] // forest rows, adjacency rows, CSR offsets
+	sess    chunks[session]
 }
 
-// arenaMark is how far each slab of a vantageArena is carved.
-type arenaMark [6]int64
+// regionMark is, per type, the chunk a region is carved to and how far.
+type regionMark [6]struct{ at, used int64 }
 
-// slab is one fixed array carved front to back. used may run past the
-// end: a take that does not fit fails, and so does every later one until
-// a rewind.
-type slab[T any] struct {
+type chunkList interface {
+	mark() (at, used int64)
+	rewind(at, used int64, r *region)
+}
+
+func (r *region) parts() [6]chunkList {
+	return [6]chunkList{&r.routes, &r.asns, &r.lists, &r.entries, &r.ints, &r.sess}
+}
+
+// chunks is one element type's storage; all[at] is the current chunk.
+type chunks[T any] struct {
+	cur atomic.Pointer[chunk[T]]
+	all []*chunk[T] // written under the region's mu
+	at  int64
+}
+
+// chunk is one array carved front to back; used runs past its end after
+// a take that did not fit.
+type chunk[T any] struct {
 	buf  []T
 	used atomic.Int64
 }
 
-// take returns the next n elements, with capacity n, or nil when fewer
-// than n are left.
-func (s *slab[T]) take(n int) []T {
-	end := s.used.Add(int64(n))
-	if end > int64(len(s.buf)) {
-		return nil
+func sizeOf[T any]() int64 {
+	var v T
+	return int64(unsafe.Sizeof(v))
+}
+
+// take returns the next n elements, with capacity n, for the caller to
+// write whole: they are zeroed only if T holds a pointer (rewind).
+func (c *chunks[T]) take(r *region, n int) []T {
+	for {
+		k := c.cur.Load()
+		if k != nil {
+			if end := k.used.Add(int64(n)); end <= int64(len(k.buf)) {
+				return k.buf[end-int64(n) : end : end]
+			}
+		}
+		r.mu.Lock()
+		if c.cur.Load() == k { // no other take moved on first
+			if k != nil {
+				c.at++
+			}
+			if c.at == int64(len(c.all)) || len(c.all[c.at].buf) < n {
+				size := max(n, int(chunkBytes/sizeOf[T]()))
+				c.all = slices.Insert(c.all, int(c.at), &chunk[T]{buf: make([]T, size)})
+				r.held.Add(int64(size) * sizeOf[T]())
+			}
+			c.cur.Store(c.all[c.at])
+		}
+		r.mu.Unlock()
 	}
-	return s.buf[end-int64(n) : end : end]
 }
 
-// one returns the next element, or nil when none is left.
-func (s *slab[T]) one() *T {
-	if b := s.take(1); b != nil {
-		return &b[0]
+func (c *chunks[T]) mark() (at, used int64) {
+	if k := c.cur.Load(); k != nil {
+		return c.at, k.used.Load()
 	}
-	return nil
+	return 0, 0
 }
 
-// rewind hands back everything carved past at, cleared so the arena pins
-// nothing a rolled-back scenario pointed to.
-func (s *slab[T]) rewind(at int64) {
-	n := int64(len(s.buf))
-	clear(s.buf[min(at, n):min(s.used.Load(), n)])
-	s.used.Store(at)
+// rewind hands back everything carved past the mark, clearing what can
+// hold a pointer so that the region pins nothing of a rolled-back
+// scenario, and drops the chunks past the mark's, last first, while r
+// holds more than regionCap.
+func (c *chunks[T]) rewind(at, used int64, r *region) {
+	if len(c.all) == 0 {
+		return
+	}
+	var scrub bool
+	switch any((*T)(nil)).(type) {
+	case *bgp.Route, **bgp.Route, *bgp.EntrySlot:
+		scrub = true
+	}
+	for i := at; i <= c.at; i++ {
+		k, from := c.all[i], int64(0)
+		if i == at {
+			from = used
+		}
+		if scrub {
+			clear(k.buf[from:min(k.used.Load(), int64(len(k.buf)))])
+		}
+		k.used.Store(from)
+	}
+	c.at = at
+	c.cur.Store(c.all[at])
+	for r.held.Load() > regionCap && int64(len(c.all)) > at+1 {
+		r.held.Add(-int64(len(pop(&c.all).buf)) * sizeOf[T]())
+	}
 }
 
-func newVantageArena() *vantageArena {
-	va := new(vantageArena)
-	va.routes.buf = make([]bgp.Route, arenaRoutes)
-	va.asns.buf = make([]bgp.ASN, arenaASNs)
-	va.lists.buf = make([]*bgp.Route, arenaLists)
-	va.entries.buf = make([]bgp.EntrySlot, arenaEntries)
-	va.ints.buf = make([]int32, arenaInts)
-	va.sess.buf = make([]session, arenaSessions)
-	return va
+// recycle is the region's one rule, run by Rollback once nothing the
+// Applies carved is in the engine: rewind to the checkpoint's mark —
+// unless a Clone taken since reads what they carved, which leaves it the
+// region.
+func (e *engine) recycle(j *applyJournal) {
+	if e.clones != j.clones {
+		e.region = nil
+		return
+	}
+	for i, c := range e.region.parts() {
+		c.rewind(j.regionAt[i].at, j.regionAt[i].used, e.region)
+	}
 }
 
-func (va *vantageArena) mark() arenaMark {
-	return arenaMark{va.routes.used.Load(), va.asns.used.Load(), va.lists.used.Load(),
-		va.entries.used.Load(), va.ints.used.Load(), va.sess.used.Load()}
+// RegionBytes reports what the engine's region holds: the storage its
+// Applies under a checkpoint carve from, kept up to a constant cap.
+func (en *Engine) RegionBytes() int64 {
+	if r := en.e.region; r != nil {
+		return r.held.Load()
+	}
+	return 0
 }
 
-func (va *vantageArena) rewind(at arenaMark) {
-	va.routes.rewind(at[0])
-	va.asns.rewind(at[1])
-	va.lists.rewind(at[2])
-	va.entries.rewind(at[3])
-	va.ints.rewind(at[4])
-	va.sess.rewind(at[5])
-}
-
-// carving returns the arena an Apply under a checkpoint carves from; nil
-// outside one, which copies to the heap.
-func (e *engine) carving() *vantageArena {
+// carving returns the region an Apply under a checkpoint carves from;
+// nil outside one, which copies to the heap.
+func (e *engine) carving() *region {
 	if e.applying && e.journal != nil {
-		return e.arena
+		return e.region
 	}
 	return nil
 }
 
-// route and entry return an element carved from va, or nil when va is
-// nil (no checkpoint is armed) or out of them.
-func (va *vantageArena) route() *bgp.Route {
-	if va == nil {
-		return nil
+// route returns a route to fill, carved from r or made on the heap when r
+// is nil; entry likewise, nil for the table to make.
+func (r *region) route() *bgp.Route {
+	if r == nil {
+		return new(bgp.Route)
 	}
-	return va.routes.one()
+	return &r.routes.take(r, 1)[0]
 }
 
-func (va *vantageArena) entry() *bgp.EntrySlot {
-	if va == nil {
+func (r *region) entry() *bgp.EntrySlot {
+	if r == nil {
 		return nil
 	}
-	return va.entries.one()
+	return &r.entries.take(r, 1)[0]
 }
 
-// asnList and routeList return a copy of src carved from va, or on the
-// heap when va is nil or full; an empty src copies to nil.
-func (va *vantageArena) asnList(src []bgp.ASN) []bgp.ASN {
+// asnList and routeList return a copy of src carved from r, or made on
+// the heap when r is nil; an empty src copies to nil.
+func (r *region) asnList(src []bgp.ASN) []bgp.ASN {
 	var dst []bgp.ASN
-	if va != nil && len(src) > 0 {
-		dst = va.asns.take(len(src))
+	if r != nil && len(src) > 0 {
+		dst = r.asns.take(r, len(src))
 	}
 	return copyInto(dst, src)
 }
 
-func (va *vantageArena) routeList(src []*bgp.Route) []*bgp.Route {
+func (r *region) routeList(src []*bgp.Route) []*bgp.Route {
 	var dst []*bgp.Route
-	if va != nil && len(src) > 0 {
-		dst = va.lists.take(len(src))
+	if r != nil && len(src) > 0 {
+		dst = r.lists.take(r, len(src))
 	}
 	return copyInto(dst, src)
 }
@@ -321,44 +357,37 @@ func copyInto[T any](dst, src []T) []T {
 }
 
 // entryStorage is the storage a withdrawal's copy of a read-through entry
-// with n candidates is written into (bgp.RIB.WithdrawInto): what va has
-// room for, nil for the rest, which the table allocates.
-func (va *vantageArena) entryStorage(n int) (*bgp.EntrySlot, []bgp.ASN, []*bgp.Route) {
-	if va == nil {
+// with n candidates is written into (bgp.RIB.WithdrawInto): carved from
+// r, or nil for the table to make when r is nil.
+func (r *region) entryStorage(n int) (*bgp.EntrySlot, []bgp.ASN, []*bgp.Route) {
+	if r == nil {
 		return nil, nil, nil
 	}
-	return va.entries.one(), va.asns.take(n), va.lists.take(n)
+	return r.entry(), r.asns.take(r, n), r.lists.take(r, n)
 }
 
-// int32s and sessions return n zeroed elements for relink to fill,
-// carved from va, or made on the heap when va is nil or full.
-func (va *vantageArena) int32s(n int) []int32 {
-	if va == nil {
+// int32s and sessions return n elements for the caller to write whole —
+// a forest row, an adjacency row, CSR offsets — carved from r, or made on
+// the heap when r is nil.
+func (r *region) int32s(n int) []int32 {
+	if r == nil {
 		return make([]int32, n)
 	}
-	return orMake(va.ints.take(n), n)
+	return r.ints.take(r, n)
 }
 
-func (va *vantageArena) sessions(n int) []session {
-	if va == nil {
+func (r *region) sessions(n int) []session {
+	if r == nil {
 		return make([]session, n)
 	}
-	return orMake(va.sess.take(n), n)
-}
-
-// orMake returns b, or n elements made on the heap when b is nil.
-func orMake[T any](b []T, n int) []T {
-	if b == nil {
-		return make([]T, n)
-	}
-	return b
+	return r.sess.take(r, n)
 }
 
 // journalAdj is AS i's adjacency before a relink: neighbor, session-record
 // and reverse-index rows. relink replaces these slices and never writes
 // them — published layouts are never written in place — so they are the
 // pre-image as they stand. A row an earlier relink under the same
-// checkpoint carved from the arena is such a pre-image too: the arena
+// checkpoint carved from the region is such a pre-image too: the region
 // rewinds only after every row is back.
 type journalAdj struct {
 	i    int32
@@ -373,8 +402,8 @@ type journalAdj struct {
 //
 // A journal the last Rollback spent is empty and is armed again as it
 // is: an engine that lives across scenarios (lease.go) journals in the
-// buffers its largest batch grew, and carves in the vantage arena the
-// last Rollback rewound (Checkpoint makes one when there is none).
+// buffers its largest batch grew, and carves in the region the last
+// Rollback rewound (Checkpoint makes an empty one when there is none).
 func (en *Engine) Checkpoint() {
 	mCheckpoints.Inc()
 	e := en.e
@@ -383,10 +412,13 @@ func (en *Engine) Checkpoint() {
 	if j == nil {
 		j = new(applyJournal)
 	}
-	if e.arena == nil {
-		e.arena = newVantageArena()
+	if e.region == nil {
+		e.region = new(region)
 	}
-	j.arenaAt, j.clones = e.arena.mark(), e.clones
+	for i, c := range e.region.parts() {
+		j.regionAt[i].at, j.regionAt[i].used = c.mark()
+	}
+	j.clones = e.clones
 	e.journal = j
 }
 
@@ -394,10 +426,10 @@ func (en *Engine) Checkpoint() {
 // reports whether the engine is back at the checkpointed state: false
 // only when no checkpoint was armed, in which case nothing was undone.
 // Rollback reuses the storage of the routes and entries those Applies
-// wrote into vantage tables and of the adjacency they relinked, so a
-// route read out of the engine's tables in between is valid until
-// Rollback returns — unless a Clone was taken in between, which keeps
-// them all.
+// wrote into vantage tables, of the forest rows they rewrote and of the
+// adjacency they relinked, so a route read out of the engine's tables in
+// between is valid until Rollback returns — unless a Clone was taken in
+// between, which keeps them all.
 func (en *Engine) Rollback() bool {
 	e := en.e
 	j := e.journal
@@ -444,13 +476,7 @@ func (en *Engine) Rollback() bool {
 		e.csrOff, e.adjVersion = j.csrOff, j.adjVersion
 		j.csrOff = nil
 	}
-	// Every entry the Apply wrote is out of the tables, so what it carved
-	// is free — unless a Clone reads it.
-	if e.clones == j.clones {
-		e.arena.rewind(j.arenaAt)
-	} else {
-		e.arena = nil
-	}
+	e.recycle(j)
 	return true
 }
 
@@ -466,25 +492,15 @@ func pop[T any](stack *[]T) T {
 	return top
 }
 
-// undoRow puts a forest row's pre-image back. What sits in e.track is the
-// copy the Apply wrote: it goes to the free list unless a Clone taken
-// since marked it shared.
+// undoRow puts a forest row's pre-image back over the copy the Apply
+// carved, which the region recycles.
 func (en *Engine) undoRow(jr journalRow) {
 	e := en.e
-	e.freeRow(jr.pi)
 	e.track[jr.pi] = jr.row
 	if e.trackShared != nil {
 		e.trackShared[jr.pi] = jr.shared
 	}
 	e.reachCounts[jr.pi] = jr.reach
-}
-
-// freeRow hands prefix pi's row buffer to the free list when nothing else
-// can be reading it.
-func (e *engine) freeRow(pi int) {
-	if row := e.track[pi]; row != nil && (e.trackShared == nil || !e.trackShared[pi]) {
-		e.rowFree = append(e.rowFree, row)
-	}
 }
 
 // undoEntry puts a vantage entry's pre-image back. An entry the table
@@ -539,7 +555,6 @@ func (en *Engine) undoPrefix(jp journalPrefix) {
 		en.ownPrefixMaps()
 		delete(en.topo.PrefixOrigin, jp.prefix)
 		en.topo.ASes[jp.origin] = jp.info
-		e.freeRow(len(e.prefixes) - 1)
 		e.unindexPrefix(jp.prefix)
 	}
 	if jp.unconv {

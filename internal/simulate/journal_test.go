@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"github.com/policyscope/policyscope/internal/asgraph"
 	"github.com/policyscope/policyscope/internal/bgp"
@@ -39,8 +40,7 @@ func resultSnapshot(en *Engine) *Result {
 // order decides the order of tied Delta.Shifts, so the same set in another
 // order is not a restore); the topology's graph, prefix ownership, AS
 // descriptions and policies deep-equal; and the engine's own books
-// balanced (checkInvariants: no buffer on the free list is still a live
-// row, among the rest).
+// balanced (checkInvariants).
 func requireRolledBack(t *testing.T, name string, en, untouched *Engine, pristine *Result) {
 	t.Helper()
 	if en.e.journal != nil {
@@ -288,10 +288,10 @@ func TestCheckpointRollbackRestoresState(t *testing.T) {
 
 // TestRollbackRecyclesForestRows: a worker clone that applies and rolls
 // back one link failure after another — the sweep executor's loop —
-// obtains from the allocator no more forest-row buffers than its largest
-// single scenario wrote, however many scenarios it runs; every rollback
-// is "never applied" row by row; and a buffer a Clone taken between Apply
-// and Rollback still reads is not recycled under it. A warm worker's
+// carves every forest row it writes from its region, and a second round
+// of the same scenarios grows the region no further; every rollback is
+// "never applied" row by row; and a row a Clone taken between Apply and
+// Rollback still reads is not recycled under it. A warm worker's
 // rollback allocates nothing at all, table entries included.
 func TestRollbackRecyclesForestRows(t *testing.T) {
 	topo, vantage := equivalenceTopo(t, 200, 11)
@@ -303,36 +303,39 @@ func TestRollbackRecyclesForestRows(t *testing.T) {
 	pristine := resultSnapshot(base)
 	worker := base.Clone()
 	edges := topo.Graph.Edges()
-	largest := 0
-	for trial := 0; trial < 24; trial++ {
-		ev := edges[(trial*53)%len(edges)]
+	wrote, grown := 0, int64(0)
+	for trial := 0; trial < 48; trial++ {
+		ev := edges[(trial%24*53)%len(edges)]
 		name := fmt.Sprintf("fail-%d", trial)
 		worker.Checkpoint()
 		if _, err := worker.Apply(Scenario{Name: name, Events: []Event{FailLink(ev.A, ev.B)}}); err != nil {
 			t.Fatal(err)
 		}
-		wrote := len(worker.e.journal.rows)
-		largest = max(largest, wrote)
-		inUse := 0
-		for pi := range worker.e.track {
-			if !worker.e.trackShared[pi] {
-				inUse++
+		journaled, inUse := len(worker.e.journal.rows), 0
+		for pi, row := range worker.e.track {
+			if worker.e.trackShared[pi] {
+				continue
+			}
+			inUse++
+			if !carvedRow(worker.e.region, row) {
+				t.Fatalf("%s: private row %v is not carved from the region", name, worker.e.prefixes[pi])
 			}
 		}
-		if inUse != wrote {
-			t.Fatalf("%s: %d private rows after an Apply that journaled %d", name, inUse, wrote)
+		if inUse != journaled {
+			t.Fatalf("%s: %d private rows after an Apply that journaled %d", name, inUse, journaled)
 		}
+		wrote += journaled
 		if !worker.Rollback() {
 			t.Fatalf("%s: rollback refused", name)
 		}
 		requireRolledBack(t, name, worker, base, pristine)
-		// Every buffer the worker ever allocated is back on the free
-		// list now, so its length is the allocation count.
-		if got := len(worker.e.rowFree); got > largest {
-			t.Fatalf("%s: %d row buffers allocated so far, the largest scenario wrote %d", name, got, largest)
+		if trial == 23 {
+			grown = worker.RegionBytes()
+		} else if got := worker.RegionBytes(); trial > 23 && got != grown {
+			t.Fatalf("%s: a repeated scenario grew the region from %d to %d bytes", name, grown, got)
 		}
 	}
-	if largest == 0 {
+	if wrote == 0 {
 		t.Fatal("no sampled link failure rewrote a forest row")
 	}
 
@@ -402,7 +405,7 @@ func TestRollbackRecyclesForestRows(t *testing.T) {
 
 	// And what the Apply wrote into the tables is recycled: a warm
 	// worker's third cycle of one scenario carves its routes, their paths,
-	// its entries and their lists from the arena its rollbacks rewound.
+	// its entries and their lists from the region its rollbacks rewound.
 	// Heap copies cost at least three objects an entry; the whole cycle —
 	// with the Delta, the journal's and the recon's own bookkeeping — must
 	// stay below one. Every AS is a vantage point here, so the entries a
@@ -447,7 +450,7 @@ func TestRollbackRecyclesForestRows(t *testing.T) {
 	// A link failure's relink is recycled too: its neighbor, session and
 	// reverse-index rows and its CSR offsets, and the copy of every
 	// read-through entry a non-best withdrawal writes, are carved from the
-	// arena. Heap rows cost at least one object per AS the relink rebuilt
+	// region. Heap rows cost at least one object per AS the relink rebuilt
 	// (two per endpoint, the offsets and three per entry withdrawn on
 	// top); a warm cycle, with the Delta built in a kept buffer as a
 	// lease's is, must cost fewer objects than those ASes number.
@@ -620,30 +623,246 @@ func TestFailedApplyDisarmsBestChanges(t *testing.T) {
 	requireRolledBack(t, "the batch after it", en, untouched, pristine)
 }
 
-// TestSlabCarvesUntilFull: a vantage-arena slab hands out slices that end
-// at their capacity, fails every take once one did not fit, and rewinds
-// to any mark a checkpoint took — one past its end too, which a
-// checkpoint re-armed after an Apply that outgrew the arena takes.
-func TestSlabCarvesUntilFull(t *testing.T) {
-	s := slab[bgp.ASN]{buf: make([]bgp.ASN, 4)}
-	a := s.take(3)
-	if len(a) != 3 || cap(a) != 3 {
-		t.Fatalf("take(3) = len %d cap %d, want 3 and 3", len(a), cap(a))
+// TestRegionCarvesRewindsAndTrims: a region grows past its first chunk
+// as takes need it, a rewind returns it to a mark with what it handed
+// out since cleared and carves the same storage again, and a rewind
+// keeps at most regionCap.
+func TestRegionCarvesRewindsAndTrims(t *testing.T) {
+	r := new(region)
+	perChunk := int(chunkBytes / sizeOf[*bgp.Route]())
+	first := r.lists.take(r, perChunk-1)
+	route := new(bgp.Route)
+	first[0] = route
+	if len(first) != perChunk-1 || cap(first) != perChunk-1 {
+		t.Fatalf("take(%d) = len %d cap %d", perChunk-1, len(first), cap(first))
 	}
-	a[0], a[1], a[2] = 1, 2, 3
-	if b := s.take(2); b != nil {
-		t.Fatalf("take(2) with one left = %v, want nil", b)
+	second := r.lists.take(r, 2) // one is left in the first chunk
+	second[1] = route
+	if len(r.lists.all) != 2 || r.lists.at != 1 || r.held.Load() != 2*chunkBytes {
+		t.Fatalf("after outgrowing one chunk: %d chunks, at %d, %d bytes held", len(r.lists.all), r.lists.at, r.held.Load())
 	}
-	if b := s.one(); b != nil {
-		t.Fatal("a take after a failed one succeeded")
+	r.lists.rewind(0, 0, r)
+	if first[0] != nil || second[1] != nil {
+		t.Fatal("a rewind left a carved pointer in place")
 	}
-	past := s.used.Load()
-	s.rewind(past) // a mark past the end: nothing to clear
-	s.rewind(1)
-	if a[0] != 1 || a[1] != 0 || a[2] != 0 {
-		t.Fatalf("rewind(1) left %v, want [1 0 0]", a)
+	if again := r.lists.take(r, 1); &again[0] != &first[0] {
+		t.Fatal("a rewound region does not carve from the mark")
 	}
-	if b := s.take(3); len(b) != 3 || &b[0] != &a[1] {
-		t.Fatal("a rewound slab does not carve from the mark")
+	if r.held.Load() != 2*chunkBytes {
+		t.Fatalf("a rewind under the cap dropped chunks: %d bytes held", r.held.Load())
 	}
+
+	// Past the cap: a rewind keeps the chunks up to its mark and drops
+	// the rest, last first, down to regionCap.
+	r = new(region)
+	r.asns.take(r, 1)
+	var at regionMark
+	for i, c := range r.parts() {
+		at[i].at, at[i].used = c.mark()
+	}
+	for r.held.Load() <= 2*regionCap {
+		r.ints.take(r, 1000)
+	}
+	for i, c := range r.parts() {
+		c.rewind(at[i].at, at[i].used, r)
+	}
+	if held := r.held.Load(); held > regionCap || held < regionCap-chunkBytes {
+		t.Fatalf("trimmed to %d bytes, want %d at most and within a chunk of it", held, regionCap)
+	}
+	if r.asns.cur.Load() == nil || r.ints.at != 0 {
+		t.Fatal("trimming dropped a chunk at or before the mark")
+	}
+}
+
+// TestRegionConcurrentCarves: workers carving one region at once, across
+// chunk boundaries, get disjoint slices (run it under -race).
+func TestRegionConcurrentCarves(t *testing.T) {
+	r := new(region)
+	const workers, takes = 4, 2000
+	got := make([][][]int32, workers)
+	done := make(chan struct{})
+	for w := range workers {
+		go func() {
+			defer func() { done <- struct{}{} }()
+			for k := range takes {
+				b := r.ints.take(r, 1+k%37)
+				for i := range b {
+					b[i] = int32(w)
+				}
+				got[w] = append(got[w], b)
+			}
+		}()
+	}
+	for range workers {
+		<-done
+	}
+	for w, bufs := range got {
+		for _, b := range bufs {
+			for _, v := range b {
+				if v != int32(w) {
+					t.Fatalf("worker %d's slice was written by worker %d", w, v)
+				}
+			}
+		}
+	}
+	if len(r.ints.all) < 2 {
+		t.Fatalf("%d chunks: the takes never crossed a chunk boundary", len(r.ints.all))
+	}
+}
+
+// TestRegionLeftToClone: a Clone taken between an Apply and its Rollback
+// reads what the Apply carved, so the Rollback leaves the region to it
+// and the engine's next Checkpoint starts a new, empty one.
+func TestRegionLeftToClone(t *testing.T) {
+	topo, opts := buildTestTopo(t, 120, 3)
+	base, err := NewEngine(topo, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	en := base.Clone()
+	edge := topo.Graph.Edges()[5]
+	sc := Scenario{Events: []Event{FailLink(edge.A, edge.B)}}
+	en.Checkpoint()
+	if _, err := en.Apply(sc); err != nil {
+		t.Fatal(err)
+	}
+	carved := en.e.region
+	held := en.Clone()
+	if !en.Rollback() {
+		t.Fatal("rollback refused")
+	}
+	if en.e.region != nil || en.RegionBytes() != 0 {
+		t.Fatal("the rollback kept a region a clone reads")
+	}
+	en.Checkpoint()
+	if en.e.region == carved || en.RegionBytes() != 0 {
+		t.Fatal("the next checkpoint did not start an empty region")
+	}
+	if _, err := en.Apply(sc); err != nil {
+		t.Fatal(err)
+	}
+	en.Rollback()
+	mutated := topo.Clone()
+	if err := sc.ApplyToTopology(mutated); err != nil {
+		t.Fatal(err)
+	}
+	requireSameForest(t, "clone taken before the rollback", held, mutated, opts)
+}
+
+// TestHijackRowRecycled: a hijack announces its prefix anew, and capture
+// gives that prefix a forest row. On a warm scratch engine the row is
+// carved from the region like every other, so hijack after hijack holds
+// the region where the first left it and allocates no row.
+func TestHijackRowRecycled(t *testing.T) {
+	topo, opts := buildTestTopo(t, 120, 2)
+	base, err := NewEngine(topo, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := samplePrefixes(base, 1)[0]
+	attacker := byDegree(topo)[0]
+	if topo.PrefixOrigin[victim] == attacker {
+		attacker = byDegree(topo)[1]
+	}
+	hijack := Scenario{Events: []Event{WithdrawPrefix(victim), AnnouncePrefix(victim, attacker)}}
+	en := base.Clone()
+	held := int64(0)
+	for cycle := 0; cycle < 16; cycle++ {
+		en.Checkpoint()
+		if _, err := en.Apply(hijack); err != nil {
+			t.Fatal(err)
+		}
+		if row := en.e.track[en.e.prefixIdx[victim]]; !carvedRow(en.e.region, row) {
+			t.Fatalf("cycle %d: the announced prefix's row is not carved from the region", cycle)
+		}
+		if !en.Rollback() {
+			t.Fatal("rollback refused")
+		}
+		if cycle == 0 {
+			held = en.RegionBytes()
+		} else if got := en.RegionBytes(); got != held {
+			t.Fatalf("cycle %d: the region holds %d bytes, %d after the first hijack", cycle, got, held)
+		}
+	}
+	if err := en.checkInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLargestFlipAllocatesNoEntry: the local_pref flip that writes the
+// most vantage entries — of every session of the highest-degree AS, at 50
+// and at 200, on an engine whose every AS is a vantage point — writes
+// five times the 4,096 entries a fixed-size arena once held. Run again on
+// a warm lease, it installs no route onto the heap and allocates fewer
+// objects than the entries it writes, where each heap entry costs at
+// least one.
+func TestLargestFlipAllocatesNoEntry(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	topo, _ := equivalenceTopo(t, 200, 11)
+	base, err := NewEngine(topo, Options{VantagePoints: topo.Order, Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var largest Scenario
+	most := 0
+	as := byDegree(topo)[0]
+	for _, nb := range topo.Graph.Neighbors(as) {
+		for _, value := range []uint32{50, 200} {
+			sc := Scenario{Events: []Event{SetLocalPref(as, nb, value)}}
+			if _, err := base.Scratch(1, sc, func(_ *Delta, s *Engine) error {
+				if n := len(s.e.journal.entries); n > most {
+					most, largest = n, sc
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var carved int64
+	observe := func(_ *Delta, s *Engine) error {
+		carved = s.RegionBytes()
+		return nil
+	}
+	for run := 0; run < 2; run++ {
+		var before, after runtime.MemStats
+		persisted := mCapturePersisted.Value()
+		runtime.ReadMemStats(&before)
+		if restored, err := base.Scratch(1, largest, observe); err != nil || !restored {
+			t.Fatalf("restored=%v err=%v", restored, err)
+		}
+		runtime.ReadMemStats(&after)
+		n := after.Mallocs - before.Mallocs
+		t.Logf("run %d: %d entries, %d objects, region %d bytes", run, most, n, carved)
+		if run == 1 {
+			if got := mCapturePersisted.Value() - persisted; got != 0 {
+				t.Errorf("the second run installed %d routes onto the heap", got)
+			}
+			if n >= uint64(most) {
+				t.Errorf("the second run wrote %d entries and allocated %d objects, want fewer", most, n)
+			}
+		}
+	}
+	if most < 5*4096 {
+		t.Errorf("the largest flip writes only %d entries", most)
+	}
+}
+
+// carvedRow reports whether row lies in storage r has carved.
+func carvedRow(r *region, row []int32) bool {
+	p := uintptr(unsafe.Pointer(&row[0]))
+	c := &r.ints
+	for i, k := range c.all[:min(c.at+1, int64(len(c.all)))] {
+		used := int64(len(k.buf))
+		if int64(i) == c.at {
+			used = min(k.used.Load(), used)
+		}
+		lo := uintptr(unsafe.Pointer(unsafe.SliceData(k.buf)))
+		if p >= lo && p < lo+uintptr(used)*unsafe.Sizeof(row[0]) {
+			return true
+		}
+	}
+	return false
 }

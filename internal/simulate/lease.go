@@ -11,9 +11,9 @@ import (
 // the call. A scratch engine that is provably back at the base's state
 // after its scenario returns to the base's idle list and serves the next
 // one with everything it has warmed: its own graph, its layered vantage
-// tables, the forest-row buffers its rollbacks recycled (rowFree), its
-// journal's slices, and the arrays its scenarios' Deltas were built in
-// with the maps their incremental passes reconstructed from (deltaBuf).
+// tables, the region its rollbacks rewind, its journal's slices, and the
+// arrays its scenarios' Deltas were built in with the maps their
+// incremental passes reconstructed from (deltaBuf).
 // The journal undoes every event kind, so a scenario costs a clone only
 // when its observer fails or its rollback cannot be proven clean — and it
 // costs it the next holder, not this one.

@@ -209,7 +209,7 @@ func TestScratchLeaseEqualsFreshClone(t *testing.T) {
 // TestConcurrentSiblingLeases: link failures leased from one base by
 // ScratchLimit() goroutines at once, each lease at parallelism 2. The
 // sibling scratch engines share one worker-state pool, so a state that
-// synced to one engine's CSR offsets — carved from that engine's arena
+// synced to one engine's CSR offsets — carved from that engine's region
 // and rewound by its rollback — is taken by another while the first
 // carves the same storage again. Every Delta must equal the one a fresh
 // clone's Apply made sequentially, and every engine must come back.
@@ -463,6 +463,35 @@ func BenchmarkScratchGroupLinkFailure(b *testing.B) {
 func BenchmarkScratchLocalPrefFlip(b *testing.B) {
 	topo, opts := buildTestTopo(b, 120, 1)
 	base, err := NewEngine(topo, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	as := byDegree(topo)[0]
+	var scs []Scenario
+	for _, nb := range topo.Graph.Neighbors(as) {
+		for _, value := range []uint32{50, 200} {
+			scs = append(scs, Scenario{Events: []Event{SetLocalPref(as, nb, value)}})
+		}
+	}
+	observe := func(*Delta, *Engine) error { return nil }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := base.Scratch(1, scs[i%len(scs)], observe); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkScratchLargePolicyFlip: BenchmarkScratchLocalPrefFlip's
+// flips on a 200-AS base whose every AS is a vantage point, so each
+// rewrites thousands of vantage entries and forest rows (the largest
+// more than 20,000 entries) — the size of the largest sweep_policy
+// scenarios. A warm op carves all of it from storage the rollback before
+// rewound.
+func BenchmarkScratchLargePolicyFlip(b *testing.B) {
+	topo, _ := equivalenceTopo(b, 200, 11)
+	base, err := NewEngine(topo, Options{VantagePoints: topo.Order, Parallelism: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

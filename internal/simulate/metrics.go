@@ -62,7 +62,7 @@ var (
 	// What a vantage-entry capture did with each candidate route it
 	// installed (captureVantage).
 	mCaptureRoutes = obs.NewCounterVec("policyscope_engine_capture_routes_total",
-		"Candidate routes vantage-entry captures installed: kept — the entry already held the same route from that neighbor, and it stays installed — or copied out of the worker's arenas because it moved or is new, into storage a rollback hands back (recycled: a scenario applied under a checkpoint, while the engine's vantage arena has room) or onto the heap (persisted). A cold convergence persists every route; a scenario's rewrite of an entry keeps what it did not move.",
+		"Candidate routes vantage-entry captures installed: kept — the entry already held the same route from that neighbor, and it stays installed — or copied out of the worker's arenas because it moved or is new, into storage a rollback hands back (recycled: a scenario applied under a checkpoint, carved from the engine's region) or onto the heap (persisted: no checkpoint armed). A cold convergence persists every route; a scenario's rewrite of an entry keeps what it did not move.",
 		"result")
 	mCaptureKept      = mCaptureRoutes.With("kept")
 	mCaptureRecycled  = mCaptureRoutes.With("recycled")

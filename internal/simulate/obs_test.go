@@ -177,7 +177,7 @@ func TestEngineMetricsAdvance(t *testing.T) {
 	}
 
 	// A what-if repeated on a reused scratch engine copies the routes its
-	// hijacked prefix re-converged to into the arena its first rollback
+	// hijacked prefix re-converged to into the region its first rollback
 	// rewound, not onto the heap.
 	other := en.e.prefixes[0]
 	attacker := providers[0]

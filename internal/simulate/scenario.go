@@ -400,14 +400,21 @@ type deltaBuf struct {
 	reach   []ReachDelta
 	vantage []bgp.ASN // the one array every shift's Vantage is carved from
 	peers   map[bgp.ASN]int
-	// rc and skip (the prefixes the batch announced) are the incremental
-	// pass's and never reach the Delta, nor does disturbed, its list of
-	// the prefixes it re-converges. shiftAt and reachAt hold the position
-	// in that list of each shift and reach delta the pass appended.
+	// The rest is the incremental pass's, which b is: rc, skip (the
+	// prefixes the batch announced), disturbed (the prefixes it
+	// re-converges), shiftAt and reachAt (the position there of each shift
+	// and reach delta it appended), the Apply's en and events, mu over
+	// what workers report, and flipped, the prefixes whose unconverged
+	// mark changes (the set is only read while they run).
 	rc               recon
 	skip             map[netx.Prefix]bool
 	disturbed        []netx.Prefix
 	shiftAt, reachAt []int32
+	en               *Engine
+	events           []Event
+	mu               sync.Mutex
+	materialized     int
+	flipped          []netx.Prefix
 }
 
 // reset starts a new Delta in b's arrays.
@@ -462,9 +469,8 @@ func (en *Engine) Apply(sc Scenario) (*Delta, error) {
 	if err := en.apply(sc, b); err != nil {
 		return nil, err
 	}
-	// Pinned by the returned Delta otherwise.
-	b.rc, b.skip, b.disturbed = recon{}, nil, nil
-	return &b.d, nil
+	d := b.d // copied out, so the Delta does not pin b's maps and engine
+	return &d, nil
 }
 
 // apply is Apply building its Delta in b, whose arrays it reuses.
@@ -588,7 +594,7 @@ func (en *Engine) apply(sc Scenario, b *deltaBuf) error {
 	for _, p := range added {
 		b.skip[p] = true
 	}
-	disturbed, materialized := en.runIncremental(sc.Events, rc, b.skip, b)
+	disturbed, materialized := en.runIncremental(sc.Events, b)
 
 	var written int
 	delta.PeerBestChanged, written = e.endBestChanges(b.peers)
@@ -1228,62 +1234,27 @@ func (pr *prefixRecon) sessionReseed(st *workerState, u, v int32) {
 // visits the union of the prefixes its events name (see namedPrefixes).
 // It returns how many prefixes it submitted to re-convergence and how
 // many ASes those re-convergences materialized.
-func (en *Engine) runIncremental(events []Event, rc *recon, skip map[netx.Prefix]bool, b *deltaBuf) (disturbed, materialized int) {
+func (en *Engine) runIncremental(events []Event, b *deltaBuf) (disturbed, materialized int) {
 	e := en.e
 	delta := &b.d
 	var prefixes []netx.Prefix
 	if allLinkFailures(events) {
 		prefixes = en.linkFailDisturbSet(events, delta, b.disturbed[:0])
 	} else {
-		prefixes = en.namedPrefixes(events, skip, b.disturbed[:0])
+		prefixes = en.namedPrefixes(events, b.skip, b.disturbed[:0])
 	}
 	b.disturbed = prefixes
-	// The unconverged set is only read while the workers run (reconverge
-	// consults it); membership changes are collected and applied after.
-	var (
-		mu      sync.Mutex
-		flipped []netx.Prefix
-	)
 	shifts, reaches := len(delta.Shifts), len(delta.ReachDeltas)
 	b.shiftAt, b.reachAt = b.shiftAt[:0], b.reachAt[:0]
-	e.forEachIndex(len(prefixes), func() (func(int), func()) {
-		st := e.getState()
-		return func(i int) {
-			p := prefixes[i]
-			was := en.unconv[p]
-			shift, reach, touched, changed, converged := en.reconverge(st, p, was, events, rc)
-			if !changed && converged {
-				return
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			materialized += touched
-			if changed {
-				delta.Recomputed++
-			}
-			if shift.Shifted > 0 {
-				b.addShift(shift)
-				b.shiftAt = append(b.shiftAt, int32(i))
-			}
-			if reach.Before != reach.After {
-				delta.ReachDeltas = append(delta.ReachDeltas, reach)
-				b.reachAt = append(b.reachAt, int32(i))
-			}
-			// A prefix that exhausted its budget joins the set; one that was
-			// in it and re-converged now (it changed, or we returned above)
-			// leaves.
-			if was == converged {
-				flipped = append(flipped, p)
-			}
-		}, func() { e.putState(st) }
-	})
+	b.en, b.events, b.materialized, b.flipped = en, events, 0, b.flipped[:0]
+	forEachIndex(e, len(prefixes), b)
 	// Workers append in the order they finish, and Apply's sort is not
 	// stable: where it puts a tie — a hijacked prefix's two shifts —
 	// depends on the order it is handed. Hand it the order one worker
 	// appends in, whatever the worker count.
 	inVisitOrder(delta.Shifts[shifts:], b.shiftAt)
 	inVisitOrder(delta.ReachDeltas[reaches:], b.reachAt)
-	for _, p := range flipped {
+	for _, p := range b.flipped {
 		was := en.unconv[p]
 		e.journal.prefixDone(journalPrefix{op: prefixMark, prefix: p, unconv: was})
 		if was {
@@ -1292,7 +1263,39 @@ func (en *Engine) runIncremental(events []Event, rc *recon, skip map[netx.Prefix
 			en.unconv[p] = true
 		}
 	}
-	return len(prefixes), materialized
+	return len(prefixes), b.materialized
+}
+
+func (b *deltaBuf) open() *workerState    { return b.en.e.getState() }
+func (b *deltaBuf) close(st *workerState) { b.en.e.putState(st) }
+
+// visit re-converges the i-th prefix of the disturb set.
+func (b *deltaBuf) visit(st *workerState, i int) {
+	p := b.disturbed[i]
+	was := b.en.unconv[p]
+	shift, reach, touched, changed, converged := b.en.reconverge(st, p, was, b.events, &b.rc)
+	if !changed && converged {
+		return
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.materialized += touched
+	if changed {
+		b.d.Recomputed++
+	}
+	if shift.Shifted > 0 {
+		b.addShift(shift)
+		b.shiftAt = append(b.shiftAt, int32(i))
+	}
+	if reach.Before != reach.After {
+		b.d.ReachDeltas = append(b.d.ReachDeltas, reach)
+		b.reachAt = append(b.reachAt, int32(i))
+	}
+	// A prefix that exhausted its budget joins the set; one that was in
+	// it and re-converged now (it changed, or we returned above) leaves.
+	if was == converged {
+		b.flipped = append(b.flipped, p)
+	}
 }
 
 // inVisitOrder sorts recs, appended by concurrent workers, by at: the
@@ -1415,7 +1418,7 @@ func allLinkFailures(events []Event) bool {
 // table and is withdrawn directly. Budget-exhausted prefixes have
 // unreliable forest rows and always reconverge. The disturb set is
 // appended to disturbed. Under a checkpoint, a withdrawal's copy of an
-// entry the table reads through to is carved from the vantage arena.
+// entry the table reads through to is carved from the region.
 func (en *Engine) linkFailDisturbSet(events []Event, delta *Delta, disturbed []netx.Prefix) []netx.Prefix {
 	e := en.e
 	carve := e.carving().entryStorage
@@ -1581,9 +1584,8 @@ func (en *Engine) captureIncremental(st *workerState, prefix netx.Prefix) (Prefi
 		// The row is visible from an engine clone, or has just become the
 		// journal's pre-image: the rewrite below goes to a copy (only this
 		// worker owns prefix pi). This is the one place a forest row is
-		// copied; the buffer is one a Rollback handed back when there is
-		// one.
-		row = e.copyRow(row)
+		// copied; under a checkpoint it is carved from the region.
+		row = copyInto(e.carving().int32s(len(row)), row)
 		e.track[pi] = row
 		if shared {
 			e.trackShared[pi] = false

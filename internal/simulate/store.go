@@ -314,7 +314,7 @@ type workerState struct {
 	// never touch an atomic; putState flushes it to the process counter.
 	statActivations int
 	// statKept / statRecycled / statPersisted count the routes captures
-	// kept as installed, carved from a vantage arena or copied to the
+	// kept as installed, carved from an engine's region or copied to the
 	// heap, flushed the same way.
 	statKept, statRecycled, statPersisted int
 }
