@@ -1,6 +1,7 @@
 package cmdtest
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"os/exec"
@@ -35,7 +36,13 @@ func TestExamplesRun(t *testing.T) {
 		if out, err := build.CombinedOutput(); err != nil {
 			t.Fatalf("build %s: %v\n%s", name, err, out)
 		}
-		stdout := runStdout(t, bin)
+		run := exec.Command(bin)
+		var stderr bytes.Buffer
+		run.Stderr = &stderr
+		stdout, err := run.Output()
+		if err != nil {
+			t.Fatalf("%s: %v\n%s", name, err, stderr.String())
+		}
 		sum := sha256.Sum256(stdout)
 		if got := hex.EncodeToString(sum[:]); got != want {
 			t.Errorf("%s: stdout digest %s, want %s\n%s", name, got, want, stdout)

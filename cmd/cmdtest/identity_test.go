@@ -6,12 +6,10 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"github.com/policyscope/policyscope/internal/routeviews"
 )
 
 // TestCLICacheIdentity: the study cache is invisible in what the one-shot
-// binaries write. `sweep -records` (records file and stdout aggregate)
+// subcommands write. `sweep -records` (records file and stdout aggregate)
 // and `simulate -scenario -out` (the post-event MRT snapshot) produce the
 // same bytes without -cache-dir, with a cold -cache-dir (the run that
 // converges and writes the entry) and with a warm one (the run whose
@@ -24,7 +22,7 @@ func TestCLICacheIdentity(t *testing.T) {
 
 	// The small preset's topology, for a link that exists in it.
 	relPath := filepath.Join(dir, "rel.txt")
-	run(t, bins["topogen"], "-ases", "200", "-seed", "42", "-rel", relPath, "-prefixes", filepath.Join(dir, "pfx.txt"))
+	run(t, "topogen", "-ases", "200", "-seed", "42", "-rel", relPath, "-prefixes", filepath.Join(dir, "pfx.txt"))
 	provider, customer := firstProviderEdge(t, relPath)
 	scenarioPath := filepath.Join(dir, "events.json")
 	events := fmt.Sprintf(`{"name":"identity","events":[{"kind":"link_fail","a":%s,"b":%s},`+
@@ -33,28 +31,7 @@ func TestCLICacheIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// snapshotBytes is an MRT file with the one thing simulate takes from
-	// the wall clock — the collection timestamp — zeroed, re-encoded.
-	snapshotBytes := func(path string) []byte {
-		t.Helper()
-		f, err := os.Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		snap, err := routeviews.ReadMRT(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		snap.Timestamp = 0
-		var buf bytes.Buffer
-		if err := snap.WriteMRT(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-
-	// One store per binary, so each has its own cold run.
+	// One store per subcommand, so each has its own cold run.
 	type output struct{ records, aggregate, snapshot []byte }
 	var outs []output
 	for i, cached := range []bool{false, true, true} {
@@ -66,14 +43,16 @@ func TestCLICacheIdentity(t *testing.T) {
 		recPath := filepath.Join(dir, fmt.Sprintf("records-%d.ndjson", i))
 		mrtPath := filepath.Join(dir, fmt.Sprintf("after-%d.mrt", i))
 		var o output
-		o.aggregate = runStdout(t, bins["sweep"], append(sweepCache, "-dataset", "small", "-max", "24", "-j", "2",
+		o.aggregate = runStdout(t, "sweep", append(sweepCache, "-dataset", "small", "-max", "24", "-j", "2",
 			"-quiet", "-records", recPath)...)
 		var err error
 		if o.records, err = os.ReadFile(recPath); err != nil {
 			t.Fatal(err)
 		}
-		runStdout(t, bins["simulate"], append(simCache, "-dataset", "small", "-scenario", scenarioPath, "-out", mrtPath)...)
-		o.snapshot = snapshotBytes(mrtPath)
+		runStdout(t, "simulate", append(simCache, "-dataset", "small", "-scenario", scenarioPath, "-out", mrtPath)...)
+		if o.snapshot, err = os.ReadFile(mrtPath); err != nil {
+			t.Fatal(err)
+		}
 		outs = append(outs, o)
 		if i == 1 {
 			for _, store := range []string{sweepCache[1], simCache[1]} {

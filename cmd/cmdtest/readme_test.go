@@ -4,7 +4,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -12,15 +11,16 @@ import (
 )
 
 // TestREADMEClaims executes what README.md states about the product's
-// runtime surface, against the binaries the smoke tests run:
+// runtime surface, against the command the smoke tests run:
 //
 //   - every -flag on a command line README shows (fenced sh blocks, and
-//     inline code spans that start with a binary's name) is a flag of
-//     that binary;
+//     inline code spans that start with `policyscope <sub>`) is a flag of
+//     that subcommand;
 //   - every default README states in a table — a row whose first cell is
-//     `binary -flag` under a "default" column, or a binary's row under
-//     `-flag` column headings — is the default that binary's -h prints;
-//   - every policyscope_* name is a metric family policyscoped registers,
+//     `policyscope <sub> -flag` under a "default" column, or a
+//     `policyscope <sub>` row under `-flag` column headings — is the
+//     default that subcommand's -h prints;
+//   - every policyscope_* name is a metric family policyscope serve registers,
 //     and every policyscope_session_* and policyscope_engine_* family it
 //     registers is named;
 //   - every curl line addresses a route the server serves, with the
@@ -39,16 +39,17 @@ func TestREADMEClaims(t *testing.T) {
 	}
 	readme := string(raw)
 
-	help := map[string]map[string]string{} // binary -> flag -> printed default
-	flagsOf := func(bin string) map[string]string {
-		if help[bin] == nil {
-			out, _ := exec.Command(bins[bin], "-h").CombinedOutput()
-			help[bin] = parseHelp(string(out))
-			if len(help[bin]) == 0 {
-				t.Fatalf("%s -h lists no flags:\n%s", bin, out)
+	subs := subcommands(t)
+	help := map[string]map[string]string{} // subcommand -> flag -> printed default
+	flagsOf := func(sub string) map[string]string {
+		if help[sub] == nil {
+			out, _ := command(sub, "-h").CombinedOutput()
+			help[sub] = parseHelp(string(out))
+			if len(help[sub]) == 0 {
+				t.Fatalf("%s -h lists no flags:\n%s", sub, out)
 			}
 		}
-		return help[bin]
+		return help[sub]
 	}
 
 	// Command lines: flags exist.
@@ -61,8 +62,8 @@ func TestREADMEClaims(t *testing.T) {
 	}
 	checked := 0
 	for _, cmd := range commands {
-		bin, args := ourBinary(cmd)
-		if bin == "" {
+		sub, args := ourSubcommand(cmd, subs)
+		if sub == "" {
 			continue
 		}
 		for _, arg := range args {
@@ -70,8 +71,8 @@ func TestREADMEClaims(t *testing.T) {
 				continue
 			}
 			name, _, _ := strings.Cut(arg[1:], "=")
-			if _, ok := flagsOf(bin)[name]; !ok {
-				t.Errorf("README shows `%s`, but %s has no flag -%s", strings.Join(cmd, " "), bin, name)
+			if _, ok := flagsOf(sub)[name]; !ok {
+				t.Errorf("README shows `%s`, but %s has no flag -%s", strings.Join(cmd, " "), sub, name)
 			}
 			checked++
 		}
@@ -82,14 +83,14 @@ func TestREADMEClaims(t *testing.T) {
 
 	// Tables: stated defaults are the printed defaults.
 	stated := 0
-	for _, claim := range tableDefaults(readme) {
-		got, ok := flagsOf(claim.bin)[claim.flag]
+	for _, claim := range tableDefaults(readme, subs) {
+		got, ok := flagsOf(claim.sub)[claim.flag]
 		if !ok {
-			t.Errorf("README tabulates %s -%s, which %s does not have", claim.bin, claim.flag, claim.bin)
+			t.Errorf("README tabulates %s -%s, which %s does not have", claim.sub, claim.flag, claim.sub)
 			continue
 		}
 		if want := claim.def; got != want && !(got == "" && (want == "0" || want == "0s" || want == "false")) {
-			t.Errorf("README states %s -%s defaults to %q; -h prints %q", claim.bin, claim.flag, claim.def, got)
+			t.Errorf("README states %s -%s defaults to %q; -h prints %q", claim.sub, claim.flag, claim.def, got)
 		}
 		stated++
 	}
@@ -112,7 +113,7 @@ func TestREADMEClaims(t *testing.T) {
 	names := regexp.MustCompile(`policyscope_[a-z0-9_]+`).FindAllString(readme, -1)
 	for _, name := range names {
 		if !families[name] {
-			t.Errorf("README names %s, which policyscoped does not register", name)
+			t.Errorf("README names %s, which policyscope serve does not register", name)
 		}
 	}
 	if len(names) < 10 {
@@ -121,7 +122,7 @@ func TestREADMEClaims(t *testing.T) {
 	for family := range families {
 		for _, prefix := range []string{"policyscope_session_", "policyscope_engine_"} {
 			if strings.HasPrefix(family, prefix) && !strings.Contains(readme, family) {
-				t.Errorf("policyscoped registers %s, which README's monitoring table does not name", family)
+				t.Errorf("policyscope serve registers %s, which README's monitoring table does not name", family)
 			}
 		}
 	}
@@ -299,28 +300,36 @@ func shellCommands(text string) [][]string {
 	return cmds
 }
 
-// ourBinary recognizes a command that runs one of the repo's binaries —
-// `name ...`, `cmd/name ...` or `go run ./cmd/name ...` — and returns its
-// name and arguments.
-func ourBinary(cmd []string) (string, []string) {
+// ourSubcommand recognizes a command that runs one of policyscope's
+// subcommands — `policyscope sub ...`, `cmd/policyscope sub ...` or
+// `go run ./cmd/policyscope sub ...` — and returns the subcommand and
+// its arguments.
+func ourSubcommand(cmd []string, subs map[string]bool) (string, []string) {
 	if len(cmd) >= 3 && cmd[0] == "go" && cmd[1] == "run" {
 		cmd = cmd[2:]
 	}
 	name := strings.TrimPrefix(strings.TrimPrefix(cmd[0], "./"), "cmd/")
-	if _, ok := bins[name]; !ok {
+	if name != "policyscope" || len(cmd) < 2 || !subs[cmd[1]] {
 		return "", nil
 	}
-	return name, cmd[1:]
+	return cmd[1], cmd[2:]
 }
 
-type defaultClaim struct{ bin, flag, def string }
+type defaultClaim struct{ sub, flag, def string }
 
 // tableDefaults reads the defaults README tabulates. Two table shapes
-// state them: a row `binary -flag` with a value under a "default" column,
-// and a row of binaries under `-flag` column headings. Values are code
-// spans; a cell without one states nothing. (-h prints no default for a
-// zero value, so a stated 0, 0s or false matches a flag that prints none.)
-func tableDefaults(md string) []defaultClaim {
+// state them: a row `policyscope sub -flag` with a value under a
+// "default" column, and a row of `policyscope sub` cells under `-flag`
+// column headings. Values are code spans; a cell without one states
+// nothing. (-h prints no default for a zero value, so a stated 0, 0s or
+// false matches a flag that prints none.)
+func tableDefaults(md string, subs map[string]bool) []defaultClaim {
+	subOf := func(span string) string {
+		if sub, ok := strings.CutPrefix(span, "policyscope "); ok && subs[sub] {
+			return sub
+		}
+		return ""
+	}
 	span := regexp.MustCompile("`([^`]*)`")
 	spansOf := func(cell string) []string {
 		var out []string
@@ -362,14 +371,14 @@ func tableDefaults(md string) []defaultClaim {
 			switch {
 			case strings.EqualFold(strings.TrimSpace(header[j]), "default"):
 				for _, f := range first {
-					if bin, flag, ok := strings.Cut(f, " -"); ok && bins[bin] != "" {
-						claims = append(claims, defaultClaim{bin, flag, vals[0]})
+					if cmd, flag, ok := strings.Cut(f, " -"); ok && subOf(cmd) != "" {
+						claims = append(claims, defaultClaim{subOf(cmd), flag, vals[0]})
 					}
 				}
 			case len(h) == 1 && strings.HasPrefix(h[0], "-"):
-				for _, bin := range first {
-					if bins[bin] != "" {
-						claims = append(claims, defaultClaim{bin, h[0][1:], vals[0]})
+				for _, cmd := range first {
+					if sub := subOf(cmd); sub != "" {
+						claims = append(claims, defaultClaim{sub, h[0][1:], vals[0]})
 					}
 				}
 			}

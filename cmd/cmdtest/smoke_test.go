@@ -1,9 +1,9 @@
-// Package cmdtest smoke-tests every binary under cmd/: each CLI is
-// built with the local toolchain and driven through a tiny end-to-end
-// invocation (topogen → simulate → inferrel/inferexport, a scenario
-// what-if, the looking glass, the IRR generator and the repro harness),
-// so flag-parsing or wiring regressions in the mains are caught by
-// `go test ./...` even though main packages have no importable API.
+// Package cmdtest smoke-tests the policyscope command: it is built with
+// the local toolchain and each subcommand is driven through a tiny
+// end-to-end invocation (topogen → simulate → inferrel/inferexport, a
+// scenario what-if, the looking glass, the IRR generator and the repro
+// harness), so flag-parsing or wiring regressions in the main package
+// are caught by `go test ./...` even though it has no importable API.
 package cmdtest
 
 import (
@@ -14,7 +14,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"syscall"
@@ -60,7 +59,7 @@ func TestCLISmoke(t *testing.T) {
 	inferredRel := filepath.Join(dir, "rel-inferred.txt")
 
 	// topogen writes the ground truth the other CLIs consume.
-	out := run(t, bins["topogen"], "-ases", "40", "-seed", "3", "-rel", relPath, "-prefixes", pfxPath)
+	out := run(t, "topogen", "-ases", "40", "-seed", "3", "-rel", relPath, "-prefixes", pfxPath)
 	if !strings.Contains(out, "ASes: 40") {
 		t.Fatalf("topogen stats missing:\n%s", out)
 	}
@@ -71,7 +70,7 @@ func TestCLISmoke(t *testing.T) {
 	}
 
 	// simulate produces the collector snapshot.
-	out = run(t, bins["simulate"], "-ases", "40", "-seed", "3", "-peers", "5", "-out", mrtPath)
+	out = run(t, "simulate", "-ases", "40", "-seed", "3", "-peers", "5", "-out", mrtPath)
 	if !strings.Contains(out, "wrote") {
 		t.Fatalf("simulate output:\n%s", out)
 	}
@@ -84,7 +83,7 @@ func TestCLISmoke(t *testing.T) {
 	if err := os.WriteFile(scenarioPath, []byte(events), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	out = run(t, bins["simulate"], "-ases", "40", "-seed", "3", "-peers", "5",
+	out = run(t, "simulate", "-ases", "40", "-seed", "3", "-peers", "5",
 		"-scenario", scenarioPath, "-out", afterPath)
 	if !strings.Contains(out, "scenario smoke") || !strings.Contains(out, "re-converged") {
 		t.Fatalf("simulate -scenario report missing:\n%s", out)
@@ -93,7 +92,7 @@ func TestCLISmoke(t *testing.T) {
 	// sweep: a capped single-link-failure fleet over the same topology,
 	// records to a file, rendered aggregate to stdout.
 	recPath := filepath.Join(dir, "records.ndjson")
-	out = run(t, bins["sweep"], "-ases", "40", "-seed", "3", "-peers", "5",
+	out = run(t, "sweep", "-ases", "40", "-seed", "3", "-peers", "5",
 		"-j", "2", "-max", "5", "-quiet", "-records", recPath, "-format", "text")
 	if !strings.Contains(out, "Most critical") || !strings.Contains(out, "scenarios=5 workers=2") {
 		t.Fatalf("sweep output missing aggregate or summary line:\n%s", out)
@@ -125,7 +124,7 @@ func TestCLISmoke(t *testing.T) {
 	}
 
 	// inferrel recovers relationships from the snapshot and scores them.
-	out = run(t, bins["inferrel"], "-in", mrtPath, "-out", inferredRel, "-truth", relPath)
+	out = run(t, "inferrel", "-in", mrtPath, "-out", inferredRel, "-truth", relPath)
 	if !strings.Contains(out, "inferred") {
 		t.Fatalf("inferrel output:\n%s", out)
 	}
@@ -133,19 +132,19 @@ func TestCLISmoke(t *testing.T) {
 	// The registry surface: -list names every algorithm, -algo selects
 	// one with -p parameter overrides, -score prints the per-class
 	// scorecard, and an unknown algorithm fails before touching input.
-	out = run(t, bins["inferrel"], "-list")
+	out = run(t, "inferrel", "-list")
 	for _, name := range []string{"gao", "rank", "pari"} {
 		if !strings.Contains(out, name) {
 			t.Fatalf("inferrel -list missing %s:\n%s", name, out)
 		}
 	}
-	out = run(t, bins["inferrel"], "-in", mrtPath, "-algo", "rank", "-p", "peer_ratio=6",
+	out = run(t, "inferrel", "-in", mrtPath, "-algo", "rank", "-p", "peer_ratio=6",
 		"-out", filepath.Join(dir, "rel-rank.txt"), "-truth", relPath, "-score")
 	if !strings.Contains(out, "rank: inferred") || !strings.Contains(out, "precision") {
 		t.Fatalf("inferrel -algo rank -score output:\n%s", out)
 	}
 	posteriorPath := filepath.Join(dir, "posterior.json")
-	run(t, bins["inferrel"], "-in", mrtPath, "-algo", "pari", "-posterior", "-out", posteriorPath)
+	run(t, "inferrel", "-in", mrtPath, "-algo", "pari", "-posterior", "-out", posteriorPath)
 	postData, err := os.ReadFile(posteriorPath)
 	if err != nil {
 		t.Fatal(err)
@@ -154,29 +153,29 @@ func TestCLISmoke(t *testing.T) {
 	if err := json.Unmarshal(postData, &posterior); err != nil || len(posterior) == 0 {
 		t.Fatalf("inferrel -posterior wrote bad JSON (%v):\n%s", err, postData)
 	}
-	badAlgo := exec.Command(bins["inferrel"], "-in", mrtPath, "-algo", "nope")
+	badAlgo := command("inferrel", "-in", mrtPath, "-algo", "nope")
 	if out, err := badAlgo.CombinedOutput(); err == nil || !strings.Contains(string(out), "unknown algorithm") {
 		t.Fatalf("inferrel -algo nope: err=%v out=%s", err, out)
 	}
 
 	// inferexport runs the Figure-4 SA detector.
-	out = run(t, bins["inferexport"], "-in", mrtPath, "-rel", relPath)
+	out = run(t, "inferexport", "-in", mrtPath, "-rel", relPath)
 	if !strings.Contains(out, "SA prefixes per collector peer") {
 		t.Fatalf("inferexport output:\n%s", out)
 	}
 
 	// irrgen emits an RPSL database and re-analyzes it.
-	run(t, bins["irrgen"], "-ases", "40", "-seed", "3", "-out", irrPath)
+	run(t, "irrgen", "-ases", "40", "-seed", "3", "-out", irrPath)
 	if fi, err := os.Stat(irrPath); err != nil || fi.Size() == 0 {
 		t.Fatalf("irrgen wrote nothing (%v)", err)
 	}
-	out = run(t, bins["irrgen"], "-analyze", irrPath, "-rel", relPath, "-minneighbors", "1")
+	out = run(t, "irrgen", "-analyze", irrPath, "-rel", relPath, "-minneighbors", "1")
 	if len(strings.TrimSpace(out)) == 0 {
 		t.Fatal("irrgen -analyze printed nothing")
 	}
 
 	// lookingglass lists its vantage ASes.
-	out = run(t, bins["lookingglass"], "-ases", "40", "-seed", "3")
+	out = run(t, "lookingglass", "-ases", "40", "-seed", "3")
 	if !strings.Contains(out, "available vantage ASes") {
 		t.Fatalf("lookingglass output:\n%s", out)
 	}
@@ -194,7 +193,7 @@ func TestDatasetCLISmoke(t *testing.T) {
 
 	// Export a snapshot, catalog it in a manifest.
 	mrtPath := filepath.Join(dir, "snap.mrt")
-	run(t, bins["simulate"], "-ases", "60", "-seed", "3", "-peers", "6", "-out", mrtPath)
+	run(t, "simulate", "-ases", "60", "-seed", "3", "-peers", "6", "-out", mrtPath)
 	manifestPath := filepath.Join(dir, "datasets.json")
 	manifest := `{"datasets": [{"name": "imported", "mrt": "snap.mrt"}]}`
 	if err := os.WriteFile(manifestPath, []byte(manifest), 0o644); err != nil {
@@ -202,28 +201,28 @@ func TestDatasetCLISmoke(t *testing.T) {
 	}
 
 	// The imported snapshot answers the SA detector...
-	out := run(t, bins["repro"], "-manifest", manifestPath, "-dataset", "imported", "-run", "table5")
+	out := run(t, "repro", "-manifest", manifestPath, "-dataset", "imported", "-run", "table5")
 	if !strings.Contains(out, "Table 5") {
 		t.Fatalf("repro over MRT dataset:\n%s", out)
 	}
 	// ...and refuses ground-truth experiments with the typed reason.
-	out = runFail(t, bins["repro"], "-manifest", manifestPath, "-dataset", "imported", "-run", "table1")
+	out = runFail(t, "repro", "-manifest", manifestPath, "-dataset", "imported", "-run", "table1")
 	if !strings.Contains(out, "ground truth") {
 		t.Fatalf("repro GT experiment over MRT dataset:\n%s", out)
 	}
 	// An unknown dataset fails before any work.
-	out = runFail(t, bins["repro"], "-dataset", "nope", "-run", "table5")
+	out = runFail(t, "repro", "-dataset", "nope", "-run", "table5")
 	if !strings.Contains(out, "unknown dataset") {
 		t.Fatalf("repro unknown dataset:\n%s", out)
 	}
 	// So do an unknown experiment and a bad parameter — at the default
 	// 2000-AS config, where a pre-validation regression would stall for
 	// minutes building the study first.
-	out = runFail(t, bins["repro"], "-run", "nope")
+	out = runFail(t, "repro", "-run", "nope")
 	if !strings.Contains(out, "unknown experiment") {
 		t.Fatalf("repro unknown experiment:\n%s", out)
 	}
-	out = runFail(t, bins["repro"], "-run", "table6", "-p", "bogus=1")
+	out = runFail(t, "repro", "-run", "table6", "-p", "bogus=1")
 	if !strings.Contains(out, "unknown parameter") {
 		t.Fatalf("repro bad param:\n%s", out)
 	}
@@ -233,12 +232,12 @@ func TestDatasetCLISmoke(t *testing.T) {
 	coldCache := filepath.Join(dir, "cache")
 	args := []string{"-ases", "150", "-seed", "4", "-peers", "8", "-lg", "4",
 		"-cache-dir", coldCache, "-run", "table5", "-format", "json"}
-	coldOut := run(t, bins["repro"], args...)
+	coldOut := run(t, "repro", args...)
 	entries, err := os.ReadDir(coldCache)
 	if err != nil || len(entries) == 0 {
 		t.Fatalf("cache dir not populated (%v)", err)
 	}
-	warmOut := run(t, bins["repro"], args...)
+	warmOut := run(t, "repro", args...)
 	stripTimings := func(s string) string {
 		var kept []string
 		for _, line := range strings.Split(s, "\n") {
@@ -302,7 +301,7 @@ func TestReproCAIDASmoke(t *testing.T) {
 	// Its own cache directory: the first run must be the cold one.
 	coldCache := filepath.Join(dir, "cache")
 	args := []string{"-dataset", "caida:" + relPath, "-cache-dir", coldCache, "-run", "table5"}
-	out := run(t, bins["repro"], args...)
+	out := run(t, "repro", args...)
 	if !strings.Contains(out, "Table 5") {
 		t.Fatalf("repro over 20k-AS CAIDA graph:\n%s", out)
 	}
@@ -311,7 +310,7 @@ func TestReproCAIDASmoke(t *testing.T) {
 		t.Fatalf("CAIDA study cache not populated (%v)", err)
 	}
 	// The warm run must still answer (and identically), now from disk.
-	warm := run(t, bins["repro"], args...)
+	warm := run(t, "repro", args...)
 	if !strings.Contains(warm, "Table 5") {
 		t.Fatalf("warm repro over CAIDA cache:\n%s", warm)
 	}
@@ -325,7 +324,7 @@ func TestReproSmoke(t *testing.T) {
 		t.Skip("builds binaries; skipped in -short mode")
 	}
 	dataset := []string{"-ases", "300", "-seed", "1", "-peers", "12", "-lg", "6", "-cache-dir", cacheDir}
-	out := run(t, bins["repro"], append(dataset, "-daily", "0", "-hourly", "0", "-routers", "6")...)
+	out := run(t, "repro", append(dataset, "-daily", "0", "-hourly", "0", "-routers", "6")...)
 	for _, want := range []string{"Table 5", "Summary: paper vs measured", "What-if"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("repro output missing %q", want)
@@ -333,7 +332,7 @@ func TestReproSmoke(t *testing.T) {
 	}
 
 	// Single-experiment mode with parameter overrides.
-	out = run(t, bins["repro"], append(dataset, "-run", "table6", "-p", "providers=2", "-p", "max_rows=3")...)
+	out = run(t, "repro", append(dataset, "-run", "table6", "-p", "providers=2", "-p", "max_rows=3")...)
 	if !strings.Contains(out, "Table 6") {
 		t.Fatalf("repro -run table6 output:\n%s", out)
 	}
@@ -348,7 +347,7 @@ func TestReproJSONByteStable(t *testing.T) {
 	}
 	args := []string{"-ases", "250", "-seed", "3", "-peers", "10", "-lg", "5", "-cache-dir", cacheDir,
 		"-daily", "2", "-hourly", "0", "-routers", "4", "-format", "json"}
-	a, b := runStdout(t, bins["repro"], args...), runStdout(t, bins["repro"], args...)
+	a, b := runStdout(t, "repro", args...), runStdout(t, "repro", args...)
 	if !bytes.Equal(a, b) {
 		t.Fatal("repro -format json is not byte-stable across runs at a fixed seed")
 	}
@@ -366,14 +365,14 @@ func TestReproJSONByteStable(t *testing.T) {
 }
 
 // tinyDataset is the flag-derived dataset the daemon and fleet tests
-// share; workerDataset is the same universe as a policyscoped worker
+// share; workerDataset is the same universe as a serve worker
 // spells it.
 var (
 	tinyDataset   = []string{"-ases", "60", "-seed", "3", "-peers", "5"}
 	workerDataset = append(tinyDataset[:len(tinyDataset):len(tinyDataset)], "-lg", "3")
 )
 
-// TestServerInferSmoke drives the policyscoped /infer surface end to
+// TestServerInferSmoke drives the serve /infer surface end to
 // end: the algorithm catalog, a real inference run, and the
 // fail-before-work contract (bad algo → 422 with no dataset built).
 func TestServerInferSmoke(t *testing.T) {
@@ -435,7 +434,7 @@ func TestServerInferSmoke(t *testing.T) {
 	}
 }
 
-// TestGracefulShutdownSmoke sends SIGTERM to a live policyscoped while
+// TestGracefulShutdownSmoke sends SIGTERM to a live serve daemon while
 // it is mid-way through streaming a /sweep response. The drain contract:
 // the in-flight stream runs to completion (records, aggregate, and the
 // sweep_done trailer all arrive), and the daemon exits 0.
@@ -496,7 +495,7 @@ func TestGracefulShutdownSmoke(t *testing.T) {
 }
 
 // TestDistributedSweepSmoke drives the fleet path through real
-// binaries: two policyscoped workers and a cmd/sweep coordinator, compared
+// processes: two serve workers and a sweep coordinator, compared
 // byte for byte against the same sweep run locally, then resumed from
 // its checkpoint. Workers and the local run share the study cache, so
 // the comparison is also restored engine against converged engine.
@@ -515,13 +514,13 @@ func TestDistributedSweepSmoke(t *testing.T) {
 	cfgArgs := append(tinyDataset[:len(tinyDataset):len(tinyDataset)], "-cache-dir", cacheDir,
 		"-gen", "all_single_link_failures", "-max", "15", "-quiet")
 	localOut := filepath.Join(dir, "local.ndjson")
-	run(t, bins["sweep"], append(cfgArgs, "-records", localOut)...)
+	run(t, "sweep", append(cfgArgs, "-records", localOut)...)
 
 	distOut := filepath.Join(dir, "dist.ndjson")
 	cpDir := filepath.Join(dir, "checkpoint")
 	distArgs := append(cfgArgs, "-records", distOut,
 		"-workers", addrs[0]+","+addrs[1], "-shard-size", "4", "-checkpoint", cpDir)
-	out := run(t, bins["sweep"], distArgs...)
+	out := run(t, "sweep", distArgs...)
 	if !strings.Contains(out, "workers=1") && !strings.Contains(out, "workers=2") {
 		t.Fatalf("sweep done line does not count the workers that delivered shards:\n%s", out)
 	}
@@ -540,11 +539,11 @@ func TestDistributedSweepSmoke(t *testing.T) {
 
 	// Reusing the checkpoint without -resume is refused; with -resume
 	// the finished run replays entirely from the spool, byte-identical.
-	out = runFail(t, bins["sweep"], distArgs...)
+	out = runFail(t, "sweep", distArgs...)
 	if !strings.Contains(out, "-resume") {
 		t.Fatalf("checkpoint reuse not refused: %s", out)
 	}
-	out = run(t, bins["sweep"], append(distArgs, "-resume")...)
+	out = run(t, "sweep", append(distArgs, "-resume")...)
 	if !strings.Contains(out, "resumed from checkpoint") {
 		t.Fatalf("resume did not replay from checkpoint: %s", out)
 	}
@@ -558,8 +557,8 @@ func TestDistributedSweepSmoke(t *testing.T) {
 }
 
 // TestFleetSweepSmoke drives dynamic fleet membership through real
-// binaries: a cmd/sweep coordinator starts with -fleet-addr and no
-// static workers at all; a policyscoped started afterwards self-registers via
+// processes: a sweep coordinator starts with -fleet-addr and no
+// static workers at all; a serve worker started afterwards self-registers via
 // -coordinator heartbeats, runs every shard, and the records still match
 // the local run byte for byte.
 func TestFleetSweepSmoke(t *testing.T) {
@@ -571,11 +570,11 @@ func TestFleetSweepSmoke(t *testing.T) {
 	cfgArgs := append(tinyDataset[:len(tinyDataset):len(tinyDataset)], "-cache-dir", cacheDir,
 		"-gen", "all_single_link_failures", "-max", "15", "-quiet")
 	localOut := filepath.Join(dir, "local.ndjson")
-	run(t, bins["sweep"], append(cfgArgs, "-records", localOut)...)
+	run(t, "sweep", append(cfgArgs, "-records", localOut)...)
 
 	fleetAddr := freeAddr(t)
 	distOut := filepath.Join(dir, "dist.ndjson")
-	coord := exec.Command(bins["sweep"], append(cfgArgs, "-records", distOut,
+	coord := command("sweep", append(cfgArgs, "-records", distOut,
 		"-fleet-addr", fleetAddr, "-shard-size", "4", "-grace", "60s")...)
 	var coordLog bytes.Buffer
 	coord.Stdout = &coordLog

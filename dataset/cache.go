@@ -243,9 +243,11 @@ func (c *Cached) readCacheFile(ctx context.Context, path string) (*policyscope.S
 	)
 	// A ground-truth source rebuilds its own world, from the graph the
 	// entry embeds when it embeds one (the cache key guarantees the live
-	// spec matches the writer's). Any other source — a hit must not need
-	// the wrapped source at all — regenerates from the configuration the
-	// entry recorded, which only a synthetic entry allows.
+	// spec matches the writer's; a CAIDA source also refuses the entry
+	// when its file no longer holds that graph). Any other source — a
+	// hit must not need the wrapped source at all — regenerates from the
+	// configuration the entry recorded, which only a synthetic entry
+	// allows.
 	go func() {
 		defer close(topoDone)
 		if gt, ok := c.Source.(groundTruth); ok {

@@ -3,6 +3,7 @@ package dataset
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 
@@ -90,20 +91,13 @@ func (c *CAIDAFile) parallelism() int { return c.Parallelism }
 // embedsGraph: no configuration can regenerate a measured file.
 func (c *CAIDAFile) embedsGraph() bool { return true }
 
-// world annotates the relationship graph — parsed from graph when a
-// cache entry supplies it, from the file otherwise — and derives the
-// analysis configuration a CAIDA study reports.
+// world annotates the relationship graph and derives the analysis
+// configuration a CAIDA study reports.
 func (c *CAIDAFile) world(graph []byte) (*topogen.Topology, []bgp.ASN, policyscope.Config, error) {
 	var cfg policyscope.Config
-	if len(graph) == 0 {
-		var err error
-		if graph, err = os.ReadFile(c.Path); err != nil {
-			return nil, nil, cfg, fmt.Errorf("dataset: open CAIDA relationships: %w", err)
-		}
-	}
-	g, err := asgraph.Read(bytes.NewReader(graph))
+	g, err := c.graph(graph)
 	if err != nil {
-		return nil, nil, cfg, fmt.Errorf("dataset: %s: %w", c.Path, err)
+		return nil, nil, cfg, err
 	}
 	sp := c.withDefaults()
 	topo, err := caidaTopology(g, sp)
@@ -122,6 +116,35 @@ func (c *CAIDAFile) world(graph []byte) (*topogen.Topology, []bgp.ASN, policysco
 		Parallelism:      c.Parallelism,
 	}
 	return topo, peers, cfg, nil
+}
+
+// graph parses the relationship file. A cache entry supplies the graph
+// it was built from (embedded, canonically serialized): while the file
+// exists it must still serialize to those bytes, so a file edited since
+// the entry was written makes the entry stale instead of a hit on the
+// old graph. Only a file that is gone falls back to the embedded graph.
+func (c *CAIDAFile) graph(embedded []byte) (*asgraph.Graph, error) {
+	raw, err := os.ReadFile(c.Path)
+	if len(embedded) > 0 && errors.Is(err, os.ErrNotExist) {
+		raw, err = embedded, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("dataset: open CAIDA relationships: %w", err)
+	}
+	g, err := asgraph.Read(bytes.NewReader(raw))
+	if err != nil {
+		return nil, fmt.Errorf("dataset: %s: %w", c.Path, err)
+	}
+	if len(embedded) > 0 {
+		var buf bytes.Buffer
+		if _, err := g.WriteTo(&buf); err != nil {
+			return nil, err
+		}
+		if !bytes.Equal(buf.Bytes(), embedded) {
+			return nil, fmt.Errorf("dataset: %s changed since the cache entry was written", c.Path)
+		}
+	}
+	return g, nil
 }
 
 // caidaTopology annotates a relationship graph into a runnable

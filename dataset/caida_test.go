@@ -123,9 +123,9 @@ func TestCAIDASourceLoad(t *testing.T) {
 }
 
 // TestCAIDACacheRoundTrip: a cache hit must answer byte-identically to
-// the cold load and must not touch the relationships file — the graph
-// is embedded in the entry, so deleting the source file proves the hit
-// path is self-contained.
+// the cold load and must not need the relationships file — the graph is
+// embedded in the entry, so deleting the source file proves the hit path
+// is self-contained.
 func TestCAIDACacheRoundTrip(t *testing.T) {
 	path := relFixture(t, 300)
 	dir := t.TempDir()
@@ -156,6 +156,60 @@ func TestCAIDACacheRoundTrip(t *testing.T) {
 		if want[name] != got[name] {
 			t.Errorf("%s: CAIDA cache hit diverged", name)
 		}
+	}
+}
+
+// TestCAIDACacheSeesFileEdits: a hit checks the relationships file
+// against the graph the entry embeds. An unchanged file hits; a file
+// overwritten in place with another graph makes the entry stale, and the
+// rebuild answers like a cold build of the new file, not like the old
+// file's study.
+func TestCAIDACacheSeesFileEdits(t *testing.T) {
+	path := relFixture(t, 300)
+	dir := t.TempDir()
+	mkSrc := func() *CAIDAFile {
+		src := NewCAIDAFile(path)
+		src.MaxPrefixes = 32
+		src.CollectorPeers = 8
+		return src
+	}
+	names := []string{"overview", "table2", "table5"}
+	load := func(cache bool) map[string]string {
+		t.Helper()
+		var src Source = mkSrc()
+		if cache {
+			src = NewCached(src, dir)
+		}
+		study, err := src.Load(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return experimentBytes(t, study, names)
+	}
+	counts := readCacheCounts(t)
+	old := load(true)
+	load(true)
+	if d := counts.since(t); d.miss != 1 || d.hit != 1 || d.stale != 0 {
+		t.Fatalf("two loads of an unchanged file: %+v, want one miss then one hit", d)
+	}
+	writeRelFile(t, path, 200)
+	counts = readCacheCounts(t)
+	edited, cold := load(true), load(false)
+	if d := counts.since(t); d.stale != 1 || d.hit != 0 || d.miss != 0 {
+		t.Fatalf("a load after the file was overwritten: %+v, want one stale", d)
+	}
+	for _, name := range names {
+		if edited[name] != cold[name] {
+			t.Errorf("%s: a cache load after the file was overwritten differs from a cold build of the new file", name)
+		}
+	}
+	if edited["overview"] == old["overview"] {
+		t.Fatal("the two graphs answer the same overview; the test cannot tell them apart")
+	}
+	counts = readCacheCounts(t)
+	load(true)
+	if d := counts.since(t); d.hit != 1 {
+		t.Fatalf("a load after the rebuild: %+v, want one hit on the replaced entry", d)
 	}
 }
 

@@ -62,8 +62,8 @@ type (
 )
 
 // Default is the process-wide catalog the built-in algorithms register
-// into; policyscope's Session, the HTTP server, and cmd/inferrel all
-// resolve names against it.
+// into; policyscope's Session, the HTTP server, and policyscope inferrel
+// all resolve names against it.
 var Default = experiment.NewRegistry[Input, *Output](experiment.Kind{Pkg: "infer", Noun: "algorithm"})
 
 // shared path preprocessing --------------------------------------------

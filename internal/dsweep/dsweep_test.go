@@ -75,7 +75,7 @@ func refSweep(t *testing.T) {
 	}
 }
 
-// refNDJSON renders the reference records the way cmd/sweep -records
+// refNDJSON renders the reference records the way policyscope sweep -records
 // writes them — the byte stream distributed runs must reproduce.
 func refNDJSON(t *testing.T) string {
 	t.Helper()

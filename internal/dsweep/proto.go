@@ -7,7 +7,7 @@
 // the same spec against the same dataset to the same scenario list, and
 // the single-process executor already emits records that are pure
 // functions of (base state, scenario), the merged distributed output is
-// bit-identical to a single-process `cmd/sweep -j N` run for any worker
+// bit-identical to a single-process `policyscope sweep -j N` run for any worker
 // count, shard size, and arrival order.
 //
 // The coordinator is fault-tolerant (per-shard lease timeouts, bounded

@@ -1,5 +1,5 @@
 // Package httpd is the hardened HTTP lifecycle the daemon
-// (cmd/policyscoped) runs on: an http.Server with real
+// (policyscope serve) runs on: an http.Server with real
 // read/write/idle timeouts instead of a bare http.ListenAndServe, and a
 // graceful SIGTERM/SIGINT shutdown that stops accepting connections,
 // lets in-flight requests drain (bounded by DrainTimeout), and only

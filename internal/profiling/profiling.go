@@ -1,7 +1,7 @@
 // Package profiling wires the standard pprof file profiles into the
-// CLIs (-cpuprofile / -memprofile on cmd/repro and cmd/sweep), so
-// performance work profiles the real binaries under their real
-// workloads instead of ad-hoc benchmark harnesses.
+// command line (-cpuprofile / -memprofile on policyscope repro and
+// policyscope sweep), so performance work profiles the real command
+// under its real workloads instead of ad-hoc benchmark harnesses.
 package profiling
 
 import (
@@ -10,22 +10,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 )
-
-// MustStart is the CLI bootstrap: it starts profiling when either path
-// is set and reports setup failures through fail (expected to exit).
-// The returned stop is always non-nil and safe to call multiple times —
-// a no-op when both paths are empty — so mains can install it
-// unconditionally into their error-exit hook and defer it.
-func MustStart(cpuPath, memPath string, fail func(error)) (stop func()) {
-	if cpuPath == "" && memPath == "" {
-		return func() {}
-	}
-	stop, err := Start(cpuPath, memPath)
-	if err != nil {
-		fail(err)
-	}
-	return stop
-}
 
 // Start begins CPU profiling into cpuPath (when non-empty) and arms a
 // heap snapshot into memPath (when non-empty). The returned stop

@@ -7,7 +7,7 @@
 //	<sibling>|<sibling>|1
 //
 // Every consumer of the format in the tree — the asgraph serializer,
-// the caida dataset source, cmd/inferrel, and the inference scorer —
+// the caida dataset source, policyscope inferrel, and the inference scorer —
 // goes through this package so the dialect is defined exactly once.
 // The reader is tolerant: comment and blank lines are skipped, and
 // trailing |-separated fields after the relationship code (CAIDA

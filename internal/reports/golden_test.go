@@ -7,7 +7,7 @@ import (
 )
 
 // Golden tests: the renderers' byte-exact output. The JSON surface
-// (cmd/repro -format json) is byte-stable by construction; these pin
+// (policyscope repro -format json) is byte-stable by construction; these pin
 // the text surface the same way, so alignment or padding regressions
 // show up as a readable diff.
 

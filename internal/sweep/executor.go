@@ -28,7 +28,7 @@ type Options struct {
 	OnImpact func(*Impact) error
 	// OnWorkerDone, when set, receives each worker's lifetime stats as
 	// it drains (calls may interleave across workers; the receiver
-	// serializes). cmd/sweep logs these and the executor benchmarks
+	// serializes). policyscope sweep logs these and the executor benchmarks
 	// derive parallel efficiency from them.
 	//
 	// Delivery is guaranteed for every effective worker before Run

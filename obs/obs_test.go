@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -200,7 +201,7 @@ func TestRegistryIdempotent(t *testing.T) {
 }
 
 func TestTraceSpans(t *testing.T) {
-	ctx, tr := WithTrace(t.Context(), "t1")
+	ctx, tr := WithTrace(context.Background(), "t1")
 	ctx2, outer := StartSpan(ctx, "outer")
 	_, inner := StartSpan(ctx2, "inner")
 	time.Sleep(time.Millisecond)
@@ -237,7 +238,7 @@ func TestTraceSpans(t *testing.T) {
 // TestNilSpanSafe: the un-traced path must tolerate nil spans — every
 // instrumented call site relies on it.
 func TestNilSpanSafe(t *testing.T) {
-	ctx, s := StartSpan(t.Context(), "no-trace")
+	ctx, s := StartSpan(context.Background(), "no-trace")
 	if s != nil {
 		t.Fatal("StartSpan without a trace returned a non-nil span")
 	}

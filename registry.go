@@ -5,8 +5,8 @@ package policyscope
 // snapshot-only dataset, default parameters, RunAll plan, compute
 // function and renderer in a single literal, next to the functions it
 // names (experiments.go for the paper's tables and figures, extensions.go,
-// whatif.go, inferops.go). RunAll, cmd/repro and cmd/policyscoped all
-// drive this one table through Session.Run, so the set of runnable
+// whatif.go, inferops.go). RunAll, policyscope repro and policyscope
+// serve all drive this one table through Session.Run, so the set of runnable
 // experiments cannot drift between the CLI, the server and the battery.
 
 import (

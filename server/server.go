@@ -76,7 +76,7 @@ type Server struct {
 	// load balancers stop routing here while in-flight requests finish.
 	draining atomic.Bool
 	// inflightShards counts /sweep/shard requests currently streaming —
-	// the load figure policyscoped reports in its fleet heartbeats.
+	// the load figure policyscope serve reports in its fleet heartbeats.
 	inflightShards atomic.Int64
 }
 
@@ -188,12 +188,12 @@ func (s *Server) handle(pattern, name string, class endpointClass, h http.Handle
 // SetDraining flips the server into its draining state: /healthz
 // answers 503 with draining=true so load balancers pull this replica
 // while in-flight requests complete. Wired as the httpd.Config.Draining
-// hook by cmd/policyscoped. It is one-way — a draining process is exiting.
+// hook by policyscope serve. It is one-way — a draining process is exiting.
 func (s *Server) SetDraining() { s.draining.Store(true) }
 
 // InflightShards reports how many /sweep/shard requests are currently
-// streaming; policyscoped carries it in fleet heartbeats so the coordinator
-// sees per-worker load.
+// streaming; policyscope serve carries it in fleet heartbeats so the
+// coordinator sees per-worker load.
 func (s *Server) InflightShards() int { return int(s.inflightShards.Load()) }
 
 // ServeHTTP implements http.Handler.

@@ -186,7 +186,7 @@ func TestDistributedMatchesServerSweep(t *testing.T) {
 	wantAggLine := lines[len(lines)-2]
 
 	// Coordinator side: expand the same spec from the same synthetic
-	// source — exactly what cmd/sweep -workers does.
+	// source — exactly what policyscope sweep -workers does.
 	spec := sweep.Spec{Generators: []sweep.Generator{{Kind: sweep.KindAllSingleLinkFailures, Max: 24}}}
 	topo, _, err := dataset.LoadTopology(context.Background(), dataset.NewSynthetic(tiny))
 	if err != nil {

@@ -278,7 +278,7 @@ func (se *Session) Sweep(ctx context.Context, scenarios []simulate.Scenario, opt
 }
 
 // LookingGlass returns a query server over the study's vantage tables
-// (the cmd/lookingglass backend), built once.
+// (the policyscope lookingglass backend), built once.
 func (se *Session) LookingGlass() (*lookingglass.Server, error) {
 	se.lgOnce.Do(func() {
 		s, err := se.Study()
