@@ -8,7 +8,7 @@ package netx
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -236,9 +236,9 @@ func (p Prefix) NumAddresses() uint64 {
 	return 1 << (32 - uint(p.Len))
 }
 
-// SortPrefixes sorts ps in Compare order, in place.
+// SortPrefixes sorts ps in Compare order, in place, without allocating.
 func SortPrefixes(ps []Prefix) {
-	sort.Slice(ps, func(i, j int) bool { return ps[i].Compare(ps[j]) < 0 })
+	slices.SortFunc(ps, Prefix.Compare)
 }
 
 // Aggregate2 reports whether a and b are sibling halves that can be merged,

@@ -3,6 +3,8 @@ package netx
 import (
 	"encoding"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -337,5 +339,46 @@ func TestPrefixTextRoundTrip(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { buf, _ = p.AppendText(buf[:0]) }); n != 0 {
 		t.Fatalf("AppendText into a buffer with room makes %v allocations, want 0", n)
+	}
+}
+
+// TestSortPrefixesMatchesSortSlice: SortPrefixes puts every list in the
+// order sort.Slice with the same comparison put it in — ties included, so
+// the lists carry exact duplicates and non-canonical prefixes that
+// Compare ties with their canonical form — and allocates nothing.
+func TestSortPrefixesMatchesSortSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 500; trial++ {
+		n := rng.Intn(200)
+		ps := make([]Prefix, n)
+		for i := range ps {
+			if i > 0 && rng.Intn(4) == 0 {
+				ps[i] = ps[rng.Intn(i)] // an exact duplicate
+				continue
+			}
+			l := uint8(8 + rng.Intn(3)*8)
+			ps[i] = Prefix{Addr: uint32(rng.Intn(64)) << 24, Len: l}
+			if rng.Intn(3) == 0 {
+				ps[i].Addr |= uint32(rng.Intn(256)) // host bits: ties with its canonical form
+			}
+		}
+		want := append([]Prefix(nil), ps...)
+		sort.Slice(want, func(i, j int) bool { return want[i].Compare(want[j]) < 0 })
+		got := append([]Prefix(nil), ps...)
+		SortPrefixes(got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d (%d prefixes): order differs from sort.Slice's:\n got %v\nwant %v", trial, n, got, want)
+		}
+	}
+	ps := make([]Prefix, 64)
+	for i := range ps {
+		ps[i] = Prefix{Addr: uint32(rng.Uint32()), Len: 24}
+	}
+	scratch := make([]Prefix, len(ps))
+	if allocs := testing.AllocsPerRun(100, func() {
+		copy(scratch, ps)
+		SortPrefixes(scratch)
+	}); allocs != 0 {
+		t.Fatalf("SortPrefixes allocates %.1f times per call", allocs)
 	}
 }

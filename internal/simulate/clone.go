@@ -98,22 +98,22 @@ func (en *Engine) Clone() *Engine {
 // topoShare records which topology components an engine still shares
 // with its clone family and must copy before writing. The zero value
 // shares nothing (NewEngine owns a deep copy); Clone sets every flag on
-// both sides. Only the containers are tracked: a Policy or an AS
-// description is never edited where it stands — see editPolicy.
+// both sides.
 type topoShare struct {
 	graph bool
 	// prefixes covers Topology.PrefixOrigin, the Topology.ASes map and
-	// the engine's prefix index; policies covers the Topology.Policies
-	// map.
+	// every description in it, and the engine's prefix index; policies
+	// covers the Topology.Policies map and every Policy in it.
 	prefixes, policies bool
 }
 
 // Every mutation point of an Apply, and of the Rollback that undoes it,
-// goes through one of the five functions below just before it writes, so
-// an Apply costs what it writes and the rest of the world stays shared
-// with the clone family: the graph for link events, the owner's Policy
-// for policy events, prefix ownership, the origin's description and
-// Policy and the prefix index for prefix events.
+// goes through one of the functions below just before it writes, so the
+// rest of the world stays shared with the clone family: the graph for
+// link events, the Policies for policy events, prefix ownership, the
+// descriptions and the prefix index for prefix events. Once an engine
+// owns a Policy or a description it edits it in place, one journaled
+// entry at a time (edit.go), and keeps it until a Clone shares it again.
 
 func (en *Engine) ownGraph() {
 	if en.shared.graph {
@@ -123,59 +123,37 @@ func (en *Engine) ownGraph() {
 	}
 }
 
+// ownPolicies copies the Policies map and every Policy in it at once: a
+// copy taken one AS at a time, amid a sweep's short-lived garbage, keeps
+// a span in use per copy long after the garbage is gone.
 func (en *Engine) ownPolicies() {
 	if en.shared.policies {
-		en.topo.Policies = maps.Clone(en.topo.Policies)
+		e := en.e
+		pols := make(map[bgp.ASN]*topogen.Policy, len(en.topo.Policies))
+		for asn, pol := range en.topo.Policies {
+			pols[asn] = pol.CloneDeep()
+		}
+		for i, asn := range e.asns {
+			e.pols[i] = pols[asn]
+		}
+		en.topo.Policies = pols
 		en.shared.policies = false
 		mCowTopology.Inc()
 	}
 }
 
+// ownPrefixMaps does the same for prefix ownership, the descriptions and
+// the prefix index.
 func (en *Engine) ownPrefixMaps() {
 	if en.shared.prefixes {
 		en.topo.PrefixOrigin = maps.Clone(en.topo.PrefixOrigin)
-		en.topo.ASes = maps.Clone(en.topo.ASes)
+		infos := make(map[bgp.ASN]*topogen.ASInfo, len(en.topo.ASes))
+		for asn, info := range en.topo.ASes {
+			infos[asn] = info.Clone()
+		}
+		en.topo.ASes = infos
 		en.e.prefixIdx = maps.Clone(en.e.prefixIdx)
 		en.shared.prefixes = false
 		mCowTopology.Inc()
 	}
-}
-
-// editPolicy makes asn's Policy the Apply's to edit in place: the first
-// call of an Apply installs a deep copy, and the Policy as it stood —
-// shared with the clone family or not — is from then on rc's pre-event
-// view and the journal's pre-image, which is why nothing tracks who owns
-// a Policy. An AS without one has nothing to copy; the nil is recorded
-// all the same: reconstruction must see it, not the Policy the edit
-// creates.
-func (en *Engine) editPolicy(rc *recon, asn bgp.ASN) {
-	e := en.e
-	i := int32(e.idx[asn])
-	if _, done := rc.oldPols[i]; done {
-		return
-	}
-	en.ownPolicies()
-	pre := e.pols[i]
-	rc.oldPols[i] = pre
-	e.journal.policyPre(i, pre)
-	if pre != nil {
-		pol := pre.CloneDeep()
-		en.topo.Policies[asn] = pol
-		e.pols[i] = pol
-		mCowTopology.Inc()
-	}
-}
-
-// editInfo does the same for the description of an AS a prefix event
-// originates at or withdraws from (Prefixes is edited in place), and
-// returns the description as it stood: the pre-image the event's journal
-// record carries.
-func (en *Engine) editInfo(asn bgp.ASN) *topogen.ASInfo {
-	en.ownPrefixMaps()
-	pre := en.topo.ASes[asn]
-	if pre != nil {
-		en.topo.ASes[asn] = pre.Clone()
-		mCowTopology.Inc()
-	}
-	return pre
 }

@@ -221,12 +221,12 @@ const trackNone int32 = -1
 // relationship tag v assigns — worked out once per slot from the graph and
 // v's Policy instead of once per announcement (see importAt).
 //
-// The records rest on one invariant: scenario events edit only a Policy's
-// Override and Export, and only through editPolicy's deep copy, which
-// shares Import and Tagging with the Policy it copies (an AS without a
-// Policy grows one with neither). So every Policy an AS has had within an
-// engine family — pre-event, post-event, rolled back — agrees on what a
-// record holds, and a record goes stale only when its slot moves, which
+// The records rest on one invariant: scenario events write only entries
+// of a Policy's Override and Export (edit.go), on an engine's own copy
+// that shares Import and Tagging with the Policy it copies (an AS without
+// a Policy grows one with neither). So every Policy an AS has had within
+// an engine family — pre-event, post-event, rolled back — agrees on what
+// a record holds, and a record goes stale only when its slot moves, which
 // rebuilds it. Override is the one input left out; importAt asks
 // topogen wherever one is set.
 type session struct {
@@ -764,12 +764,23 @@ func (e *engine) announceAt(st *workerState, u, v, vslot int32, relVtoU asgraph.
 // non-nil the Route and Path are carved from its arenas and are only
 // valid until the worker state resets; a nil st allocates from the heap.
 func (e *engine) buildAnnouncement(u, v, vslot int32, relVtoU asgraph.Relationship, best *bgp.Route, prefix netx.Prefix, polU, polV *topogen.Policy, st *workerState) *bgp.Route {
-	uASN, vASN := e.asns[u], e.asns[v]
-	comm := best.Communities
+	var noUpstream bool
 	if best.IsLocal() && polU != nil {
-		if tagged, ok := polU.Export.NoUpstream[prefix]; ok && tagged == vASN {
-			comm = addCommunity(st, comm, bgp.MakeCommunity(vASN, topogen.NoUpstreamValue))
-		}
+		to, ok := polU.Export.NoUpstream[prefix]
+		noUpstream = ok && to == e.asns[v]
+	}
+	lp, tag, tagged := e.importAt(u, v, vslot, relVtoU, polV, prefix)
+	return e.announcement(u, v, best, prefix, noUpstream, lp, tag, tagged, st)
+}
+
+// announcement is buildAnnouncement once the two policies have spoken:
+// noUpstream says u attaches the no-upstream community addressed to v,
+// and lp, tag and tagged are v's import of the route.
+func (e *engine) announcement(u, v int32, best *bgp.Route, prefix netx.Prefix, noUpstream bool, lp uint32, tag bgp.Community, tagged bool, st *workerState) *bgp.Route {
+	uASN := e.asns[u]
+	comm := best.Communities
+	if noUpstream {
+		comm = addCommunity(st, comm, bgp.MakeCommunity(e.asns[v], topogen.NoUpstreamValue))
 	}
 	var path bgp.Path
 	if st != nil {
@@ -777,8 +788,6 @@ func (e *engine) buildAnnouncement(u, v, vslot int32, relVtoU asgraph.Relationsh
 	} else {
 		path = best.Path.Prepend(uASN, 1)
 	}
-
-	lp, tag, tagged := e.importAt(u, v, vslot, relVtoU, polV, prefix)
 	if tagged {
 		comm = addCommunity(st, comm, tag)
 	}

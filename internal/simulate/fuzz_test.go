@@ -55,13 +55,22 @@ func FuzzLoadScenario(f *testing.F) {
 // withdrawals copy. After that churn the clone must still balance its
 // books (checkInvariants, the adjacency included) and answer one more
 // link failure as the fresh clone does. The seeds are one scenario per
-// event kind and a hijack, drawn from the topology so that they validate.
+// event kind, a hijack, a batch that writes every kind of Policy entry of
+// one AS, some twice, and withdrawals that delete a generated Export
+// entry, drawn from the topology so that they validate.
 func FuzzApplyRollback(f *testing.F) {
 	topo, opts := buildTestTopo(f, 60, 7)
 	// A fuzzed local_pref may build a preference cycle; keep the budget
 	// such a prefix burns small.
 	opts.ActivationBudget = 20
 	opts.Parallelism = 1
+	stub, providers, prefix := multihomedStub(f, topo)
+	// The stub's Policy has an Override from the start, so an edit of one
+	// of its entries has a value to put back: an Override the Apply makes
+	// goes with the rollback, whatever its entries held.
+	ov := topo.Policies[stub].EnsureOverride()
+	ov.SetNeighbor(providers[0], 70)
+	ov.SetPrefix(providers[1], prefix, 80)
 	base, err := NewEngine(topo, opts)
 	if err != nil {
 		f.Fatal(err)
@@ -69,7 +78,21 @@ func FuzzApplyRollback(f *testing.F) {
 	pristine := resultSnapshot(base)
 	untouched, work := base.Clone(), base.Clone()
 
-	stub, providers, prefix := multihomedStub(f, topo)
+	// Prefixes whose origin's generated Policy has an entry for them,
+	// which a withdrawal deletes.
+	var selective, tagged []Event
+	for _, p := range base.e.prefixes {
+		pol := topo.Policies[topo.PrefixOrigin[p]]
+		if _, ok := pol.Export.OriginProviders[p]; ok && selective == nil {
+			selective = []Event{WithdrawPrefix(p)}
+		}
+		if _, ok := pol.Export.NoUpstream[p]; ok && tagged == nil {
+			tagged = []Event{WithdrawPrefix(p)}
+		}
+	}
+	if selective == nil || tagged == nil {
+		f.Fatal("no prefix has an OriginProviders and a NoUpstream entry to withdraw")
+	}
 	peerA, peerB := somePeerEdge(f, topo)
 	other := base.e.prefixes[len(base.e.prefixes)-1]
 	if other == prefix {
@@ -90,6 +113,13 @@ func FuzzApplyRollback(f *testing.F) {
 		{ToggleProviderAnnouncement(prefix, providers[0], false)},
 		{TagNoUpstream(prefix, providers[1])},
 		{WithdrawPrefix(prefix), AnnouncePrefix(prefix, peerB)},
+		// Every entry kind of one AS's Policy, some written twice: each
+		// undo record must put back its own entry.
+		{SetLocalPref(stub, providers[0], 40), SetLocalPref(stub, providers[0], 60),
+			SetPrefixLocalPref(stub, providers[1], prefix, 30), TagNoUpstream(prefix, providers[1]),
+			ToggleProviderAnnouncement(prefix, providers[0], false), TagNoUpstream(prefix, providers[0]),
+			WithdrawPrefix(prefix)},
+		selective, tagged,
 	} {
 		data, err := json.Marshal(Scenario{Events: events})
 		if err != nil {

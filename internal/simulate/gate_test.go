@@ -192,10 +192,10 @@ func candOldUngated(pr *prefixRecon, v, u int32, cur asgraph.Relationship) *bgp.
 		rel, _ := e.sessionTo(u, f)
 		ingress = pr.rc.relOld(u, f, rel)
 	}
-	if !exportAllowed(e.asns[u], e.asns[v], relVtoU, ingress, best, pr.prefix, pr.rc.polOld(u)) {
+	if !pr.exportOld(u, v, relVtoU, ingress, best) {
 		return nil
 	}
-	return e.buildAnnouncement(u, v, -1, relVtoU, best, pr.prefix, pr.rc.polOld(u), pr.rc.polOld(v), pr.st)
+	return pr.buildOld(u, v, -1, relVtoU, best)
 }
 
 // candNewUngated is candNew for an unmaterialized u without the export
@@ -233,7 +233,7 @@ func requireGatedCandidates(t *testing.T, name string, base *Engine, ev Event, s
 	e := probe.e
 	rc := new(recon)
 	rc.reset(e)
-	if err := probe.applyPolicyEvent(rc, ev); err != nil {
+	if err := probe.editTopology(rc, ev); err != nil {
 		t.Fatal(err)
 	}
 	n, x := int32(e.idx[ev.Neighbor]), int32(e.idx[ev.AS])

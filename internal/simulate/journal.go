@@ -9,7 +9,6 @@ import (
 	"github.com/policyscope/policyscope/internal/asgraph"
 	"github.com/policyscope/policyscope/internal/bgp"
 	"github.com/policyscope/policyscope/internal/netx"
-	"github.com/policyscope/policyscope/internal/topogen"
 )
 
 // Rollback journal. The dominant pattern of the serving path — every
@@ -30,10 +29,11 @@ import (
 // set in another order" is not a restore.
 //
 // Nothing is copied for the journal that the Apply does not write. A
-// forest row, a Policy and an AS description are each handed over as they
-// stood: the original becomes the pre-image and the Apply writes a copy
-// (captureIncremental, editPolicy, editInfo), and Rollback puts the
-// original back. A vantage entry the table reads through to is held as
+// forest row is handed over as it stood: the original becomes the
+// pre-image, the Apply writes a copy (captureIncremental), and Rollback
+// puts the original back. A Policy or an AS description is edited in
+// place, on the engine's own copy, one record per entry written
+// (edit.go). A vantage entry the table reads through to is held as
 // the parent layer's pointer (bgp.RIB.SaveEntry), and Rollback deletes
 // the Apply's own copy so the table reads through again; only an entry
 // the table already owned, which it writes in place, is copied.
@@ -95,13 +95,6 @@ type linkDelta struct {
 	restored bool
 }
 
-// journalPolicy is AS i's Policy before the Apply's first edit to it; nil
-// for an AS that had none.
-type journalPolicy struct {
-	i   int32
-	pol *topogen.Policy
-}
-
 type prefixOp uint8
 
 const (
@@ -112,15 +105,13 @@ const (
 )
 
 // journalPrefix is one edit to the prefix bookkeeping. unconv is the
-// prefix's unconverged mark before it. A withdrawal and an announcement
-// also hold the origin and its AS description as it stood; a withdrawal,
-// where the prefix sat in the index and what sat there with it.
+// prefix's unconverged mark before it. A withdrawal also holds the
+// origin, where the prefix sat in the index and what sat there with it.
 type journalPrefix struct {
 	op     prefixOp
 	prefix netx.Prefix
 	unconv bool
 	origin bgp.ASN
-	info   *topogen.ASInfo
 	pi     int
 	row    []int32
 	shared bool
@@ -143,7 +134,7 @@ type applyJournal struct {
 	rows     []journalRow
 	entries  []journalEntry
 	links    []linkDelta
-	policies []journalPolicy
+	policies []policyEdit
 	prefixes []journalPrefix
 
 	// adj holds the adjacency rows relink replaced, and csrOff/adjVersion
@@ -457,7 +448,7 @@ func (en *Engine) Rollback() bool {
 		case undoLink:
 			en.undoLink(pop(&j.links))
 		case undoPolicy:
-			en.undoPolicy(pop(&j.policies))
+			en.undoEdit(pop(&j.policies))
 		case undoPrefix:
 			en.undoPrefix(pop(&j.prefixes))
 		}
@@ -530,31 +521,18 @@ func (en *Engine) undoLink(l linkDelta) {
 	}
 }
 
-func (en *Engine) undoPolicy(jp journalPolicy) {
-	en.ownPolicies()
-	asn := en.e.asns[jp.i]
-	if jp.pol == nil {
-		delete(en.topo.Policies, asn)
-	} else {
-		en.topo.Policies[asn] = jp.pol
-	}
-	en.e.pols[jp.i] = jp.pol
-}
-
 func (en *Engine) undoPrefix(jp journalPrefix) {
 	e := en.e
 	switch jp.op {
 	case prefixWithdrawn:
 		en.ownPrefixMaps()
 		en.topo.PrefixOrigin[jp.prefix] = jp.origin
-		en.topo.ASes[jp.origin] = jp.info
 		e.indexPrefixAt(jp.pi, jp.prefix, jp.row, jp.shared, jp.reach)
 	case prefixAnnounced:
 		// Every later record is undone, so the prefix is the last one
 		// indexed again and leaving moves nobody.
 		en.ownPrefixMaps()
 		delete(en.topo.PrefixOrigin, jp.prefix)
-		en.topo.ASes[jp.origin] = jp.info
 		e.unindexPrefix(jp.prefix)
 	}
 	if jp.unconv {
@@ -603,8 +581,8 @@ func (j *applyJournal) entryPre(vi int, prefix netx.Prefix, rib *bgp.RIB) {
 	j.mu.Unlock()
 }
 
-// linkDone, policyPre and prefixDone record the edits Apply makes from
-// its own goroutine, in the order it makes them.
+// linkDone, edited and prefixDone record the edits Apply makes from its
+// own goroutine, in the order it makes them.
 func (j *applyJournal) linkDone(l linkDelta) {
 	if j != nil {
 		j.links = append(j.links, l)
@@ -627,9 +605,9 @@ func (j *applyJournal) relinkPre(e *engine, stale []int32) {
 	}
 }
 
-func (j *applyJournal) policyPre(i int32, pol *topogen.Policy) {
+func (j *applyJournal) edited(ed policyEdit) {
 	if j != nil {
-		j.policies = append(j.policies, journalPolicy{i: i, pol: pol})
+		j.policies = append(j.policies, ed)
 		j.log = append(j.log, undoPolicy)
 	}
 }

@@ -10,7 +10,9 @@ import (
 	"unsafe"
 
 	"github.com/policyscope/policyscope/internal/asgraph"
+	"github.com/policyscope/policyscope/internal/bgp"
 	"github.com/policyscope/policyscope/internal/netx"
+	"github.com/policyscope/policyscope/internal/topogen"
 )
 
 // leaseChecker runs scenarios through base.Scratch and holds every lease
@@ -206,13 +208,17 @@ func TestScratchLeaseEqualsFreshClone(t *testing.T) {
 	}
 }
 
-// TestConcurrentSiblingLeases: link failures leased from one base by
-// ScratchLimit() goroutines at once, each lease at parallelism 2. The
-// sibling scratch engines share one worker-state pool, so a state that
-// synced to one engine's CSR offsets — carved from that engine's region
-// and rewound by its rollback — is taken by another while the first
-// carves the same storage again. Every Delta must equal the one a fresh
-// clone's Apply made sequentially, and every engine must come back.
+// TestConcurrentSiblingLeases: link failures, local-pref flips of one
+// AS, and withdrawals and no-upstream flips of one origin's prefixes,
+// leased from one base by ScratchLimit() goroutines at once, each lease
+// at parallelism 2. The sibling scratch engines share one worker-state
+// pool, so a state that synced to one engine's CSR offsets — carved from
+// that engine's region and rewound by its rollback — is taken by another
+// while the first carves the same storage again. And they share the
+// base's Policies and AS descriptions until each one's first edit, so
+// under -race an edit made in place on a shared one is a race with its
+// siblings' reads. Every Delta must equal the one a fresh clone's Apply
+// made sequentially, and every engine must come back.
 func TestConcurrentSiblingLeases(t *testing.T) {
 	topo, opts := buildTestTopo(t, 120, 2)
 	base, err := NewEngine(topo, opts)
@@ -220,10 +226,25 @@ func TestConcurrentSiblingLeases(t *testing.T) {
 		t.Fatal(err)
 	}
 	edges := topo.Graph.Edges()
+	var events []Event
+	for i := 0; i < len(edges); i += max(1, len(edges)/40) {
+		events = append(events, FailLink(edges[i].A, edges[i].B))
+	}
+	as := byDegree(topo)[0]
+	for _, nb := range topo.Graph.Neighbors(as)[:8] {
+		events = append(events, SetLocalPref(as, nb, 50), SetLocalPref(as, nb, 200))
+	}
+	origin := multiPrefixOrigin(t, topo)
+	for _, p := range topo.ASes[origin].Prefixes {
+		events = append(events, WithdrawPrefix(p))
+		for _, prov := range topo.Graph.Providers(origin) {
+			events = append(events, TagNoUpstream(p, prov))
+		}
+	}
 	var scs []Scenario
 	var want []*Delta
-	for i := 0; i < len(edges); i += max(1, len(edges)/40) {
-		sc := Scenario{Name: fmt.Sprintf("fail AS%d-AS%d", edges[i].A, edges[i].B), Events: []Event{FailLink(edges[i].A, edges[i].B)}}
+	for _, ev := range events {
+		sc := Scenario{Name: fmt.Sprintf("%s %+v", ev.Kind, ev), Events: []Event{ev}}
 		d, err := base.Clone().Apply(sc)
 		if err != nil {
 			t.Fatal(err)
@@ -254,6 +275,22 @@ func TestConcurrentSiblingLeases(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// multiPrefixOrigin returns the AS with a provider that originates the
+// most prefixes.
+func multiPrefixOrigin(t *testing.T, topo *topogen.Topology) bgp.ASN {
+	var origin bgp.ASN
+	most := 1
+	for _, asn := range topo.Order {
+		if n := len(topo.ASes[asn].Prefixes); n > most && len(topo.Graph.Providers(asn)) > 0 {
+			origin, most = asn, n
+		}
+	}
+	if origin == 0 {
+		t.Fatal("no AS with a provider originates two prefixes")
+	}
+	return origin
 }
 
 // TestLeaseReusesDeltaBuffers: a scratch engine builds every scenario's
@@ -386,27 +423,70 @@ func TestIdleListLastInFirstOut(t *testing.T) {
 	}
 }
 
+// The BenchmarkScratch* workloads. Each shape builds a base engine and
+// returns the op one iteration runs on it; TestAllocBudget holds what a
+// warm op allocates to testdata/alloc_budget.json.
+
+// scratchShape is one workload's set-up: the op it returns runs the i-th
+// iteration, and the ops cycle through cycle scenarios.
+type scratchShape func(testing.TB) (op func(i int) error, cycle int)
+
+// scratchShapes are the shapes under the allocation budget, by the
+// budget file's row names.
+var scratchShapes = []struct {
+	name  string
+	shape scratchShape
+}{
+	{"ScratchLinkFailure", scratchLinkFailure},
+	{"ScratchGroupLinkFailure", scratchGroupLinkFailure},
+	{"ScratchLocalPrefFlip", scratchLocalPrefFlip},
+	{"ScratchLargePolicyFlip", scratchLargePolicyFlip},
+	{"ScratchHijack", scratchHijack},
+	{"ScratchWithdrawal", scratchWithdrawal},
+	{"ScratchNoUpstreamFlip", scratchNoUpstreamFlip},
+}
+
+func runScratch(b *testing.B, shape scratchShape) {
+	op, _ := shape(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := op(i); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// leaseEach returns the op that leases scs[i%len(scs)] on base with an
+// observer that does nothing.
+func leaseEach(base *Engine, scs []Scenario) (func(int) error, int) {
+	observe := func(*Delta, *Engine) error { return nil }
+	return func(i int) error {
+		_, err := base.Scratch(1, scs[i%len(scs)], observe)
+		return err
+	}, len(scs)
+}
+
+func newBase(tb testing.TB, topo *topogen.Topology, opts Options) *Engine {
+	base, err := NewEngine(topo, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return base
+}
+
 // BenchmarkScratchLinkFailure: one single-link failure per op on leased
 // scratch engines of a 120-AS base — the sweep_links inner loop. In the
 // steady state an op allocates what it writes into the engine.
-func BenchmarkScratchLinkFailure(b *testing.B) {
-	topo, opts := buildTestTopo(b, 120, 1)
-	base, err := NewEngine(topo, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
+func BenchmarkScratchLinkFailure(b *testing.B) { runScratch(b, scratchLinkFailure) }
+
+func scratchLinkFailure(tb testing.TB) (func(int) error, int) {
+	topo, opts := buildTestTopo(tb, 120, 1)
 	var scs []Scenario
 	for _, e := range topo.Graph.Edges() {
 		scs = append(scs, Scenario{Events: []Event{FailLink(e.A, e.B)}})
 	}
-	observe := func(*Delta, *Engine) error { return nil }
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := base.Scratch(1, scs[i%len(scs)], observe); err != nil {
-			b.Fatal(err)
-		}
-	}
+	return leaseEach(newBase(tb, topo, opts), scs)
 }
 
 // BenchmarkScratchGroupLinkFailure: one op fails every provider session
@@ -417,12 +497,11 @@ func BenchmarkScratchLinkFailure(b *testing.B) {
 // Delta in a buffer the benchmark keeps, as the lease builds the
 // scenario's, so an op counts what the engine allocates. The ops rotate
 // over every AS with two providers or more.
-func BenchmarkScratchGroupLinkFailure(b *testing.B) {
-	topo, opts := buildTestTopo(b, 120, 1)
-	base, err := NewEngine(topo, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
+func BenchmarkScratchGroupLinkFailure(b *testing.B) { runScratch(b, scratchGroupLinkFailure) }
+
+func scratchGroupLinkFailure(tb testing.TB) (func(int) error, int) {
+	topo, opts := buildTestTopo(tb, 120, 1)
+	base := newBase(tb, topo, opts)
 	type group struct {
 		fail    Scenario
 		restore Scenario
@@ -441,31 +520,31 @@ func BenchmarkScratchGroupLinkFailure(b *testing.B) {
 		groups = append(groups, g)
 	}
 	if len(groups) == 0 {
-		b.Fatal("no multihomed AS")
+		tb.Fatal("no multihomed AS")
 	}
 	after := new(deltaBuf)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func(i int) error {
 		g := groups[i%len(groups)]
-		if _, err := base.Scratch(1, g.fail, func(_ *Delta, s *Engine) error {
+		_, err := base.Scratch(1, g.fail, func(_ *Delta, s *Engine) error {
 			return s.apply(g.restore, after)
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
+		})
+		return err
+	}, len(groups)
 }
 
 // BenchmarkScratchLocalPrefFlip: one neighbor-wide local_pref flip per op
 // on leased scratch engines of a 120-AS base — the sweep_policy family the
-// export gate prunes most: every session of the highest-degree AS, at 50
-// and at 200.
-func BenchmarkScratchLocalPrefFlip(b *testing.B) {
-	topo, opts := buildTestTopo(b, 120, 1)
-	base, err := NewEngine(topo, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
+// export gate prunes most.
+func BenchmarkScratchLocalPrefFlip(b *testing.B) { runScratch(b, scratchLocalPrefFlip) }
+
+func scratchLocalPrefFlip(tb testing.TB) (func(int) error, int) {
+	topo, opts := buildTestTopo(tb, 120, 1)
+	return leaseEach(newBase(tb, topo, opts), localPrefFlips(topo))
+}
+
+// localPrefFlips are a local_pref of 50 and of 200 on every session of
+// the highest-degree AS.
+func localPrefFlips(topo *topogen.Topology) []Scenario {
 	as := byDegree(topo)[0]
 	var scs []Scenario
 	for _, nb := range topo.Graph.Neighbors(as) {
@@ -473,14 +552,7 @@ func BenchmarkScratchLocalPrefFlip(b *testing.B) {
 			scs = append(scs, Scenario{Events: []Event{SetLocalPref(as, nb, value)}})
 		}
 	}
-	observe := func(*Delta, *Engine) error { return nil }
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := base.Scratch(1, scs[i%len(scs)], observe); err != nil {
-			b.Fatal(err)
-		}
-	}
+	return scs
 }
 
 // BenchmarkScratchLargePolicyFlip: BenchmarkScratchLocalPrefFlip's
@@ -489,27 +561,12 @@ func BenchmarkScratchLocalPrefFlip(b *testing.B) {
 // more than 20,000 entries) — the size of the largest sweep_policy
 // scenarios. A warm op carves all of it from storage the rollback before
 // rewound.
-func BenchmarkScratchLargePolicyFlip(b *testing.B) {
-	topo, _ := equivalenceTopo(b, 200, 11)
-	base, err := NewEngine(topo, Options{VantagePoints: topo.Order, Parallelism: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	as := byDegree(topo)[0]
-	var scs []Scenario
-	for _, nb := range topo.Graph.Neighbors(as) {
-		for _, value := range []uint32{50, 200} {
-			scs = append(scs, Scenario{Events: []Event{SetLocalPref(as, nb, value)}})
-		}
-	}
-	observe := func(*Delta, *Engine) error { return nil }
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := base.Scratch(1, scs[i%len(scs)], observe); err != nil {
-			b.Fatal(err)
-		}
-	}
+func BenchmarkScratchLargePolicyFlip(b *testing.B) { runScratch(b, scratchLargePolicyFlip) }
+
+func scratchLargePolicyFlip(tb testing.TB) (func(int) error, int) {
+	topo, _ := equivalenceTopo(tb, 200, 11)
+	base := newBase(tb, topo, Options{VantagePoints: topo.Order, Parallelism: 1})
+	return leaseEach(base, localPrefFlips(topo))
 }
 
 // BenchmarkScratchHijack: one origin-takeover hijack per op on leased
@@ -518,12 +575,11 @@ func BenchmarkScratchLargePolicyFlip(b *testing.B) {
 // so every vantage table that reaches it writes its entry anew. Eight
 // prefixes spread over the index, each taken over by the four
 // highest-degree ASes.
-func BenchmarkScratchHijack(b *testing.B) {
-	topo, opts := buildTestTopo(b, 120, 1)
-	base, err := NewEngine(topo, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
+func BenchmarkScratchHijack(b *testing.B) { runScratch(b, scratchHijack) }
+
+func scratchHijack(tb testing.TB) (func(int) error, int) {
+	topo, opts := buildTestTopo(tb, 120, 1)
+	base := newBase(tb, topo, opts)
 	var scs []Scenario
 	for _, p := range samplePrefixes(base, 8) {
 		for _, a := range byDegree(topo)[:4] {
@@ -532,14 +588,45 @@ func BenchmarkScratchHijack(b *testing.B) {
 			}
 		}
 	}
-	observe := func(*Delta, *Engine) error { return nil }
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := base.Scratch(1, scs[i%len(scs)], observe); err != nil {
-			b.Fatal(err)
+	return leaseEach(base, scs)
+}
+
+// BenchmarkScratchWithdrawal: one prefix withdrawal per op on leased
+// scratch engines of a 120-AS base — the sweep_policy family that edits
+// the origin's description and, where it has entries for the prefix,
+// its Policy. 32 prefixes spread over the index.
+func BenchmarkScratchWithdrawal(b *testing.B) { runScratch(b, scratchWithdrawal) }
+
+func scratchWithdrawal(tb testing.TB) (func(int) error, int) {
+	topo, opts := buildTestTopo(tb, 120, 1)
+	base := newBase(tb, topo, opts)
+	var scs []Scenario
+	for _, p := range samplePrefixes(base, 32) {
+		scs = append(scs, Scenario{Events: []Event{WithdrawPrefix(p)}})
+	}
+	return leaseEach(base, scs)
+}
+
+// BenchmarkScratchNoUpstreamFlip: one no_upstream tag per op on leased
+// scratch engines of a 120-AS base — the sweep_policy family that edits
+// one Export entry of the origin's Policy and re-converges its prefix.
+// 16 prefixes spread over the index, each tagged to every provider of
+// its origin.
+func BenchmarkScratchNoUpstreamFlip(b *testing.B) { runScratch(b, scratchNoUpstreamFlip) }
+
+func scratchNoUpstreamFlip(tb testing.TB) (func(int) error, int) {
+	topo, opts := buildTestTopo(tb, 120, 1)
+	base := newBase(tb, topo, opts)
+	var scs []Scenario
+	for _, p := range samplePrefixes(base, 16) {
+		for _, prov := range topo.Graph.Providers(topo.PrefixOrigin[p]) {
+			scs = append(scs, Scenario{Events: []Event{TagNoUpstream(p, prov)}})
 		}
 	}
+	if len(scs) == 0 {
+		tb.Fatal("no sampled prefix has an origin with a provider")
+	}
+	return leaseEach(base, scs)
 }
 
 // TestScratchPoolDroppedWhenBaseMoves: idle scratch engines stand at the

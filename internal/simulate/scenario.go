@@ -318,7 +318,7 @@ type Engine struct {
 	cloneMu sync.Mutex
 	// shared says which topology components are still shared with the
 	// engine's clone family and must be copied before an edit; see
-	// unshare in clone.go.
+	// clone.go.
 	shared topoShare
 	// scratch is the stack of idle scratch engines this engine has lent
 	// out and taken back, the last one given back on top (lease.go); nil
@@ -402,13 +402,15 @@ type deltaBuf struct {
 	peers   map[bgp.ASN]int
 	// The rest is the incremental pass's, which b is: rc, skip (the
 	// prefixes the batch announced), disturbed (the prefixes it
-	// re-converges), shiftAt and reachAt (the position there of each shift
+	// re-converges), wide (namedPrefixes' sessions of neighbor-wide
+	// local_prefs), shiftAt and reachAt (the position there of each shift
 	// and reach delta it appended), the Apply's en and events, mu over
 	// what workers report, and flipped, the prefixes whose unconverged
 	// mark changes (the set is only read while they run).
 	rc               recon
 	skip             map[netx.Prefix]bool
 	disturbed        []netx.Prefix
+	wide             [][2]int32
 	shiftAt, reachAt []int32
 	en               *Engine
 	events           []Event
@@ -501,10 +503,10 @@ func (en *Engine) apply(sc Scenario, b *deltaBuf) error {
 	rc.reset(e)
 	delta := &b.d
 
-	// Mutate the topology — each event first un-shares, or hands the journal
-	// as its pre-image, the one component it edits (clone.go) — recording
-	// link deltas for reconstruction, and handle prefix removal/addition
-	// bookkeeping.
+	// Mutate the topology — each event first un-shares the component it
+	// edits (clone.go) and journals what it writes — recording link deltas
+	// and policy edits for reconstruction, and handle prefix
+	// removal/addition bookkeeping.
 	var added []netx.Prefix
 	for _, ev := range sc.Events {
 		switch ev.Kind {
@@ -517,18 +519,15 @@ func (en *Engine) apply(sc Scenario, b *deltaBuf) error {
 				en.recordWithdrawal(ev.Prefix, b)
 			}
 			origin := en.topo.PrefixOrigin[ev.Prefix]
-			en.editPolicy(rc, origin)
-			info := en.editInfo(origin)
-			if _, err := applyEventToTopology(en.topo, ev); err != nil {
+			if err := en.editTopology(rc, ev); err != nil {
 				return err
 			}
-			en.removePrefixState(ev.Prefix, origin, info)
+			en.removePrefixState(ev.Prefix, origin)
 		case EventAnnounce:
-			info := en.editInfo(ev.Origin)
-			if _, err := applyEventToTopology(en.topo, ev); err != nil {
+			if err := en.editTopology(rc, ev); err != nil {
 				return err
 			}
-			en.addPrefixState(ev.Prefix, ev.Origin, info)
+			en.addPrefixState(ev.Prefix)
 			added = append(added, ev.Prefix)
 		case EventLinkFail, EventLinkRestore:
 			en.ownGraph()
@@ -548,7 +547,7 @@ func (en *Engine) apply(sc Scenario, b *deltaBuf) error {
 			}
 			rc.endpoints = append(rc.endpoints, ai, bi)
 		default:
-			if err := en.applyPolicyEvent(rc, ev); err != nil {
+			if err := en.editTopology(rc, ev); err != nil {
 				return err
 			}
 		}
@@ -628,31 +627,6 @@ func cmpReach(a, b ReachDelta) int {
 		return cmp.Compare(db, da)
 	}
 	return a.Prefix.Compare(b.Prefix)
-}
-
-// applyPolicyEvent carries out a local_pref, sa_toggle or no_upstream
-// event on a Policy of the Apply's own (editPolicy).
-func (en *Engine) applyPolicyEvent(rc *recon, ev Event) error {
-	owner, _ := en.policyOwner(ev)
-	en.editPolicy(rc, owner)
-	if _, err := applyEventToTopology(en.topo, ev); err != nil {
-		return err
-	}
-	// The edit was in place unless the owner had no Policy yet: re-resolve
-	// the pointer.
-	en.e.pols[en.e.idx[owner]] = en.topo.Policies[owner]
-	return nil
-}
-
-// policyOwner returns the AS whose Policy a policy event edits.
-func (en *Engine) policyOwner(ev Event) (bgp.ASN, bool) {
-	switch ev.Kind {
-	case EventLocalPref:
-		return ev.AS, true
-	case EventSAToggle, EventNoUpstream:
-		return en.topo.PrefixOrigin[ev.Prefix], true
-	}
-	return 0, false
 }
 
 func abs(x int) int {
@@ -777,9 +751,8 @@ func (en *Engine) recordWithdrawal(prefix netx.Prefix, b *deltaBuf) {
 
 // removePrefixState erases a withdrawn prefix from tables, reach counts
 // and the best forest, compacting the engine's prefix indexing. origin
-// and info are the journal's: who originated the prefix and that AS's
-// description before the event.
-func (en *Engine) removePrefixState(prefix netx.Prefix, origin bgp.ASN, info *topogen.ASInfo) {
+// is the journal's: who originated the prefix before the event.
+func (en *Engine) removePrefixState(prefix netx.Prefix, origin bgp.ASN) {
 	e := en.e
 	for vi, slot := range e.tables {
 		slot.mu.Lock()
@@ -788,7 +761,7 @@ func (en *Engine) removePrefixState(prefix netx.Prefix, origin bgp.ASN, info *to
 		}
 		slot.mu.Unlock()
 	}
-	jp := journalPrefix{op: prefixWithdrawn, prefix: prefix, unconv: en.unconv[prefix], origin: origin, info: info}
+	jp := journalPrefix{op: prefixWithdrawn, prefix: prefix, unconv: en.unconv[prefix], origin: origin}
 	jp.pi, jp.row, jp.shared, jp.reach = e.unindexPrefix(prefix)
 	delete(en.unconv, prefix)
 	e.journal.prefixDone(jp)
@@ -796,9 +769,9 @@ func (en *Engine) removePrefixState(prefix netx.Prefix, origin bgp.ASN, info *to
 
 // addPrefixState registers a newly originated prefix at the end of the
 // engine's indexing; its state is produced by the full-convergence pass.
-func (en *Engine) addPrefixState(prefix netx.Prefix, origin bgp.ASN, info *topogen.ASInfo) {
+func (en *Engine) addPrefixState(prefix netx.Prefix) {
 	en.e.indexPrefixAt(len(en.e.prefixes), prefix, nil, false, 0)
-	en.e.journal.prefixDone(journalPrefix{op: prefixAnnounced, prefix: prefix, origin: origin, info: info})
+	en.e.journal.prefixDone(journalPrefix{op: prefixAnnounced, prefix: prefix})
 }
 
 // unindexPrefix swap-removes prefix from the prefix indexing and returns
@@ -867,8 +840,8 @@ func orient(rel asgraph.Relationship, a, b int32) asgraph.Relationship {
 
 // recon is the Apply-scoped context for reconstructing pre-event state:
 // which edges this batch removed or added (with the removed edges'
-// relationships), the ASes those edges end at, and the pre-event
-// policies of edited ASes.
+// relationships), the ASes those edges end at, and the records of the
+// Policy entries it edited (edit.go).
 type recon struct {
 	e       *engine
 	removed map[[2]int32]asgraph.Relationship // value: what pair[1] is to pair[0]
@@ -877,7 +850,7 @@ type recon struct {
 	// ascending: a session between two ASes that are not both in it kept
 	// its relationship, which spares the hot paths the map probes.
 	endpoints []int32
-	oldPols   map[int32]*topogen.Policy
+	edits     []policyEdit
 }
 
 // reset empties rc for an Apply on e, keeping what its maps and list
@@ -887,12 +860,11 @@ func (rc *recon) reset(e *engine) {
 	if rc.removed == nil {
 		rc.removed = make(map[[2]int32]asgraph.Relationship)
 		rc.added = make(map[[2]int32]bool)
-		rc.oldPols = make(map[int32]*topogen.Policy)
 	}
 	clear(rc.removed)
 	clear(rc.added)
-	clear(rc.oldPols)
-	rc.endpoints = rc.endpoints[:0]
+	clear(rc.edits) // pins no OriginProviders set
+	rc.endpoints, rc.edits = rc.endpoints[:0], rc.edits[:0]
 }
 
 // linkChanged reports whether this batch may have removed or added the
@@ -935,16 +907,6 @@ func (rc *recon) relAny(u, v int32) asgraph.Relationship {
 		return rel
 	}
 	return rc.relOld(u, v, asgraph.RelNone)
-}
-
-// polOld returns AS i's pre-event policy.
-func (rc *recon) polOld(i int32) *topogen.Policy {
-	if len(rc.oldPols) > 0 {
-		if p, ok := rc.oldPols[i]; ok {
-			return p
-		}
-	}
-	return rc.e.pols[i]
 }
 
 // prefixRecon reconstructs one prefix's pre-event routing state from the
@@ -1010,8 +972,7 @@ func (pr *prefixRecon) bestOldDepth(u int32, depth int) *bgp.Route {
 			return nil
 		}
 		rel, slot := pr.rc.e.sessionTo(f, u)
-		r = pr.rc.e.buildAnnouncement(f, u, slot, pr.rc.relOld(f, u, rel), parentBest,
-			pr.prefix, pr.rc.polOld(f), pr.rc.polOld(u), pr.st)
+		r = pr.buildOld(f, u, slot, pr.rc.relOld(f, u, rel), parentBest)
 	}
 	pr.st.memoSeen[u] = pr.st.version
 	pr.st.memoRoute[u] = r
@@ -1055,10 +1016,10 @@ func (pr *prefixRecon) candOld(v, u int32, cur asgraph.Relationship, vslot int32
 	if best == nil || best.Path.Contains(e.asns[v]) {
 		return nil
 	}
-	if !exportAllowed(e.asns[u], e.asns[v], relVtoU, ingress, best, pr.prefix, pr.rc.polOld(u)) {
+	if !pr.exportOld(u, v, relVtoU, ingress, best) {
 		return nil
 	}
-	return e.buildAnnouncement(u, v, vslot, relVtoU, best, pr.prefix, pr.rc.polOld(u), pr.rc.polOld(v), pr.st)
+	return pr.buildOld(u, v, vslot, relVtoU, best)
 }
 
 // candNew computes the candidate v would hold from u right now: u's
@@ -1241,7 +1202,7 @@ func (en *Engine) runIncremental(events []Event, b *deltaBuf) (disturbed, materi
 	if allLinkFailures(events) {
 		prefixes = en.linkFailDisturbSet(events, delta, b.disturbed[:0])
 	} else {
-		prefixes = en.namedPrefixes(events, b.skip, b.disturbed[:0])
+		prefixes = en.namedPrefixes(events, b)
 	}
 	b.disturbed = prefixes
 	shifts, reaches := len(delta.Shifts), len(delta.ReachDeltas)
@@ -1323,12 +1284,14 @@ func inVisitOrder[T any](recs []T, at []int32) {
 // sa_toggle, no_upstream and a per-prefix local_pref re-evaluate sessions
 // for their one prefix only. withdraw and announce name nothing: Apply
 // already dropped or converged their prefix, and no other prefix's
-// routes depend on it. The list is appended to out, in index order when
-// a local_pref is neighbor-wide, sorted otherwise.
-func (en *Engine) namedPrefixes(events []Event, skip map[netx.Prefix]bool, out []netx.Prefix) []netx.Prefix {
+// routes depend on it. skip is b.skip, and the list is built in
+// b.disturbed's array, in index order when a local_pref is
+// neighbor-wide, sorted otherwise.
+func (en *Engine) namedPrefixes(events []Event, b *deltaBuf) []netx.Prefix {
 	e := en.e
+	skip, out := b.skip, b.disturbed[:0]
 	named := make(map[netx.Prefix]bool)
-	var wide [][2]int32 // (neighbor, AS) of each neighbor-wide local_pref
+	wide := b.wide[:0] // (neighbor, AS) of each neighbor-wide local_pref
 	for _, ev := range events {
 		switch ev.Kind {
 		case EventWithdraw, EventAnnounce:
@@ -1349,6 +1312,7 @@ func (en *Engine) namedPrefixes(events []Event, skip map[netx.Prefix]bool, out [
 			return out
 		}
 	}
+	b.wide = wide
 	if len(wide) > 0 {
 		for pi, p := range e.prefixes {
 			if !skip[p] && (named[p] || en.unconv[p] || e.mayCarry(pi, wide)) {

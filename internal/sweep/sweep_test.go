@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -474,6 +476,75 @@ func BenchmarkSweepLinkBatch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Run(context.Background(), base, scenarios, Options{Workers: 1}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestPolicySweepLeavesBaseTopologyUntouched: the four sweep_policy
+// families — hijacks, local-pref flips, withdrawals and no-upstream
+// flips — swept by 4 workers edit Policies and AS descriptions in place
+// on engines that share them with the base until their first write. The
+// base's Policies and descriptions must come out of the sweep the very
+// objects they went in as, deep-equal to a snapshot taken before.
+func TestPolicySweepLeavesBaseTopologyUntouched(t *testing.T) {
+	topo, opts := buildTestTopo(t, 60, 7)
+	base := newBase(t, topo, opts)
+	bt := base.Topology()
+	var stub bgp.ASN
+	for _, asn := range topo.Order {
+		if len(topo.Graph.Providers(asn)) >= 2 && len(topo.ASes[asn].Prefixes) > 0 {
+			stub = asn
+			break
+		}
+	}
+	if stub == 0 {
+		t.Fatal("no multihomed stub")
+	}
+	attackers := []bgp.ASN{topo.Order[0], topo.Order[len(topo.Order)-1]}
+	scenarios, err := Expand(context.Background(), topo, Spec{Generators: []Generator{
+		{Kind: KindHijacks, Attackers: attackers, Max: 12},
+		{Kind: KindLocalPrefFlips, AS: stub, Values: []uint32{40, 200}},
+		{Kind: KindLocalPrefFlips, AS: topo.Graph.Providers(stub)[0], Values: []uint32{40, 200}},
+		{Kind: KindPrefixWithdrawals, Max: 12},
+		{Kind: KindNoUpstreamFlips, Origins: []bgp.ASN{stub}},
+	}})
+	if err != nil {
+		t.Fatalf("expand: %v", err)
+	}
+	families := map[string]int{}
+	for _, sc := range scenarios {
+		families[strings.SplitN(sc.Name, ":", 2)[0]]++
+	}
+	if len(families) != 4 {
+		t.Fatalf("scenarios of %d families, want 4: %v", len(families), families)
+	}
+	policies := make(map[bgp.ASN]*topogen.Policy, len(bt.Policies))
+	snapPolicies := make(map[bgp.ASN]*topogen.Policy, len(bt.Policies))
+	for asn, pol := range bt.Policies {
+		policies[asn], snapPolicies[asn] = pol, pol.CloneDeep()
+	}
+	infos := make(map[bgp.ASN]*topogen.ASInfo, len(bt.ASes))
+	snapInfos := make(map[bgp.ASN]*topogen.ASInfo, len(bt.ASes))
+	for asn, info := range bt.ASes {
+		infos[asn], snapInfos[asn] = info, info.Clone()
+	}
+	if _, err := Run(context.Background(), base, scenarios, Options{Workers: 4}); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if len(bt.Policies) != len(policies) || len(bt.ASes) != len(infos) {
+		t.Fatalf("%d policies and %d descriptions after the sweep, %d and %d before", len(bt.Policies), len(bt.ASes), len(policies), len(infos))
+	}
+	for asn, pol := range bt.Policies {
+		if pol != policies[asn] {
+			t.Fatalf("AS%d's Policy was replaced on the base", asn)
+		}
+		if !reflect.DeepEqual(pol, snapPolicies[asn]) {
+			t.Fatalf("AS%d's Policy changed under the sweep: %+v, want %+v", asn, pol, snapPolicies[asn])
+		}
+	}
+	for asn, info := range bt.ASes {
+		if info != infos[asn] || !reflect.DeepEqual(info, snapInfos[asn]) {
+			t.Fatalf("AS%d's description changed under the sweep: %+v, want %+v", asn, info, snapInfos[asn])
 		}
 	}
 }

@@ -2,6 +2,7 @@ package topogen
 
 import (
 	"maps"
+	"slices"
 
 	"github.com/policyscope/policyscope/internal/bgp"
 	"github.com/policyscope/policyscope/internal/netx"
@@ -14,8 +15,9 @@ import (
 
 // Clone returns a deep copy of the topology covering every structure a
 // scenario event may mutate: the annotated graph, per-AS descriptions,
-// prefix ownership and policies. Policy fields events never touch
-// (generated import maps, aggregation sets) are shared.
+// prefix ownership and policies. What events never touch (generated
+// import maps, aggregation sets, provider sets, allocation maps) is
+// shared.
 func (t *Topology) Clone() *Topology {
 	c := &Topology{
 		Config:       t.Config,
@@ -37,46 +39,38 @@ func (t *Topology) Clone() *Topology {
 	return c
 }
 
-// Clone returns an independent copy of the AS description (prefix events
-// edit Prefixes in place).
+// Clone returns a copy of the AS description that prefix events may
+// edit: Prefixes, which they edit in place, is copied (nil stays nil, and
+// empty empty); AllocatedFrom, which nothing writes once the topology is
+// generated, is shared.
 func (a *ASInfo) Clone() *ASInfo {
 	c := *a
-	c.Prefixes = append([]netx.Prefix(nil), a.Prefixes...)
-	c.AllocatedFrom = maps.Clone(a.AllocatedFrom)
+	c.Prefixes = slices.Clone(a.Prefixes)
 	return &c
 }
 
-// CloneDeep copies every policy structure scenario events can mutate:
-// origin-side export decisions and the import override overlay. The
-// generated import maps, aggregation sets and peer exclusions are shared
-// (events replace them wholesale, never edit them in place).
+// CloneDeep copies every policy map scenario events write: the
+// origin-side export maps and the import override overlay, each nil
+// where p's is nil. A what-if engine copies every Policy so at its first
+// policy edit and then edits the copies in place. What events
+// never write is shared: the generated import maps, the tagging scheme,
+// aggregation sets, peer exclusions, and the provider sets
+// OriginProviders maps to, which SetAnnounceToProvider replaces whole.
 func (p *Policy) CloneDeep() *Policy {
 	cp := &Policy{AS: p.AS, Import: p.Import, Tagging: p.Tagging}
 	cp.Export = ExportPolicy{
-		OriginProviders:    make(map[netx.Prefix]map[bgp.ASN]bool, len(p.Export.OriginProviders)),
-		NoUpstream:         make(map[netx.Prefix]bgp.ASN, len(p.Export.NoUpstream)),
+		OriginProviders:    maps.Clone(p.Export.OriginProviders),
+		NoUpstream:         maps.Clone(p.Export.NoUpstream),
 		TransitSelective:   p.Export.TransitSelective,
 		AggregateSpecifics: p.Export.AggregateSpecifics,
 		PeerExclude:        p.Export.PeerExclude,
 	}
-	for prefix, set := range p.Export.OriginProviders {
-		ns := make(map[bgp.ASN]bool, len(set))
-		for a, v := range set {
-			ns[a] = v
-		}
-		cp.Export.OriginProviders[prefix] = ns
-	}
-	for prefix, provider := range p.Export.NoUpstream {
-		cp.Export.NoUpstream[prefix] = provider
-	}
 	if p.Override != nil {
-		ov := &ImportOverride{}
-		for nbr, v := range p.Override.Neighbor {
-			ov.SetNeighbor(nbr, v)
-		}
-		for nbr, m := range p.Override.Prefix {
-			for prefix, v := range m {
-				ov.SetPrefix(nbr, prefix, v)
+		ov := &ImportOverride{Neighbor: maps.Clone(p.Override.Neighbor)}
+		if p.Override.Prefix != nil {
+			ov.Prefix = make(map[bgp.ASN]map[netx.Prefix]uint32, len(p.Override.Prefix))
+			for nbr, m := range p.Override.Prefix {
+				ov.Prefix[nbr] = maps.Clone(m)
 			}
 		}
 		cp.Override = ov
@@ -97,7 +91,9 @@ func (p *Policy) EnsureOverride() *ImportOverride {
 // of an originated prefix: announce=false withholds prefix from
 // provider, announce=true (re-)announces it. The OriginProviders entry
 // is kept canonical — it is dropped when the set covers every provider,
-// matching the generator's "missing entry means announce to all".
+// matching the generator's "missing entry means announce to all". A set
+// is replaced, never written in place, so whoever still holds the old one
+// (a what-if engine's undo record) reads it as it was.
 func (t *Topology) SetAnnounceToProvider(origin bgp.ASN, prefix netx.Prefix, provider bgp.ASN, announce bool) {
 	pol := t.Policies[origin]
 	if pol == nil {
@@ -105,9 +101,10 @@ func (t *Topology) SetAnnounceToProvider(origin bgp.ASN, prefix netx.Prefix, pro
 		t.Policies[origin] = pol
 	}
 	providers := t.Graph.Providers(origin)
-	set, ok := pol.Export.OriginProviders[prefix]
-	if !ok {
-		set = make(map[bgp.ASN]bool, len(providers))
+	set := make(map[bgp.ASN]bool, len(providers))
+	if old, ok := pol.Export.OriginProviders[prefix]; ok {
+		maps.Copy(set, old)
+	} else {
 		for _, p := range providers {
 			set[p] = true
 		}
@@ -153,7 +150,11 @@ func (t *Topology) SetNoUpstream(origin bgp.ASN, prefix netx.Prefix, provider bg
 }
 
 // RemovePrefix deletes an originated prefix from the topology: ownership,
-// the origin's AS description, and any origin-side export state.
+// the origin's AS description, and any origin-side export state. The
+// origin's Policy is written only where it holds an entry for the prefix
+// (a delete writes a map even when the key is absent), so a what-if
+// engine need not copy a Policy it shares to withdraw a prefix the
+// Policy says nothing about.
 func (t *Topology) RemovePrefix(prefix netx.Prefix) bool {
 	origin, ok := t.PrefixOrigin[prefix]
 	if !ok {
@@ -161,16 +162,17 @@ func (t *Topology) RemovePrefix(prefix netx.Prefix) bool {
 	}
 	delete(t.PrefixOrigin, prefix)
 	if info := t.ASes[origin]; info != nil {
-		for i, p := range info.Prefixes {
-			if p == prefix {
-				info.Prefixes = append(info.Prefixes[:i], info.Prefixes[i+1:]...)
-				break
-			}
+		if i := slices.Index(info.Prefixes, prefix); i >= 0 {
+			info.Prefixes = slices.Delete(info.Prefixes, i, i+1)
 		}
 	}
 	if pol := t.Policies[origin]; pol != nil {
-		delete(pol.Export.OriginProviders, prefix)
-		delete(pol.Export.NoUpstream, prefix)
+		if _, ok := pol.Export.OriginProviders[prefix]; ok {
+			delete(pol.Export.OriginProviders, prefix)
+		}
+		if _, ok := pol.Export.NoUpstream[prefix]; ok {
+			delete(pol.Export.NoUpstream, prefix)
+		}
 	}
 	return true
 }
@@ -186,7 +188,8 @@ func (t *Topology) AddPrefix(prefix netx.Prefix, origin bgp.ASN) bool {
 		return false
 	}
 	t.PrefixOrigin[prefix] = origin
-	info.Prefixes = append(info.Prefixes, prefix)
-	netx.SortPrefixes(info.Prefixes)
+	// Prefixes stays in Compare order: insert where a binary search puts it.
+	i, _ := slices.BinarySearchFunc(info.Prefixes, prefix, netx.Prefix.Compare)
+	info.Prefixes = slices.Insert(info.Prefixes, i, prefix)
 	return true
 }
